@@ -185,7 +185,7 @@ double measure_sweep_eps() {
   // so the before/after ratio compares like with like.
   constexpr int kReps = 5;
   constexpr int kRounds = 8;
-  auto topo = sim::make_star(1024, sim::DeliveryMode::kEvent);
+  auto topo = sim::make_star(1024);
   sim::Network& net = topo.net;
   // Warmup round: arena chunks and queue storage reach steady state.
   for (auto& [src, packet] : sweep_batch(topo, 0)) {

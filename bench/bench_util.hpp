@@ -36,15 +36,21 @@ inline std::string percent(double fraction) {
 /// into the tracked bench/results/ snapshot directory (the build defines
 /// SAGE_BENCH_RESULTS_DIR), so the perf trajectory survives clean build
 /// trees. Call after closing the scorecard; no-op when the definition is
-/// absent or either file cannot be opened.
+/// absent. A file that cannot be opened is reported on stderr and the
+/// copy skipped; the bench's own exit status is unaffected.
 inline void commit_scorecard(const std::string& filename) {
 #ifdef SAGE_BENCH_RESULTS_DIR
   FILE* in = std::fopen(filename.c_str(), "rb");
-  if (in == nullptr) return;
+  if (in == nullptr) {
+    std::fprintf(stderr, "commit_scorecard: cannot read %s\n",
+                 filename.c_str());
+    return;
+  }
   const std::string dest =
       std::string(SAGE_BENCH_RESULTS_DIR) + "/" + filename;
   FILE* out = std::fopen(dest.c_str(), "wb");
   if (out == nullptr) {
+    std::fprintf(stderr, "commit_scorecard: cannot write %s\n", dest.c_str());
     std::fclose(in);
     return;
   }

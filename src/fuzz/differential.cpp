@@ -440,8 +440,8 @@ std::string parser_mismatch(const FuzzPacket& pkt, bool* parsed) {
 /// the same rng by value, so the injected weather is byte-identical.
 std::vector<sim::OwnedCaptureEntry> run_icmp_side(
     sim::IcmpResponder* responder, const FuzzPacket& pkt,
-    const FaultPlan& faults, Rng fault_rng, sim::DeliveryMode delivery) {
-  sim::Network net = sim::make_appendix_a_network(delivery);
+    const FaultPlan& faults, Rng fault_rng) {
+  sim::Network net = sim::make_appendix_a_network();
   net.router()->set_responder(responder);
   net.find_host("server1")->set_responder(responder);
   net.find_host("server2")->set_responder(responder);
@@ -598,15 +598,13 @@ CaseResult DifferentialFuzzer::run_icmp_case(const FuzzPacket& packet,
     for (const auto& fn : core::canonical_icmp_run().functions) {
       generated.add_function(fn);
     }
-    cap_gen = run_icmp_side(&generated, packet, options_.faults, fault_rng,
-                            options_.delivery);
+    cap_gen = run_icmp_side(&generated, packet, options_.faults, fault_rng);
   } catch (const std::exception& e) {
     crash_detail = std::string("generated responder threw: ") + e.what();
   }
   try {
     sim::ReferenceIcmpResponder reference;
-    cap_ref = run_icmp_side(&reference, packet, options_.faults, fault_rng,
-                            options_.delivery);
+    cap_ref = run_icmp_side(&reference, packet, options_.faults, fault_rng);
   } catch (const std::exception& e) {
     if (!crash_detail.empty()) crash_detail += "; ";
     crash_detail += std::string("reference responder threw: ") + e.what();

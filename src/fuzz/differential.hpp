@@ -61,12 +61,7 @@ struct FuzzOptions {
   std::size_t jobs = 1;  // >1 fans iterations over a util::ThreadPool
   FaultPlan faults;      // applied identically to both networks
   bool minimize = true;  // greedily reduce failing inputs
-  /// Which simulator kernel both Appendix-A networks run on. Verdict
-  /// logs are pinned byte-identical across the two kernels
-  /// (tests/test_fuzz_regressions.cpp), so this is a pure execution
-  /// knob, mirroring the parser's reference_mode.
-  sim::DeliveryMode delivery = sim::DeliveryMode::kEvent;
-  /// Which backend the generated responder executes on. Another pure
+  /// Which backend the generated responder executes on. A pure
   /// execution knob: verdict logs are pinned byte-identical across
   /// kThreaded and kTree (tests/test_fuzz_regressions.cpp).
   runtime::vm::ExecBackend backend = runtime::vm::ExecBackend::kThreaded;

@@ -50,17 +50,17 @@ class FaultyNetwork {
   void send(const std::string& host, std::span<const std::uint8_t> packet,
             bool via_router = false);
 
-  /// Release every held (reordered/delayed) packet, oldest first. Under
-  /// the event kernel, delayed packets are released as real future-time
-  /// events: each is scheduled kDelayNs into the simulated future, spaced
-  /// kDelaySpacingNs apart so each release's cascade quiesces before the
-  /// next begins — which is exactly the reference kernel's sequential
-  /// release order, keeping verdict logs byte-stable across kernels.
+  /// Release every held (reordered/delayed) packet, oldest first.
+  /// Delayed packets are released as real future-time events: each is
+  /// scheduled kDelayNs into the simulated future, spaced kDelaySpacingNs
+  /// apart so each release's cascade quiesces before the next begins —
+  /// the same order as releasing them one after another, which keeps the
+  /// pinned verdict logs byte-stable.
   void flush();
 
-  /// Simulated-time penalty of a delay fault (event kernel).
+  /// Simulated-time penalty of a delay fault.
   static constexpr std::uint64_t kDelayNs = 1000000;  // 1ms
-  /// Spacing between consecutive delayed releases (event kernel).
+  /// Spacing between consecutive delayed releases.
   static constexpr std::uint64_t kDelaySpacingNs = 1000;
 
  private:

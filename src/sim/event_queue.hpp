@@ -22,9 +22,9 @@
 namespace sage::sim {
 
 /// Per-link propagation/serialization characteristics. Defaults model an
-/// ideal wire (zero latency, infinite bandwidth), which keeps the event
-/// kernel's capture logs byte-identical to the synchronous reference
-/// path.
+/// ideal wire (zero latency, infinite bandwidth), under which the capture
+/// logs stay byte-identical to the seed simulator's (the Appendix-A pcap
+/// hash goldens).
 struct LinkConfig {
   std::uint64_t latency_ns = 0;
   std::uint64_t bandwidth_bps = 0;  // 0 = infinite (no serialization delay)

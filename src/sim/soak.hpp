@@ -26,7 +26,7 @@
 namespace sage::sim {
 
 struct SoakOptions {
-  TopologySpec topology;      // what to soak (kind, hosts, mode)
+  TopologySpec topology;      // what to soak (kind, hosts, seed)
   std::size_t sessions = 64;  // total protocol sessions across the run
   std::uint64_t seed = 1;     // session-mix master seed
   std::size_t jobs = 1;       // worker threads (digest-invariant)
