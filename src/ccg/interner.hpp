@@ -17,9 +17,13 @@
 // Concurrency: the tables are mutex-striped (shard = high hash bits), so
 // parallel parses interning different structures almost never contend.
 // Entries are intentionally immortal — the table owns one shared_ptr per
-// distinct structure. Growth is bounded in practice because parse-time
-// variable ids restart at the same base for every parse (see VarGen in
-// term.hpp): repeated workloads re-intern the same finite node universe.
+// distinct structure. Growth stops once a workload has been seen,
+// because no term's identity depends on process history: parse-time
+// variable ids restart at kParseVarBase for every parse and lexicon
+// binder ids at kLexVarBase for every lexicon (see VarGen in term.hpp).
+// Rebuilding the grammar or re-parsing a sentence re-interns the same
+// nodes, so the β, application and type-raise memos keyed on their ids
+// stop growing too.
 // `category_interner_size()` / `term_interner_size()` expose the live
 // table sizes for `sage_debug --parse-stats` and the property tests.
 #pragma once

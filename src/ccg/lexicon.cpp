@@ -16,7 +16,7 @@ void Lexicon::add(std::string_view word, std::string_view category,
     throw util::SageError("bad category '" + std::string(category) +
                           "' for lexicon word '" + std::string(word) + "'");
   }
-  entry.semantics = parse_term(semantics);
+  entry.semantics = parse_term(semantics, binders_);
   if (!entry.semantics) {
     throw util::SageError("bad semantics '" + std::string(semantics) +
                           "' for lexicon word '" + std::string(word) + "'");

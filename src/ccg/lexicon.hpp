@@ -34,6 +34,9 @@ class Lexicon {
  public:
   /// Add an entry from textual category and term syntax. Throws SageError
   /// on malformed definitions (the corpus data is trusted but validated).
+  /// Binder ids are numbered per lexicon, in order of addition, so every
+  /// binder is unique across the lexicon's entries and two lexicons built
+  /// from the same definitions hold the same interned terms.
   void add(std::string_view word, std::string_view category,
            std::string_view semantics, std::string_view source = "core");
 
@@ -60,6 +63,7 @@ class Lexicon {
  private:
   std::map<std::string, std::vector<LexEntry>, std::less<>> entries_;
   std::size_t total_ = 0;
+  VarGen binders_{kLexVarBase};
 };
 
 }  // namespace sage::ccg

@@ -1,6 +1,5 @@
 #include "ccg/term.hpp"
 
-#include <atomic>
 #include <cctype>
 #include <map>
 #include <unordered_map>
@@ -10,7 +9,6 @@
 namespace sage::ccg {
 
 namespace {
-std::atomic<int> g_var_counter{kLexVarBase};
 
 /// Probe key for the term interner: scalars + child pointers. For the
 /// stored copy, `name` views the canonical node's own storage.
@@ -96,8 +94,6 @@ TermPtr intern_term(Term::Kind kind, int var, long number, std::string name,
 }  // namespace
 
 std::size_t term_interner_size() { return term_table().size(); }
-
-int fresh_var() { return g_var_counter.fetch_add(1); }
 
 TermPtr mk_var(int id) {
   return intern_term(Term::Kind::kVar, id, 0, {}, nullptr, nullptr);
@@ -377,7 +373,8 @@ namespace {
 /// Parser for the lexicon's term syntax.
 class TermParser {
  public:
-  explicit TermParser(std::string_view text) : text_(text) {}
+  TermParser(std::string_view text, VarGen& binders)
+      : text_(text), binders_(binders) {}
 
   TermPtr parse() {
     TermPtr t = parse_term();
@@ -415,7 +412,7 @@ class TermParser {
     ++pos_;  // backslash
     std::string name = parse_ident();
     if (name.empty() || !eat('.')) return nullptr;
-    const int id = fresh_var();
+    const int id = binders_.fresh();
     vars_[name] = id;
     TermPtr body = parse_term();
     vars_.erase(name);
@@ -497,12 +494,15 @@ class TermParser {
   }
 
   std::string_view text_;
+  VarGen& binders_;
   std::size_t pos_ = 0;
   std::map<std::string, int> vars_;
 };
 
 }  // namespace
 
-TermPtr parse_term(std::string_view text) { return TermParser(text).parse(); }
+TermPtr parse_term(std::string_view text, VarGen& binders) {
+  return TermParser(text, binders).parse();
+}
 
 }  // namespace sage::ccg

@@ -61,9 +61,12 @@ TermPtr mk_pred(std::string name);
 TermPtr mk_str(std::string value);
 TermPtr mk_num(long value);
 
-/// Base id for lexicon/surface-syntax binders (process-wide counter —
-/// fresh_var() below). Kept disjoint from parse-time ids so substitution
-/// can never capture (every binder id in a term is unique).
+/// Base id for lexicon/surface-syntax binders: every Lexicon numbers its
+/// binders from here (one VarGen per lexicon, threaded through
+/// parse_term), so a lexicon's terms depend only on its entries and
+/// rebuilding it returns the same interned terms. Kept disjoint from
+/// parse-time ids so substitution can never capture (every binder id in
+/// a lexicon is unique).
 inline constexpr int kLexVarBase = 1'000'000;
 
 /// Base id for parse-time fresh variables: every CcgParser::parse call
@@ -80,19 +83,16 @@ inline constexpr int kParseVarBase = 1'000'000'000;
 /// memoizes them instead of rebuilding per chart cell.
 inline constexpr int kTypeRaiseVar = kParseVarBase - 1;
 
-/// Per-parse fresh-variable generator (not thread-safe; one per parse).
+/// Fresh-variable generator (not thread-safe): one per parse, counting
+/// from kParseVarBase, or one per lexicon, counting from kLexVarBase.
 class VarGen {
  public:
+  explicit VarGen(int base = kParseVarBase) : next_(base) {}
   int fresh() { return next_++; }
 
  private:
-  int next_ = kParseVarBase;
+  int next_;
 };
-
-/// Fresh variable id from the process-wide counter (kLexVarBase range).
-/// Used only when parsing lexicon term syntax; chart parsing threads a
-/// per-parse VarGen instead.
-int fresh_var();
 
 /// Build @Pred(arg1, ..., argN) as an application spine.
 TermPtr mk_pred_app(std::string name, std::vector<TermPtr> args);
@@ -126,7 +126,9 @@ std::optional<lf::LogicalForm> term_to_logical_form(const TermPtr& term);
 ///   @Action("compute", x)  string literals
 ///   f(x)                   applying a bound variable
 ///   16                     numeric literal
-/// Returns nullptr on syntax errors.
-TermPtr parse_term(std::string_view text);
+/// Binder ids come from `binders`; terms that will meet in one parse
+/// must share a generator (Lexicon::add threads its own). Returns
+/// nullptr on syntax errors.
+TermPtr parse_term(std::string_view text, VarGen& binders);
 
 }  // namespace sage::ccg

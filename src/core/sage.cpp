@@ -28,15 +28,28 @@ std::size_t ProtocolRun::count(SentenceStatus status) const {
                     }));
 }
 
-Sage::Sage()
-    : lexicon_(corpus::make_lexicon()),
-      dictionary_(corpus::make_term_dictionary()),
-      winnower_(disambig::all_checks()),
-      handlers_(codegen::HandlerRegistry::standard()),
-      statics_(codegen::StaticContext::standard()),
-      parse_cache_(std::make_shared<ccg::ParseCache>()) {
-  for (auto& word : lexicon_.words()) closed_class_.insert(std::move(word));
+const Sage::Grammar& Sage::Grammar::standard() {
+  // Immortal like the intern tables it points into: no destruction at
+  // exit under a thread that is still processing.
+  static const Grammar* const grammar = [] {
+    auto* g = new Grammar{corpus::make_lexicon(),
+                          corpus::make_term_dictionary(),
+                          {},
+                          {},
+                          disambig::Winnower(disambig::all_checks()),
+                          codegen::HandlerRegistry::standard(),
+                          codegen::StaticContext::standard()};
+    for (auto& word : g->lexicon.words()) {
+      g->closed_class.insert(std::move(word));
+    }
+    return g;
+  }();
+  return *grammar;
 }
+
+Sage::Sage()
+    : grammar_(&Grammar::standard()),
+      parse_cache_(std::make_shared<ccg::ParseCache>()) {}
 
 void Sage::annotate_non_actionable(const std::vector<std::string>& sentences) {
   for (const auto& s : sentences) {
@@ -94,8 +107,9 @@ SentenceReport Sage::analyze_sentence(const rfc::SpecSentence& sentence,
 
   // Tokenize + noun-phrase labeling.
   const nlp::NounPhraseChunker chunker(
-      options.use_term_dictionary ? &dictionary_ : &empty_dictionary_,
-      &closed_class_);
+      options.use_term_dictionary ? &grammar_->dictionary
+                                  : &grammar_->empty_dictionary,
+      &grammar_->closed_class);
   nlp::ChunkingMode mode = options.chunking;
   if (!options.use_term_dictionary && mode == nlp::ChunkingMode::kFull) {
     mode = nlp::ChunkingMode::kNoDictionary;
@@ -113,7 +127,7 @@ SentenceReport Sage::analyze_sentence(const rfc::SpecSentence& sentence,
 
   report.base_forms = parsed.candidates.size();
   report.base_candidates = parsed.candidates;
-  report.winnow = winnower_.winnow(parsed.candidates);
+  report.winnow = grammar_->winnower.winnow(parsed.candidates);
 
   if (report.winnow.survivors.empty()) {
     report.status = SentenceStatus::kZeroForms;
@@ -140,7 +154,7 @@ ccg::CachedParse Sage::parse_with_context(
   }
 
   ccg::CachedParse out;
-  const ccg::CcgParser parser(&lexicon_, options);
+  const ccg::CcgParser parser(&grammar_->lexicon, options);
   auto parsed = parser.parse(tokens);
   out.unknown_tokens = std::move(parsed.unknown_tokens);
 
@@ -266,7 +280,8 @@ ProtocolRun Sage::process_impl(const std::string& rfc_text,
   // sentence that fails conversion is tagged @AdvComment and the
   // function is regenerated (§5.2 "Iterative discovery of non-actionable
   // sentences").
-  const codegen::CodeGenerator generator(&statics_, &handlers_);
+  const codegen::CodeGenerator generator(&grammar_->statics,
+                                         &grammar_->handlers);
   for (auto& [key, sentence_lfs] : per_function) {
     const auto sep = key.find('\x1f');
     const std::string message = key.substr(0, sep);

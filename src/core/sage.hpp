@@ -135,11 +135,16 @@ class Sage {
   }
 
   // -- component access for benches and examples ---------------------------
-  const ccg::Lexicon& lexicon() const { return lexicon_; }
-  const nlp::TermDictionary& dictionary() const { return dictionary_; }
-  const disambig::Winnower& winnower() const { return winnower_; }
-  const codegen::HandlerRegistry& handlers() const { return handlers_; }
-  const codegen::StaticContext& static_context() const { return statics_; }
+  // Every Sage reads the same process-wide standard grammar.
+  const ccg::Lexicon& lexicon() const { return grammar_->lexicon; }
+  const nlp::TermDictionary& dictionary() const { return grammar_->dictionary; }
+  const disambig::Winnower& winnower() const { return grammar_->winnower; }
+  const codegen::HandlerRegistry& handlers() const {
+    return grammar_->handlers;
+  }
+  const codegen::StaticContext& static_context() const {
+    return grammar_->statics;
+  }
 
   /// Roles a message section generates functions for. Echo/timestamp/
   /// information messages have sender and receiver behaviour; error
@@ -168,13 +173,23 @@ class Sage {
                            const std::string& protocol,
                            const SageOptions& options, util::ThreadPool* pool);
 
-  ccg::Lexicon lexicon_;
-  nlp::TermDictionary dictionary_;
-  nlp::TermDictionary empty_dictionary_;
-  std::unordered_set<std::string> closed_class_;  // the lexicon's words
-  disambig::Winnower winnower_;
-  codegen::HandlerRegistry handlers_;
-  codegen::StaticContext statics_;
+  /// The standard grammar: built once per process on first use (a
+  /// thread-safe static) and read-only after, so every Sage shares its
+  /// interned lexicon terms and, through them, the β and application
+  /// memos.
+  struct Grammar {
+    ccg::Lexicon lexicon;
+    nlp::TermDictionary dictionary;
+    nlp::TermDictionary empty_dictionary;
+    std::unordered_set<std::string> closed_class;  // the lexicon's words
+    disambig::Winnower winnower;
+    codegen::HandlerRegistry handlers;
+    codegen::StaticContext statics;
+
+    static const Grammar& standard();
+  };
+
+  const Grammar* grammar_;
   std::set<std::string> non_actionable_;
   std::shared_ptr<ccg::ParseCache> parse_cache_;
 };

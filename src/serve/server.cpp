@@ -124,7 +124,7 @@ Server::Server(ServerOptions options)
 }
 
 Server::~Server() {
-  std::vector<std::jthread> threads;
+  std::vector<ConnectionThread> threads;
   {
     std::lock_guard lock(threads_mutex_);
     threads.swap(connection_threads_);
@@ -438,11 +438,18 @@ void Server::serve_connection(Transport& transport) {
 }
 
 void Server::serve_connection_async(std::shared_ptr<Transport> transport) {
+  auto done = std::make_shared<std::atomic<bool>>(false);
   std::lock_guard lock(threads_mutex_);
-  connection_threads_.emplace_back(
-      [this, transport = std::move(transport)](std::stop_token) {
-        serve_connection(*transport);
-      });
+  // A finished thread has returned from serve_connection, so joining it
+  // (the jthread destructor) does not wait on a peer.
+  std::erase_if(connection_threads_, [](const ConnectionThread& c) {
+    return c.done->load();
+  });
+  connection_threads_.push_back(
+      {done, std::jthread([this, done, transport = std::move(transport)] {
+         serve_connection(*transport);
+         done->store(true);
+       })});
 }
 
 void Server::serve_acceptor(SocketAcceptor& acceptor) {
@@ -464,6 +471,10 @@ StatsSnapshot Server::stats() const {
   {
     std::lock_guard lock(pipelines_mutex_);
     snap.pipelines_cached = pipelines_.size();
+  }
+  {
+    std::lock_guard lock(threads_mutex_);
+    snap.connection_threads = connection_threads_.size();
   }
   return snap;
 }

@@ -77,6 +77,10 @@ class Server {
   void serve_connection(Transport& transport);
 
   /// serve_connection on a background thread (loopback tests, soak).
+  /// Joins and drops the threads of connections that have finished
+  /// first, so the server holds one thread per live connection (plus
+  /// any that ended since the last call), not one per connection ever
+  /// served.
   void serve_connection_async(std::shared_ptr<Transport> transport);
 
   /// Daemon loop: accept until the acceptor is closed, one background
@@ -129,8 +133,13 @@ class Server {
   std::atomic<std::uint64_t> pipeline_hits_{0};
   std::atomic<std::uint64_t> pipeline_misses_{0};
 
-  std::mutex threads_mutex_;
-  std::vector<std::jthread> connection_threads_;
+  /// A background connection's thread; `done` is set as it returns.
+  struct ConnectionThread {
+    std::shared_ptr<std::atomic<bool>> done;
+    std::jthread thread;
+  };
+  mutable std::mutex threads_mutex_;
+  std::vector<ConnectionThread> connection_threads_;
   ServerOptions options_;
 };
 

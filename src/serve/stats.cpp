@@ -13,7 +13,8 @@ std::string StatsSnapshot::to_json() const {
       << "\"connections\": " << connections
       << ", \"frames_rejected\": " << frames_rejected
       << ", \"jobs_ok\": " << jobs_ok
-      << ", \"jobs_failed\": " << jobs_failed << "},\n";
+      << ", \"jobs_failed\": " << jobs_failed
+      << ", \"connection_threads\": " << connection_threads << "},\n";
   out << "  \"pipeline_cache\": {"
       << "\"hits\": " << pipeline_hits
       << ", \"misses\": " << pipeline_misses

@@ -24,6 +24,9 @@ struct StatsSnapshot {
   std::uint64_t frames_rejected = 0;  // malformed frames answered + closed
   std::uint64_t jobs_ok = 0;
   std::uint64_t jobs_failed = 0;
+  /// Connection threads the server holds: live connections plus those
+  /// finished since the last connection arrived (joined on arrival).
+  std::uint64_t connection_threads = 0;
 
   // Session pipeline cache (corpus -> compiled pipeline + handlers).
   std::uint64_t pipeline_hits = 0;

@@ -48,9 +48,16 @@ TEST(Category, EqualityIsStructural) {
   EXPECT_FALSE(a->equals(*c));
 }
 
+/// Parse one term with its own binder numbering, as a one-entry
+/// lexicon would.
+TermPtr parse_one(std::string_view text) {
+  VarGen binders(kLexVarBase);
+  return parse_term(text, binders);
+}
+
 TEST(Term, ParseAndReduceIsEntry) {
   // (\x.\y.@Is(y, x)) 0 "checksum"  =>  @Is("checksum", 0)
-  const TermPtr entry = parse_term("\\x.\\y.@Is(y, x)");
+  const TermPtr entry = parse_one("\\x.\\y.@Is(y, x)");
   ASSERT_TRUE(entry != nullptr);
   const TermPtr applied =
       mk_app(mk_app(entry, mk_num(0)), mk_str("checksum"));
@@ -62,11 +69,11 @@ TEST(Term, ParseAndReduceIsEntry) {
 }
 
 TEST(Term, ParseRejectsUnboundVariable) {
-  EXPECT_EQ(parse_term("\\x.@Is(y, x)"), nullptr);
+  EXPECT_EQ(parse_one("\\x.@Is(y, x)"), nullptr);
 }
 
 TEST(Term, ParseStringAndNumberLiterals) {
-  const auto t = parse_term("@Action(\"compute\", 16)");
+  const auto t = parse_one("@Action(\"compute\", 16)");
   ASSERT_TRUE(t != nullptr);
   const auto lf = term_to_logical_form(t);
   ASSERT_TRUE(lf.has_value());
@@ -75,7 +82,7 @@ TEST(Term, ParseStringAndNumberLiterals) {
 
 TEST(Term, VariableApplicationInBody) {
   // \f.\x.f(x) applied to @Not and "a" => @Not("a")
-  const auto t = parse_term("\\f.\\x.f(x)");
+  const auto t = parse_one("\\f.\\x.f(x)");
   ASSERT_TRUE(t != nullptr);
   const auto reduced =
       beta_reduce(mk_app(mk_app(t, mk_pred("@Not")), mk_str("a")));
@@ -85,7 +92,7 @@ TEST(Term, VariableApplicationInBody) {
 }
 
 TEST(Term, UnreducedLambdaIsNotALogicalForm) {
-  const auto t = parse_term("\\x.@Is(x, 0)");
+  const auto t = parse_one("\\x.@Is(x, 0)");
   ASSERT_TRUE(t != nullptr);
   EXPECT_FALSE(term_to_logical_form(t).has_value());
 }

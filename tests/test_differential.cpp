@@ -86,11 +86,13 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-/// Lexicon entries draw their lambda variables from a process-wide
-/// counter, so a rendered derivation's variable ids depend on what ran
-/// earlier in the process. Renumber every variable (an `x` plus digits
-/// that does not continue a word) in order of first appearance: an
-/// alpha-renaming, so the digest depends only on the parse itself.
+/// The digests were recorded when lexicon binder ids came from a
+/// process-wide counter, so a rendered derivation's variable ids
+/// depended on what ran earlier in the process. Ids are now numbered
+/// per lexicon, but the pinned digests still hash the renumbered text.
+/// Renumber every variable (an `x` plus digits that does not continue a
+/// word) in order of first appearance: an alpha-renaming, so the digest
+/// depends only on the parse itself.
 std::string canonical_vars(const std::string& text) {
   const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
   const auto is_word = [&](char c) {

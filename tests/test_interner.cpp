@@ -1,19 +1,68 @@
 // Property tests for the hash-consing interner (src/ccg/interner.hpp):
-// canonical pointers, stable hashes/ids, and thread-safety of concurrent
-// interning (this file runs under the `concurrency` ctest label, so the
-// TSan preset covers the striped-lock paths).
+// canonical pointers, stable hashes/ids, thread-safety of concurrent
+// interning, and the bound that makes the process-wide tables pay: a
+// fresh core::Sage re-interns nothing once the grammar has been seen.
+// This file runs under the `concurrency` ctest label, so the TSan preset
+// covers the striped-lock paths and the shared grammar's first build.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "ccg/category.hpp"
 #include "ccg/interner.hpp"
+#include "ccg/lexicon.hpp"
 #include "ccg/term.hpp"
+#include "core/batch.hpp"
+#include "core/sage.hpp"
+#include "corpus/lexicon_data.hpp"
+#include "corpus/rfc1059.hpp"
+#include "corpus/rfc1112.hpp"
+#include "corpus/rfc4443.hpp"
+#include "corpus/rfc5880.hpp"
+#include "corpus/rfc792.hpp"
 
 namespace sage::ccg {
 namespace {
+
+struct SpecCorpus {
+  std::string text;
+  std::string protocol;
+  std::vector<std::string> annotations;
+};
+
+std::string bfd_text() {
+  std::string text = "BFD State Management\n\n   Description\n\n";
+  for (const auto& s : corpus::bfd_state_sentences()) text += "      " + s + "\n";
+  return text;
+}
+
+/// The revised ICMP and ICMPv6 texts, IGMP, NTP and BFD, each with its
+/// non-actionable annotations.
+const std::vector<SpecCorpus>& spec_corpora() {
+  static const std::vector<SpecCorpus> corpora = {
+      {corpus::rfc792_revised(), "ICMP",
+       corpus::icmp_non_actionable_annotations()},
+      {corpus::rfc1112_appendix_i(), "IGMP",
+       corpus::igmp_non_actionable_annotations()},
+      {corpus::rfc1059_appendices(), "NTP",
+       corpus::ntp_non_actionable_annotations()},
+      {bfd_text(), "BFD", {}},
+      {corpus::rfc4443_revised(), "ICMP6",
+       corpus::icmp6_non_actionable_annotations()},
+  };
+  return corpora;
+}
+
+/// One corpus through a fresh Sage, as every spec -> code rerun does.
+std::string fresh_signature(const SpecCorpus& c) {
+  core::Sage sage;
+  sage.annotate_non_actionable(c.annotations);
+  return core::protocol_run_signature(sage.process(c.text, c.protocol));
+}
 
 TEST(Interner, SameCategoryStructureSamePointer) {
   const CategoryPtr a = Category::parse("(S\\NP)/NP");
@@ -145,10 +194,88 @@ TEST(Interner, VarGenIsDeterministicPerParse) {
     EXPECT_EQ(va, b.fresh());
     EXPECT_GE(va, kParseVarBase);
   }
-  // The process-wide lexicon counter lives in a disjoint, lower range.
-  const int lex = fresh_var();
-  EXPECT_GE(lex, kLexVarBase);
-  EXPECT_LT(lex, kTypeRaiseVar);
+  // Lexicon binders live in a disjoint, lower range.
+  const Lexicon lexicon = corpus::make_lexicon();
+  std::size_t binders = 0;
+  for (const auto& word : lexicon.words()) {
+    for (const LexEntry& entry : lexicon.lookup(word)) {
+      std::vector<const Term*> stack = {entry.semantics.get()};
+      while (!stack.empty()) {
+        const Term* t = stack.back();
+        stack.pop_back();
+        if (t->kind == Term::Kind::kLam) {
+          ++binders;
+          EXPECT_GE(t->var, kLexVarBase) << word;
+          EXPECT_LT(t->var, kTypeRaiseVar) << word;
+        }
+        if (t->a) stack.push_back(t->a.get());
+        if (t->b) stack.push_back(t->b.get());
+      }
+    }
+  }
+  EXPECT_GT(binders, 0u);
+}
+
+// Binder ids depend only on the grammar text, so rebuilding the lexicon
+// returns the very same interned terms.
+TEST(Interner, RebuiltLexiconHoldsTheSameTerms) {
+  const Lexicon a = corpus::make_lexicon();
+  const Lexicon b = corpus::make_lexicon();
+  ASSERT_EQ(a.size(), b.size());
+  for (const auto& word : a.words()) {
+    const auto& xs = a.lookup(word);
+    const auto& ys = b.lookup(word);
+    ASSERT_EQ(xs.size(), ys.size()) << word;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      EXPECT_EQ(xs[i].semantics.get(), ys[i].semantics.get()) << word;
+      EXPECT_EQ(xs[i].category.get(), ys[i].category.get()) << word;
+    }
+  }
+}
+
+// After one warm pass, a second pass over every corpus with new Sages
+// interns no term or category and reproduces every run.
+TEST(Interner, FreshSagesReuseTheInternedGrammar) {
+  std::vector<std::string> warm;
+  for (const auto& c : spec_corpora()) warm.push_back(fresh_signature(c));
+  const std::size_t terms = term_interner_size();
+  const std::size_t categories = category_interner_size();
+  for (std::size_t i = 0; i < spec_corpora().size(); ++i) {
+    EXPECT_EQ(fresh_signature(spec_corpora()[i]), warm[i])
+        << spec_corpora()[i].protocol;
+  }
+  EXPECT_EQ(term_interner_size(), terms);
+  EXPECT_EQ(category_interner_size(), categories);
+}
+
+// The first Sages of a process build the shared grammar: four threads
+// construct theirs at the same moment and each runs ICMP. Every run must
+// match the serial one, and a second concurrent round interns nothing.
+TEST(Interner, ConcurrentFirstSagesShareOneGrammar) {
+  constexpr int kThreads = 4;
+  const SpecCorpus& icmp = spec_corpora()[0];
+  const auto round = [&icmp] {
+    std::vector<std::string> signatures(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        signatures[t] = fresh_signature(icmp);
+      });
+    }
+    for (auto& th : threads) th.join();
+    return signatures;
+  };
+  const std::vector<std::string> first = round();
+  const std::size_t terms = term_interner_size();
+  const std::vector<std::string> second = round();
+  EXPECT_EQ(term_interner_size(), terms);
+  const std::string serial = fresh_signature(icmp);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(first[t], serial) << "round 1, thread " << t;
+    EXPECT_EQ(second[t], serial) << "round 2, thread " << t;
+  }
 }
 
 }  // namespace

@@ -418,6 +418,40 @@ TEST_F(ServeLoopbackTest, WellFormedUnknownKindKeepsConnectionOpen) {
   client_end->close();
 }
 
+// Each arrival joins the threads of connections that have ended, so a
+// long-lived server holds the live connection's thread and at most one
+// still returning, not one per connection it ever served.
+TEST_F(ServeLoopbackTest, FinishedConnectionThreadsAreReaped) {
+  Server server({.jobs = 2});
+  constexpr int kConnections = 200;
+  for (int i = 0; i < kConnections; ++i) {
+    auto [client_end, server_end] = make_loopback_pair();
+    server.serve_connection_async(std::move(server_end));
+    Frame job = Client::make_request(FrameKind::kParseRequest, "bfd");
+    job.job_id = 1;
+    Frame goodbye = Client::make_request(FrameKind::kGoodbye, "");
+    goodbye.job_id = 2;
+    for (const Frame& frame : {job, goodbye}) {
+      const std::vector<std::uint8_t> image = encode_frame(frame);
+      ASSERT_TRUE(client_end->write_all(image.data(), image.size()));
+    }
+    // The job's answer, then EOF: the server closes its side as the
+    // connection's thread returns.
+    std::vector<std::uint8_t> answer;
+    std::uint8_t byte = 0;
+    while (client_end->read_exact(&byte, 1) == 1) answer.push_back(byte);
+    Frame response;
+    ASSERT_EQ(decode_frame(answer, &response), DecodeStatus::kOk);
+    ASSERT_EQ(response.status, JobStatus::kOk);
+    client_end->close();
+  }
+  const StatsSnapshot stats = server.stats();
+  EXPECT_EQ(stats.connections, static_cast<std::uint64_t>(kConnections));
+  EXPECT_LE(stats.connection_threads, 2u);
+  EXPECT_NE(stats.to_json().find("\"connection_threads\": "),
+            std::string::npos);
+}
+
 // ---- TCP transport ---------------------------------------------------------
 
 TEST(ServeSocket, RoundTripsJobsOverRealSockets) {
