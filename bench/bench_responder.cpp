@@ -169,12 +169,14 @@ int main() {
   if (json != nullptr) {
     std::fprintf(json,
                  "{\n"
+                 "  \"machine\": %s,\n"
                  "  \"packets\": %zu,\n"
                  "  \"baseline_pps\": %.1f,\n"
                  "  \"indexed_pps\": %.1f,\n"
                  "  \"speedup\": %.3f\n"
                  "}\n",
-                 kPackets, baseline_pps, indexed_pps, speedup);
+                 benchutil::machine_json().c_str(), kPackets, baseline_pps,
+                 indexed_pps, speedup);
     std::fclose(json);
     benchutil::row("written", "BENCH_responder.json");
     benchutil::commit_scorecard("BENCH_responder.json");

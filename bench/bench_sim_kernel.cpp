@@ -29,7 +29,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -208,9 +207,8 @@ int main() {
   FILE* json = std::fopen("BENCH_sim_kernel.json", "w");
   if (json != nullptr) {
     std::fprintf(json, "{\n");
-    std::fprintf(json,
-                 "  \"machine\": {\"nproc\": %u, \"compiler\": \"%s\"},\n",
-                 std::thread::hardware_concurrency(), __VERSION__);
+    std::fprintf(json, "  \"machine\": %s,\n",
+                 benchutil::machine_json().c_str());
     std::fprintf(json,
                  "  \"workloads\": {\"sweep\": \"probes to unassigned far-"
                  "subnet addresses; routing-only, no responder\", "

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace sage::benchutil {
@@ -29,6 +30,22 @@ inline void row(const std::string& left, const std::string& right,
 inline std::string percent(double fraction) {
   char buf[16];
   std::snprintf(buf, sizeof buf, "%.0f%%", fraction * 100.0);
+  return buf;
+}
+
+/// The machine a scorecard was measured on, as a JSON object: core count,
+/// compiler and build type (bench/CMakeLists.txt passes the build type).
+inline std::string machine_json() {
+#ifdef SAGE_BENCH_BUILD_TYPE
+  const char* build_type = SAGE_BENCH_BUILD_TYPE;
+#else
+  const char* build_type = "unknown";
+#endif
+  char buf[256];
+  std::snprintf(buf, sizeof buf,
+                "{\"nproc\": %u, \"compiler\": \"%s\", "
+                "\"build_type\": \"%s\"}",
+                std::thread::hardware_concurrency(), __VERSION__, build_type);
   return buf;
 }
 

@@ -257,6 +257,7 @@ int main() {
   if (json != nullptr) {
     std::fprintf(json,
                  "{\n"
+                 "  \"machine\": %s,\n"
                  "  \"runs\": %zu,\n"
                  "  \"dispatcher\": \"%s\",\n"
                  "  \"functions_verified\": %zu,\n"
@@ -268,7 +269,7 @@ int main() {
                  "  \"full_path_speedup\": %.3f,\n"
                  "  \"signature_stable\": %s\n"
                  "}\n",
-                 kPackets,
+                 benchutil::machine_json().c_str(), kPackets,
                  runtime::vm::have_computed_goto() ? "computed-goto" : "switch",
                  compiled, tree_pps, threaded_pps, speedup, full_tree_pps,
                  full_vm_pps, full_vm_pps / full_tree_pps,

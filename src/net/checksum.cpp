@@ -1,11 +1,30 @@
 #include "net/checksum.hpp"
 
+#include <bit>
+#include <cstring>
+
 namespace sage::net {
 
 std::uint16_t ones_complement_sum(std::span<const std::uint8_t> data,
                                   std::uint16_t initial) {
-  std::uint32_t sum = initial;
+  // Bulk: 32-bit chunks in host byte order into a 64-bit accumulator (no
+  // carry is lost), folded to 16 bits. The one's-complement sum is byte-
+  // order independent (RFC 1071 §2(B)): swapping the folded host-order
+  // sum gives the sum of the big-endian words.
+  std::uint64_t wide = 0;
   std::size_t i = 0;
+  for (; i + 4 <= data.size(); i += 4) {
+    std::uint32_t chunk;
+    std::memcpy(&chunk, data.data() + i, 4);
+    wide += chunk;
+  }
+  while (wide >> 16) wide = (wide & 0xffff) + (wide >> 16);
+  std::uint32_t sum = static_cast<std::uint32_t>(wide);
+  if constexpr (std::endian::native == std::endian::little) {
+    sum = ((sum & 0xff) << 8) | (sum >> 8);
+  }
+  // Tail: the last 0-3 bytes as big-endian words.
+  sum += initial;
   for (; i + 1 < data.size(); i += 2) {
     sum += static_cast<std::uint32_t>(data[i]) << 8 | data[i + 1];
   }

@@ -1,119 +1,114 @@
 #include "runtime/generated_responder.hpp"
 
 #include "codegen/generator.hpp"
+#include "util/symbols.hpp"
 
 namespace sage::runtime {
 
-namespace {
-
-/// Function names for the eight RFC 792 messages, derived the same way
-/// the generator derives them.
-std::string fn_name(const std::string& message, const std::string& role) {
-  return codegen::CodeGenerator::function_name("ICMP", message, role);
+GeneratedResponder::Event GeneratedResponder::event(
+    const char* protocol, const char* message, const char* role,
+    bool start_from_incoming,
+    std::initializer_list<std::string_view> scenarios) {
+  Event e;
+  e.function = codegen::CodeGenerator::function_name(protocol, message, role);
+  e.start_from_incoming = start_from_incoming;
+  for (const auto scenario : scenarios) {
+    e.scenarios.push_back(util::symbol_value(scenario));
+  }
+  return e;
 }
 
-}  // namespace
+GeneratedResponder::GeneratedResponder(const std::vector<Event>& events,
+                                       const char* undecodable,
+                                       vm::ExecBackend backend)
+    : backend_(backend), undecodable_(undecodable) {
+  rows_.reserve(events.size());
+  for (const Event& e : events) rows_.push_back({&e});
+}
 
-void GeneratedIcmpResponder::add_function(codegen::GeneratedFunction fn) {
+void GeneratedResponder::add_function(codegen::GeneratedFunction fn) {
   Entry entry;
   if (backend_ == vm::ExecBackend::kThreaded) {
     entry.program = vm::compile(fn);
   }
   entry.fn = std::move(fn);
-  functions_[entry.fn.name] = std::move(entry);
+  const std::string name = entry.fn.name;
+  const Entry& registered = functions_[name] = std::move(entry);
+  for (Row& row : rows_) {
+    if (row.event->function == name) row.entry = &registered;
+  }
 }
 
-std::optional<std::vector<std::uint8_t>> GeneratedIcmpResponder::run(
-    const std::string& function_name, const sim::ResponderContext& ctx,
-    bool start_from_incoming, const std::string& scenario,
-    const std::function<void(SchemaExecEnv&)>& setup) {
+const GeneratedResponder::Row* GeneratedResponder::lookup(std::size_t index) {
   last_errors_.clear();
-  const auto it = functions_.find(function_name);
-  if (it == functions_.end()) {
-    last_errors_.push_back("no generated function named " + function_name);
-    return std::nullopt;
+  const Row& row = rows_[index];
+  if (row.entry == nullptr) {
+    last_errors_.push_back("no generated function named " +
+                           row.event->function);
+    return nullptr;
   }
-  auto env = SchemaExecEnv::icmp(ctx.triggering_packet, ctx.own_address,
-                                 start_from_incoming);
-  if (!env.valid()) {
-    last_errors_.push_back("triggering packet is not decodable IPv4");
-    return std::nullopt;
-  }
-  env.set_scenario(scenario);
-  if (setup) setup(env);
+  return &row;
+}
 
-  const Entry& entry = it->second;
-  const ExecResult result =
-      entry.program.has_value()
-          ? vm::execute(*entry.program, env)
-          : interpreter_.run(entry.fn.body, env);
+GeneratedResponder::Reply GeneratedResponder::respond(const Row& row,
+                                                     SchemaExecEnv& env,
+                                                     std::uint8_t code) {
+  if (!env.valid()) {
+    last_errors_.push_back(undecodable_);
+    return std::nullopt;
+  }
+  const std::vector<long>& scenarios = row.event->scenarios;
+  env.set_scenario_value(code < scenarios.size() ? scenarios[code]
+                                                 : scenarios[0]);
+  const Entry& entry = *row.entry;
+  ExecResult result = entry.program.has_value()
+                          ? vm::execute(*entry.program, env)
+                          : interpreter_.run(entry.fn.body, env);
   if (!result.ok) {
-    last_errors_ = result.errors;
+    last_errors_ = std::move(result.errors);
     return std::nullopt;
   }
   return env.finish_reply();
 }
 
-std::optional<std::vector<std::uint8_t>> GeneratedIcmpResponder::on_echo_request(
-    const sim::ResponderContext& ctx) {
-  return run(fn_name("Echo or Echo Reply Message", "receiver"), ctx,
-             /*start_from_incoming=*/true, "echo reply message");
-}
-
-std::optional<std::vector<std::uint8_t>>
-GeneratedIcmpResponder::on_timestamp_request(const sim::ResponderContext& ctx) {
-  return run(fn_name("Timestamp or Timestamp Reply Message", "receiver"), ctx,
-             /*start_from_incoming=*/true, "timestamp reply message");
-}
-
-std::optional<std::vector<std::uint8_t>>
-GeneratedIcmpResponder::on_information_request(
-    const sim::ResponderContext& ctx) {
-  return run(fn_name("Information Request or Information Reply Message",
-                     "receiver"),
-             ctx, /*start_from_incoming=*/true, "information reply message");
-}
-
-std::optional<std::vector<std::uint8_t>>
-GeneratedIcmpResponder::on_destination_unreachable(
-    const sim::ResponderContext& ctx, std::uint8_t code) {
-  static const std::map<std::uint8_t, std::string> kScenario = {
-      {0, "net unreachable"},      {1, "host unreachable"},
-      {2, "protocol unreachable"}, {3, "port unreachable"},
-      {4, "fragmentation needed and df set"},
-      {5, "source route failed"},
+const std::vector<GeneratedResponder::Event>& GeneratedIcmpResponder::events() {
+  static const std::vector<Event> table = {
+      event("ICMP", "Echo or Echo Reply Message", "receiver", true,
+            {"echo reply message"}),
+      event("ICMP", "Timestamp or Timestamp Reply Message", "receiver", true,
+            {"timestamp reply message"}),
+      event("ICMP", "Information Request or Information Reply Message",
+            "receiver", true, {"information reply message"}),
+      event("ICMP", "Destination Unreachable Message", "sender", false,
+            {"net unreachable", "host unreachable", "protocol unreachable",
+             "port unreachable", "fragmentation needed and df set",
+             "source route failed"}),
+      event("ICMP", "Time Exceeded Message", "sender", false,
+            {"time to live exceeded in transit"}),
+      event("ICMP", "Parameter Problem Message", "sender", false,
+            {"pointer indicates the error"}),
+      event("ICMP", "Source Quench Message", "sender", false,
+            {"source quench"}),
+      event("ICMP", "Redirect Message", "sender", false,
+            {"redirect datagrams for the host"}),
   };
-  const auto it = kScenario.find(code);
-  return run(fn_name("Destination Unreachable Message", "sender"), ctx,
-             /*start_from_incoming=*/false,
-             it == kScenario.end() ? "net unreachable" : it->second);
+  return table;
 }
 
-std::optional<std::vector<std::uint8_t>>
-GeneratedIcmpResponder::on_time_exceeded(const sim::ResponderContext& ctx) {
-  return run(fn_name("Time Exceeded Message", "sender"), ctx,
-             /*start_from_incoming=*/false, "time to live exceeded in transit");
-}
+GeneratedIcmpResponder::GeneratedIcmpResponder(vm::ExecBackend backend)
+    : GeneratedResponder(events(), "triggering packet is not decodable IPv4",
+                         backend) {}
 
-std::optional<std::vector<std::uint8_t>>
-GeneratedIcmpResponder::on_parameter_problem(const sim::ResponderContext& ctx,
-                                             std::uint8_t pointer) {
-  return run(fn_name("Parameter Problem Message", "sender"), ctx,
-             /*start_from_incoming=*/false, "pointer indicates the error",
-             [pointer](SchemaExecEnv& env) { env.set_error_pointer(pointer); });
-}
-
-std::optional<std::vector<std::uint8_t>>
-GeneratedIcmpResponder::on_source_quench(const sim::ResponderContext& ctx) {
-  return run(fn_name("Source Quench Message", "sender"), ctx,
-             /*start_from_incoming=*/false, "source quench");
-}
-
-std::optional<std::vector<std::uint8_t>> GeneratedIcmpResponder::on_redirect(
-    const sim::ResponderContext& ctx, net::IpAddr gateway) {
-  return run(fn_name("Redirect Message", "sender"), ctx,
-             /*start_from_incoming=*/false, "redirect datagrams for the host",
-             [gateway](SchemaExecEnv& env) { env.set_better_gateway(gateway); });
+GeneratedResponder::Reply GeneratedIcmpResponder::run(
+    Icmp event, const sim::ResponderContext& ctx, std::uint8_t code,
+    std::uint8_t pointer, net::IpAddr gateway) {
+  const Row* row = lookup(event);
+  if (row == nullptr) return std::nullopt;
+  auto env = SchemaExecEnv::icmp(ctx.triggering_packet, ctx.own_address,
+                                 row->event->start_from_incoming);
+  env.set_error_pointer(pointer);
+  env.set_better_gateway(gateway);
+  return respond(*row, env, code);
 }
 
 }  // namespace sage::runtime

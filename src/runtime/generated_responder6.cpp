@@ -1,111 +1,43 @@
 #include "runtime/generated_responder6.hpp"
 
-#include "codegen/generator.hpp"
-
 namespace sage::runtime {
 
-namespace {
-
-/// Function names for the five RFC 4443 messages, derived the same way
-/// the generator derives them.
-std::string fn_name(const std::string& message, const std::string& role) {
-  return codegen::CodeGenerator::function_name("ICMP6", message, role);
+const std::vector<GeneratedResponder::Event>&
+GeneratedIcmp6Responder::events() {
+  static const std::vector<Event> table = {
+      event("ICMP6", "Echo or Echo Reply Message", "receiver", true,
+            {"echo reply message"}),
+      event("ICMP6", "Destination Unreachable Message", "sender", false,
+            {"no route to destination",
+             "communication with destination administratively prohibited",
+             "beyond scope of source address", "address unreachable",
+             "port unreachable"}),
+      event("ICMP6", "Packet Too Big Message", "sender", false,
+            {"packet too big"}),
+      event("ICMP6", "Time Exceeded Message", "sender", false,
+            {"hop limit exceeded in transit",
+             "fragment reassembly time exceeded"}),
+      event("ICMP6", "Parameter Problem Message", "sender", false,
+            {"erroneous header field encountered",
+             "unrecognized next header type encountered",
+             "unrecognized ipv6 option encountered"}),
+  };
+  return table;
 }
 
-}  // namespace
+GeneratedIcmp6Responder::GeneratedIcmp6Responder(vm::ExecBackend backend)
+    : GeneratedResponder(events(), "triggering packet is not decodable IPv6",
+                         backend) {}
 
-void GeneratedIcmp6Responder::add_function(codegen::GeneratedFunction fn) {
-  Entry entry;
-  if (backend_ == vm::ExecBackend::kThreaded) {
-    entry.program = vm::compile(fn);
-  }
-  entry.fn = std::move(fn);
-  functions_[entry.fn.name] = std::move(entry);
-}
-
-std::optional<std::vector<std::uint8_t>> GeneratedIcmp6Responder::run(
-    const std::string& function_name, const sim::Responder6Context& ctx,
-    bool start_from_incoming, const std::string& scenario,
-    const std::function<void(SchemaExecEnv&)>& setup) {
-  last_errors_.clear();
-  const auto it = functions_.find(function_name);
-  if (it == functions_.end()) {
-    last_errors_.push_back("no generated function named " + function_name);
-    return std::nullopt;
-  }
+GeneratedResponder::Reply GeneratedIcmp6Responder::run(
+    Icmp6 event, const sim::Responder6Context& ctx, std::uint8_t code,
+    std::uint8_t pointer) {
+  const Row* row = lookup(event);
+  if (row == nullptr) return std::nullopt;
   auto env = SchemaExecEnv::icmp6(ctx.triggering_packet, ctx.own_address,
-                                  start_from_incoming);
-  if (!env.valid()) {
-    last_errors_.push_back("triggering packet is not decodable IPv6");
-    return std::nullopt;
-  }
-  env.set_scenario(scenario);
-  if (setup) setup(env);
-
-  const Entry& entry = it->second;
-  const ExecResult result =
-      entry.program.has_value()
-          ? vm::execute(*entry.program, env)
-          : interpreter_.run(entry.fn.body, env);
-  if (!result.ok) {
-    last_errors_ = result.errors;
-    return std::nullopt;
-  }
-  return env.finish_reply();
-}
-
-std::optional<std::vector<std::uint8_t>>
-GeneratedIcmp6Responder::on_echo_request(const sim::Responder6Context& ctx) {
-  return run(fn_name("Echo or Echo Reply Message", "receiver"), ctx,
-             /*start_from_incoming=*/true, "echo reply message");
-}
-
-std::optional<std::vector<std::uint8_t>>
-GeneratedIcmp6Responder::on_destination_unreachable(
-    const sim::Responder6Context& ctx, std::uint8_t code) {
-  static const std::map<std::uint8_t, std::string> kScenario = {
-      {0, "no route to destination"},
-      {1, "communication with destination administratively prohibited"},
-      {2, "beyond scope of source address"},
-      {3, "address unreachable"},
-      {4, "port unreachable"},
-  };
-  const auto it = kScenario.find(code);
-  return run(fn_name("Destination Unreachable Message", "sender"), ctx,
-             /*start_from_incoming=*/false,
-             it == kScenario.end() ? "no route to destination" : it->second);
-}
-
-std::optional<std::vector<std::uint8_t>>
-GeneratedIcmp6Responder::on_packet_too_big(const sim::Responder6Context& ctx) {
-  return run(fn_name("Packet Too Big Message", "sender"), ctx,
-             /*start_from_incoming=*/false, "packet too big");
-}
-
-std::optional<std::vector<std::uint8_t>>
-GeneratedIcmp6Responder::on_time_exceeded(const sim::Responder6Context& ctx,
-                                          std::uint8_t code) {
-  return run(fn_name("Time Exceeded Message", "sender"), ctx,
-             /*start_from_incoming=*/false,
-             code == 1 ? "fragment reassembly time exceeded"
-                       : "hop limit exceeded in transit");
-}
-
-std::optional<std::vector<std::uint8_t>>
-GeneratedIcmp6Responder::on_parameter_problem(const sim::Responder6Context& ctx,
-                                              std::uint8_t code,
-                                              std::uint8_t pointer) {
-  static const std::map<std::uint8_t, std::string> kScenario = {
-      {0, "erroneous header field encountered"},
-      {1, "unrecognized next header type encountered"},
-      {2, "unrecognized ipv6 option encountered"},
-  };
-  const auto it = kScenario.find(code);
-  return run(fn_name("Parameter Problem Message", "sender"), ctx,
-             /*start_from_incoming=*/false,
-             it == kScenario.end() ? "erroneous header field encountered"
-                                   : it->second,
-             [pointer](SchemaExecEnv& env) { env.set_error_pointer(pointer); });
+                                  row->event->start_from_incoming);
+  env.set_error_pointer(pointer);
+  return respond(*row, env, code);
 }
 
 }  // namespace sage::runtime

@@ -1,82 +1,55 @@
 // GeneratedIcmp6Responder: runs SAGE-generated ICMPv6 code (from the
 // revised RFC 4443 corpus) behind the sim::Icmp6Responder boundary.
 //
-// Structurally identical to GeneratedIcmpResponder: each event
-// dispatches to the generated packet-handling function for the
-// corresponding RFC 4443 message and role, on either execution backend
-// (threaded-code VM or tree-walking interpreter). Nothing here
-// hard-codes protocol behaviour — if the generated code is wrong or a
-// function is missing, the differential fuzzer diverges.
+// A thin adapter over the event table and run core GeneratedIcmpResponder
+// uses (runtime/generated_responder.hpp): each event dispatches to the
+// generated packet-handling function for the corresponding RFC 4443
+// message and role, on either execution backend (threaded-code VM or
+// tree-walking interpreter). Nothing here hard-codes protocol behaviour
+// — if the generated code is wrong or a function is missing, the
+// differential fuzzer diverges.
 #pragma once
 
-#include <functional>
-#include <map>
-#include <optional>
-#include <string>
-#include <vector>
-
-#include "codegen/ir.hpp"
-#include "runtime/interpreter.hpp"
-#include "runtime/schema_env.hpp"
-#include "runtime/vm/exec.hpp"
-#include "runtime/vm/program.hpp"
+#include "runtime/generated_responder.hpp"
 #include "sim/responder6.hpp"
 
 namespace sage::runtime {
 
-class GeneratedIcmp6Responder : public sim::Icmp6Responder {
+class GeneratedIcmp6Responder : public sim::Icmp6Responder,
+                                public GeneratedResponder {
  public:
   explicit GeneratedIcmp6Responder(
-      vm::ExecBackend backend = vm::ExecBackend::kThreaded)
-      : backend_(backend) {}
-
-  /// Register a generated function (keyed by its context-derived name).
-  /// On the threaded backend this is where the one-time compilation to
-  /// flat code happens.
-  void add_function(codegen::GeneratedFunction fn);
-
-  vm::ExecBackend backend() const { return backend_; }
-
-  bool has_function(const std::string& name) const {
-    return functions_.count(name) != 0;
-  }
-  std::size_t function_count() const { return functions_.size(); }
-
-  /// Execution diagnostics from the most recent event (for tests).
-  const std::vector<std::string>& last_errors() const { return last_errors_; }
+      vm::ExecBackend backend = vm::ExecBackend::kThreaded);
 
   // -- sim::Icmp6Responder ---------------------------------------------------
-  std::optional<std::vector<std::uint8_t>> on_echo_request(
-      const sim::Responder6Context& ctx) override;
-  std::optional<std::vector<std::uint8_t>> on_destination_unreachable(
-      const sim::Responder6Context& ctx, std::uint8_t code) override;
-  std::optional<std::vector<std::uint8_t>> on_packet_too_big(
-      const sim::Responder6Context& ctx) override;
-  std::optional<std::vector<std::uint8_t>> on_time_exceeded(
-      const sim::Responder6Context& ctx, std::uint8_t code) override;
-  std::optional<std::vector<std::uint8_t>> on_parameter_problem(
-      const sim::Responder6Context& ctx, std::uint8_t code,
-      std::uint8_t pointer) override;
+  Reply on_echo_request(const sim::Responder6Context& ctx) override {
+    return run(kEcho, ctx);
+  }
+  Reply on_destination_unreachable(const sim::Responder6Context& ctx,
+                                   std::uint8_t code) override {
+    return run(kUnreachable, ctx, code);
+  }
+  Reply on_packet_too_big(const sim::Responder6Context& ctx) override {
+    return run(kPacketTooBig, ctx);
+  }
+  Reply on_time_exceeded(const sim::Responder6Context& ctx,
+                         std::uint8_t code) override {
+    return run(kTimeExceeded, ctx, code);
+  }
+  Reply on_parameter_problem(const sim::Responder6Context& ctx,
+                             std::uint8_t code, std::uint8_t pointer) override {
+    return run(kParameterProblem, ctx, code, pointer);
+  }
 
  private:
-  /// One registered handler: the IR tree (reference backend, and the
-  /// fallback when a program exceeds VM limits) plus its compiled form.
-  struct Entry {
-    codegen::GeneratedFunction fn;
-    std::optional<vm::Program> program;
+  /// RFC 4443 events, indexing events().
+  enum Icmp6 : std::size_t {
+    kEcho, kUnreachable, kPacketTooBig, kTimeExceeded, kParameterProblem,
   };
+  static const std::vector<Event>& events();
 
-  /// Run `function_name` in an env configured by `setup`; nullopt if the
-  /// function is missing or execution failed.
-  std::optional<std::vector<std::uint8_t>> run(
-      const std::string& function_name, const sim::Responder6Context& ctx,
-      bool start_from_incoming, const std::string& scenario,
-      const std::function<void(SchemaExecEnv&)>& setup = nullptr);
-
-  vm::ExecBackend backend_;
-  std::map<std::string, Entry> functions_;
-  Interpreter interpreter_;
-  std::vector<std::string> last_errors_;
+  Reply run(Icmp6 event, const sim::Responder6Context& ctx,
+            std::uint8_t code = 0, std::uint8_t pointer = 0);
 };
 
 }  // namespace sage::runtime

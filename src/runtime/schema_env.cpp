@@ -181,6 +181,39 @@ const SchemaExecEnv::ProtocolBinding& SchemaExecEnv::binding_for(
           }
         }
       }
+      // Env templates: every per-protocol fact a fresh env needs,
+      // resolved here once instead of per env.
+      for (const auto* layer : pb.wire_layers) {
+        LayerTemplate tmpl;
+        tmpl.writable = std::any_of(
+            layer->fields.begin(), layer->fields.end(), [](const auto& f) {
+              return f.writable && !f.write_is_noop &&
+                     f.kind != schema::FieldKind::kState &&
+                     f.kind != schema::FieldKind::kVirtual;
+            });
+        if (tmpl.writable) tmpl.out_image.assign(layer->header_bytes, 0);
+        pb.templates.push_back(std::move(tmpl));
+      }
+      for (const auto& d : p.defaults) {
+        const auto v = static_cast<std::uint8_t>(d.value);
+        if (d.layer == "ip" && d.field == "protocol") pb.ip_template.protocol = v;
+        if (d.layer == "ip" && d.field == "ttl") pb.ip_template.ttl = v;
+        if (d.layer == "ip6" && d.field == "next_header") {
+          pb.ip6_template.next_header = v;
+        }
+        if (d.layer == "ip6" && d.field == "hop_limit") {
+          pb.ip6_template.hop_limit = v;
+        }
+        const auto* spec = registry.field(d.layer, d.field);
+        for (std::size_t i = 0; i < pb.wire_layers.size(); ++i) {
+          if (spec != nullptr && pb.templates[i].writable &&
+              pb.wire_layers[i]->name == d.layer) {
+            schema::SchemaRegistry::write_scalar(*spec,
+                                                 pb.templates[i].out_image,
+                                                 d.value);
+          }
+        }
+      }
       t->emplace(p.protocol, std::move(pb));
     }
     return t;
@@ -197,55 +230,16 @@ const SchemaExecEnv::ProtocolBinding& SchemaExecEnv::binding_for(
 
 SchemaExecEnv::SchemaExecEnv(const ProtocolBinding& pb)
     : pb_(&pb), profile_(pb.profile) {
-  scenario_value_ = util::symbol_value(scenario_);
   wire_.resize(pb.wire_layers.size());
   for (std::size_t i = 0; i < wire_.size(); ++i) {
-    const auto* layer = pb.wire_layers[i];
-    wire_[i].spec = layer;
-    bool writable = false;
-    for (const auto& f : layer->fields) {
-      if (f.writable && !f.write_is_noop &&
-          f.kind != schema::FieldKind::kState &&
-          f.kind != schema::FieldKind::kVirtual) {
-        writable = true;
-        break;
-      }
-    }
-    if (writable) {
+    wire_[i].spec = pb.wire_layers[i];
+    const LayerTemplate& tmpl = pb.templates[i];
+    if (tmpl.writable) {
       wire_[i].has_out = true;
-      wire_[i].out_image.assign(layer->header_bytes, 0);
+      wire_[i].out_image.assign(tmpl.out_image.begin(), tmpl.out_image.end());
     }
   }
   state_slots_.assign(pb.state_slot_count, 0);
-  apply_image_defaults();
-}
-
-void SchemaExecEnv::apply_image_defaults() {
-  if (pb_->schema == nullptr) return;
-  for (const auto& d : pb_->schema->defaults) {
-    for (auto& L : wire_) {
-      if (!L.has_out || L.spec->name != d.layer) continue;
-      const auto* spec =
-          schema::SchemaRegistry::instance().field(d.layer, d.field);
-      if (spec != nullptr) {
-        schema::SchemaRegistry::write_scalar(*spec, L.out_image, d.value);
-      }
-    }
-  }
-}
-
-const schema::DefaultSpec* SchemaExecEnv::layer_default(
-    const std::string& layer, const std::string& field) const {
-  if (pb_->schema == nullptr) return nullptr;
-  for (const auto& d : pb_->schema->defaults) {
-    if (d.layer == layer && d.field == field) return &d;
-  }
-  return nullptr;
-}
-
-const schema::DefaultSpec* SchemaExecEnv::ip_default(
-    const std::string& field) const {
-  return layer_default("ip", field);
 }
 
 // -- factories --------------------------------------------------------------
@@ -253,7 +247,8 @@ const schema::DefaultSpec* SchemaExecEnv::ip_default(
 SchemaExecEnv SchemaExecEnv::icmp(std::span<const std::uint8_t> raw_incoming,
                                   net::IpAddr own_address,
                                   bool start_from_incoming) {
-  SchemaExecEnv env(binding_for("ICMP"));
+  static const ProtocolBinding& pb = binding_for("ICMP");
+  SchemaExecEnv env(pb);
   env.raw_incoming_ = raw_incoming;
   env.own_address_ = own_address;
   env.clock_ = 36000000;  // deterministic OS clock (ms since midnight UT)
@@ -275,7 +270,7 @@ SchemaExecEnv SchemaExecEnv::icmp(std::span<const std::uint8_t> raw_incoming,
     const auto icmp_bytes = raw_incoming.subspan(ip->header_length());
     if (icmp_bytes.size() >= 8) {
       icmp_layer.in_image.assign(icmp_bytes.begin(), icmp_bytes.begin() + 8);
-      icmp_layer.in_payload.assign(icmp_bytes.begin() + 8, icmp_bytes.end());
+      icmp_layer.in_payload = icmp_bytes.subspan(8);
       in_has_icmp = true;
     } else {
       // Truncated ICMP message on a receiver path (reply-by-mutation):
@@ -298,19 +293,15 @@ SchemaExecEnv SchemaExecEnv::icmp(std::span<const std::uint8_t> raw_incoming,
       env.input_truncated_ = true;
     }
   }
-  if (const auto* d = env.ip_default("protocol")) {
-    env.out_ip_.protocol = static_cast<std::uint8_t>(d->value);
-  }
-  if (const auto* d = env.ip_default("ttl")) {
-    env.out_ip_.ttl = static_cast<std::uint8_t>(d->value);
-  }
+  env.out_ip_ = pb.ip_template;
   env.out_ip_.src = own_address;
   if (start_from_incoming && in_has_icmp) {
     // Reply-by-mutation (RFC 792): the outgoing message starts as a byte
     // copy of the request — the request's checksum included, stale on
     // purpose.
     icmp_layer.out_image = icmp_layer.in_image;
-    icmp_layer.out_payload = icmp_layer.in_payload;
+    icmp_layer.out_payload.assign(icmp_layer.in_payload.begin(),
+                                  icmp_layer.in_payload.end());
   }
   return env;
 }
@@ -318,7 +309,8 @@ SchemaExecEnv SchemaExecEnv::icmp(std::span<const std::uint8_t> raw_incoming,
 SchemaExecEnv SchemaExecEnv::icmp6(std::span<const std::uint8_t> raw_incoming,
                                    net::Ip6Addr own_address,
                                    bool start_from_incoming) {
-  SchemaExecEnv env(binding_for("ICMP6"));
+  static const ProtocolBinding& pb = binding_for("ICMP6");
+  SchemaExecEnv env(pb);
   env.raw_incoming_ = raw_incoming;
   env.own6_ = own_address;
   env.clock_ = 36000000;  // deterministic OS clock (ms since midnight UT)
@@ -339,7 +331,7 @@ SchemaExecEnv SchemaExecEnv::icmp6(std::span<const std::uint8_t> raw_incoming,
   if (start_from_incoming && trigger_is_icmp6) {
     if (icmp6_bytes.size() >= 8) {
       layer.in_image.assign(icmp6_bytes.begin(), icmp6_bytes.begin() + 8);
-      layer.in_payload.assign(icmp6_bytes.begin() + 8, icmp6_bytes.end());
+      layer.in_payload = icmp6_bytes.subspan(8);
       in_has_icmp6 = true;
     } else {
       // Truncated ICMPv6 message on a receiver path: keep only the bytes
@@ -359,19 +351,14 @@ SchemaExecEnv SchemaExecEnv::icmp6(std::span<const std::uint8_t> raw_incoming,
     }
   }
   // ip6 serialization defaults land on the struct-backed header — the
-  // analogue of apply_image_defaults for image layers.
-  if (const auto* d = env.layer_default("ip6", "next_header")) {
-    env.out_ip6_.next_header = static_cast<std::uint8_t>(d->value);
-  }
-  if (const auto* d = env.layer_default("ip6", "hop_limit")) {
-    env.out_ip6_.hop_limit = static_cast<std::uint8_t>(d->value);
-  }
+  // analogue of the image layers' templates.
+  env.out_ip6_ = pb.ip6_template;
   env.out_ip6_.src = own_address;
   if (start_from_incoming && in_has_icmp6) {
     // Reply-by-mutation: the outgoing message starts as a byte copy of
     // the request, stale checksum included (RFC 792 idiom carried over).
     layer.out_image = layer.in_image;
-    layer.out_payload = layer.in_payload;
+    layer.out_payload.assign(layer.in_payload.begin(), layer.in_payload.end());
   }
   return env;
 }
@@ -472,8 +459,9 @@ std::optional<long> SchemaExecEnv::read_field(const codegen::FieldRef& ref,
       const LayerImages& L = wire_[b->layer_slot];
       const bool from_incoming =
           sel == codegen::PacketSel::kIncoming ? L.has_in : !L.has_out;
-      const std::pmr::vector<std::uint8_t>& pl =
-          from_incoming ? L.in_payload : L.out_payload;
+      const std::span<const std::uint8_t> pl =
+          from_incoming ? L.in_payload
+                        : std::span<const std::uint8_t>(L.out_payload);
       if (pl.size() < spec.payload_offset + 4) {
         // An outgoing block that has not been written yet reads as 0 (it
         // is under construction); an incoming packet that ends before the
@@ -826,8 +814,10 @@ std::optional<std::vector<std::uint8_t>> SchemaExecEnv::read_bytes(
   }
   if (b->kind != Binding::Kind::kBytes) return std::nullopt;
   const LayerImages& L = wire_[b->layer_slot];
-  const auto& payload =
-      sel == codegen::PacketSel::kIncoming ? L.in_payload : L.out_payload;
+  const std::span<const std::uint8_t> payload =
+      sel == codegen::PacketSel::kIncoming
+          ? L.in_payload
+          : std::span<const std::uint8_t>(L.out_payload);
   return std::vector<std::uint8_t>(payload.begin(), payload.end());
 }
 
@@ -906,9 +896,8 @@ std::optional<long> SchemaExecEnv::icmp6_call_scalar(
   if (fn == "receive_time") return static_cast<long>(clock_);
   if (fn == "transmit_time") return static_cast<long>(clock_) + 1;
   if (fn == "error_octet") return error_pointer_;
-  // Packet Too Big: the MTU of the next-hop link. The framework serves
-  // the IPv6 minimum so both responders agree deterministically.
-  if (fn == "link_mtu") return 1280;
+  // Packet Too Big: the MTU of the next-hop link.
+  if (fn == "link_mtu") return kIcmp6LinkMtu;
   // The node's own address, served as an opaque handle like every other
   // 128-bit address (write_ip6 resolves it).
   if (fn == "own_address") return kH6Own;
@@ -950,23 +939,31 @@ std::optional<std::vector<std::uint8_t>> SchemaExecEnv::call_bytes(
     return std::nullopt;
   }
   if (fn == "original_datagram_excerpt") {
-    if (profile_ == Profile::kIcmp6) {
-      // RFC 4443 §3.1: as much of the invoking packet as possible
-      // without the ICMPv6 packet exceeding the minimum IPv6 MTU.
-      constexpr std::size_t kMaxExcerpt =
-          1280 - net::Ipv6Header::kHeaderBytes - 8;
-      const std::size_t n = std::min(raw_incoming_.size(), kMaxExcerpt);
-      return std::vector<std::uint8_t>(raw_incoming_.begin(),
-                                       raw_incoming_.begin() + n);
-    }
-    return net::original_datagram_excerpt(raw_incoming_);
+    const auto excerpt = datagram_excerpt();
+    return std::vector<std::uint8_t>(excerpt.begin(), excerpt.end());
   }
   if (fn == "copy_field") {
-    // Bare copy: the echoed data (copied out of the arena image).
+    // Bare copy: the echoed data (copied out of the raw packet).
     const auto& p = wire_[0].in_payload;
     return std::vector<std::uint8_t>(p.begin(), p.end());
   }
   return std::nullopt;
+}
+
+std::span<const std::uint8_t> SchemaExecEnv::datagram_excerpt() const {
+  if (profile_ == Profile::kIcmp6) {
+    // RFC 4443 §3.1: as much of the invoking packet as possible without
+    // the ICMPv6 packet exceeding the minimum IPv6 MTU.
+    constexpr std::size_t kMaxExcerpt =
+        1280 - net::Ipv6Header::kHeaderBytes - 8;
+    return raw_incoming_.first(std::min(raw_incoming_.size(), kMaxExcerpt));
+  }
+  // RFC 792: the internet header + the first 64 bits of data. The icmp
+  // factory parsed that header into in_ip_; an undecodable packet
+  // quotes nothing (net::original_datagram_excerpt's contract).
+  if (!valid_) return {};
+  return raw_incoming_.first(
+      std::min(raw_incoming_.size(), in_ip_.header_length() + 8));
 }
 
 bool SchemaExecEnv::call_effect(const std::string& fn,
@@ -1045,11 +1042,10 @@ bool SchemaExecEnv::call_effect(const std::string& fn,
   return false;
 }
 
-void SchemaExecEnv::set_scenario(const std::string& name) {
-  scenario_ = name;
-  // Cached so the threaded backend's kPushScenario is a plain load (the
-  // tree's resolve_symbol reads the same cache).
-  scenario_value_ = util::symbol_value(scenario_);
+void SchemaExecEnv::set_scenario(std::string_view name) {
+  // Hashed once so the threaded backend's kPushScenario is a plain load
+  // (the tree's resolve_symbol reads the same value).
+  scenario_value_ = util::symbol_value(name);
 }
 
 long SchemaExecEnv::resolve_symbol(const std::string& name) {
@@ -1068,43 +1064,49 @@ long SchemaExecEnv::resolve_symbol(const std::string& name) {
 // -- finalization and typed views -------------------------------------------
 
 std::vector<std::uint8_t> SchemaExecEnv::finish_reply() {
-  if (profile_ == Profile::kIcmp6) {
-    auto bytes = out_message_bytes(0);
+  // One exact reservation: the IP header is serialized first, the
+  // message image and payload appended after it, and the checksum runs
+  // in place over that message span.
+  const LayerImages& L = wire_[0];
+  const std::size_t message_bytes = L.out_image.size() + L.out_payload.size();
+  const bool v6 = profile_ == Profile::kIcmp6;
+  if (v6) {
     if (out_ip6_.src == net::Ip6Addr()) out_ip6_.src = own6_;
-    if (checksum_explicitly_computed_) {
-      // Same stale-value contract as v4, with the RFC 4443 §2.3
-      // pseudo-header chained in: the sum covers the message including
-      // whatever the checksum field currently holds, so code that
-      // skipped the zero-before-compute advice bakes in a stale value.
-      const std::uint16_t ck =
-          net::icmp6_checksum(out_ip6_.src, out_ip6_.dst, bytes);
-      util::put_be16({bytes.data() + 2, 2}, ck);
-    }
-    return net::build_ipv6_packet(out_ip6_, bytes);
+  } else if (out_ip_.src == net::IpAddr()) {
+    out_ip_.src = own_address_;
   }
-  // Serialize the ICMP message with the checksum field exactly as the
-  // generated code left it in the image...
-  auto icmp_bytes = out_message_bytes(0);
+  const std::size_t header_bytes =
+      v6 ? net::Ipv6Header::kHeaderBytes
+         : 20 + (out_ip_.options.size() + 3) / 4 * 4;
+  std::vector<std::uint8_t> out;
+  out.reserve(header_bytes + message_bytes);
+  if (v6) {
+    net::Ipv6Header hdr = out_ip6_;
+    hdr.payload_length = static_cast<std::uint16_t>(message_bytes);
+    hdr.serialize(out);
+  } else {
+    out_ip_.serialize(out, message_bytes);
+  }
+  out.insert(out.end(), L.out_image.begin(), L.out_image.end());
+  out.insert(out.end(), L.out_payload.begin(), L.out_payload.end());
   if (checksum_explicitly_computed_) {
-    // ...then run the framework checksum over the message *including*
-    // that field value. Generated code that followed the @AdvBefore
-    // advice zeroed the field first, yielding the RFC-correct checksum;
-    // code that skipped the advice bakes a stale value into the sum.
-    const std::uint16_t ck = net::internet_checksum(icmp_bytes);
-    util::put_be16({icmp_bytes.data() + 2, 2}, ck);
+    // The framework checksum covers the message *including* the field's
+    // current value. Generated code that followed the @AdvBefore advice
+    // zeroed the field first, yielding the RFC-correct checksum; code
+    // that skipped it bakes a stale value into the sum. ICMPv6 chains
+    // the RFC 4443 §2.3 pseudo-header in.
+    const std::span<std::uint8_t> message(out.data() + header_bytes,
+                                          message_bytes);
+    const std::uint16_t ck =
+        v6 ? net::icmp6_checksum(out_ip6_.src, out_ip6_.dst, message)
+           : net::internet_checksum(message);
+    util::put_be16(message.subspan(2, 2), ck);
   }
-  if (out_ip_.src == net::IpAddr()) out_ip_.src = own_address_;
-  return net::build_ipv4_packet(out_ip_, icmp_bytes);
+  return out;
 }
 
 std::vector<std::uint8_t> SchemaExecEnv::finish(net::IpAddr destination) const {
-  net::Ipv4Header ip;
-  if (const auto* d = ip_default("protocol")) {
-    ip.protocol = static_cast<std::uint8_t>(d->value);
-  }
-  if (const auto* d = ip_default("ttl")) {
-    ip.ttl = static_cast<std::uint8_t>(d->value);
-  }
+  net::Ipv4Header ip = pb_->ip_template;
   ip.src = own_address_;
   ip.dst = destination;
 

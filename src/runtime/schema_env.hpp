@@ -27,6 +27,7 @@
 #include <memory_resource>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/bfd.hpp"
@@ -38,6 +39,7 @@
 #include "net/schema.hpp"
 #include "net/udp.hpp"
 #include "runtime/interpreter.hpp"
+#include "util/symbols.hpp"
 
 namespace sage::runtime {
 
@@ -105,7 +107,10 @@ class SchemaExecEnv : public ExecEnv {
   /// before the 8-byte ICMP header. Field reads over the missing bytes
   /// return nullopt (short read) instead of the old silent zero-fill.
   bool input_truncated() const { return input_truncated_; }
-  void set_scenario(const std::string& name);
+  /// The scenario symbol generated code compares against: a name,
+  /// hashed with util::symbol_value, or a value hashed ahead of time.
+  void set_scenario(std::string_view name);
+  void set_scenario_value(long value) { scenario_value_ = value; }
   void set_error_pointer(std::uint8_t pointer) { error_pointer_ = pointer; }
   void set_better_gateway(net::IpAddr gateway) { better_gateway_ = gateway; }
   void set_clock(std::uint32_t now) { clock_ = now; }
@@ -120,11 +125,12 @@ class SchemaExecEnv : public ExecEnv {
 
   // -- finalization --------------------------------------------------------
 
-  /// ICMP: serialize the reply packet. The checksum field is emitted
-  /// exactly as generated code left it in the image; when the code called
-  /// compute_checksum, the framework sums the message *including* that
-  /// field — stale values corrupt the sum, which is how the @AdvBefore
-  /// advice's absence becomes a test failure.
+  /// ICMP: serialize the reply packet into one exactly-sized buffer (IP
+  /// header, then the message image and payload). The checksum field is
+  /// emitted exactly as generated code left it in the image; when the
+  /// code called compute_checksum, the framework sums the message
+  /// *including* that field, in place — stale values corrupt the sum,
+  /// which is how the @AdvBefore advice's absence becomes a test failure.
   std::vector<std::uint8_t> finish_reply();
 
   /// IGMP / NTP: finalize the message inside IP (and UDP for NTP) to
@@ -202,14 +208,26 @@ class SchemaExecEnv : public ExecEnv {
     bool write_fills_rest_word = false;
   };
 
-  /// Immutable per-protocol dispatch table, built once per process:
-  /// binding for every registry field id, plus the image-backed layers in
-  /// serialization order.
+  /// What a fresh env copies for one image-backed layer: whether
+  /// generated code can write it and, if so, its out image with the
+  /// schema defaults applied.
+  struct LayerTemplate {
+    bool writable = false;
+    std::vector<std::uint8_t> out_image;
+  };
+
+  /// Immutable per-protocol dispatch table and env template, built once
+  /// per process: binding for every registry field id, the image-backed
+  /// layers in serialization order with their templates, and the
+  /// outgoing IP headers with the schema's serialization defaults.
   struct ProtocolBinding {
     const net::schema::ProtocolSchema* schema = nullptr;
     Profile profile = Profile::kStateMachine;
     std::vector<Binding> by_id;
     std::vector<const net::schema::LayerSpec*> wire_layers;
+    std::vector<LayerTemplate> templates;  // parallel to wire_layers
+    net::Ipv4Header ip_template;
+    net::Ipv6Header ip6_template;
     std::size_t state_slot_count = 0;
   };
 
@@ -217,22 +235,20 @@ class SchemaExecEnv : public ExecEnv {
   /// Allocator-aware: image storage bump-allocates from the per-thread
   /// env arena (see image_arena / EnvArenaScope below), so building an
   /// env and assembling its images costs zero heap traffic once the
-  /// arena's chunks are warm.
+  /// arena's chunks are warm. The incoming payload is never copied: it
+  /// is a view of the raw incoming packet, which outlives the env.
   struct LayerImages {
     using allocator_type = std::pmr::polymorphic_allocator<std::byte>;
     LayerImages() = default;
     explicit LayerImages(allocator_type alloc)
-        : in_image(alloc),
-          out_image(alloc),
-          in_payload(alloc),
-          out_payload(alloc) {}
+        : in_image(alloc), out_image(alloc), out_payload(alloc) {}
     LayerImages(LayerImages&& other, allocator_type alloc)
         : spec(other.spec),
           has_in(other.has_in),
           has_out(other.has_out),
           in_image(std::move(other.in_image), alloc),
           out_image(std::move(other.out_image), alloc),
-          in_payload(std::move(other.in_payload), alloc),
+          in_payload(other.in_payload),
           out_payload(std::move(other.out_payload), alloc) {}
     LayerImages(LayerImages&&) = default;
     LayerImages(const LayerImages&) = default;
@@ -244,7 +260,7 @@ class SchemaExecEnv : public ExecEnv {
     bool has_out = false;
     std::pmr::vector<std::uint8_t> in_image;
     std::pmr::vector<std::uint8_t> out_image;
-    std::pmr::vector<std::uint8_t> in_payload;
+    std::span<const std::uint8_t> in_payload;
     std::pmr::vector<std::uint8_t> out_payload;
   };
 
@@ -253,11 +269,11 @@ class SchemaExecEnv : public ExecEnv {
   static const ProtocolBinding& binding_for(const std::string& protocol);
 
   const Binding* binding(const codegen::FieldRef& ref) const;
-  void apply_image_defaults();
-  const net::schema::DefaultSpec* layer_default(const std::string& layer,
-                                                const std::string& field) const;
-  const net::schema::DefaultSpec* ip_default(const std::string& field) const;
   std::vector<std::uint8_t> out_message_bytes(std::size_t layer_slot) const;
+  /// ICMP/ICMPv6: the invoking-packet excerpt an error message quotes, as
+  /// a view of the raw incoming packet (RFC 792: internet header + 64
+  /// bits of data; RFC 4443 §3.1: as much as fits the minimum MTU).
+  std::span<const std::uint8_t> datagram_excerpt() const;
 
   std::optional<long> read_ip(std::uint8_t slot, codegen::PacketSel sel) const;
   bool write_ip(std::uint8_t slot, long value);
@@ -286,6 +302,10 @@ class SchemaExecEnv : public ExecEnv {
   bool write_option_bytes(std::uint8_t layer_slot,
                           const net::schema::FieldSpec& spec,
                           std::span<const std::uint8_t> value);
+
+  /// ICMPv6 link_mtu: the framework serves the IPv6 minimum MTU so both
+  /// responders agree deterministically.
+  static constexpr long kIcmp6LinkMtu = 1280;
 
   std::optional<long> icmp_call_scalar(const std::string& fn,
                                        const std::vector<long>& args);
@@ -331,8 +351,7 @@ class SchemaExecEnv : public ExecEnv {
   net::IpAddr host_group_;
   net::BfdSessionState* bfd_state_ = nullptr;
 
-  std::string scenario_;
-  long scenario_value_ = 0;  // util::symbol_value(scenario_), kept in sync
+  long scenario_value_ = util::symbol_value({});  // set_scenario's hash
   std::uint8_t error_pointer_ = 0;
   net::IpAddr better_gateway_;
   std::uint32_t clock_ = 0;  // ICMP: ms since midnight UT; NTP: seconds

@@ -11,6 +11,17 @@
 
 namespace sage::runtime::vm {
 
+/// The framework values kPushFramework serves. Each mirrors one plain
+/// branch of SchemaExecEnv::call_scalar; the compiler emits the op only
+/// for the (profile, name) pairs where call_scalar returns that value.
+enum class FrameworkValue : std::uint8_t {
+  kClock,          // current_time, receive_time
+  kClockPlusOne,   // transmit_time
+  kErrorOctet,     // error_octet (the parameter-problem pointer)
+  kBetterGateway,  // better_gateway (ICMP redirect)
+  kLinkMtu,        // link_mtu (ICMPv6 packet too big)
+};
+
 struct EnvAccess {
   using Binding = SchemaExecEnv::Binding;
   using ProtocolBinding = SchemaExecEnv::ProtocolBinding;
@@ -77,6 +88,23 @@ struct EnvAccess {
   }
   static void set_timeout_called(SchemaExecEnv& env) {
     env.timeout_called_ = true;
+  }
+
+  static long framework_value(const SchemaExecEnv& env, FrameworkValue v) {
+    switch (v) {
+      case FrameworkValue::kClock: return static_cast<long>(env.clock_);
+      case FrameworkValue::kClockPlusOne:
+        return static_cast<long>(env.clock_) + 1;
+      case FrameworkValue::kErrorOctet: return env.error_pointer_;
+      case FrameworkValue::kBetterGateway:
+        return static_cast<long>(env.better_gateway_.value());
+      case FrameworkValue::kLinkMtu: return SchemaExecEnv::kIcmp6LinkMtu;
+    }
+    return 0;
+  }
+  static std::span<const std::uint8_t> datagram_excerpt(
+      const SchemaExecEnv& env) {
+    return env.datagram_excerpt();
   }
 
   // TLV-located fields (Binding::Kind::kWireOption): kPushOption /

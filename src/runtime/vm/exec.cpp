@@ -126,7 +126,9 @@ inline void op_kPushPayload(Frame& f) {
       static_cast<codegen::PacketSel>(in.a) == codegen::PacketSel::kIncoming
           ? L.has_in
           : !L.has_out;
-  const auto& pl = from_incoming ? L.in_payload : L.out_payload;
+  const std::span<const std::uint8_t> pl =
+      from_incoming ? L.in_payload
+                    : std::span<const std::uint8_t>(L.out_payload);
   const auto* spec = spec_of(in);
   if (pl.size() < spec->payload_offset + 4) {
     // Unwritten outgoing block reads 0; short incoming packet poisons.
@@ -352,6 +354,25 @@ inline void op_kCopyPayload(Frame& f) {
   const Insn& in = f.code[f.ip];
   const auto& src = f.wire[in.b].in_payload;
   f.wire[in.c].out_payload.assign(src.begin(), src.end());
+  ++f.ip;
+}
+
+inline void op_kCopyExcerpt(Frame& f) {
+  const auto excerpt = EnvAccess::datagram_excerpt(f.env);
+  f.wire[f.code[f.ip].c].out_payload.assign(excerpt.begin(), excerpt.end());
+  ++f.ip;
+}
+
+inline void op_kPushFramework(Frame& f) {
+  const Insn& in = f.code[f.ip];
+  // Arguments are evaluated and ignored, as call_scalar ignores them. A
+  // failed argument means the tree never reaches the framework call:
+  // poison stays raised for the expression's consumer (op_kCallScalar).
+  f.sp -= in.a;
+  f.stack[f.sp++] =
+      f.poison ? 0
+               : EnvAccess::framework_value(
+                     f.env, static_cast<FrameworkValue>(in.b));
   ++f.ip;
 }
 

@@ -111,8 +111,9 @@ Insn specialize_store(const EnvAccess::ProtocolBinding& pb,
 }
 
 /// Specialize a bytes assignment: the incoming-payload copy patterns
-/// (echo data, copy_field) become a direct image-to-image op; everything
-/// else keeps the generic env-mediated slow op.
+/// (echo data, copy_field) become a direct image-to-image op, and the
+/// error messages' invoking-packet excerpt a direct copy out of the raw
+/// packet; everything else keeps the generic env-mediated slow op.
 Insn specialize_bytes(const EnvAccess::ProtocolBinding& pb,
                       const codegen::LinearProgram& linear,
                       const codegen::LinInsn& in) {
@@ -128,13 +129,49 @@ Insn specialize_bytes(const EnvAccess::ProtocolBinding& pb,
       return {Op::kCopyPayload, 0, value->layer_slot, target->layer_slot};
     }
   }
-  if (target_is_bytes && src == BytesSrc::kCall && pb.schema != nullptr &&
-      (pb.schema->protocol == "ICMP" || pb.schema->protocol == "ICMP6") &&
-      linear.names[in.b] == "copy_field") {
-    // copy_field reads wire_[0].in_payload (see SchemaExecEnv::call_bytes).
-    return {Op::kCopyPayload, 0, 0, target->layer_slot};
+  const bool icmp = pb.profile == EnvAccess::Profile::kIcmp ||
+                    pb.profile == EnvAccess::Profile::kIcmp6;
+  if (target_is_bytes && src == BytesSrc::kCall && icmp) {
+    // Both calls always succeed on the ICMP profiles (see
+    // SchemaExecEnv::call_bytes), and a bytes target always accepts.
+    if (linear.names[in.b] == "copy_field") {
+      // copy_field reads wire_[0].in_payload.
+      return {Op::kCopyPayload, 0, 0, target->layer_slot};
+    }
+    if (linear.names[in.b] == "original_datagram_excerpt") {
+      return {Op::kCopyExcerpt, 0, 0, target->layer_slot};
+    }
   }
   return {Op::kAssignBytes, in.a, in.b, in.c};
+}
+
+/// Specialize an ICMP/ICMPv6 scalar framework call whose call_scalar
+/// branch returns a plain env value (the clock, the error octet, the
+/// redirect gateway, the link MTU). Same binding-key argument as
+/// specialize_effect; everything else keeps the generic
+/// string-dispatched op.
+Insn specialize_call(const EnvAccess::ProtocolBinding& pb,
+                     const codegen::LinearProgram& linear,
+                     const codegen::LinInsn& in) {
+  const Insn generic{Op::kCallScalar, in.a, in.b};
+  const bool v4 = pb.profile == EnvAccess::Profile::kIcmp;
+  const bool v6 = pb.profile == EnvAccess::Profile::kIcmp6;
+  if (!v4 && !v6) return generic;
+  const std::string& fn = linear.names[in.b];
+  std::optional<FrameworkValue> value;
+  if (fn == "current_time" || fn == "receive_time") {
+    value = FrameworkValue::kClock;
+  } else if (fn == "transmit_time") {
+    value = FrameworkValue::kClockPlusOne;
+  } else if (fn == "error_octet") {
+    value = FrameworkValue::kErrorOctet;
+  } else if (v4 && fn == "better_gateway") {
+    value = FrameworkValue::kBetterGateway;
+  } else if (v6 && fn == "link_mtu") {
+    value = FrameworkValue::kLinkMtu;
+  }
+  if (!value) return generic;
+  return {Op::kPushFramework, in.a, static_cast<std::uint16_t>(*value), in.b};
 }
 
 /// Specialize a 0-arg framework effect whose call_effect branch for this
@@ -338,6 +375,9 @@ std::string Program::disassemble() const {
       case Op::kEffectNop:
         out += " " + names_[in.b];
         break;
+      case Op::kPushFramework:
+        out += " " + names_[in.c] + "/" + std::to_string(in.a);
+        break;
       case Op::kStoreWireConst: {
         const auto* spec = reinterpret_cast<const schema::FieldSpec*>(
             static_cast<std::uintptr_t>(in.imm));
@@ -389,7 +429,7 @@ std::optional<Program> compile(const codegen::LinearProgram& linear) {
         out = {Op::kPushScenario};
         break;
       case LinOp::kCallScalar:
-        out = {Op::kCallScalar, in.a, in.b};
+        out = specialize_call(pb, linear, in);
         break;
       case LinOp::kCmp:
         out = {Op::kCmp, in.a};

@@ -71,7 +71,11 @@ namespace sage::runtime::vm {
                      /* checksum; b=name idx (for the error string)     */ \
   X(kEffectReverse)  /* specialized reverse_addresses; b=name idx       */ \
   X(kEffectTimeout)  /* specialized call_timeout; b=name idx            */ \
-  X(kEffectNop)      /* specialized always-true effect; b=name idx      */
+  X(kEffectNop)      /* specialized always-true effect; b=name idx      */ \
+  X(kCopyExcerpt)    /* invoking-packet excerpt -> c=dst slot           */ \
+                     /* out_payload, straight from the raw packet       */ \
+  X(kPushFramework)  /* a=nargs, b=FrameworkValue, c=name idx: push a   */ \
+                     /* framework value (clock, error octet, ...)       */
 
 enum class Op : std::uint8_t {
 #define SAGE_VM_ENUMERATOR(name) name,

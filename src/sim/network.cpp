@@ -33,23 +33,40 @@ std::size_t icmp_timestamp_block_bytes() {
 }
 }
 
-bool icmp_request_well_formed(const net::IcmpMessage& icmp) {
-  switch (icmp.type) {
+bool icmp_request_well_formed(net::IcmpType type, std::uint8_t code,
+                              std::size_t payload_size) {
+  switch (type) {
     case net::IcmpType::kEcho:
       // RFC 792 echo: "Code 0"; data is arbitrary.
-      return icmp.code == 0;
+      return code == 0;
     case net::IcmpType::kTimestamp:
       // RFC 792 timestamp message: code 0, header + originate/receive/
       // transmit.
-      return icmp.code == 0 &&
-             icmp.payload.size() == icmp_timestamp_block_bytes();
+      return code == 0 && payload_size == icmp_timestamp_block_bytes();
     case net::IcmpType::kInformationRequest:
       // Information messages: code 0, no data.
-      return icmp.code == 0 && icmp.payload.empty();
+      return code == 0 && payload_size == 0;
     default:
       return true;
   }
 }
+
+namespace {
+
+/// An ICMP request a responder answers, classified from its 8-byte
+/// header in place (the payload is never copied); nullopt for a message
+/// too short to carry the header or one the input gate rejects.
+std::optional<net::IcmpType> icmp_request_type(
+    std::span<const std::uint8_t> message) {
+  if (message.size() < 8) return std::nullopt;
+  const auto type = static_cast<net::IcmpType>(message[0]);
+  if (!icmp_request_well_formed(type, message[1], message.size() - 8)) {
+    return std::nullopt;
+  }
+  return type;
+}
+
+}  // namespace
 
 const UdpSocket* Host::udp_socket(std::uint16_t port) const {
   const auto it = udp_sockets_.find(port);
@@ -490,9 +507,9 @@ void Network::ev_deliver(Host& host, net::WireImage packet, int hop_budget,
   const ResponderContext ctx{host.address(), packet};
 
   if (hdr.protocol == static_cast<std::uint8_t>(net::IpProto::kIcmp)) {
-    const auto icmp = net::IcmpMessage::parse(payload);
-    if (icmp && host.responder_ != nullptr && icmp_request_well_formed(*icmp)) {
-      switch (icmp->type) {
+    const auto type = icmp_request_type(payload);
+    if (type && host.responder_ != nullptr) {
+      switch (*type) {
         case net::IcmpType::kEcho:
           ev_reply(self, host.responder_->on_echo_request(ctx), hop_budget);
           return;
@@ -565,9 +582,9 @@ void Network::ev_route(Router& r, net::WireImage packet, int hop_budget,
       const std::span<const std::uint8_t> payload(
           packet.data() + hdr.header_length(),
           packet.size() - hdr.header_length());
-      const auto icmp = net::IcmpMessage::parse(payload);
-      if (icmp && icmp_request_well_formed(*icmp)) {
-        switch (icmp->type) {
+      const auto type = icmp_request_type(payload);
+      if (type) {
+        switch (*type) {
           case net::IcmpType::kEcho:
             ev_reply(self, resp->on_echo_request(make_ctx()), hop_budget);
             return;

@@ -371,13 +371,15 @@ class Network {
 /// 192.168.2.100, "server2" 172.64.3.100.
 Network make_appendix_a_network();
 
-/// The simulated kernel's input validation for ICMP requests: RFC 792
-/// gives echo/timestamp/information requests "Code 0", a timestamp
-/// request must carry exactly the three-timestamp block the schema
-/// declares, and an information request carries no data. Malformed
-/// requests are never handed to a responder (mirroring OS ICMP input
-/// checks), so reference and generated implementations always see the
-/// same, parseable inputs — the fuzzer relies on this shared gate.
-bool icmp_request_well_formed(const net::IcmpMessage& icmp);
+/// The simulated kernel's input validation for ICMP requests, read off
+/// the message header (type, code) and the byte count after its 8-byte
+/// header: RFC 792 gives echo/timestamp/information requests "Code 0",
+/// a timestamp request must carry exactly the three-timestamp block the
+/// schema declares, and an information request carries no data.
+/// Malformed requests are never handed to a responder (mirroring OS ICMP
+/// input checks), so reference and generated implementations always see
+/// the same, parseable inputs — the fuzzer relies on this shared gate.
+bool icmp_request_well_formed(net::IcmpType type, std::uint8_t code,
+                              std::size_t payload_size);
 
 }  // namespace sage::sim

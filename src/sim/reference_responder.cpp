@@ -90,7 +90,10 @@ ReferenceIcmpResponder::on_timestamp_request(const ResponderContext& ctx) {
   // A request without the full three-timestamp block is malformed; the
   // network's input gate never delivers one, and a direct caller gets the
   // same silence instead of a reply built from missing bytes.
-  if (!icmp_request_well_formed(in->icmp)) return std::nullopt;
+  if (!icmp_request_well_formed(in->icmp.type, in->icmp.code,
+                                in->icmp.payload.size())) {
+    return std::nullopt;
+  }
   net::IcmpMessage reply = in->icmp;
   reply.type = net::IcmpType::kTimestampReply;
   reply.code = 0;
@@ -105,7 +108,10 @@ std::optional<std::vector<std::uint8_t>>
 ReferenceIcmpResponder::on_information_request(const ResponderContext& ctx) {
   const auto in = decode(ctx);
   if (!in || !in->has_icmp) return std::nullopt;
-  if (!icmp_request_well_formed(in->icmp)) return std::nullopt;
+  if (!icmp_request_well_formed(in->icmp.type, in->icmp.code,
+                                in->icmp.payload.size())) {
+    return std::nullopt;
+  }
   net::IcmpMessage reply = in->icmp;
   reply.type = net::IcmpType::kInformationReply;
   reply.code = 0;

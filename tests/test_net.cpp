@@ -36,6 +36,45 @@ TEST(Checksum, VerifiesToAllOnes) {
   EXPECT_EQ(ones_complement_sum(data), 0xffff);
 }
 
+TEST(Checksum, ChunkedSumMatchesWordByWordDefinition) {
+  // ones_complement_sum adds 32-bit host-order chunks; it must equal the
+  // RFC 1071 definition (big-endian 16-bit words, odd byte padded on the
+  // right, end-around carries) for every length, alignment and initial,
+  // including the all-zero and all-ones inputs whose folded sums sit on
+  // the two one's-complement zeros.
+  const auto definition = [](std::span<const std::uint8_t> data,
+                             std::uint16_t initial) {
+    std::uint32_t sum = initial;
+    for (std::size_t i = 0; i < data.size(); i += 2) {
+      sum += std::uint32_t{data[i]} << 8 |
+             (i + 1 < data.size() ? data[i + 1] : 0);
+    }
+    while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
+    return static_cast<std::uint16_t>(sum);
+  };
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  const auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  std::vector<std::uint8_t> buffer(1600 + 3);
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::size_t len = trial < 400 ? trial % 100 : next() % 1600;
+    const std::size_t offset = next() % 4;
+    const int fill = trial % 4;  // 0: zeros, 1: 0xff, else random
+    for (auto& b : buffer) {
+      b = fill == 0 ? 0 : fill == 1 ? 0xff : static_cast<std::uint8_t>(next());
+    }
+    const std::uint16_t initial =
+        trial % 3 == 0 ? 0 : static_cast<std::uint16_t>(next());
+    const std::span<const std::uint8_t> data(buffer.data() + offset, len);
+    ASSERT_EQ(ones_complement_sum(data, initial), definition(data, initial))
+        << "len " << len << " offset " << offset << " initial " << initial;
+  }
+}
+
 TEST(Checksum, IncrementalUpdateMatchesRecompute) {
   // Patch one 16-bit word and compare incremental vs full recompute.
   std::vector<std::uint8_t> data = {0x45, 0x00, 0x00, 0x54, 0x40, 0x11};
