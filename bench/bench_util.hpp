@@ -9,6 +9,12 @@
 #include <thread>
 #include <vector>
 
+#if __has_include("bench_git_sha.h")
+#include "bench_git_sha.h"  // generated at build time (bench/git_sha.cmake)
+#else
+#define SAGE_BENCH_GIT_SHA "unknown"
+#endif
+
 namespace sage::benchutil {
 
 inline void title(const std::string& name, const std::string& description) {
@@ -33,19 +39,22 @@ inline std::string percent(double fraction) {
   return buf;
 }
 
-/// The machine a scorecard was measured on, as a JSON object: core count,
-/// compiler and build type (bench/CMakeLists.txt passes the build type).
+/// The machine and tree a scorecard was measured on, as a JSON object:
+/// core count, compiler, build type (bench/CMakeLists.txt passes it) and
+/// the git sha the bench was built from ("-dirty" when tracked files had
+/// uncommitted changes, "unknown" outside a git checkout).
 inline std::string machine_json() {
 #ifdef SAGE_BENCH_BUILD_TYPE
   const char* build_type = SAGE_BENCH_BUILD_TYPE;
 #else
   const char* build_type = "unknown";
 #endif
-  char buf[256];
+  char buf[320];
   std::snprintf(buf, sizeof buf,
                 "{\"nproc\": %u, \"compiler\": \"%s\", "
-                "\"build_type\": \"%s\"}",
-                std::thread::hardware_concurrency(), __VERSION__, build_type);
+                "\"build_type\": \"%s\", \"git_sha\": \"%s\"}",
+                std::thread::hardware_concurrency(), __VERSION__, build_type,
+                SAGE_BENCH_GIT_SHA);
   return buf;
 }
 

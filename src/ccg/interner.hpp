@@ -22,8 +22,8 @@
 // variable ids restart at kParseVarBase for every parse and lexicon
 // binder ids at kLexVarBase for every lexicon (see VarGen in term.hpp).
 // Rebuilding the grammar or re-parsing a sentence re-interns the same
-// nodes, so the β, application and type-raise memos keyed on their ids
-// stop growing too.
+// nodes, so the parser's combinator memo, keyed on their ids, stops
+// growing too.
 // `category_interner_size()` / `term_interner_size()` expose the live
 // table sizes for `sage_debug --parse-stats` and the property tests.
 #pragma once
@@ -61,37 +61,57 @@ inline std::uint64_t hash_bytes(std::uint64_t h, std::string_view s) {
   return h;
 }
 
-/// Thread-safe hash-consing table. `Key` is a cheap probe view of a
-/// node's structure (child pointers + scalars + string_views) carrying
-/// its precomputed `hash`; `stored_key_of(node)` rebuilds that view
-/// from a canonical node so probes can be compared against residents.
-///
-/// Each shard is an open-addressing flat table (power-of-two capacity,
-/// linear probing). Entries are never deleted — the table owns its
-/// nodes for the process lifetime — which is exactly the case where
-/// tombstone-free linear probing is both simplest and fastest: a find
-/// is one or two contiguous cache lines, with the stored 64-bit hash
-/// screened before any full key comparison.
-template <typename Node, typename Key, typename KeyHash>
-class InternTable {
+/// A table split into 16 lock stripes, each a flat open-addressing
+/// table: power-of-two capacity, linear probing, doubled at 3/4 load.
+/// Entries are never deleted — the tables built on it keep theirs for
+/// the process lifetime — which is exactly the case where tombstone-free
+/// linear probing is both simplest and fastest: a find is one or two
+/// contiguous cache lines. A hash picks its stripe by its top four bits
+/// and its slot by its low bits; callers hold the stripe's `mutex` while
+/// they probe or insert. `Entry::empty()` marks a free slot;
+/// `Entry::hash()` places a resident again when its stripe grows.
+template <typename Entry>
+class ShardedFlat {
  public:
-  using Ptr = std::shared_ptr<const Node>;
+  /// One stripe. Cache-line aligned so neighbouring stripes' mutexes do
+  /// not share a line.
+  struct alignas(64) Shard {
+    mutable std::mutex mutex;
+    std::vector<Entry> entries = std::vector<Entry>(64);
+    std::size_t used = 0;
 
-  /// Returns the canonical node for `probe`, creating it with
-  /// `make(id)` on first sight. `stored_key_of(node)` must rebuild the
-  /// probe key with views into the node's own storage.
-  template <typename Factory, typename StoredKeyOf>
-  Ptr intern(const Key& probe, Factory&& make, StoredKeyOf&& stored_key_of) {
-    Shard& shard = shards_[(probe.hash >> 58) & (kShards - 1)];
-    std::lock_guard lock(shard.mutex);
-    std::size_t slot = shard.find_slot(probe, stored_key_of);
-    if (shard.entries[slot].node != nullptr) return shard.entries[slot].node;
-    Ptr node = make(next_id_.fetch_add(1, std::memory_order_relaxed));
-    shard.entries[slot] = Entry{probe.hash, node};
-    if (++shard.used * 4 > shard.entries.size() * 3) shard.grow();
-    return node;
-  }
+    /// Slot of the first entry on `hash`'s probe sequence that
+    /// `matches`, or the empty slot where it belongs (load is capped at
+    /// 3/4, so an empty slot always ends the sequence).
+    template <typename Matches>
+    std::size_t find_slot(std::uint64_t hash, Matches&& matches) const {
+      const std::size_t mask = entries.size() - 1;
+      std::size_t slot = static_cast<std::size_t>(hash) & mask;
+      while (!entries[slot].empty() && !matches(entries[slot])) {
+        slot = (slot + 1) & mask;
+      }
+      return slot;
+    }
 
+    /// Fills the empty `slot` find_slot returned.
+    void insert(std::size_t slot, Entry entry) {
+      entries[slot] = std::move(entry);
+      if (++used * 4 <= entries.size() * 3) return;
+      std::vector<Entry> old = std::move(entries);
+      entries.assign(old.size() * 2, Entry{});
+      const std::size_t mask = entries.size() - 1;
+      for (Entry& e : old) {
+        if (e.empty()) continue;
+        std::size_t s = static_cast<std::size_t>(e.hash()) & mask;
+        while (!entries[s].empty()) s = (s + 1) & mask;
+        entries[s] = std::move(e);
+      }
+    }
+  };
+
+  Shard& shard_for(std::uint64_t hash) { return shards_[hash >> 60]; }
+
+  /// Entries stored over all stripes.
   std::size_t size() const {
     std::size_t total = 0;
     for (const Shard& shard : shards_) {
@@ -102,47 +122,46 @@ class InternTable {
   }
 
  private:
-  static constexpr std::size_t kShards = 16;
-  struct Entry {
-    std::uint64_t hash = 0;
-    Ptr node;  // nullptr marks an empty slot
-  };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::vector<Entry> entries = std::vector<Entry>(64);
-    std::size_t used = 0;
+  std::array<Shard, 16> shards_;
+};
 
-    /// Slot of the resident matching `probe`, or the empty slot where
-    /// it belongs. Load is capped at 3/4, so an empty slot always ends
-    /// the probe sequence.
-    template <typename StoredKeyOf>
-    std::size_t find_slot(const Key& probe,
-                          StoredKeyOf&& stored_key_of) const {
-      const std::size_t mask = entries.size() - 1;
-      std::size_t slot = static_cast<std::size_t>(probe.hash) & mask;
-      while (entries[slot].node != nullptr) {
-        if (entries[slot].hash == probe.hash &&
-            stored_key_of(*entries[slot].node) == probe) {
-          return slot;
-        }
-        slot = (slot + 1) & mask;
-      }
-      return slot;
-    }
+/// One InternTable slot: a canonical node and its structural hash.
+template <typename Node>
+struct InternEntry {
+  std::uint64_t key_hash = 0;
+  std::shared_ptr<const Node> node;  // nullptr marks an empty slot
+  bool empty() const { return node == nullptr; }
+  std::uint64_t hash() const { return key_hash; }
+};
 
-    void grow() {
-      std::vector<Entry> old = std::move(entries);
-      entries.assign(old.size() * 2, Entry{});
-      const std::size_t mask = entries.size() - 1;
-      for (Entry& e : old) {
-        if (e.node == nullptr) continue;
-        std::size_t slot = static_cast<std::size_t>(e.hash) & mask;
-        while (entries[slot].node != nullptr) slot = (slot + 1) & mask;
-        entries[slot] = std::move(e);
-      }
-    }
-  };
-  std::array<Shard, kShards> shards_;
+/// Thread-safe hash-consing table. `Key` is a cheap probe view of a
+/// node's structure (child pointers + scalars + string_views) carrying
+/// its precomputed `hash`; `stored_key_of(node)` rebuilds that view
+/// from a canonical node so probes can be compared against residents.
+/// The stored 64-bit hash is screened before any full key comparison.
+template <typename Node, typename Key, typename KeyHash>
+class InternTable : public ShardedFlat<InternEntry<Node>> {
+ public:
+  using Ptr = std::shared_ptr<const Node>;
+
+  /// Returns the canonical node for `probe`, creating it with
+  /// `make(id)` on first sight. `stored_key_of(node)` must rebuild the
+  /// probe key with views into the node's own storage.
+  template <typename Factory, typename StoredKeyOf>
+  Ptr intern(const Key& probe, Factory&& make, StoredKeyOf&& stored_key_of) {
+    auto& shard = this->shard_for(probe.hash);
+    std::lock_guard lock(shard.mutex);
+    const std::size_t slot = shard.find_slot(probe.hash, [&](const Entry& e) {
+      return e.key_hash == probe.hash && stored_key_of(*e.node) == probe;
+    });
+    if (!shard.entries[slot].empty()) return shard.entries[slot].node;
+    Ptr node = make(next_id_.fetch_add(1, std::memory_order_relaxed));
+    shard.insert(slot, Entry{probe.hash, node});
+    return node;
+  }
+
+ private:
+  using Entry = InternEntry<Node>;
   std::atomic<std::uint32_t> next_id_{1};
 };
 

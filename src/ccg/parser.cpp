@@ -1,13 +1,12 @@
 #include "ccg/parser.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <memory_resource>
 #include <mutex>
-#include <unordered_map>
 #include <unordered_set>
 
+#include "ccg/interner.hpp"
 #include "lf/logical_form.hpp"
 #include "util/arena.hpp"
 
@@ -144,9 +143,8 @@ class Chart {
   ParseStats* stats_;
 };
 
-bool is_conj(const Category& c) {
-  return c.is_primitive() && c.name() == "CONJ";
-}
+/// Categories are interned, so this is the primitive named "CONJ".
+bool is_conj(const Category& c) { return &c == cat_CONJ().get(); }
 
 /// Generalized coordination semantics (the Φ-rule of CCG [Steedman]).
 /// Coordinating two edges of category X yields, for primitive X,
@@ -156,24 +154,18 @@ bool is_conj(const Category& c) {
 /// This is what makes the distributive reading of "A and B is C" emerge:
 /// type-raised NPs coordinate pointwise over the verb phrase, producing
 /// @And(@Is(A,C), @Is(B,C)) alongside the plain @Is(@And(A,B), C).
+/// The binders are the attempt's n+1 fresh ids: xi = first + i - 1,
+/// y = first + n.
 TermPtr coordination_sem(const TermPtr& conj_pred, const TermPtr& right_sem,
-                         const Category& cat, VarGen& vg) {
-  std::vector<int> vars;
-  const Category* c = &cat;
-  while (!c->is_primitive()) {
-    vars.push_back(vg.fresh());
-    c = c->result().get();
-  }
-  const int y = vg.fresh();
-  const auto apply_chain = [&vars](TermPtr f) {
-    for (int v : vars) f = mk_app(std::move(f), mk_var(v));
+                         int arity, int first) {
+  const auto apply_chain = [&](TermPtr f) {
+    for (int i = 0; i < arity; ++i) f = mk_app(std::move(f), mk_var(first + i));
     return f;
   };
+  const int y = first + arity;
   TermPtr body = mk_app(mk_app(conj_pred, apply_chain(mk_var(y))),
                         apply_chain(right_sem));
-  for (std::size_t i = vars.size(); i-- > 0;) {
-    body = mk_lam(vars[i], std::move(body));
-  }
+  for (int i = arity; i-- > 0;) body = mk_lam(first + i, std::move(body));
   return mk_lam(y, std::move(body));
 }
 
@@ -191,55 +183,90 @@ const CategoryPtr& cat_S_fwd_S_back_NP() {
   return c;
 }
 
-/// Striped process-wide memo from a term-id key to a prebuilt term —
-/// same sharding scheme as the interner. Sound wherever the value is a
-/// pure function of canonical inputs.
-struct TermMemoShards {
-  struct Shard {
-    std::mutex mutex;
-    std::unordered_map<std::uint64_t, TermPtr> map;
-  };
-  std::array<Shard, 16> shards;
+/// The combinations the memo caches, one tag per result function.
+/// Forward and backward application share kApply, and forward and
+/// backward composition share kCompose: the key orders the operands as
+/// the reduction uses them.
+enum class Rule : std::uint8_t {
+  kApply,        // f(a)                 left f, right a
+  kCompose,      // \z. f(g(z))          left f, right g, aux z
+  kCoordinate,   // Φ(conj, r) over X    left conj, right r, aux id(X) | first
+  kTypeRaise,    // \f. f(x)             left x (f is kTypeRaiseVar)
+  kCompoundStr,  // "l r"                left l, right r
+  kCompoundOf,   // @Of(r, l)            left l, right r
+};
 
-  template <typename Build>
-  TermPtr get(std::uint64_t key, Build&& build) {
-    Shard& shard = shards[key & 15u];
-    {
-      std::lock_guard lock(shard.mutex);
-      const auto it = shard.map.find(key);
-      if (it != shard.map.end()) return it->second;
-    }
-    TermPtr value = build();
-    std::lock_guard lock(shard.mutex);
-    return shard.map.emplace(key, std::move(value)).first->second;
+/// (rule, left term id, right term id, aux). The result of each rule is
+/// a pure function of these fields (docs/PARSER_INTERNALS.md).
+struct CombineKey {
+  Rule rule = Rule::kApply;
+  std::uint32_t left = 0;
+  std::uint32_t right = 0;
+  std::uint64_t aux = 0;
+
+  bool operator==(const CombineKey&) const = default;
+
+  std::uint64_t hash() const {  // splitmix64 finalizer over the fields
+    std::uint64_t h = ((static_cast<std::uint64_t>(left) << 32) | right) ^
+                      (aux * 0x9e3779b97f4a7c15ull) ^
+                      (static_cast<std::uint64_t>(rule) << 59);
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+    return h ^ (h >> 31);
   }
 };
 
-/// Type-raised semantics \f.f(sem), memoized per canonical `sem`. The
-/// reserved binder id keeps the term independent of where in the chart
-/// the raise happens (see kTypeRaiseVar in term.hpp).
-TermPtr type_raised(const TermPtr& sem) {
-  static auto* memo = new TermMemoShards();  // immortal
-  return memo->get(sem->id, [&] {
-    return mk_lam(kTypeRaiseVar, mk_app(mk_var(kTypeRaiseVar), sem));
-  });
-}
+struct CombineEntry {
+  CombineKey key;
+  std::uint32_t steps = 0;
+  TermPtr term;  // nullptr marks an empty slot
+  bool empty() const { return term == nullptr; }
+  std::uint64_t hash() const { return key.hash(); }
+};
 
-/// Concatenated noun-compound semantics, memoized per (left, right) str
-/// pair so repeated N-N combinations skip the string build and re-hash.
-TermPtr compound_str(const TermPtr& l, const TermPtr& r) {
-  static auto* memo = new TermMemoShards();  // immortal
-  const std::uint64_t key = (static_cast<std::uint64_t>(l->id) << 32) | r->id;
-  return memo->get(key, [&] { return mk_str(l->name + " " + r->name); });
-}
+/// Process-wide memo of combinator results: key -> (β-normal result,
+/// steps its reduction took). A hit returns the term a rebuild would
+/// intern, without building the wrapper first. Striped like the
+/// interner (interner.hpp's ShardedFlat).
+class CombineMemo : public ShardedFlat<CombineEntry> {
+ public:
+  /// The result `key` names. On a miss, `build()` makes the unreduced
+  /// term and it is reduced under the parser's one 4096-step cap
+  /// (malformed combinations could otherwise loop). Only a success is
+  /// stored, so a reduction that hits the cap returns nullptr on every
+  /// attempt. Wrappers that are already normal (type raise, compounds)
+  /// pass through the reduction unchanged in 0 steps.
+  template <typename Build>
+  TermPtr get(const CombineKey& key, ParseStats& stats, Build&& build) {
+    const std::uint64_t hash = key.hash();
+    Shard& shard = shard_for(hash);
+    const auto matches = [&key](const CombineEntry& e) { return e.key == key; };
+    {
+      std::lock_guard lock(shard.mutex);
+      const CombineEntry& entry = shard.entries[shard.find_slot(hash, matches)];
+      if (!entry.empty()) {
+        ++stats.memo_hits;
+        stats.beta_steps += entry.steps;
+        return entry.term;
+      }
+    }
+    ++stats.memo_misses;
+    std::size_t steps = 0;
+    TermPtr term = beta_reduce(build(), 4096, &steps);
+    if (term == nullptr) return nullptr;
+    stats.beta_steps += steps;
+    std::lock_guard lock(shard.mutex);
+    const std::size_t slot = shard.find_slot(hash, matches);
+    if (shard.entries[slot].empty()) {  // else a racing thread stored it
+      shard.insert(slot, {key, static_cast<std::uint32_t>(steps), term});
+    }
+    return term;
+  }
+};
 
-/// The head-modifier analysis @Of(r, l) for the same pair.
-TermPtr compound_of(const TermPtr& l, const TermPtr& r) {
-  static auto* memo = new TermMemoShards();  // immortal
-  const std::uint64_t key = (static_cast<std::uint64_t>(l->id) << 32) | r->id;
-  return memo->get(key, [&] {
-    return mk_pred_app(std::string(lf::pred::kOf), {r, l});
-  });
+CombineMemo& combine_memo() {
+  static auto* memo = new CombineMemo();  // immortal, like the interners
+  return *memo;
 }
 
 /// View an immortal interned term through the TermPtr API without
@@ -296,6 +323,8 @@ Derivation extract_derivation(const std::vector<ArenaNode>& arena, int root) {
 
 }  // namespace
 
+std::size_t combine_memo_size() { return combine_memo().size(); }
+
 std::string Derivation::to_string() const {
   std::string out;
   // Explicit-stack pre-order render; pushing right before left keeps the
@@ -349,9 +378,47 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
               options_.record_derivations ? &arena : nullptr, &result.stats,
               &chart_arena);
 
-  const auto reduce_or_drop = [&](TermPtr t) {
-    ++result.stats.beta_reductions;
-    return beta_reduce(std::move(t), 4096, &result.stats.beta_steps);
+  // Every combination goes through the process-wide memo, keyed before
+  // any wrapper term is built. Fresh binders are drawn before the probe,
+  // exactly as a rebuild would draw them, so ids never depend on hits.
+  CombineMemo& memo = combine_memo();
+  ParseStats& stats = result.stats;
+  const auto apply = [&](const TermPtr& f, const TermPtr& a) {
+    ++stats.beta_reductions;
+    return memo.get({Rule::kApply, f->id, a->id}, stats,
+                    [&] { return mk_app(f, a); });
+  };
+  const auto compose = [&](const TermPtr& f, const TermPtr& g) {
+    const int z = vg.fresh();
+    ++stats.beta_reductions;
+    return memo.get(
+        {Rule::kCompose, f->id, g->id, static_cast<std::uint64_t>(z)}, stats,
+        [&] { return mk_lam(z, mk_app(f, mk_app(g, mk_var(z)))); });
+  };
+  // Unary rules on a completed cell: N -> NP, then, when `raise_np`,
+  // NP -> S/(S\NP) : \f. f(x). Edges are copied: add() reallocates.
+  const auto unary_rules = [&](std::size_t start, std::size_t span,
+                               bool raise_np) {
+    const std::size_t base = chart.cell(start, span).edges.size();
+    for (std::size_t k = 0; k < base; ++k) {
+      const Edge e = chart.cell(start, span).edges[k];
+      if (e.cat.get() == cat_N().get()) {
+        chart.add(start, span, Edge{cat_NP(), e.sem},
+                  [] { return "N -> NP"; }, e.id);
+      }
+    }
+    if (!raise_np) return;
+    const std::size_t base2 = chart.cell(start, span).edges.size();
+    for (std::size_t k = 0; k < base2; ++k) {
+      const Edge e = chart.cell(start, span).edges[k];
+      if (e.cat.get() != cat_NP().get()) continue;
+      const TermPtr raised =
+          memo.get({Rule::kTypeRaise, e.sem->id}, stats, [&] {
+            return mk_lam(kTypeRaiseVar, mk_app(mk_var(kTypeRaiseVar), e.sem));
+          });
+      chart.add(start, span, Edge{cat_S_fwd_S_back_NP(), raised},
+                [] { return "type raising"; }, e.id);
+    }
   };
 
   // --- lexical edges -----------------------------------------------------
@@ -384,26 +451,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
       result.unknown_tokens.push_back(tok.text);
     }
 
-    // Unary rules on the fresh cell.
-    const std::size_t base = chart.cell(i, 1).edges.size();
-    for (std::size_t k = 0; k < base; ++k) {
-      const Edge e = chart.cell(i, 1).edges[k];  // copy: add() reallocates
-      if (e.cat.get() == cat_N().get()) {
-        chart.add(i, 1, Edge{cat_NP(), e.sem}, [] { return "N -> NP"; },
-                  e.id);
-      }
-    }
-    if (options_.enable_type_raising) {
-      const std::size_t base2 = chart.cell(i, 1).edges.size();
-      for (std::size_t k = 0; k < base2; ++k) {
-        const Edge e = chart.cell(i, 1).edges[k];
-        if (e.cat.get() == cat_NP().get()) {
-          // NP -> S/(S\NP) : \f. f(x)
-          chart.add(i, 1, Edge{cat_S_fwd_S_back_NP(), type_raised(e.sem)},
-                    [] { return "type raising"; }, e.id);
-        }
-      }
-    }
+    unary_rules(i, 1, options_.enable_type_raising);
   }
 
   // --- binary combination ------------------------------------------------
@@ -416,9 +464,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
     if (!l.cat->is_primitive() &&
         l.cat->slash() == Category::Slash::kForward &&
         l.cat->arg().get() == r.cat.get()) {
-      ++result.stats.beta_reductions;
-      if (TermPtr sem = reduce_app(l.sem, r.sem, 4096,
-                                   &result.stats.beta_steps)) {
+      if (TermPtr sem = apply(l.sem, r.sem)) {
         chart.add(start, span, Edge{l.cat->result(), std::move(sem)},
                   [] { return "forward application"; }, l.id, r.id);
       }
@@ -427,9 +473,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
     if (!r.cat->is_primitive() &&
         r.cat->slash() == Category::Slash::kBackward &&
         r.cat->arg().get() == l.cat.get()) {
-      ++result.stats.beta_reductions;
-      if (TermPtr sem = reduce_app(r.sem, l.sem, 4096,
-                                   &result.stats.beta_steps)) {
+      if (TermPtr sem = apply(r.sem, l.sem)) {
         chart.add(start, span, Edge{r.cat->result(), std::move(sem)},
                   [] { return "backward application"; }, l.id, r.id);
       }
@@ -440,9 +484,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
           l.cat->slash() == Category::Slash::kForward &&
           r.cat->slash() == Category::Slash::kForward &&
           l.cat->arg().get() == r.cat->result().get()) {
-        const int z = vg.fresh();
-        if (TermPtr sem = reduce_or_drop(
-                mk_lam(z, mk_app(l.sem, mk_app(r.sem, mk_var(z)))))) {
+        if (TermPtr sem = compose(l.sem, r.sem)) {
           chart.add(start, span,
                     Edge{Category::complex(l.cat->result(),
                                            Category::Slash::kForward,
@@ -456,9 +498,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
           l.cat->slash() == Category::Slash::kBackward &&
           r.cat->slash() == Category::Slash::kBackward &&
           r.cat->arg().get() == l.cat->result().get()) {
-        const int z = vg.fresh();
-        if (TermPtr sem = reduce_or_drop(
-                mk_lam(z, mk_app(r.sem, mk_app(l.sem, mk_var(z)))))) {
+        if (TermPtr sem = compose(r.sem, l.sem)) {
           chart.add(start, span,
                     Edge{Category::complex(r.cat->result(),
                                            Category::Slash::kBackward,
@@ -476,9 +516,16 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
         l.sem->kind == Term::Kind::kStr && r.sem->kind == Term::Kind::kStr) {
       // Both analyses the parser cannot choose between: the
       // compound as one name, and the head-modifier relation.
-      chart.add(start, span, Edge{cat_N(), compound_str(l.sem, r.sem)},
+      const TermPtr name =
+          memo.get({Rule::kCompoundStr, l.sem->id, r.sem->id}, stats,
+                   [&] { return mk_str(l.sem->name + " " + r.sem->name); });
+      const TermPtr head =
+          memo.get({Rule::kCompoundOf, l.sem->id, r.sem->id}, stats, [&] {
+            return mk_pred_app(std::string(lf::pred::kOf), {r.sem, l.sem});
+          });
+      chart.add(start, span, Edge{cat_N(), name},
                 [] { return "noun compound"; }, l.id, r.id);
-      chart.add(start, span, Edge{cat_N(), compound_of(l.sem, r.sem)},
+      chart.add(start, span, Edge{cat_N(), head},
                 [] { return "noun compound (head)"; }, l.id, r.id);
     }
     // Coordination (binarized): CONJ X => X\X with the
@@ -486,8 +533,19 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
     // bare conjunction predicate (@And / @Or).
     if (options_.enable_coordination && is_conj(*l.cat) &&
         l.sem->kind == Term::Kind::kPred) {
-      if (TermPtr sem =
-              reduce_or_drop(coordination_sem(l.sem, r.sem, *r.cat, vg))) {
+      int arity = 0;
+      for (const Category* c = r.cat.get(); !c->is_primitive();
+           c = c->result().get()) {
+        ++arity;
+      }
+      const int first = vg.fresh(arity + 1);
+      const std::uint64_t aux =
+          (static_cast<std::uint64_t>(r.cat->id()) << 32) |
+          static_cast<std::uint32_t>(first);
+      ++stats.beta_reductions;
+      if (TermPtr sem = memo.get(
+              {Rule::kCoordinate, l.sem->id, r.sem->id, aux}, stats,
+              [&] { return coordination_sem(l.sem, r.sem, arity, first); })) {
         chart.add(start, span,
                   Edge{Category::complex(r.cat, Category::Slash::kBackward,
                                          r.cat),
@@ -549,26 +607,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
         }
       }
 
-      // Unary rules on the completed cell (N -> NP; type-raise NP).
-      const std::size_t base = chart.cell(start, span).edges.size();
-      for (std::size_t k = 0; k < base; ++k) {
-        const Edge e = chart.cell(start, span).edges[k];
-        if (e.cat.get() == cat_N().get()) {
-          chart.add(start, span, Edge{cat_NP(), e.sem},
-                    [] { return "N -> NP"; }, e.id);
-        }
-      }
-      if (options_.enable_type_raising && span < n) {
-        const std::size_t base2 = chart.cell(start, span).edges.size();
-        for (std::size_t k = 0; k < base2; ++k) {
-          const Edge e = chart.cell(start, span).edges[k];
-          if (e.cat.get() == cat_NP().get()) {
-            chart.add(start, span,
-                      Edge{cat_S_fwd_S_back_NP(), type_raised(e.sem)},
-                      [] { return "type raising"; }, e.id);
-          }
-        }
-      }
+      unary_rules(start, span, options_.enable_type_raising && span < n);
     }
   }
 

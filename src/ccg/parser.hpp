@@ -19,6 +19,8 @@
 // of rendered strings, and each chart cell carries combinability indexes
 // (by category id, by forward-slash result, by backward-slash argument)
 // that replace the left×right cross-product scan with index probes.
+// Combinator results are memoized process-wide on term ids, so a warm
+// parse interns no wrapper term.
 // tests/test_differential.cpp pins every corpus sentence's parse output
 // to digests recorded while the seed's scan was still in the tree.
 #pragma once
@@ -55,8 +57,10 @@ struct ParseStats {
   std::size_t dedup_hits = 0;       // edges rejected as duplicates
   std::size_t cap_drops = 0;        // edges rejected by the per-cell cap
   std::size_t index_probes = 0;     // cell-index lookups
-  std::size_t beta_reductions = 0;  // beta_reduce() calls
-  std::size_t beta_steps = 0;       // total normal-order steps taken
+  std::size_t beta_reductions = 0;  // reducing combinations attempted
+  std::size_t beta_steps = 0;       // normal-order steps, stored on hits
+  std::size_t memo_hits = 0;        // combinator-memo probes answered
+  std::size_t memo_misses = 0;      // probes that built and reduced
   // Chart-arena counters (util::Arena backing the chart cells). The
   // arena is thread-local and retained across parses, so reserved bytes
   // reach a steady state and further parses cost zero heap traffic for
@@ -105,6 +109,9 @@ struct ParseResult {
   /// Hot-path counters for this parse.
   ParseStats stats;
 };
+
+/// Entries in the process-wide combinator memo every parse shares.
+std::size_t combine_memo_size();
 
 class CcgParser {
  public:

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <map>
-#include <unordered_map>
 
 #include "ccg/interner.hpp"
 
@@ -184,89 +183,19 @@ TermPtr step(const TermPtr& term) {
 
 }  // namespace
 
-namespace {
-
-/// Memo of successful normalizations ("computed table"): input term id
-/// -> (normal form, steps it took). Sound because terms are canonical
-/// and beta_reduce is a pure function of its input; shared process-wide
-/// so repeated combinations across sentences and batch passes reduce
-/// once. Striped like the interner. Entries are only reused when the
-/// caller's step budget covers the recorded cost, so a generous cache
-/// can never turn a capped failure into a success.
-struct BetaMemoShard {
-  std::mutex mutex;
-  std::unordered_map<std::uint32_t, std::pair<TermPtr, std::uint32_t>> map;
-};
-
-std::array<BetaMemoShard, 16>& beta_memo() {
-  static auto* shards = new std::array<BetaMemoShard, 16>();  // immortal
-  return *shards;
-}
-
-/// Same idea keyed on (fun id, arg id) pairs for reduce_app().
-struct AppMemoShard {
-  std::mutex mutex;
-  std::unordered_map<std::uint64_t, std::pair<TermPtr, std::uint32_t>> map;
-};
-
-std::array<AppMemoShard, 16>& app_memo() {
-  static auto* shards = new std::array<AppMemoShard, 16>();  // immortal
-  return *shards;
-}
-
-}  // namespace
-
 TermPtr beta_reduce(const TermPtr& term, int max_steps,
                     std::size_t* steps_out) {
   if (term->normal) return term;
-  BetaMemoShard& shard = beta_memo()[term->id & 15u];
-  {
-    std::lock_guard lock(shard.mutex);
-    const auto it = shard.map.find(term->id);
-    if (it != shard.map.end() &&
-        it->second.second <= static_cast<std::uint32_t>(max_steps)) {
-      if (steps_out != nullptr) *steps_out += it->second.second;
-      return it->second.first;
-    }
-  }
   TermPtr current = term;
   for (int i = 0; i < max_steps; ++i) {
     TermPtr next = step(current);
     if (!next) {
-      std::lock_guard lock(shard.mutex);
-      shard.map.emplace(term->id,
-                        std::make_pair(current, static_cast<std::uint32_t>(i)));
       if (steps_out != nullptr) *steps_out += static_cast<std::size_t>(i);
       return current;
     }
     current = std::move(next);
   }
   return nullptr;  // did not normalize within the cap
-}
-
-TermPtr reduce_app(const TermPtr& fun, const TermPtr& arg, int max_steps,
-                   std::size_t* steps_out) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(fun->id) << 32) | arg->id;
-  AppMemoShard& shard = app_memo()[key & 15u];
-  {
-    std::lock_guard lock(shard.mutex);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end() &&
-        it->second.second <= static_cast<std::uint32_t>(max_steps)) {
-      if (steps_out != nullptr) *steps_out += it->second.second;
-      return it->second.first;
-    }
-  }
-  std::size_t steps = 0;
-  TermPtr reduced = beta_reduce(mk_app(fun, arg), max_steps, &steps);
-  if (steps_out != nullptr) *steps_out += steps;
-  if (reduced != nullptr) {
-    std::lock_guard lock(shard.mutex);
-    shard.map.emplace(key, std::make_pair(reduced,
-                                          static_cast<std::uint32_t>(steps)));
-  }
-  return reduced;
 }
 
 namespace {

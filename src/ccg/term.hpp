@@ -88,7 +88,8 @@ inline constexpr int kTypeRaiseVar = kParseVarBase - 1;
 class VarGen {
  public:
   explicit VarGen(int base = kParseVarBase) : next_(base) {}
-  int fresh() { return next_++; }
+  /// Draws `count` consecutive ids and returns the first.
+  int fresh(int count = 1) { return (next_ += count) - count; }
 
  private:
   int next_;
@@ -102,16 +103,10 @@ TermPtr mk_pred_app(std::string name, std::vector<TermPtr> args);
 /// Substitution shares untouched subtrees, and interning makes rebuilt
 /// already-seen subtrees allocation-free. `steps_out`, when non-null, is
 /// incremented by the number of reduction steps taken (parse stats).
+/// Not memoized: the parser memoizes whole combinator results instead,
+/// keyed before any wrapper term is built (parser.cpp).
 TermPtr beta_reduce(const TermPtr& term, int max_steps = 4096,
                     std::size_t* steps_out = nullptr);
-
-/// beta_reduce(mk_app(fun, arg)) with a process-wide memo keyed on the
-/// (fun, arg) interner-id pair — the parser's application fast path. A
-/// memo hit skips even the wrapper construction. Exact: application
-/// introduces no fresh variables, so the result is a pure function of
-/// the canonical pair. Returns nullptr if reduction exceeds `max_steps`.
-TermPtr reduce_app(const TermPtr& fun, const TermPtr& arg,
-                   int max_steps = 4096, std::size_t* steps_out = nullptr);
 
 /// Render for diagnostics: "\x1.@Is(x1, @Num(0))".
 std::string term_to_string(const TermPtr& term);

@@ -253,6 +253,41 @@ TEST_F(ParserTest, DisablingTypeRaisingRemovesDistributedReading) {
   }
 }
 
+// The type-raised NPs coordinate over S/(S\NP), a function category, so
+// the distributed reading's coordination draws two fresh binders (x1
+// and y). A second parse answers every combination from the memo and
+// must rebuild nothing yet reproduce the first parse, binder ids in the
+// rendered derivations included.
+TEST_F(ParserTest, MemoizedCoordinationOverFunctionCategoryMatchesRebuild) {
+  dict_.add_all({"identifier", "sequence"});  // terms no other test interns
+  ParserOptions options;
+  options.record_derivations = true;
+  CcgParser parser(&lex_, options);
+  const auto tokens = prepare("the identifier and the sequence is zero");
+  const ParseResult first = parser.parse(tokens);
+  const ParseResult second = parser.parse(tokens);
+
+  const std::string distributed =
+      "@And(@Is(\"identifier\", @Num(0)), @Is(\"sequence\", @Num(0)))";
+  for (const ParseResult* r : {&first, &second}) {
+    std::vector<std::string> forms;
+    for (const auto& f : r->forms) forms.push_back(f.to_string());
+    EXPECT_NE(std::find(forms.begin(), forms.end(), distributed), forms.end());
+  }
+  ASSERT_EQ(second.forms.size(), first.forms.size());
+  ASSERT_EQ(second.derivations.size(), first.derivations.size());
+  for (std::size_t i = 0; i < first.forms.size(); ++i) {
+    EXPECT_EQ(second.forms[i].to_string(), first.forms[i].to_string());
+    EXPECT_EQ(second.derivations[i].to_string(),
+              first.derivations[i].to_string());
+  }
+  EXPECT_EQ(second.stats.beta_reductions, first.stats.beta_reductions);
+  EXPECT_EQ(second.stats.beta_steps, first.stats.beta_steps);
+  EXPECT_EQ(second.stats.memo_misses, 0u);
+  EXPECT_EQ(second.stats.memo_hits,
+            first.stats.memo_hits + first.stats.memo_misses);
+}
+
 TEST_F(ParserTest, ChartEdgeCountIsPopulated) {
   CcgParser parser(&lex_);
   const auto result = parser.parse(prepare("the checksum is zero"));

@@ -119,12 +119,11 @@ std::string canonical_vars(const std::string& text) {
   return out;
 }
 
-/// Everything one parse observably produced, rendered as text with
-/// canonical variable names. The chart counters are included because the
-/// indexed probes must enumerate exactly the pairs a full scan finds
-/// combinable: identical chart contents, duplicate rejects, and cap
-/// truncations.
-std::string parse_record(const ccg::ParseResult& r) {
+/// Everything one parse observably produced, rendered as text. The
+/// chart counters are included because the indexed probes must enumerate
+/// exactly the pairs a full scan finds combinable: identical chart
+/// contents, duplicate rejects, and cap truncations.
+std::string raw_record(const ccg::ParseResult& r) {
   std::string out;
   for (const auto& f : r.forms) out += "form " + f.to_string() + "\n";
   for (const auto& f : r.fragments) out += "fragment " + f.to_string() + "\n";
@@ -135,11 +134,20 @@ std::string parse_record(const ccg::ParseResult& r) {
   out += "edges " + std::to_string(r.stats.edges_created) + " dedup " +
          std::to_string(r.stats.dedup_hits) + " cap " +
          std::to_string(r.stats.cap_drops) + "\n";
-  return canonical_vars(out);
+  return out;
+}
+
+/// raw_record with canonical variable names: what the digests pin.
+std::string parse_record(const ccg::ParseResult& r) {
+  return canonical_vars(raw_record(r));
 }
 
 // Layer 1: every sentence's ParseResult, derivations included, against
-// the digests the seed-style cross-product parser produced.
+// the digests the seed-style cross-product parser produced. Each
+// sentence is then parsed again, as the spec -> code loop re-parses
+// after a rewrite: the combinator memo must answer every combination
+// and reproduce the first parse exactly, binder ids in the derivations
+// and every per-parse counter but its own included.
 TEST(Differential, ReferenceAndProductionParsersAgreeByteForByte) {
   core::Sage sage;
   const nlp::NounPhraseChunker chunker(&sage.dictionary());
@@ -155,8 +163,19 @@ TEST(Differential, ReferenceAndProductionParsersAgreeByteForByte) {
     for (const auto& sentence :
          rfc::extract_sentences(doc, corpus.protocol)) {
       const auto tokens = chunker.chunk(nlp::tokenize(sentence.text));
-      records += sentence.text + "\n" + parse_record(parser.parse(tokens));
+      const ccg::ParseResult first = parser.parse(tokens);
+      records += sentence.text + "\n" + parse_record(first);
       ++sentences_checked;
+
+      const ccg::ParseResult second = parser.parse(tokens);
+      EXPECT_EQ(raw_record(second), raw_record(first)) << sentence.text;
+      EXPECT_EQ(second.chart_edges, first.chart_edges) << sentence.text;
+      EXPECT_EQ(second.stats.index_probes, first.stats.index_probes);
+      EXPECT_EQ(second.stats.beta_reductions, first.stats.beta_reductions);
+      EXPECT_EQ(second.stats.beta_steps, first.stats.beta_steps);
+      EXPECT_EQ(second.stats.memo_misses, 0u) << sentence.text;
+      EXPECT_EQ(second.stats.memo_hits,
+                first.stats.memo_hits + first.stats.memo_misses);
     }
     EXPECT_EQ(fnv1a(records), corpus.parse_digest)
         << corpus.name << " parse output diverged (" << records.size()

@@ -15,6 +15,7 @@
 #include "ccg/category.hpp"
 #include "ccg/interner.hpp"
 #include "ccg/lexicon.hpp"
+#include "ccg/parser.hpp"
 #include "ccg/term.hpp"
 #include "core/batch.hpp"
 #include "core/sage.hpp"
@@ -24,6 +25,9 @@
 #include "corpus/rfc4443.hpp"
 #include "corpus/rfc5880.hpp"
 #include "corpus/rfc792.hpp"
+#include "nlp/chunker.hpp"
+#include "nlp/tokenizer.hpp"
+#include "rfc/preprocessor.hpp"
 
 namespace sage::ccg {
 namespace {
@@ -276,6 +280,61 @@ TEST(Interner, ConcurrentFirstSagesShareOneGrammar) {
     EXPECT_EQ(first[t], serial) << "round 1, thread " << t;
     EXPECT_EQ(second[t], serial) << "round 2, thread " << t;
   }
+}
+
+/// One digest per sentence of every spec corpus, parsed with derivations
+/// on by a fresh Sage's grammar: forms, fragments, derivations (binder
+/// ids included) and the per-parse chart and β counters. The memo
+/// counters are left out: they depend on what ran first.
+std::vector<std::uint64_t> parse_digests() {
+  const core::Sage sage;
+  const nlp::NounPhraseChunker chunker(&sage.dictionary());
+  ParserOptions options;
+  options.record_derivations = true;
+  const CcgParser parser(&sage.lexicon(), options);
+  std::vector<std::uint64_t> digests;
+  for (const auto& c : spec_corpora()) {
+    const rfc::RfcDocument doc = rfc::preprocess(c.text, c.protocol);
+    for (const auto& sentence : rfc::extract_sentences(doc, c.protocol)) {
+      const ParseResult r =
+          parser.parse(chunker.chunk(nlp::tokenize(sentence.text)));
+      std::string record;
+      for (const auto& f : r.forms) record += f.to_string() + "\n";
+      for (const auto& f : r.fragments) record += f.to_string() + "\n";
+      for (const auto& d : r.derivations) record += d.to_string();
+      record += std::to_string(r.stats.edges_created) + " " +
+                std::to_string(r.stats.dedup_hits) + " " +
+                std::to_string(r.stats.beta_reductions) + " " +
+                std::to_string(r.stats.beta_steps);
+      digests.push_back(hash_bytes(kHashSeed, record));
+    }
+  }
+  return digests;
+}
+
+// Four threads parse every corpus at once, each through a fresh Sage.
+// Run in a process of its own, as ctest runs it, the combinator memo is
+// still cold, so the threads race to fill the same entries. Each
+// thread's per-sentence digests must equal a serial pass's, which then
+// runs with the memo warm.
+TEST(Interner, ConcurrentParsesShareOneCombinatorMemo) {
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::uint64_t>> concurrent(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      concurrent[t] = parse_digests();
+    });
+  }
+  for (auto& th : threads) th.join();
+  const std::vector<std::uint64_t> serial = parse_digests();
+  ASSERT_GT(serial.size(), 100u);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(concurrent[t], serial) << "thread " << t;
+  }
+  EXPECT_GT(combine_memo_size(), 0u);
 }
 
 }  // namespace

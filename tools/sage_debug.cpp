@@ -35,11 +35,13 @@ using namespace sage;
 // either way — that is the executor's determinism contract.
 std::size_t g_jobs = 0;
 
-// --parse-stats re-parses the corpus cold (no cache) and dumps the
-// chart-parser instrumentation: per-stage counters from
-// ccg::ParseStats plus the process-wide interner sizes, the generated-
-// code execution counters, and (on the threaded backend) per-op
-// retirement counts.
+// --parse-stats re-parses the corpus with the parse cache off and dumps
+// the chart-parser instrumentation: per-stage counters from
+// ccg::ParseStats plus the process-wide interner and combinator-memo
+// sizes, the generated-code execution counters, and (on the threaded
+// backend) per-op retirement counts. Only the parse cache is off: the
+// process-wide interners and combinator memo are warm from the run, so
+// the memo counters show how much of the re-parse it answered.
 bool g_parse_stats = false;
 
 // --exec-backend tree|threaded picks which backend executes the
@@ -106,6 +108,8 @@ void dump_parse_stats(const std::string& text, const std::string& proto,
     total.index_probes += r.stats.index_probes;
     total.beta_reductions += r.stats.beta_reductions;
     total.beta_steps += r.stats.beta_steps;
+    total.memo_hits += r.stats.memo_hits;
+    total.memo_misses += r.stats.memo_misses;
     // Chart-arena counters are cumulative per thread; keep the last
     // parse's view (reserved/high-water are monotone, resets counts all
     // parses so far on this thread).
@@ -114,15 +118,18 @@ void dump_parse_stats(const std::string& text, const std::string& proto,
     total.arena_resets = r.stats.arena_resets;
     ++parses;
   }
-  printf("--- parse stats (%zu cold parses) ---\n", parses);
+  printf("--- parse stats (%zu uncached parses) ---\n", parses);
   printf("edges created   : %zu\n", total.edges_created);
   printf("dedup hits      : %zu\n", total.dedup_hits);
   printf("cap drops       : %zu\n", total.cap_drops);
   printf("index probes    : %zu\n", total.index_probes);
   printf("beta reductions : %zu\n", total.beta_reductions);
   printf("beta steps      : %zu\n", total.beta_steps);
+  printf("memo hits       : %zu\n", total.memo_hits);
+  printf("memo misses     : %zu\n", total.memo_misses);
   printf("interned categories : %zu\n", ccg::category_interner_size());
   printf("interned terms      : %zu\n", ccg::term_interner_size());
+  printf("combinator memo     : %zu entries\n", ccg::combine_memo_size());
   printf("chart arena reserved   : %zu bytes\n", total.arena_bytes_reserved);
   printf("chart arena high-water : %zu bytes\n", total.arena_high_water);
   printf("chart arena resets     : %zu\n", total.arena_resets);
