@@ -8,6 +8,7 @@
 #include "core/sage.hpp"
 #include "corpus/lexicon_data.hpp"
 #include "corpus/rfc792.hpp"
+#include "corpus/spec_corpora.hpp"
 #include "corpus/terms.hpp"
 #include "disambig/checks.hpp"
 #include "disambig/winnower.hpp"
@@ -34,13 +35,47 @@ void BM_Tokenize(benchmark::State& state) {
 }
 BENCHMARK(BM_Tokenize);
 
+/// Every sentence of the six spec corpora, tokenized.
+std::vector<std::vector<nlp::Token>> corpus_sentences() {
+  std::vector<std::vector<nlp::Token>> out;
+  for (const auto& c : corpus::spec_corpora()) {
+    const auto doc = rfc::preprocess(c.text, c.protocol);
+    for (const auto& sentence : rfc::extract_sentences(doc, c.protocol)) {
+      out.push_back(nlp::tokenize(sentence.text));
+    }
+  }
+  return out;
+}
+
+/// The base logical forms of every sentence of the six spec corpora that
+/// parses to at least one form.
+std::vector<std::vector<lf::LogicalForm>> corpus_base_forms() {
+  std::vector<std::vector<lf::LogicalForm>> out;
+  for (const auto& c : corpus::spec_corpora()) {
+    core::Sage sage;
+    sage.annotate_non_actionable(c.annotations);
+    for (auto& report : sage.process(c.text, c.protocol).reports) {
+      if (!report.base_candidates.empty()) {
+        out.push_back(std::move(report.base_candidates));
+      }
+    }
+  }
+  return out;
+}
+
+// The stage benches run over whole corpora, as a spec pass does, so the
+// mix of sentences (and of forms per sentence) is the workload's own.
 void BM_Chunk(benchmark::State& state) {
   const auto dict = corpus::make_term_dictionary();
   const nlp::NounPhraseChunker chunker(&dict);
-  const auto tokens = nlp::tokenize(kSentence);
+  const auto sentences = corpus_sentences();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(chunker.chunk(tokens));
+    for (const auto& tokens : sentences) {
+      benchmark::DoNotOptimize(chunker.chunk(tokens));
+    }
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sentences.size()));
 }
 BENCHMARK(BM_Chunk);
 
@@ -61,15 +96,15 @@ void BM_CcgParse(benchmark::State& state) {
 BENCHMARK(BM_CcgParse)->Arg(1)->Arg(0);
 
 void BM_Winnow(benchmark::State& state) {
-  const auto lexicon = corpus::make_lexicon();
-  const auto dict = corpus::make_term_dictionary();
-  const nlp::NounPhraseChunker chunker(&dict);
-  const ccg::CcgParser parser(&lexicon);
-  const auto base = parser.parse(chunker.chunk(nlp::tokenize(kSentence))).forms;
+  const auto sentences = corpus_base_forms();
   const disambig::Winnower winnower(disambig::all_checks());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(winnower.winnow(base));
+    for (const auto& base : sentences) {
+      benchmark::DoNotOptimize(winnower.winnow(base));
+    }
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sentences.size()));
 }
 BENCHMARK(BM_Winnow);
 

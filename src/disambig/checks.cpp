@@ -12,15 +12,6 @@ using lf::LfNode;
 // Small tree-query helpers shared by the check definitions.
 // ---------------------------------------------------------------------------
 
-/// Apply `fn` to every node; true if any node satisfies it.
-bool any_node(const LfNode& root, const std::function<bool(const LfNode&)>& fn) {
-  if (fn(root)) return true;
-  for (const auto& a : root.args) {
-    if (any_node(a, fn)) return true;
-  }
-  return false;
-}
-
 bool has_label(const LfNode& n, std::string_view label) {
   return n.kind == LfNode::Kind::kPredicate && n.label == label;
 }
@@ -85,38 +76,86 @@ bool is_actionish(const LfNode& n) {
 /// Clause: a sentence-level meaning (test or action).
 bool is_clause(const LfNode& n) { return is_test(n) || is_actionish(n); }
 
-Check make(CheckFamily family, std::string name, std::string description,
-           std::string source, std::function<bool(const LfNode&)> violates) {
-  Check c;
-  c.family = family;
-  c.name = std::move(name);
-  c.description = std::move(description);
-  c.source = std::move(source);
-  c.violates = std::move(violates);
-  return c;
+/// Modal at the top of a condition, possibly inside a conjunction ("If
+/// (X may be zero and Y may be zero), code = 0").
+bool modalish(const LfNode& n) {
+  if (label_in(n, {lf::pred::kMay, lf::pred::kMust})) return true;
+  if (label_in(n, {lf::pred::kAnd, lf::pred::kOr})) {
+    return std::any_of(n.args.begin(), n.args.end(), modalish);
+  }
+  return false;
 }
 
+/// Is this string a packet-borne field name (read-only at the receiver)?
+bool is_packet_field_name(const LfNode& n) {
+  if (!n.is_string()) return false;
+  const std::string& s = n.label;
+  const auto ends = [&s](std::string_view suffix) {
+    return s.size() >= suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+  };
+  // Timers behave like packet fields here: text tests their expiry, the
+  // system owns their value.
+  return ends(" field") || ends(" bit") || ends(" timer");
+}
+
+/// Does some @Is in this subtree assign to a packet-borne field?
+bool assigns_packet_field(const LfNode& n) {
+  if (n.is_predicate(lf::pred::kIs) && !n.args.empty() &&
+      is_packet_field_name(n.args[0])) {
+    return true;
+  }
+  return std::any_of(n.args.begin(), n.args.end(), assigns_packet_field);
+}
+
+/// Collect the string leaves of a subtree.
+void collect_strings(const LfNode& n, std::vector<std::string>& out) {
+  if (n.is_string()) out.push_back(n.label);
+  for (const auto& a : n.args) collect_strings(a, out);
+}
+
+/// Collect the subject leaves of @Is nodes in a subtree.
+void collect_is_subjects(const LfNode& n, std::vector<std::string>& out) {
+  if (n.is_predicate(lf::pred::kIs) && !n.args.empty()) {
+    collect_strings(n.args[0], out);
+  }
+  for (const auto& a : n.args) collect_is_subjects(a, out);
+}
+
+using Test = bool (*)(const LfNode&);
+using Labels = std::vector<std::string_view>;
+
 /// Shorthand builders for the three per-LF families.
-Check type_check(std::string name, std::string description,
-                 std::function<bool(const LfNode&)> violates,
-                 std::string source = "icmp") {
-  return make(CheckFamily::kType, "type:" + name, std::move(description),
-              std::move(source), std::move(violates));
+Check type_check(std::string name, std::string description, Labels at,
+                 Test test, std::string source = "icmp") {
+  return {CheckFamily::kType, "type:" + name, std::move(description),
+          std::move(source), std::move(at), test};
 }
-Check arg_check(std::string name, std::string description,
-                std::function<bool(const LfNode&)> violates,
-                std::string source = "icmp") {
-  return make(CheckFamily::kArgumentOrdering, "argorder:" + name,
-              std::move(description), std::move(source), std::move(violates));
+Check arg_check(std::string name, std::string description, Labels at,
+                Test test, std::string source = "icmp") {
+  return {CheckFamily::kArgumentOrdering, "argorder:" + name,
+          std::move(description), std::move(source), std::move(at), test};
 }
-Check pred_check(std::string name, std::string description,
-                 std::function<bool(const LfNode&)> violates,
-                 std::string source = "icmp") {
-  return make(CheckFamily::kPredicateOrdering, "predorder:" + name,
-              std::move(description), std::move(source), std::move(violates));
+Check pred_check(std::string name, std::string description, Labels at,
+                 Test test, std::string source = "icmp") {
+  return {CheckFamily::kPredicateOrdering, "predorder:" + name,
+          std::move(description), std::move(source), std::move(at), test};
 }
 
 }  // namespace
+
+bool Check::violates(const LfNode& form) const {
+  if (at.empty()) return test(form);
+  const auto walk = [this](const auto& self, const LfNode& n) -> bool {
+    if (n.kind == LfNode::Kind::kPredicate &&
+        std::find(at.begin(), at.end(), n.label) != at.end() && test(n)) {
+      return true;
+    }
+    return std::any_of(n.args.begin(), n.args.end(),
+                       [&self](const LfNode& a) { return self(self, a); });
+  };
+  return walk(walk, form);
+}
 
 std::string check_family_name(CheckFamily family) {
   switch (family) {
@@ -169,298 +208,182 @@ std::vector<Check> icmp_checks() {
 
   // ---- 32 type checks (allowlist) ---------------------------------------
   checks.push_back(type_check(
-      "is-arity", "@Is takes exactly two arguments",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kIs) && n.args.size() != 2;
-        });
-      }));
+      "is-arity", "@Is takes exactly two arguments", {lf::pred::kIs},
+      [](const LfNode& n) { return n.args.size() != 2; }));
   checks.push_back(type_check(
       "is-lhs-not-constant",
       "assignments cannot have numeric constants on the left-hand side",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kIs) && !n.args.empty() &&
-                 n.args[0].is_number();
-        });
-      }));
+      {lf::pred::kIs},
+      [](const LfNode& n) { return !n.args.empty() && n.args[0].is_number(); }));
   checks.push_back(type_check(
       "is-lhs-not-clause", "the target of an assignment is a field, not a clause",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kIs) && !n.args.empty() &&
-                 label_in(n.args[0],
-                          {lf::pred::kIf, lf::pred::kMay, lf::pred::kMust,
-                           lf::pred::kSend, lf::pred::kDiscard});
-        });
+      {lf::pred::kIs}, [](const LfNode& n) {
+        return !n.args.empty() &&
+               label_in(n.args[0], {lf::pred::kIf, lf::pred::kMay, lf::pred::kMust,
+                                    lf::pred::kSend, lf::pred::kDiscard});
       }));
   checks.push_back(type_check(
       "is-rhs-not-conditional", "the value assigned cannot be a conditional",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kIs) && n.args.size() == 2 &&
-                 has_label(n.args[1], lf::pred::kIf);
-        });
+      {lf::pred::kIs}, [](const LfNode& n) {
+        return n.args.size() == 2 && has_label(n.args[1], lf::pred::kIf);
       }));
   checks.push_back(type_check(
       "action-name-is-string", "an action's first argument names a function",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kAction) &&
-                 (n.args.empty() || !n.args[0].is_string());
-        });
-      }));
+      {lf::pred::kAction},
+      [](const LfNode& n) { return n.args.empty() || !n.args[0].is_string(); }));
   checks.push_back(type_check(
       "action-name-not-number",
       "an action's function argument must not be a numeric constant",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kAction) && !n.args.empty() &&
-                 n.args[0].is_number();
-        });
-      }));
+      {lf::pred::kAction},
+      [](const LfNode& n) { return !n.args.empty() && n.args[0].is_number(); }));
   checks.push_back(type_check(
       "action-known-function",
       "an action's function name must be provided by the static framework",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          if (!has_label(n, lf::pred::kAction) || n.args.empty() ||
-              !n.args[0].is_string()) {
-            return false;  // covered by the two checks above
-          }
-          const auto& names = known_function_names();
-          return std::find(names.begin(), names.end(), n.args[0].label) ==
-                 names.end();
-        });
+      {lf::pred::kAction}, [](const LfNode& n) {
+        if (n.args.empty() || !n.args[0].is_string()) {
+          return false;  // covered by the two checks above
+        }
+        const auto& names = known_function_names();
+        return std::find(names.begin(), names.end(), n.args[0].label) ==
+               names.end();
       }));
   checks.push_back(type_check(
-      "compute-arity", "@Compute takes exactly one argument",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kCompute) && n.args.size() != 1;
-        });
-      }));
+      "compute-arity", "@Compute takes exactly one argument", {lf::pred::kCompute},
+      [](const LfNode& n) { return n.args.size() != 1; }));
   checks.push_back(type_check(
       "compute-target-not-number",
       "the target of a computation is a field or expression, not a constant",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kCompute) && !n.args.empty() &&
-                 n.args[0].is_number();
-        });
-      }));
+      {lf::pred::kCompute},
+      [](const LfNode& n) { return !n.args.empty() && n.args[0].is_number(); }));
   checks.push_back(type_check(
       "if-arity", "conditionals must be well-formed: @If takes two arguments",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kIf) && n.args.size() != 2;
-        });
-      }));
+      {lf::pred::kIf}, [](const LfNode& n) { return n.args.size() != 2; }));
   checks.push_back(type_check(
       "if-condition-not-bare-noun", "a condition cannot be a bare noun",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kIf) && !n.args.empty() &&
-                 (n.args[0].is_string() || n.args[0].is_number());
-        });
+      {lf::pred::kIf}, [](const LfNode& n) {
+        return !n.args.empty() && (n.args[0].is_string() || n.args[0].is_number());
       }));
   checks.push_back(type_check(
       "if-condition-boolean", "a condition must be a boolean test",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kIf) && n.args.size() == 2 &&
-                 !is_test(n.args[0]) && !is_actionish(n.args[0]);
-        });
+      {lf::pred::kIf}, [](const LfNode& n) {
+        return n.args.size() == 2 && !is_test(n.args[0]) &&
+               !is_actionish(n.args[0]);
       }));
   checks.push_back(type_check(
       "if-body-actionable",
       "the body of a conditional must be actionable (an assignment or an "
       "action), not a bare test — that's the swapped parse",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kIf) && n.args.size() == 2 &&
-                 !is_actionish(n.args[1]);
-        });
-      }));
+      {lf::pred::kIf},
+      [](const LfNode& n) { return n.args.size() == 2 && !is_actionish(n.args[1]); }));
   checks.push_back(type_check(
-      "of-arity", "@Of takes exactly two arguments",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kOf) && n.args.size() != 2;
-        });
-      }));
+      "of-arity", "@Of takes exactly two arguments", {lf::pred::kOf},
+      [](const LfNode& n) { return n.args.size() != 2; }));
   checks.push_back(type_check(
       "of-args-nominal", "@Of relates nominals (fields, values, messages)",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          if (!has_label(n, lf::pred::kOf)) return false;
-          return std::any_of(n.args.begin(), n.args.end(),
-                             [](const LfNode& a) {
-                               return label_in(a, {lf::pred::kIf, lf::pred::kMay,
-                                                   lf::pred::kMust});
-                             });
+      {lf::pred::kOf}, [](const LfNode& n) {
+        return std::any_of(n.args.begin(), n.args.end(), [](const LfNode& a) {
+          return label_in(a, {lf::pred::kIf, lf::pred::kMay, lf::pred::kMust});
         });
       }));
   checks.push_back(type_check(
-      "and-arity", "@And takes exactly two arguments",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kAnd) && n.args.size() != 2;
-        });
-      }));
+      "and-arity", "@And takes exactly two arguments", {lf::pred::kAnd},
+      [](const LfNode& n) { return n.args.size() != 2; }));
   checks.push_back(type_check(
       "and-homogeneous",
-      "conjunction cannot mix a bare noun with a full clause",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          if (!has_label(n, lf::pred::kAnd) || n.args.size() != 2) return false;
-          const bool l_nominal = is_nominal(n.args[0]);
-          const bool r_nominal = is_nominal(n.args[1]);
-          const bool l_clause = is_clause(n.args[0]);
-          const bool r_clause = is_clause(n.args[1]);
-          if ((l_nominal && !r_nominal && r_clause && !l_clause) ||
-              (r_nominal && !l_nominal && l_clause && !r_clause)) {
-            return true;
-          }
-          // A bare numeric literal conjoined with a field name is a
-          // comma mis-parse ("..., 0, an identifier ..."), not a value.
-          if ((n.args[0].is_number() && n.args[1].is_string()) ||
-              (n.args[0].is_string() && n.args[1].is_number())) {
-            return true;
-          }
-          // Modality must distribute uniformly over a coordination:
-          // @And(@Action(...), @May(...)) is a mis-scoped parse.
-          const auto modal_root = [](const LfNode& m) {
-            return label_in(m, {lf::pred::kMay, lf::pred::kMust});
-          };
-          return l_clause && r_clause &&
-                 modal_root(n.args[0]) != modal_root(n.args[1]);
-        });
+      "conjunction cannot mix a bare noun with a full clause", {lf::pred::kAnd},
+      [](const LfNode& n) {
+        if (n.args.size() != 2) return false;
+        const bool l_nominal = is_nominal(n.args[0]);
+        const bool r_nominal = is_nominal(n.args[1]);
+        const bool l_clause = is_clause(n.args[0]);
+        const bool r_clause = is_clause(n.args[1]);
+        if ((l_nominal && !r_nominal && r_clause && !l_clause) ||
+            (r_nominal && !l_nominal && l_clause && !r_clause)) {
+          return true;
+        }
+        // A bare numeric literal conjoined with a field name is a
+        // comma mis-parse ("..., 0, an identifier ..."), not a value.
+        if ((n.args[0].is_number() && n.args[1].is_string()) ||
+            (n.args[0].is_string() && n.args[1].is_number())) {
+          return true;
+        }
+        // Modality must distribute uniformly over a coordination:
+        // @And(@Action(...), @May(...)) is a mis-scoped parse.
+        const auto modal_root = [](const LfNode& m) {
+          return label_in(m, {lf::pred::kMay, lf::pred::kMust});
+        };
+        return l_clause && r_clause &&
+               modal_root(n.args[0]) != modal_root(n.args[1]);
       }));
   checks.push_back(type_check(
       "case-value-numeric",
       "the value-list idiom \"0 = name\" pairs a numeric value with a "
       "name; any other shape is a mis-parse of '='",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kCase) &&
-                 (n.args.size() != 2 || !n.args[0].is_number() ||
-                  n.args[1].is_number());
-        });
+      {lf::pred::kCase}, [](const LfNode& n) {
+        return n.args.size() != 2 || !n.args[0].is_number() ||
+               n.args[1].is_number();
       }));
   checks.push_back(type_check(
-      "may-scope", "@May scopes a clause, not a literal",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kMay) &&
-                 (n.args.size() != 1 || !is_clause(n.args[0]));
-        });
-      }));
+      "may-scope", "@May scopes a clause, not a literal", {lf::pred::kMay},
+      [](const LfNode& n) { return n.args.size() != 1 || !is_clause(n.args[0]); }));
   checks.push_back(type_check(
-      "must-scope", "@Must scopes a clause, not a literal",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kMust) &&
-                 (n.args.size() != 1 || !is_clause(n.args[0]));
-        });
-      }));
+      "must-scope", "@Must scopes a clause, not a literal", {lf::pred::kMust},
+      [](const LfNode& n) { return n.args.size() != 1 || !is_clause(n.args[0]); }));
   checks.push_back(type_check(
-      "not-scope", "@Not negates a boolean test",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kNot) &&
-                 (n.args.size() != 1 ||
-                  (!is_test(n.args[0]) && !is_nominal(n.args[0])));
-        });
+      "not-scope", "@Not negates a boolean test", {lf::pred::kNot},
+      [](const LfNode& n) {
+        return n.args.size() != 1 ||
+               (!is_test(n.args[0]) && !is_nominal(n.args[0]));
       }));
   checks.push_back(type_check(
       "send-arg-nominal", "@Send transmits a message, not a clause",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kSend) && !n.args.empty() &&
-                 !is_nominal(n.args[0]);
-        });
-      }));
+      {lf::pred::kSend},
+      [](const LfNode& n) { return !n.args.empty() && !is_nominal(n.args[0]); }));
   checks.push_back(type_check(
       "discard-arg-nominal", "@Discard drops a packet/message",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kDiscard) && !n.args.empty() &&
-                 !is_nominal(n.args[0]);
-        });
+      {lf::pred::kDiscard},
+      [](const LfNode& n) { return !n.args.empty() && !is_nominal(n.args[0]); }));
+  checks.push_back(type_check(
+      "select-arg-nominal", "@Select picks a session/entity", {lf::pred::kSelect},
+      [](const LfNode& n) { return !n.args.empty() && !is_nominal(n.args[0]); }));
+  checks.push_back(type_check(
+      "cease-arg-nominal", "@Cease stops a named activity", {lf::pred::kCease},
+      [](const LfNode& n) { return !n.args.empty() && !is_nominal(n.args[0]); }));
+  checks.push_back(type_check(
+      "greater-args-values", "@Greater compares values", {lf::pred::kGreater},
+      [](const LfNode& n) {
+        return n.args.size() != 2 || !is_nominal(n.args[0]) ||
+               !is_nominal(n.args[1]);
       }));
   checks.push_back(type_check(
-      "select-arg-nominal", "@Select picks a session/entity",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kSelect) && !n.args.empty() &&
-                 !is_nominal(n.args[0]);
-        });
-      }));
-  checks.push_back(type_check(
-      "cease-arg-nominal", "@Cease stops a named activity",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kCease) && !n.args.empty() &&
-                 !is_nominal(n.args[0]);
-        });
-      }));
-  checks.push_back(type_check(
-      "greater-args-values", "@Greater compares values",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kGreater) &&
-                 (n.args.size() != 2 || !is_nominal(n.args[0]) ||
-                  !is_nominal(n.args[1]));
-        });
-      }));
-  checks.push_back(type_check(
-      "less-args-values", "@Less compares values",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kLess) &&
-                 (n.args.size() != 2 || !is_nominal(n.args[0]) ||
-                  !is_nominal(n.args[1]));
-        });
+      "less-args-values", "@Less compares values", {lf::pred::kLess},
+      [](const LfNode& n) {
+        return n.args.size() != 2 || !is_nominal(n.args[0]) ||
+               !is_nominal(n.args[1]);
       }));
   checks.push_back(type_check(
       "nonzero-arg-field", "@Nonzero tests a field, not a constant",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kNonzero) &&
-                 (n.args.size() != 1 || n.args[0].is_number());
-        });
-      }));
+      {lf::pred::kNonzero},
+      [](const LfNode& n) { return n.args.size() != 1 || n.args[0].is_number(); }));
   checks.push_back(type_check(
       "advbefore-arity", "@AdvBefore pairs advice with a main clause",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kAdvBefore) && n.args.size() != 2;
-        });
-      }));
+      {lf::pred::kAdvBefore}, [](const LfNode& n) { return n.args.size() != 2; }));
   checks.push_back(type_check(
       "advbefore-advice-action",
       "the advice of @AdvBefore is an action or computation context",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kAdvBefore) && !n.args.empty() &&
-                 (n.args[0].is_number() || n.args[0].is_string());
+      {lf::pred::kAdvBefore}, [](const LfNode& n) {
+        return !n.args.empty() && (n.args[0].is_number() || n.args[0].is_string());
+      }));
+  checks.push_back(type_check(
+      "in-args-nominal", "@In relates nominals", {lf::pred::kIn},
+      [](const LfNode& n) {
+        return std::any_of(n.args.begin(), n.args.end(), [](const LfNode& a) {
+          return label_in(a, {lf::pred::kIf, lf::pred::kMay, lf::pred::kMust,
+                              lf::pred::kSend});
         });
       }));
   checks.push_back(type_check(
-      "in-args-nominal", "@In relates nominals",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          if (!has_label(n, lf::pred::kIn)) return false;
-          return std::any_of(
-              n.args.begin(), n.args.end(), [](const LfNode& a) {
-                return label_in(a, {lf::pred::kIf, lf::pred::kMay,
-                                    lf::pred::kMust, lf::pred::kSend});
-              });
-        });
-      }));
-  checks.push_back(type_check(
-      "root-is-clause", "a sentence's logical form must be a clause",
+      "root-is-clause", "a sentence's logical form must be a clause", {},
       [](const LfNode& root) { return !is_clause(root); }));
 
   // ---- 7 argument-ordering checks (blocklist) ----------------------------
@@ -468,129 +391,78 @@ std::vector<Check> icmp_checks() {
       "if-condition-first-not-modal",
       "in \"If A, B\" the condition comes first; a modal clause in "
       "condition position is the swapped parse",
-      [](const LfNode& root) {
-        // Modal at the top of the condition, possibly inside a
-        // conjunction ("If (X may be zero and Y may be zero), code = 0").
-        const std::function<bool(const LfNode&)> modalish =
-            [&modalish](const LfNode& n) {
-              if (label_in(n, {lf::pred::kMay, lf::pred::kMust})) return true;
-              if (label_in(n, {lf::pred::kAnd, lf::pred::kOr})) {
-                return std::any_of(n.args.begin(), n.args.end(), modalish);
-              }
-              return false;
-            };
-        return any_node(root, [&modalish](const LfNode& n) {
-          return has_label(n, lf::pred::kIf) && n.args.size() == 2 &&
-                 modalish(n.args[0]) && is_test(n.args[1]);
-        });
+      {lf::pred::kIf}, [](const LfNode& n) {
+        return n.args.size() == 2 && modalish(n.args[0]) && is_test(n.args[1]);
       }));
   checks.push_back(arg_check(
       "if-condition-first-not-action",
       "an imperative action in condition position is the swapped parse",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kIf) && n.args.size() == 2 &&
-                 label_in(n.args[0],
-                          {lf::pred::kAction, lf::pred::kSend,
-                           lf::pred::kDiscard, lf::pred::kCease,
-                           lf::pred::kSelect, lf::pred::kCompute}) &&
-                 is_test(n.args[1]);
-        });
+      {lf::pred::kIf}, [](const LfNode& n) {
+        return n.args.size() == 2 &&
+               label_in(n.args[0],
+                        {lf::pred::kAction, lf::pred::kSend, lf::pred::kDiscard,
+                         lf::pred::kCease, lf::pred::kSelect,
+                         lf::pred::kCompute}) &&
+               is_test(n.args[1]);
       }));
   checks.push_back(arg_check(
       "of-head-not-constant", "\"A of B\": the head A is a field, not a number",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kOf) && !n.args.empty() &&
-                 n.args[0].is_number();
-        });
-      }));
+      {lf::pred::kOf},
+      [](const LfNode& n) { return !n.args.empty() && n.args[0].is_number(); }));
   checks.push_back(arg_check(
       "greater-field-first", "\"A is greater than N\": the field comes first",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kGreater) && n.args.size() == 2 &&
-                 n.args[0].is_number() && !n.args[1].is_number();
-        });
+      {lf::pred::kGreater}, [](const LfNode& n) {
+        return n.args.size() == 2 && n.args[0].is_number() &&
+               !n.args[1].is_number();
       }));
   checks.push_back(arg_check(
       "less-field-first", "\"A is less than N\": the field comes first",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kLess) && n.args.size() == 2 &&
-                 n.args[0].is_number() && !n.args[1].is_number();
-        });
+      {lf::pred::kLess}, [](const LfNode& n) {
+        return n.args.size() == 2 && n.args[0].is_number() &&
+               !n.args[1].is_number();
       }));
   checks.push_back(arg_check(
       "advbefore-advice-first",
       "@AdvBefore(advice, main): the computation context is the advice",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kAdvBefore) && n.args.size() == 2 &&
-                 has_label(n.args[1], lf::pred::kAction) &&
-                 !has_label(n.args[0], lf::pred::kAction) &&
-                 is_clause(n.args[0]);
-        });
+      {lf::pred::kAdvBefore}, [](const LfNode& n) {
+        return n.args.size() == 2 && has_label(n.args[1], lf::pred::kAction) &&
+               !has_label(n.args[0], lf::pred::kAction) && is_clause(n.args[0]);
       }));
   checks.push_back(arg_check(
-      "send-message-first", "@Send(message, destination)",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          return has_label(n, lf::pred::kSend) && n.args.size() == 2 &&
-                 n.args[0].is_number();
-        });
-      }));
+      "send-message-first", "@Send(message, destination)", {lf::pred::kSend},
+      [](const LfNode& n) { return n.args.size() == 2 && n.args[0].is_number(); }));
 
   // ---- 4 predicate-ordering checks (blocklist) ----------------------------
   checks.push_back(pred_check(
       "no-is-under-of",
       "\"A of (B is C)\" is the wrong grouping of \"A of B is C\"",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          if (!has_label(n, lf::pred::kOf)) return false;
-          return std::any_of(n.args.begin(), n.args.end(),
-                             [](const LfNode& a) {
-                               return has_label(a, lf::pred::kIs);
-                             });
+      {lf::pred::kOf}, [](const LfNode& n) {
+        return std::any_of(n.args.begin(), n.args.end(), [](const LfNode& a) {
+          return has_label(a, lf::pred::kIs);
         });
       }));
   checks.push_back(pred_check(
       "no-if-under-is", "a conditional cannot be nested inside an assignment",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          if (!has_label(n, lf::pred::kIs)) return false;
-          return std::any_of(n.args.begin(), n.args.end(),
-                             [](const LfNode& a) {
-                               return has_label(a, lf::pred::kIf);
-                             });
+      {lf::pred::kIs}, [](const LfNode& n) {
+        return std::any_of(n.args.begin(), n.args.end(), [](const LfNode& a) {
+          return has_label(a, lf::pred::kIf);
         });
       }));
   checks.push_back(pred_check(
       "no-modal-under-is",
       "modality scopes the clause: @May/@Must cannot sit under @Is",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          if (!has_label(n, lf::pred::kIs)) return false;
-          return std::any_of(n.args.begin(), n.args.end(),
-                             [](const LfNode& a) {
-                               return label_in(a, {lf::pred::kMay,
-                                                   lf::pred::kMust});
-                             });
+      {lf::pred::kIs}, [](const LfNode& n) {
+        return std::any_of(n.args.begin(), n.args.end(), [](const LfNode& a) {
+          return label_in(a, {lf::pred::kMay, lf::pred::kMust});
         });
       }));
   checks.push_back(pred_check(
       "when-scopes-sentence",
       "a fronted \"In the X message,\" adjunct scopes the whole sentence: "
       "@When cannot be nested under a conjunction or conditional",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          if (!label_in(n, {lf::pred::kAnd, lf::pred::kOr, lf::pred::kIf})) {
-            return false;
-          }
-          return std::any_of(n.args.begin(), n.args.end(),
-                             [](const LfNode& a) {
-                               return has_label(a, lf::pred::kWhen);
-                             });
+      {lf::pred::kAnd, lf::pred::kOr, lf::pred::kIf}, [](const LfNode& n) {
+        return std::any_of(n.args.begin(), n.args.end(), [](const LfNode& a) {
+          return has_label(a, lf::pred::kWhen);
         });
       }));
 
@@ -603,13 +475,10 @@ std::vector<Check> igmp_additional_checks() {
   // check beyond the ICMP set.
   checks.push_back(pred_check(
       "no-send-under-is", "a transmission cannot be the value of an assignment",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          if (!has_label(n, lf::pred::kIs)) return false;
-          return std::any_of(n.args.begin(), n.args.end(),
-                             [](const LfNode& a) {
-                               return has_label(a, lf::pred::kSend);
-                             });
+      {lf::pred::kIs},
+      [](const LfNode& n) {
+        return std::any_of(n.args.begin(), n.args.end(), [](const LfNode& a) {
+          return has_label(a, lf::pred::kSend);
         });
       },
       "igmp"));
@@ -621,49 +490,15 @@ std::vector<Check> ntp_additional_checks() {
   // §6.3: NTP's appendices required one further predicate-ordering check.
   checks.push_back(pred_check(
       "no-if-under-action", "a conditional cannot be an action's parameter",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          if (!label_in(n, {lf::pred::kAction, lf::pred::kCompute})) {
-            return false;
-          }
-          return std::any_of(n.args.begin(), n.args.end(),
-                             [](const LfNode& a) {
-                               return has_label(a, lf::pred::kIf);
-                             });
+      {lf::pred::kAction, lf::pred::kCompute},
+      [](const LfNode& n) {
+        return std::any_of(n.args.begin(), n.args.end(), [](const LfNode& a) {
+          return has_label(a, lf::pred::kIf);
         });
       },
       "ntp"));
   return checks;
 }
-
-namespace {
-
-/// Is this string a packet-borne field name (read-only at the receiver)?
-bool is_packet_field_name(const LfNode& n) {
-  if (!n.is_string()) return false;
-  const std::string& s = n.label;
-  const auto ends = [&s](std::string_view suffix) {
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-  };
-  // Timers behave like packet fields here: text tests their expiry, the
-  // system owns their value.
-  return ends(" field") || ends(" bit") || ends(" timer");
-}
-
-/// Collect the subject leaves of @Is nodes in a subtree.
-void collect_is_subjects(const LfNode& n, std::vector<std::string>& out) {
-  if (n.is_predicate(lf::pred::kIs) && !n.args.empty()) {
-    const std::function<void(const LfNode&)> leaves = [&](const LfNode& m) {
-      if (m.is_string()) out.push_back(m.label);
-      for (const auto& a : m.args) leaves(a);
-    };
-    leaves(n.args[0]);
-  }
-  for (const auto& a : n.args) collect_is_subjects(a, out);
-}
-
-}  // namespace
 
 std::vector<Check> bfd_additional_checks() {
   std::vector<Check> checks;
@@ -676,34 +511,27 @@ std::vector<Check> bfd_additional_checks() {
       "packet-fields-read-only",
       "a conditional's body cannot assign to a packet-borne field "
       "(\"... field\" / \"... bit\" names are read-only at the receiver)",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          if (!has_label(n, lf::pred::kIf) || n.args.size() != 2) return false;
-          return any_node(n.args[1], [](const LfNode& b) {
-            return has_label(b, lf::pred::kIs) && !b.args.empty() &&
-                   is_packet_field_name(b.args[0]);
-          });
-        });
+      {lf::pred::kIf},
+      [](const LfNode& n) {
+        return n.args.size() == 2 && assigns_packet_field(n.args[1]);
       },
       "bfd"));
   checks.push_back(pred_check(
       "no-duplicated-subject-conjunct",
       "a coordination cannot test or set the same variable in two "
       "conjuncts (duplicated-material mis-parse)",
-      [](const LfNode& root) {
-        return any_node(root, [](const LfNode& n) {
-          if (!label_in(n, {lf::pred::kAnd, lf::pred::kOr})) return false;
-          if (n.args.size() != 2) return false;
-          std::vector<std::string> left, right;
-          collect_is_subjects(n.args[0], left);
-          collect_is_subjects(n.args[1], right);
-          for (const auto& s : left) {
-            if (std::find(right.begin(), right.end(), s) != right.end()) {
-              return true;
-            }
+      {lf::pred::kAnd, lf::pred::kOr},
+      [](const LfNode& n) {
+        if (n.args.size() != 2) return false;
+        std::vector<std::string> left, right;
+        collect_is_subjects(n.args[0], left);
+        collect_is_subjects(n.args[1], right);
+        for (const auto& s : left) {
+          if (std::find(right.begin(), right.end(), s) != right.end()) {
+            return true;
           }
-          return false;
-        });
+        }
+        return false;
       },
       "bfd"));
   return checks;

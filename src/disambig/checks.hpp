@@ -12,10 +12,15 @@
 //      "(A is C) and (B is C)" when both parses exist.
 //   5. Associativity — collapse logical forms that are isomorphic modulo
 //      associative predicates (graph-isomorphism check).
+//
+// A check of the first three families is a table row: the predicate
+// labels it inspects and a test on one such node. The winnower indexes
+// the rows by label and walks each logical form once, running at each
+// predicate node only the tests registered for its label.
 #pragma once
 
-#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lf/logical_form.hpp"
@@ -32,16 +37,23 @@ enum class CheckFamily {
 
 std::string check_family_name(CheckFamily family);
 
-/// One per-LF check. `violates` returns true when the logical form should
-/// be REMOVED. Type checks are allowlists (violation = argument outside
-/// the allowed kinds); ordering checks are blocklists (violation =
-/// matches a forbidden pattern).
+/// One per-LF check. A logical form violates it — and is REMOVED — when
+/// `test` holds at some predicate node labelled with one of `at`, or,
+/// when `at` is empty, at the root. Type checks are allowlists (violation
+/// = argument outside the allowed kinds); ordering checks are blocklists
+/// (violation = matches a forbidden pattern).
 struct Check {
   CheckFamily family = CheckFamily::kType;
   std::string name;         // e.g. "type:action-name-is-function"
   std::string description;  // human-readable rule statement
   std::string source;       // protocol that required it: "icmp", "igmp", ...
-  std::function<bool(const lf::LfNode&)> violates;
+  /// Labels whose nodes `test` inspects: views of static strings (the
+  /// lf::pred constants), which the winnower's label index keys on.
+  std::vector<std::string_view> at;
+  bool (*test)(const lf::LfNode&) = nullptr;
+
+  /// Walk `form` alone: true when this check removes it.
+  bool violates(const lf::LfNode& form) const;
 };
 
 /// The ICMP check set (§6.1: 32 type checks, 7 argument-ordering checks,

@@ -95,7 +95,14 @@ LfNode undistribute(const LfNode& node) {
 }
 
 Winnower::Winnower(std::vector<Check> checks, lf::AlgebraicProperties properties)
-    : checks_(std::move(checks)), properties_(std::move(properties)) {}
+    : checks_(std::move(checks)), properties_(std::move(properties)) {
+  for (std::size_t i = 0; i < checks_.size(); ++i) {
+    const Check& check = checks_[i];
+    if (check.family > CheckFamily::kPredicateOrdering) continue;  // not per-LF
+    if (check.at.empty()) at_root_.push_back(i);
+    for (const std::string_view label : check.at) by_label_[label].push_back(i);
+  }
+}
 
 std::size_t Winnower::count_in_family(CheckFamily family) const {
   return static_cast<std::size_t>(
@@ -103,24 +110,24 @@ std::size_t Winnower::count_in_family(CheckFamily family) const {
                     [family](const Check& c) { return c.family == family; }));
 }
 
-std::vector<LfNode> Winnower::apply_per_lf_family(
-    CheckFamily family, std::vector<LfNode> forms,
-    std::map<std::string, std::size_t>* removed_by_check) const {
-  std::vector<LfNode> out;
-  out.reserve(forms.size());
-  for (auto& form : forms) {
-    bool removed = false;
-    for (const Check& check : checks_) {
-      if (check.family != family) continue;
-      if (check.violates(form)) {
-        if (removed_by_check != nullptr) ++(*removed_by_check)[check.name];
-        removed = true;
-        break;
+Winnower::FirstFailures Winnower::first_failures(const LfNode& form) const {
+  FirstFailures first;
+  first.fill(kPasses);
+  const auto run = [this, &first](std::size_t i, const LfNode& node) {
+    std::size_t& slot = first[static_cast<std::size_t>(checks_[i].family)];
+    if (i < slot && checks_[i].test(node)) slot = i;
+  };
+  for (const std::size_t i : at_root_) run(i, form);
+  const auto walk = [this, &run](const auto& self, const LfNode& node) -> void {
+    if (node.kind == LfNode::Kind::kPredicate) {
+      if (const auto it = by_label_.find(node.label); it != by_label_.end()) {
+        for (const std::size_t i : it->second) run(i, node);
       }
     }
-    if (!removed) out.push_back(std::move(form));
-  }
-  return out;
+    for (const auto& a : node.args) self(self, a);
+  };
+  walk(walk, form);
+  return first;
 }
 
 std::vector<LfNode> Winnower::apply_distributivity(
@@ -146,22 +153,19 @@ std::vector<LfNode> Winnower::apply_distributivity(
   };
 
   std::map<std::string, std::size_t> best;  // normal form -> index of keeper
+  std::vector<bool> is_normal(forms.size());
   for (std::size_t i = 0; i < forms.size(); ++i) {
     const LfNode normal = undistribute(forms[i]);
-    const std::string key = normal.to_string();
-    const auto it = best.find(key);
-    if (it == best.end()) {
-      best[key] = i;
-      continue;
-    }
+    is_normal[i] = normal == forms[i];
+    const auto [it, inserted] = best.try_emplace(normal.to_string(), i);
+    if (inserted) continue;
     // Prefer the form that *is* the grouped normal form; then the one
     // with fewer conjunction nodes.
-    const bool this_normal = normal == forms[i];
-    const bool kept_normal = undistribute(forms[it->second]) == forms[it->second];
-    if ((this_normal && !kept_normal) ||
-        (this_normal == kept_normal &&
-         conj_count(forms[i]) < conj_count(forms[it->second]))) {
-      best[key] = i;
+    const std::size_t kept = it->second;
+    if ((is_normal[i] && !is_normal[kept]) ||
+        (is_normal[i] == is_normal[kept] &&
+         conj_count(forms[i]) < conj_count(forms[kept]))) {
+      it->second = i;
     }
   }
   std::vector<bool> keep(forms.size(), false);
@@ -197,25 +201,39 @@ std::vector<LfNode> Winnower::apply_associativity(
 
 WinnowResult Winnower::winnow(const std::vector<LfNode>& input) const {
   WinnowResult result;
-  std::vector<LfNode> forms = input;
-  result.stages.push_back({"Base", forms.size()});
+  result.stages.push_back({"Base", input.size()});
 
-  forms = apply_per_lf_family(CheckFamily::kType, std::move(forms),
-                              &result.removed_by_check);
-  result.stages.push_back({"Type", forms.size()});
+  // One walk per form decides the per-LF stages; only survivors are copied.
+  std::vector<LfNode> forms;
+  std::array<std::size_t, 3> removed_at{};
+  for (const LfNode& form : input) {
+    const FirstFailures first = first_failures(form);
+    const auto failed = std::find_if(first.begin(), first.end(),
+                                     [](std::size_t i) { return i != kPasses; });
+    if (failed == first.end()) {
+      forms.push_back(form);
+      continue;
+    }
+    ++removed_at[static_cast<std::size_t>(failed - first.begin())];
+    ++result.removed_by_check[checks_[*failed].name];
+  }
+  std::size_t remaining = input.size();
+  for (const CheckFamily family : {CheckFamily::kType, CheckFamily::kArgumentOrdering,
+                                   CheckFamily::kPredicateOrdering}) {
+    remaining -= removed_at[static_cast<std::size_t>(family)];
+    result.stages.push_back({check_family_name(family), remaining});
+  }
 
-  forms = apply_per_lf_family(CheckFamily::kArgumentOrdering, std::move(forms),
-                              &result.removed_by_check);
-  result.stages.push_back({"ArgOrder", forms.size()});
-
-  forms = apply_per_lf_family(CheckFamily::kPredicateOrdering, std::move(forms),
-                              &result.removed_by_check);
-  result.stages.push_back({"PredOrder", forms.size()});
-
-  forms = apply_distributivity(std::move(forms), &result.removed_by_check);
+  // A single form is its own grouped normal form and its own isomorphism
+  // class, so both stages would keep it.
+  if (forms.size() >= 2) {
+    forms = apply_distributivity(std::move(forms), &result.removed_by_check);
+  }
   result.stages.push_back({"Distrib", forms.size()});
 
-  forms = apply_associativity(std::move(forms), &result.removed_by_check);
+  if (forms.size() >= 2) {
+    forms = apply_associativity(std::move(forms), &result.removed_by_check);
+  }
   result.stages.push_back({"Assoc", forms.size()});
 
   result.survivors = std::move(forms);
@@ -228,7 +246,10 @@ std::vector<LfNode> Winnower::apply_family(CheckFamily family,
     case CheckFamily::kType:
     case CheckFamily::kArgumentOrdering:
     case CheckFamily::kPredicateOrdering:
-      return apply_per_lf_family(family, std::move(forms), nullptr);
+      std::erase_if(forms, [this, family](const LfNode& form) {
+        return first_failures(form)[static_cast<std::size_t>(family)] != kPasses;
+      });
+      return forms;
     case CheckFamily::kDistributivity:
       return apply_distributivity(std::move(forms), nullptr);
     case CheckFamily::kAssociativity:

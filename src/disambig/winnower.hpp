@@ -6,10 +6,22 @@
 // sentence still carrying more than one logical form after the full
 // pipeline is *fundamentally ambiguous*: SAGE keeps all surviving forms
 // and asks the author to rewrite the sentence.
+//
+// The three per-LF families cost one walk per form: the winnower indexes
+// its checks by the labels they inspect, and at each predicate node runs
+// only the tests registered for that label, keeping the lowest-index
+// failing check of each family. A form is removed at the first family
+// with a failure and credited to that check, exactly as if each check in
+// declaration order had walked the form itself. Distributivity and
+// associativity run only while two or more forms remain: a single form
+// is its own grouped normal form and its own isomorphism class.
 #pragma once
 
+#include <array>
 #include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "disambig/checks.hpp"
@@ -60,9 +72,12 @@ class Winnower {
   std::size_t count_in_family(CheckFamily family) const;
 
  private:
-  std::vector<lf::LogicalForm> apply_per_lf_family(
-      CheckFamily family, std::vector<lf::LogicalForm> forms,
-      std::map<std::string, std::size_t>* removed_by_check) const;
+  /// Per per-LF family (in CheckFamily order), the index of the
+  /// lowest-index check the form fails, or kPasses.
+  static constexpr std::size_t kPasses = static_cast<std::size_t>(-1);
+  using FirstFailures = std::array<std::size_t, 3>;
+  FirstFailures first_failures(const lf::LfNode& form) const;
+
   std::vector<lf::LogicalForm> apply_distributivity(
       std::vector<lf::LogicalForm> forms,
       std::map<std::string, std::size_t>* removed_by_check) const;
@@ -71,6 +86,11 @@ class Winnower {
       std::map<std::string, std::size_t>* removed_by_check) const;
 
   std::vector<Check> checks_;
+  /// Label -> indices, ascending, of the per-LF checks that test nodes
+  /// with that label; root-only checks are listed in `at_root_`. Built
+  /// once and read-only after, so one winnower serves every thread.
+  std::unordered_map<std::string_view, std::vector<std::size_t>> by_label_;
+  std::vector<std::size_t> at_root_;
   lf::AlgebraicProperties properties_;
 };
 

@@ -43,6 +43,7 @@ std::vector<Token> NounPhraseChunker::chunk(const std::vector<Token>& tokens,
 
   const auto& generic = default_generic_nouns();
   std::vector<Token> out;
+  std::string candidate;  // lowercase words of the span, one space apart
   std::size_t i = 0;
   while (i < tokens.size()) {
     const Token& tok = tokens[i];
@@ -52,14 +53,16 @@ std::vector<Token> NounPhraseChunker::chunk(const std::vector<Token>& tokens,
       continue;
     }
 
-    // Longest dictionary phrase starting here (kFull only).
+    // Longest dictionary phrase starting here (kFull only). The candidate
+    // starts at a word, so it has no leading space, and terms are
+    // single-spaced: once it is neither a term nor a prefix of one, no
+    // longer span can match. A term alone does not stop the search: an
+    // empty or all-space quoted phrase after it trims away.
     if (mode == ChunkingMode::kFull && dictionary_ != nullptr) {
       const std::size_t max_span =
           std::min(dictionary_->max_words(), tokens.size() - i);
       std::size_t best = 0;
-      std::string best_text;
-      std::string candidate;
-      std::string candidate_text;
+      candidate.clear();
       for (std::size_t span = 1; span <= max_span; ++span) {
         const Token& part = tokens[i + span - 1];
         if (part.kind != TokenKind::kWord &&
@@ -67,19 +70,19 @@ std::vector<Token> NounPhraseChunker::chunk(const std::vector<Token>& tokens,
             part.kind != TokenKind::kNounPhrase) {
           break;  // phrases never cross punctuation
         }
-        if (span > 1) {
-          candidate += ' ';
-          candidate_text += ' ';
-        }
+        if (span > 1) candidate += ' ';
         candidate += part.lower;
-        candidate_text += part.text;
-        if (dictionary_->contains(candidate)) {
-          best = span;
-          best_text = candidate_text;
-        }
+        const auto match = dictionary_->match(util::trim(candidate));
+        if (match.term) best = span;
+        if (!match.term && !match.prefix) break;
       }
       if (best > 0) {
-        out.push_back(make_noun_phrase(best_text));
+        std::string text = tok.text;
+        for (std::size_t k = 1; k < best; ++k) {
+          text += ' ';
+          text += tokens[i + k].text;
+        }
+        out.push_back(make_noun_phrase(text));
         i += best;
         continue;
       }

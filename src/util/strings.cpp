@@ -45,9 +45,12 @@ std::string_view trim(std::string_view s) {
 }
 
 std::string to_lower(std::string_view s) {
+  // ASCII only, as std::tolower maps bytes in the C locale, without a
+  // library call per byte.
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+  for (char& c : out) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
   return out;
 }
 

@@ -1,9 +1,17 @@
 // Tests for the disambiguation checks and the winnowing pipeline (§4.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <string_view>
+
+#include "core/sage.hpp"
+#include "corpus/spec_corpora.hpp"
 #include "disambig/checks.hpp"
 #include "disambig/winnower.hpp"
 #include "lf/logical_form.hpp"
+#include "util/rng.hpp"
 
 namespace sage::disambig {
 namespace {
@@ -20,6 +28,113 @@ bool any_check_violated(const std::vector<Check>& checks,
     if (c.family == family && c.violates(form)) return true;
   }
   return false;
+}
+
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::string_view s) {
+    for (const unsigned char c : s) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+/// Every base candidate the parser hands the winnower on the six spec
+/// corpora, each corpus through a fresh Sage.
+std::vector<lf::LogicalForm> corpus_base_forms() {
+  std::vector<lf::LogicalForm> forms;
+  for (const auto& c : corpus::spec_corpora()) {
+    core::Sage sage;
+    sage.annotate_non_actionable(c.annotations);
+    for (auto& report : sage.process(c.text, c.protocol).reports) {
+      for (auto& form : report.base_candidates) forms.push_back(std::move(form));
+    }
+  }
+  return forms;
+}
+
+constexpr std::string_view kAllLabels[] = {
+    lf::pred::kIs,        lf::pred::kIf,         lf::pred::kAnd,
+    lf::pred::kOr,        lf::pred::kOf,         lf::pred::kIn,
+    lf::pred::kAction,    lf::pred::kCompute,    lf::pred::kNum,
+    lf::pred::kMay,       lf::pred::kMust,       lf::pred::kNot,
+    lf::pred::kAdvBefore, lf::pred::kAdvComment, lf::pred::kSelect,
+    lf::pred::kDiscard,   lf::pred::kSend,       lf::pred::kCease,
+    lf::pred::kNonzero,   lf::pred::kCase,       lf::pred::kWhen,
+    lf::pred::kGreater,   lf::pred::kLess,
+};
+
+/// Leaves: packet fields, bits and timers (read-only at the receiver), a
+/// state variable, known and unknown function names, plain nouns.
+constexpr std::string_view kLeaves[] = {
+    "the state field", "the poll bit", "the detection timer",
+    "bfd.sessionstate", "checksum", "type", "compute", "frobnicate",
+};
+
+lf::LogicalForm random_predicate(util::SplitMix64& rng, int depth);
+
+lf::LogicalForm random_node(util::SplitMix64& rng, int depth) {
+  if (depth == 0 || rng.chance(35)) {
+    if (rng.chance(30)) return lf::LfNode::num(static_cast<long>(rng.below(3)));
+    return lf::LfNode::str(std::string(kLeaves[rng.below(std::size(kLeaves))]));
+  }
+  return random_predicate(rng, depth);
+}
+
+/// A seeded random form rooted at a predicate. Most nodes take one or two
+/// arguments; the rest take none or three, which the arity checks reject.
+lf::LogicalForm random_predicate(util::SplitMix64& rng, int depth) {
+  auto node = lf::LfNode::predicate(
+      std::string(kAllLabels[rng.below(std::size(kAllLabels))]));
+  const std::uint64_t arity = rng.chance(80) ? 1 + rng.below(2) : 3 * rng.below(2);
+  for (std::uint64_t i = 0; i < arity; ++i) {
+    node.args.push_back(random_node(rng, depth - 1));
+  }
+  return node;
+}
+
+TEST(Checks, EveryVerdictPinnedOnCorpusAndRandomForms) {
+  // One digest over (check, form, verdict) for all 47 checks, recorded
+  // when every check walked the whole form itself.
+  std::vector<lf::LogicalForm> forms = corpus_base_forms();
+  ASSERT_EQ(forms.size(), 420u);
+  util::SplitMix64 rng(18);
+  for (int i = 0; i < 3000; ++i) forms.push_back(random_predicate(rng, 4));
+
+  const std::vector<Check> checks = all_checks();
+  ASSERT_EQ(checks.size(), 47u);
+  std::vector<std::size_t> fired(checks.size(), 0);
+  Fnv1a fnv;
+  for (const auto& form : forms) {
+    const std::string text = form.to_string();
+    for (std::size_t i = 0; i < checks.size(); ++i) {
+      const bool verdict = checks[i].violates(form);
+      fired[i] += verdict ? 1 : 0;
+      fnv.add(checks[i].name);
+      fnv.add(text);
+      fnv.add(verdict ? "1" : "0");
+    }
+  }
+  for (std::size_t i = 0; i < checks.size(); ++i) {
+    EXPECT_GT(fired[i], 0u) << checks[i].name;
+    EXPECT_LT(fired[i], forms.size()) << checks[i].name;
+  }
+  EXPECT_EQ(fnv.h, 0xce529acd1220f231ull);
+}
+
+TEST(Checks, RootOnlyCheckDoesNotFireBelowTheRoot) {
+  const std::vector<Check> checks = all_checks();
+  const auto root_is_clause =
+      std::find_if(checks.begin(), checks.end(), [](const Check& c) {
+        return c.name == "type:root-is-clause";
+      });
+  ASSERT_NE(root_is_clause, checks.end());
+  EXPECT_TRUE(root_is_clause->violates(parse("@Of(\"checksum\", \"header\")")));
+  // The same non-clause @Of, nested under a clause.
+  const auto nested = parse("@Is(\"checksum\", @Of(\"checksum\", \"header\"))");
+  EXPECT_FALSE(root_is_clause->violates(nested));
+  EXPECT_EQ(Winnower(all_checks()).winnow({nested}).survivors.size(), 1u);
 }
 
 TEST(Checks, PaperCheckCountsForIcmp) {
@@ -100,7 +215,7 @@ TEST(Checks, EveryCheckHasNameDescriptionAndSource) {
     EXPECT_FALSE(c.name.empty());
     EXPECT_FALSE(c.description.empty());
     EXPECT_FALSE(c.source.empty());
-    EXPECT_TRUE(c.violates != nullptr);
+    EXPECT_TRUE(c.test != nullptr);
   }
 }
 
@@ -212,6 +327,21 @@ TEST(Winnower, RemovedByCheckAttributesRemovals) {
   };
   const auto result = winnower.winnow(forms);
   EXPECT_EQ(result.removed_by_check.at("type:is-lhs-not-constant"), 1u);
+}
+
+TEST(Winnower, FormFailingTwoChecksIsCreditedToTheFirstDeclared) {
+  // A pre-order walk meets the constant assignment target
+  // (type:is-lhs-not-constant) before the one-argument @Is
+  // (type:is-arity), but is-arity is declared first, so it is credited,
+  // as when each check in turn walked the whole form.
+  Winnower winnower(icmp_checks());
+  const auto result = winnower.winnow({
+      parse("@And(@Is(@Num(3), \"type\"), @Is(\"code\"))"),
+      parse("@Is(\"type\", @Num(3))"),
+  });
+  EXPECT_EQ(result.survivors.size(), 1u);
+  EXPECT_EQ(result.removed_by_check.at("type:is-arity"), 1u);
+  EXPECT_EQ(result.removed_by_check.count("type:is-lhs-not-constant"), 0u);
 }
 
 TEST(Winnower, EmptyInputYieldsEmptyResult) {

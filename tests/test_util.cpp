@@ -1,6 +1,8 @@
 // Unit tests for sage::util — byte-order, strings, hexdump.
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "util/bytes.hpp"
 #include "util/hexdump.hpp"
 #include "util/strings.hpp"
@@ -60,6 +62,15 @@ TEST(Strings, TrimBothEnds) {
 }
 
 TEST(Strings, ToLower) { EXPECT_EQ(to_lower("ICMP Echo"), "icmp echo"); }
+
+TEST(Strings, ToLowerMatchesCLocaleTolowerOnEveryByte) {
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const std::string lowered = to_lower(std::string_view(&c, 1));
+    ASSERT_EQ(lowered.size(), 1u);
+    EXPECT_EQ(static_cast<unsigned char>(lowered[0]), std::tolower(b)) << b;
+  }
+}
 
 TEST(Strings, Join) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
