@@ -10,11 +10,10 @@
 //     reuses the process-wide core::canonical_icmp_run(), at 1/2/4/8
 //     worker threads.
 //
-// Honest framing (same as BENCH_parallel_scaling): this container has a
-// single CPU, so the speedup comes from amortizing the pipeline across
-// campaigns, not from thread parallelism — the per-jobs rows exist to
-// show the determinism contract holds and scaling is not *negative*.
-// The verdict-log hash must be identical on every configuration.
+// The speedup over one-shot comes first from amortizing the pipeline
+// across campaigns; the per-jobs rows add thread parallelism on top and
+// show the determinism contract holds at every worker count. The
+// verdict-log hash must be identical on every configuration.
 //
 // Results are written to BENCH_fuzz_throughput.json (EXPERIMENTS.md
 // records a reference run). Exit is nonzero if determinism breaks, any

@@ -105,12 +105,6 @@ double now_ms() {
       .count();
 }
 
-std::string bfd_text() {
-  std::string text = "BFD State Management\n\n   Description\n\n";
-  for (const auto& s : corpus::bfd_state_sentences()) text += "      " + s + "\n";
-  return text;
-}
-
 std::string tcp_text() {
   std::string text = "TCP State Management\n\n   Description\n\n";
   for (const auto& s : corpus::tcp_probe_sentences()) {
@@ -125,7 +119,7 @@ std::vector<std::vector<nlp::Token>> workload(const core::Sage& sage) {
       {corpus::rfc792_original(), "ICMP"},
       {corpus::rfc1112_appendix_i(), "IGMP"},
       {corpus::rfc1059_appendices(), "NTP"},
-      {bfd_text(), "BFD"},
+      {corpus::bfd_state_document(), "BFD"},
       {tcp_text(), "TCP"},
   };
   const nlp::NounPhraseChunker chunker(&sage.dictionary());

@@ -1,10 +1,9 @@
-// Memoization cache for sentence parses (the batch executor's hot-path
-// optimisation).
+// Memoization cache for sentence parses.
 //
-// The ablation benches re-run the same corpora dozens of times, and a
-// multi-document batch repeats many sentences verbatim ("The checksum is
-// the 16-bit one's complement ..." appears in every ICMP message
-// section). Parsing is by far the dominant cost, and it is a pure
+// The ablation benches re-run the same corpora dozens of times, the
+// serve daemon shares one cache across every pipeline it builds, and a
+// document repeats many sentences verbatim ("The checksum is the 16-bit
+// one's complement ..." appears in every ICMP message section). Parsing is by far the dominant cost, and it is a pure
 // function of (tokens, structural context, parser options) — so the
 // pipeline memoizes the post-context candidate set.
 //

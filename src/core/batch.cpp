@@ -2,41 +2,6 @@
 
 namespace sage::core {
 
-ProtocolRun Sage::run_protocol_parallel(const std::string& rfc_text,
-                                        const std::string& protocol,
-                                        const BatchOptions& options) {
-  util::ThreadPool pool(options.jobs);
-  return process_impl(rfc_text, protocol, options.sage, &pool);
-}
-
-ProtocolRun Sage::run_protocol_parallel(const std::string& rfc_text,
-                                        const std::string& protocol) {
-  return run_protocol_parallel(rfc_text, protocol, BatchOptions{});
-}
-
-BatchRunner::BatchRunner(std::size_t jobs, std::size_t cache_capacity)
-    : pool_(jobs),
-      cache_(cache_capacity == 0
-                 ? nullptr
-                 : std::make_shared<ccg::ParseCache>(cache_capacity)) {}
-
-std::vector<BatchDocumentResult> BatchRunner::run(
-    const std::vector<BatchJob>& batch) {
-  std::vector<BatchDocumentResult> results;
-  results.reserve(batch.size());
-  for (const BatchJob& job : batch) {
-    Sage sage;
-    sage.set_parse_cache(cache_);
-    sage.annotate_non_actionable(job.non_actionable);
-    BatchDocumentResult result;
-    result.name = job.name;
-    result.run = sage.process_impl(job.rfc_text, job.protocol, job.options,
-                                   &pool_);
-    results.push_back(std::move(result));
-  }
-  return results;
-}
-
 std::string protocol_run_signature(const ProtocolRun& run) {
   std::string out;
   out += "document: " + run.document.title + "\n";

@@ -1,83 +1,22 @@
-// The parallel batch pipeline executor.
-//
-// The pipeline is embarrassingly parallel at sentence granularity:
-// parse + winnow is a pure function of (sentence, context, options), and
-// only code generation consumes results in document order. The executor
-// therefore fans sentence jobs across a fixed ThreadPool and joins
-// before stage 3, emitting SentenceReports at their original indices —
-// the determinism contract (docs/PARALLELISM.md) is that serial and
-// parallel runs produce byte-identical ProtocolRuns.
-//
-// BatchRunner extends this to many documents: each document gets a
-// fresh Sage (annotation sets differ per protocol) but all of them
-// share one ParseCache, so sentences repeated across documents — or
-// across repeated runs of the same corpus, which is what every ablation
-// bench does — parse once.
+// The canonical rendering of a pipeline run, the golden every spec ->
+// code test and benchmark compares.
 #pragma once
 
-#include <cstddef>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "ccg/parse_cache.hpp"
 #include "core/sage.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sage::core {
 
-/// Configuration for Sage::run_protocol_parallel.
-struct BatchOptions {
-  /// Worker threads for the sentence fan-out; 0 picks
-  /// hardware_concurrency.
-  std::size_t jobs = 0;
-  SageOptions sage;
-};
-
-/// One document in a multi-document batch.
-struct BatchJob {
-  std::string name;      // label for the result ("ICMP original", ...)
-  std::string rfc_text;
-  std::string protocol;
-  /// Pre-annotated non-actionable sentences for this document.
-  std::vector<std::string> non_actionable;
-  SageOptions options;
-};
-
-struct BatchDocumentResult {
-  std::string name;
-  ProtocolRun run;
-};
-
-/// Multi-document executor: one shared pool, one shared parse cache.
-/// Documents run in input order (their stage-3 codegen is order
-/// sensitive); each document's sentences fan out across the pool.
-class BatchRunner {
- public:
-  /// `jobs == 0` picks hardware_concurrency; `cache_capacity == 0`
-  /// disables the shared parse cache.
-  explicit BatchRunner(std::size_t jobs = 0, std::size_t cache_capacity = 4096);
-
-  std::vector<BatchDocumentResult> run(const std::vector<BatchJob>& batch);
-
-  std::size_t jobs() const { return pool_.size(); }
-  /// The shared cache (nullptr when disabled). Persists across run()
-  /// calls, which is what makes repeated benches cheap.
-  const std::shared_ptr<ccg::ParseCache>& cache() const { return cache_; }
-
- private:
-  util::ThreadPool pool_;
-  std::shared_ptr<ccg::ParseCache> cache_;
-};
-
-/// Canonical rendering of everything the determinism contract covers:
-/// the full SentenceReport sequence (status, candidate sets, winnow
-/// stage counts, final forms, context flags), the generated functions
-/// (names and C bodies), and the discovered-non-actionable list. Serial
-/// and parallel runs must render byte-identically; the differential
-/// tests and the scaling bench both assert on this string. Cache
-/// counters are deliberately excluded — they are the one field allowed
-/// to differ.
+/// Canonical rendering of a ProtocolRun: the full SentenceReport
+/// sequence (status, candidate sets, winnow stage counts, final forms,
+/// context flags), the generated functions (names and C bodies), and the
+/// discovered-non-actionable list. Runs of the same corpus from fresh
+/// Sage instances render byte-identically whether their parse cache is
+/// private, shared or off; the differential tests, the serve daemon's
+/// result digests and the end-to-end benchmark's corpus checks all
+/// compare this string. Cache counters and execution counters are
+/// deliberately excluded: they depend on what ran before.
 std::string protocol_run_signature(const ProtocolRun& run);
 
 }  // namespace sage::core

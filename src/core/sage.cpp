@@ -6,7 +6,6 @@
 #include "corpus/terms.hpp"
 #include "disambig/checks.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sage::core {
 
@@ -229,31 +228,17 @@ ccg::CachedParse Sage::parse_with_context(
 ProtocolRun Sage::process(const std::string& rfc_text,
                           const std::string& protocol,
                           const SageOptions& options) {
-  return process_impl(rfc_text, protocol, options, nullptr);
-}
-
-ProtocolRun Sage::process_impl(const std::string& rfc_text,
-                               const std::string& protocol,
-                               const SageOptions& options,
-                               util::ThreadPool* pool) {
   ProtocolRun run;
   const ccg::ParseCacheStats before =
       parse_cache_ == nullptr ? ccg::ParseCacheStats{} : parse_cache_->stats();
   run.document = rfc::preprocess(rfc_text, protocol);
   const auto sentences = rfc::extract_sentences(run.document, protocol);
 
-  // Stage 1+2: parse and winnow every sentence instance. Sentences are
-  // independent here, so this is the stage that fans out across the
-  // pool; each report lands at its original index, making the output
-  // sequence independent of scheduling order.
-  run.reports.resize(sentences.size());
-  const auto analyze_one = [&](std::size_t i) {
-    run.reports[i] = analyze_sentence(sentences[i], options);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(sentences.size(), analyze_one);
-  } else {
-    for (std::size_t i = 0; i < sentences.size(); ++i) analyze_one(i);
+  // Stage 1+2: parse and winnow every sentence instance, in document
+  // order.
+  run.reports.reserve(sentences.size());
+  for (const auto& sentence : sentences) {
+    run.reports.push_back(analyze_sentence(sentence, options));
   }
 
   // Group winnowed forms per (message, role), in document order.

@@ -26,14 +26,7 @@
 #include "nlp/term_dictionary.hpp"
 #include "rfc/preprocessor.hpp"
 
-namespace sage::util {
-class ThreadPool;
-}  // namespace sage::util
-
 namespace sage::core {
-
-struct BatchOptions;  // core/batch.hpp
-class BatchRunner;
 
 /// Outcome classification for one sentence instance.
 enum class SentenceStatus {
@@ -112,20 +105,8 @@ class Sage {
   ProtocolRun process(const std::string& rfc_text, const std::string& protocol,
                       const SageOptions& options = {});
 
-  /// The parallel twin of process(): fans sentence-level parse+winnow
-  /// jobs across a thread pool, then assembles reports and functions in
-  /// original document order. The determinism contract (documented in
-  /// docs/PARALLELISM.md) is that the returned ProtocolRun is
-  /// byte-identical to the serial path — only the `cache` counters may
-  /// differ. Defined in core/batch.cpp.
-  ProtocolRun run_protocol_parallel(const std::string& rfc_text,
-                                    const std::string& protocol,
-                                    const BatchOptions& options);
-  ProtocolRun run_protocol_parallel(const std::string& rfc_text,
-                                    const std::string& protocol);
-
   /// The parse memoization cache. Enabled by default; share one across
-  /// Sage instances (BatchRunner does) to reuse parses between
+  /// Sage instances (the serve daemon does) to reuse parses between
   /// documents, or set nullptr to disable memoization entirely.
   const std::shared_ptr<ccg::ParseCache>& parse_cache() const {
     return parse_cache_;
@@ -157,26 +138,15 @@ class Sage {
                                                      const std::string& message);
 
  private:
-  friend class BatchRunner;  // drives process_impl with its shared pool
-
   /// Parse (+ structural-context retry) for one sentence, memoized when
   /// the parse cache is enabled.
   ccg::CachedParse parse_with_context(const std::vector<nlp::Token>& tokens,
                                       const std::string& field,
                                       const ccg::ParserOptions& options) const;
 
-  /// Shared pipeline body: stage 1+2 (parse + winnow per sentence)
-  /// through `pool` when given, serially otherwise; stage 3 (codegen +
-  /// iterative discovery) always in document order on the calling
-  /// thread.
-  ProtocolRun process_impl(const std::string& rfc_text,
-                           const std::string& protocol,
-                           const SageOptions& options, util::ThreadPool* pool);
-
   /// The standard grammar: built once per process on first use (a
   /// thread-safe static) and read-only after, so every Sage shares its
-  /// interned lexicon terms and, through them, the β and application
-  /// memos.
+  /// interned lexicon terms and, through them, the combinator memo.
   struct Grammar {
     ccg::Lexicon lexicon;
     nlp::TermDictionary dictionary;

@@ -74,12 +74,25 @@ const std::vector<std::string>& bfd_state_sentences() {
   return kSentences;
 }
 
-std::string rfc5880_state_section() {
-  std::string text = "Reception of BFD Control Packets\n\n   Description\n\n";
+namespace {
+
+std::string state_document(const std::string& title) {
+  std::string text = title + "\n\n   Description\n\n";
   for (const auto& sentence : bfd_state_sentences()) {
     text += "      " + sentence + "\n";
   }
   return text;
+}
+
+}  // namespace
+
+std::string rfc5880_state_section() {
+  return state_document("Reception of BFD Control Packets");
+}
+
+const std::string& bfd_state_document() {
+  static const std::string kText = state_document("BFD State Management");
+  return kText;
 }
 
 const std::vector<BfdChallenge>& bfd_challenges() {

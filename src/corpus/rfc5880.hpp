@@ -20,6 +20,11 @@ const std::vector<std::string>& bfd_state_sentences();
 /// pre-processor can consume (one Description block).
 std::string rfc5880_state_section();
 
+/// The BFD spec document of the spec -> code corpora (the `bfd` corpus of
+/// corpus::spec_corpora(), sage_debug and the serve daemon): the same
+/// Description block under a "BFD State Management" heading.
+const std::string& bfd_state_document();
+
 /// The Table 5 data: challenging originals and their rewrites.
 struct BfdChallenge {
   std::string type;      // "Nested code" | "Rephrasing"

@@ -9,21 +9,15 @@
 namespace sage::corpus {
 
 const std::vector<SpecCorpus>& spec_corpora() {
-  static const std::vector<SpecCorpus> corpora = [] {
-    std::string bfd = "BFD State Management\n\n   Description\n\n";
-    for (const auto& s : bfd_state_sentences()) bfd += "      " + s + "\n";
-    return std::vector<SpecCorpus>{
-        {"icmp", rfc792_revised(), "ICMP", icmp_non_actionable_annotations()},
-        {"icmp-orig", rfc792_original(), "ICMP",
-         icmp_non_actionable_annotations()},
-        {"igmp", rfc1112_appendix_i(), "IGMP",
-         igmp_non_actionable_annotations()},
-        {"ntp", rfc1059_appendices(), "NTP", ntp_non_actionable_annotations()},
-        {"bfd", std::move(bfd), "BFD", {}},
-        {"icmp6", rfc4443_revised(), "ICMP6",
-         icmp6_non_actionable_annotations()},
-    };
-  }();
+  static const std::vector<SpecCorpus> corpora = {
+      {"icmp", rfc792_revised(), "ICMP", icmp_non_actionable_annotations()},
+      {"icmp-orig", rfc792_original(), "ICMP",
+       icmp_non_actionable_annotations()},
+      {"igmp", rfc1112_appendix_i(), "IGMP", igmp_non_actionable_annotations()},
+      {"ntp", rfc1059_appendices(), "NTP", ntp_non_actionable_annotations()},
+      {"bfd", bfd_state_document(), "BFD", {}},
+      {"icmp6", rfc4443_revised(), "ICMP6", icmp6_non_actionable_annotations()},
+  };
   return corpora;
 }
 

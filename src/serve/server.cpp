@@ -20,22 +20,16 @@ namespace sage::serve {
 
 namespace {
 
-/// One embedded corpus: the text, protocol tag, and pre-annotations —
-/// exactly what `sage_debug <corpus>` feeds the pipeline, so serve
-/// results are comparable against direct CLI runs.
+/// One embedded corpus: the text, protocol tag, and pre-annotations.
+/// Against sage_debug's corpus names: serve's `icmp` is the revised
+/// RFC 792 (`sage_debug icmp-rev`), `icmp-orig` is the original
+/// (`sage_debug icmp`), and `igmp`, `ntp` and `bfd` are the same texts
+/// under both tools.
 struct CorpusSpec {
   std::string text;
   std::string protocol;
   std::vector<std::string> annotations;
 };
-
-std::string bfd_text() {
-  std::string text = "BFD State Management\n\n   Description\n\n";
-  for (const auto& sentence : corpus::bfd_state_sentences()) {
-    text += "      " + sentence + "\n";
-  }
-  return text;
-}
 
 const std::map<std::string, CorpusSpec>& corpus_specs() {
   static const std::map<std::string, CorpusSpec> specs = [] {
@@ -48,7 +42,7 @@ const std::map<std::string, CorpusSpec>& corpus_specs() {
                  corpus::igmp_non_actionable_annotations()};
     m["ntp"] = {corpus::rfc1059_appendices(), "NTP",
                 corpus::ntp_non_actionable_annotations()};
-    m["bfd"] = {bfd_text(), "BFD", {}};
+    m["bfd"] = {corpus::bfd_state_document(), "BFD", {}};
     return m;
   }();
   return specs;
@@ -141,9 +135,8 @@ std::shared_ptr<Server::Pipeline> Server::build_pipeline(
   core::Sage sage;
   sage.set_parse_cache(parse_cache_);
   sage.annotate_non_actionable(spec.annotations);
-  // Serial path: the parallel executor is byte-identical by contract,
-  // but jobs already shard across the pool one level up — nesting the
-  // sentence fan-out inside a pool job would oversubscribe it.
+  // Jobs already shard across the worker pool, so each pipeline runs
+  // serially on the worker that picked it up.
   pipeline->run = sage.process(spec.text, spec.protocol);
   pipeline->signature_hash =
       fnv1a_str(core::protocol_run_signature(pipeline->run));

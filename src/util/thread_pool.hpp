@@ -1,7 +1,10 @@
-// Fixed-size thread pool for the batch pipeline executor.
+// Fixed-size thread pool for the three layers that run in parallel:
+// differential-fuzz campaigns (`parallel_for` over case indices), soak
+// chunks (`parallel_for` over session chunks) and serve jobs (`submit`,
+// one whole job per task).
 //
-// Deliberately work-stealing-free: the pipeline's unit of work is one
-// sentence (parse + winnow), which is coarse enough that a shared
+// Deliberately work-stealing-free: each unit of work (a fuzz case, a
+// chunk of soak sessions, a serve job) is coarse enough that a shared
 // ticket counter with static worker count beats a deque-per-worker
 // scheme in both code size and contention. Workers are std::jthreads;
 // shutdown is cooperative through their std::stop_token, so a pool can
@@ -40,7 +43,8 @@ class ThreadPool {
   /// calling thread participates, so a pool is never deadlocked by
   /// nesting and `parallel_for` works even while workers are busy.
   /// Indices are claimed from a shared atomic ticket, one at a time —
-  /// per-index cost in this codebase (a CCG parse) dwarfs the claim.
+  /// per-index cost in this codebase (a fuzz case, a soak chunk) dwarfs
+  /// the claim.
   /// The first exception thrown by `body` is captured and rethrown here
   /// after all claimed indices finish.
   void parallel_for(std::size_t count,

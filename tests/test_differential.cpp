@@ -70,8 +70,8 @@ std::vector<Corpus> corpora() {
       {"NTP", corpus::rfc1059_appendices(), "NTP",
        corpus::ntp_non_actionable_annotations(), 0x32541b8c8ee5fe1aull,
        0xcc2562604eca6de2ull},
-      {"BFD", sentence_corpus("BFD", corpus::bfd_state_sentences()), "BFD",
-       {}, 0x349f5dc9ffe95c53ull, 0x5ad8cce5103ed1c8ull},
+      {"BFD", corpus::bfd_state_document(), "BFD", {}, 0x349f5dc9ffe95c53ull,
+       0x5ad8cce5103ed1c8ull},
       {"TCP", sentence_corpus("TCP", tcp), "TCP", {}, 0xcb4d07aafbb757b6ull,
        0x0ee5b4a0ffe8984aull},
   };

@@ -20,11 +20,7 @@
 #include "core/batch.hpp"
 #include "core/sage.hpp"
 #include "corpus/lexicon_data.hpp"
-#include "corpus/rfc1059.hpp"
-#include "corpus/rfc1112.hpp"
-#include "corpus/rfc4443.hpp"
-#include "corpus/rfc5880.hpp"
-#include "corpus/rfc792.hpp"
+#include "corpus/spec_corpora.hpp"
 #include "nlp/chunker.hpp"
 #include "nlp/tokenizer.hpp"
 #include "rfc/preprocessor.hpp"
@@ -32,37 +28,8 @@
 namespace sage::ccg {
 namespace {
 
-struct SpecCorpus {
-  std::string text;
-  std::string protocol;
-  std::vector<std::string> annotations;
-};
-
-std::string bfd_text() {
-  std::string text = "BFD State Management\n\n   Description\n\n";
-  for (const auto& s : corpus::bfd_state_sentences()) text += "      " + s + "\n";
-  return text;
-}
-
-/// The revised ICMP and ICMPv6 texts, IGMP, NTP and BFD, each with its
-/// non-actionable annotations.
-const std::vector<SpecCorpus>& spec_corpora() {
-  static const std::vector<SpecCorpus> corpora = {
-      {corpus::rfc792_revised(), "ICMP",
-       corpus::icmp_non_actionable_annotations()},
-      {corpus::rfc1112_appendix_i(), "IGMP",
-       corpus::igmp_non_actionable_annotations()},
-      {corpus::rfc1059_appendices(), "NTP",
-       corpus::ntp_non_actionable_annotations()},
-      {bfd_text(), "BFD", {}},
-      {corpus::rfc4443_revised(), "ICMP6",
-       corpus::icmp6_non_actionable_annotations()},
-  };
-  return corpora;
-}
-
 /// One corpus through a fresh Sage, as every spec -> code rerun does.
-std::string fresh_signature(const SpecCorpus& c) {
+std::string fresh_signature(const corpus::SpecCorpus& c) {
   core::Sage sage;
   sage.annotate_non_actionable(c.annotations);
   return core::protocol_run_signature(sage.process(c.text, c.protocol));
@@ -240,13 +207,13 @@ TEST(Interner, RebuiltLexiconHoldsTheSameTerms) {
 // After one warm pass, a second pass over every corpus with new Sages
 // interns no term or category and reproduces every run.
 TEST(Interner, FreshSagesReuseTheInternedGrammar) {
+  const auto& corpora = corpus::spec_corpora();
   std::vector<std::string> warm;
-  for (const auto& c : spec_corpora()) warm.push_back(fresh_signature(c));
+  for (const auto& c : corpora) warm.push_back(fresh_signature(c));
   const std::size_t terms = term_interner_size();
   const std::size_t categories = category_interner_size();
-  for (std::size_t i = 0; i < spec_corpora().size(); ++i) {
-    EXPECT_EQ(fresh_signature(spec_corpora()[i]), warm[i])
-        << spec_corpora()[i].protocol;
+  for (std::size_t i = 0; i < corpora.size(); ++i) {
+    EXPECT_EQ(fresh_signature(corpora[i]), warm[i]) << corpora[i].name;
   }
   EXPECT_EQ(term_interner_size(), terms);
   EXPECT_EQ(category_interner_size(), categories);
@@ -257,7 +224,7 @@ TEST(Interner, FreshSagesReuseTheInternedGrammar) {
 // match the serial one, and a second concurrent round interns nothing.
 TEST(Interner, ConcurrentFirstSagesShareOneGrammar) {
   constexpr int kThreads = 4;
-  const SpecCorpus& icmp = spec_corpora()[0];
+  const corpus::SpecCorpus& icmp = corpus::spec_corpora()[0];
   const auto round = [&icmp] {
     std::vector<std::string> signatures(kThreads);
     std::latch start(kThreads);
@@ -293,7 +260,7 @@ std::vector<std::uint64_t> parse_digests() {
   options.record_derivations = true;
   const CcgParser parser(&sage.lexicon(), options);
   std::vector<std::uint64_t> digests;
-  for (const auto& c : spec_corpora()) {
+  for (const auto& c : corpus::spec_corpora()) {
     const rfc::RfcDocument doc = rfc::preprocess(c.text, c.protocol);
     for (const auto& sentence : rfc::extract_sentences(doc, c.protocol)) {
       const ParseResult r =

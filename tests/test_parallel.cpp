@@ -1,12 +1,13 @@
 // The concurrency test layer (ctest label: concurrency; run it under
 // -DSAGE_SANITIZE=thread for the race-freedom guarantee).
 //
-// Locks down the batch executor's determinism contract: the parallel
-// pipeline at any thread count produces a ProtocolRun byte-identical to
-// the serial path — report sequence, winnow stage counts, generated C
-// bodies, everything protocol_run_signature covers. Also stress-tests
-// the ThreadPool itself, the parse-cache under concurrent hammering,
-// and the parser's token/edge caps at their exact boundaries.
+// Locks down what the serve daemon relies on when its workers build
+// pipelines at once: fresh Sage instances on pool threads, with private
+// parse caches or one shared cache, produce ProtocolRuns byte-identical
+// to a serial, cache-off run — report sequence, winnow stage counts,
+// generated C bodies, everything protocol_run_signature covers. Also
+// stress-tests the ThreadPool itself, the parse-cache under concurrent
+// hammering, and the parser's token/edge caps at their exact boundaries.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +23,7 @@
 #include "core/sage.hpp"
 #include "corpus/rfc5880.hpp"
 #include "corpus/rfc792.hpp"
+#include "corpus/spec_corpora.hpp"
 #include "nlp/chunker.hpp"
 #include "nlp/tokenizer.hpp"
 #include "util/thread_pool.hpp"
@@ -108,91 +110,52 @@ TEST(ThreadPool, ManyConcurrentParallelForsFromWorkers) {
 
 // ---- differential determinism ----------------------------------------------
 
-std::string bfd_text() {
-  std::string text = "BFD State Management\n\n   Description\n\n";
-  for (const auto& s : corpus::bfd_state_sentences()) {
-    text += "      " + s + "\n";
-  }
-  return text;
-}
-
-struct Corpus {
-  std::string name;
-  std::string text;
-  std::string protocol;
-  std::vector<std::string> annotations;
-};
-
-std::vector<Corpus> corpora() {
+std::vector<corpus::SpecCorpus> corpora() {
   return {
       {"ICMP", corpus::rfc792_original(), "ICMP",
        corpus::icmp_non_actionable_annotations()},
-      {"BFD", bfd_text(), "BFD", {}},
+      {"BFD", corpus::bfd_state_document(), "BFD", {}},
   };
 }
 
 class DifferentialDeterminism : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(DifferentialDeterminism, ParallelMatchesSerialByteForByte) {
-  const std::size_t jobs = GetParam();
-  for (const Corpus& corpus : corpora()) {
-    // Serial reference, memoization off: the pre-executor pipeline.
+TEST_P(DifferentialDeterminism, ConcurrentSagesMatchSerialByteForByte) {
+  const std::size_t threads = GetParam();
+  util::ThreadPool pool(threads);
+  // Odd runs of both corpora share this cache, so documents that share
+  // one cache must still match their serial runs.
+  const auto shared_cache = std::make_shared<ccg::ParseCache>();
+  for (const corpus::SpecCorpus& corpus : corpora()) {
+    // Serial reference, memoization off.
     core::Sage reference_sage;
     reference_sage.set_parse_cache(nullptr);
     reference_sage.annotate_non_actionable(corpus.annotations);
     const std::string reference = core::protocol_run_signature(
         reference_sage.process(corpus.text, corpus.protocol));
 
-    // 20 iterations to shake out scheduling races: even iterations run
-    // cold (private cache), odd iterations share a cache across runs so
-    // the hit path races the miss path too.
-    const auto shared_cache = std::make_shared<ccg::ParseCache>();
-    for (int iteration = 0; iteration < 20; ++iteration) {
+    // 20 runs, each a fresh Sage on a pool thread as a serve worker
+    // builds one, to shake out races: even runs use a private cache, odd
+    // runs the shared one, so its hit path races its miss path too.
+    std::vector<std::string> signatures(20);
+    pool.parallel_for(signatures.size(), [&](std::size_t run) {
       core::Sage sage;
-      if (iteration % 2 == 1) sage.set_parse_cache(shared_cache);
+      if (run % 2 == 1) sage.set_parse_cache(shared_cache);
       sage.annotate_non_actionable(corpus.annotations);
-      core::BatchOptions options;
-      options.jobs = jobs;
-      const auto run =
-          sage.run_protocol_parallel(corpus.text, corpus.protocol, options);
-      ASSERT_EQ(core::protocol_run_signature(run), reference)
-          << corpus.name << " diverged at " << jobs << " jobs, iteration "
-          << iteration;
+      signatures[run] = core::protocol_run_signature(
+          sage.process(corpus.text, corpus.protocol));
+    });
+    for (std::size_t run = 0; run < signatures.size(); ++run) {
+      ASSERT_EQ(signatures[run], reference)
+          << corpus.name << " diverged at " << threads << " threads, run "
+          << run;
     }
   }
+  EXPECT_GT(shared_cache->stats().hits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Jobs, DifferentialDeterminism,
                          ::testing::Values(1, 2, 8));
-
-TEST(DifferentialDeterminism, BatchRunnerMatchesPerDocumentSerialRuns) {
-  std::vector<core::BatchJob> batch;
-  std::vector<std::string> expected;
-  for (const Corpus& corpus : corpora()) {
-    core::Sage sage;
-    sage.annotate_non_actionable(corpus.annotations);
-    expected.push_back(core::protocol_run_signature(
-        sage.process(corpus.text, corpus.protocol)));
-    core::BatchJob job;
-    job.name = corpus.name;
-    job.rfc_text = corpus.text;
-    job.protocol = corpus.protocol;
-    job.non_actionable = corpus.annotations;
-    batch.push_back(std::move(job));
-  }
-
-  core::BatchRunner runner(4);
-  for (int round = 0; round < 3; ++round) {  // round > 0 hits the cache
-    const auto results = runner.run(batch);
-    ASSERT_EQ(results.size(), batch.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(results[i].name, batch[i].name) << "order not preserved";
-      EXPECT_EQ(core::protocol_run_signature(results[i].run), expected[i])
-          << batch[i].name << " diverged in round " << round;
-    }
-  }
-  EXPECT_GT(runner.cache()->stats().hits, 0u);
-}
 
 TEST(DifferentialDeterminism, CacheCountersSurfaceThroughProtocolRun) {
   // Two fresh Sage instances sharing one cache: the pipelines are

@@ -8,7 +8,6 @@
 #include "fuzz/differential.hpp"
 #include "ccg/parser.hpp"
 #include "codegen/generator.hpp"
-#include "core/batch.hpp"
 #include "core/sage.hpp"
 #include "net/schema.hpp"
 #include "corpus/rfc792.hpp"
@@ -29,11 +28,6 @@
 #include "serve/transport.hpp"
 #include "sim/ping.hpp"
 using namespace sage;
-
-// --jobs N routes the run through the parallel batch executor (N worker
-// threads); the default stays on the serial path. Output is identical
-// either way — that is the executor's determinism contract.
-std::size_t g_jobs = 0;
 
 // --parse-stats re-parses the corpus with the parse cache off and dumps
 // the chart-parser instrumentation: per-stage counters from
@@ -142,14 +136,7 @@ void run(const char* name, const std::string& text, const std::string& proto,
          const std::vector<std::string>& annotations, bool verbose) {
   core::Sage s;
   s.annotate_non_actionable(annotations);
-  core::ProtocolRun run;
-  if (g_jobs > 0) {
-    core::BatchOptions options;
-    options.jobs = g_jobs;
-    run = s.run_protocol_parallel(text, proto, options);
-  } else {
-    run = s.process(text, proto);
-  }
+  const core::ProtocolRun run = s.process(text, proto);
   printf("=== %s ===\n", name);
   printf("sections=%zu instances=%zu\n", run.document.sections.size(), run.reports.size());
   printf("parsed=%zu zero=%zu ambiguous=%zu non-actionable=%zu functions=%zu\n",
@@ -201,6 +188,24 @@ void run(const char* name, const std::string& text, const std::string& proto,
   }
 }
 
+// Reads the value after the flag at argv[i] as a base-10 number and
+// advances i past it. On a missing or non-numeric value, prints the error
+// and returns nullopt (the caller exits 2).
+std::optional<unsigned long> number(int argc, char** argv, int& i,
+                                    const char* flag) {
+  if (i + 1 >= argc) {
+    fprintf(stderr, "error: %s requires a value\n", flag);
+    return std::nullopt;
+  }
+  char* end = nullptr;
+  const unsigned long v = strtoul(argv[++i], &end, 10);
+  if (end == argv[i] || *end != '\0') {
+    fprintf(stderr, "error: %s expects a number, got '%s'\n", flag, argv[i]);
+    return std::nullopt;
+  }
+  return v;
+}
+
 // --serve-client [--port N] <job>...: submit jobs to a sage_serve
 // daemon (with --port) or to an in-process server over the loopback
 // transport (without). Job specs: parse:<corpus>, codegen:<corpus>,
@@ -211,11 +216,14 @@ int run_serve_client(int argc, char** argv, int i) {
   std::vector<serve::Frame> requests;
   for (; i < argc; ++i) {
     if (strcmp(argv[i], "--port") == 0) {
-      if (i + 1 >= argc) {
-        fprintf(stderr, "error: --port requires a value\n");
+      const auto v = number(argc, argv, i, "--port");
+      if (!v) return 2;
+      if (*v == 0 || *v > 65535) {
+        fprintf(stderr, "error: --port expects 1..65535, got '%s'\n",
+                argv[i]);
         return 2;
       }
-      port = static_cast<std::uint16_t>(strtoul(argv[++i], nullptr, 10));
+      port = static_cast<std::uint16_t>(*v);
       use_tcp = true;
       continue;
     }
@@ -265,17 +273,23 @@ int run_serve_client(int argc, char** argv, int i) {
   }
 
   std::optional<serve::Server> local_server;
-  std::unique_ptr<serve::Transport> transport;
-  if (use_tcp) {
-    transport = serve::connect_socket(port);
-  } else {
-    local_server.emplace();
-    auto [client_end, server_end] = serve::make_loopback_pair();
-    local_server->serve_connection_async(std::move(server_end));
-    transport = std::move(client_end);
+  std::vector<serve::Frame> responses;
+  try {
+    std::unique_ptr<serve::Transport> transport;
+    if (use_tcp) {
+      transport = serve::connect_socket(port);
+    } else {
+      local_server.emplace();
+      auto [client_end, server_end] = serve::make_loopback_pair();
+      local_server->serve_connection_async(std::move(server_end));
+      transport = std::move(client_end);
+    }
+    serve::Client client(std::move(transport));
+    responses = client.submit(requests);
+  } catch (const std::exception& e) {
+    fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
-  serve::Client client(std::move(transport));
-  const std::vector<serve::Frame> responses = client.submit(requests);
   bool all_ok = true;
   for (std::size_t k = 0; k < responses.size(); ++k) {
     const serve::Frame& r = responses[k];
@@ -297,42 +311,28 @@ int run_serve_soak(int argc, char** argv, int i) {
   serve::SoakOptions options;
   bool quiet = false;
   for (; i < argc; ++i) {
-    auto number = [&](const char* flag) -> std::optional<unsigned long> {
-      if (i + 1 >= argc) {
-        fprintf(stderr, "error: %s requires a value\n", flag);
-        return std::nullopt;
-      }
-      char* end = nullptr;
-      const unsigned long v = strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        fprintf(stderr, "error: %s expects a number, got '%s'\n", flag,
-                argv[i]);
-        return std::nullopt;
-      }
-      return v;
-    };
     if (strcmp(argv[i], "--jobs") == 0) {
-      const auto v = number("--jobs");
+      const auto v = number(argc, argv, i, "--jobs");
       if (!v) return 2;
       options.server_jobs = *v;
     } else if (strcmp(argv[i], "--total") == 0) {
-      const auto v = number("--total");
+      const auto v = number(argc, argv, i, "--total");
       if (!v) return 2;
       options.total_jobs = *v;
     } else if (strcmp(argv[i], "--clients") == 0) {
-      const auto v = number("--clients");
+      const auto v = number(argc, argv, i, "--clients");
       if (!v) return 2;
       options.clients = *v;
     } else if (strcmp(argv[i], "--seed") == 0) {
-      const auto v = number("--seed");
+      const auto v = number(argc, argv, i, "--seed");
       if (!v) return 2;
       options.seed = *v;
     } else if (strcmp(argv[i], "--stats-every") == 0) {
-      const auto v = number("--stats-every");
+      const auto v = number(argc, argv, i, "--stats-every");
       if (!v) return 2;
       options.stats_every = *v;
     } else if (strcmp(argv[i], "--fuzz-iters") == 0) {
-      const auto v = number("--fuzz-iters");
+      const auto v = number(argc, argv, i, "--fuzz-iters");
       if (!v) return 2;
       options.fuzz_iters = *v;
     } else if (strcmp(argv[i], "--quiet") == 0) {
@@ -376,29 +376,16 @@ int run_fuzz(int argc, char** argv, int i) {
   options.iterations = 1000;
   bool quiet = false;
   for (; i < argc; ++i) {
-    auto number = [&](const char* flag) -> std::optional<unsigned long> {
-      if (i + 1 >= argc) {
-        fprintf(stderr, "error: %s requires a value\n", flag);
-        return std::nullopt;
-      }
-      char* end = nullptr;
-      const unsigned long v = strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        fprintf(stderr, "error: %s expects a number, got '%s'\n", flag, argv[i]);
-        return std::nullopt;
-      }
-      return v;
-    };
     if (strcmp(argv[i], "--seed") == 0) {
-      const auto v = number("--seed");
+      const auto v = number(argc, argv, i, "--seed");
       if (!v) return 2;
       options.seed = *v;
     } else if (strcmp(argv[i], "--iters") == 0) {
-      const auto v = number("--iters");
+      const auto v = number(argc, argv, i, "--iters");
       if (!v) return 2;
       options.iterations = *v;
     } else if (strcmp(argv[i], "--jobs") == 0) {
-      const auto v = number("--jobs");
+      const auto v = number(argc, argv, i, "--jobs");
       if (!v) return 2;
       options.jobs = *v;
     } else if (strcmp(argv[i], "--faults") == 0) {
@@ -479,34 +466,21 @@ int run_soak(int argc, char** argv, int i) {
   }
   bool quiet = false;
   for (; i < argc; ++i) {
-    auto number = [&](const char* flag) -> std::optional<unsigned long> {
-      if (i + 1 >= argc) {
-        fprintf(stderr, "error: %s requires a value\n", flag);
-        return std::nullopt;
-      }
-      char* end = nullptr;
-      const unsigned long v = strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        fprintf(stderr, "error: %s expects a number, got '%s'\n", flag, argv[i]);
-        return std::nullopt;
-      }
-      return v;
-    };
     if (strcmp(argv[i], "--hosts") == 0) {
-      const auto v = number("--hosts");
+      const auto v = number(argc, argv, i, "--hosts");
       if (!v) return 2;
       options.topology.hosts = *v;
     } else if (strcmp(argv[i], "--sessions") == 0) {
-      const auto v = number("--sessions");
+      const auto v = number(argc, argv, i, "--sessions");
       if (!v) return 2;
       options.sessions = *v;
     } else if (strcmp(argv[i], "--seed") == 0) {
-      const auto v = number("--seed");
+      const auto v = number(argc, argv, i, "--seed");
       if (!v) return 2;
       options.seed = *v;
       options.topology.seed = *v;
     } else if (strcmp(argv[i], "--jobs") == 0) {
-      const auto v = number("--jobs");
+      const auto v = number(argc, argv, i, "--jobs");
       if (!v) return 2;
       options.jobs = *v;
     } else if (strcmp(argv[i], "--quiet") == 0) {
@@ -525,7 +499,7 @@ int run_soak(int argc, char** argv, int i) {
 }
 
 int main(int argc, char** argv) {
-  // usage: sage_debug [icmp|icmp-rev|igmp|ntp|bfd] [-v] [--jobs N]
+  // usage: sage_debug [icmp|icmp-rev|icmp6|icmp6-rev|igmp|ntp|bfd] [-v]
   //                   [--parse-stats] [--dump-schema] [--exec-backend B]
   //        sage_debug --fuzz <protocol> [--seed N] [--iters M] [--jobs N]
   //                   [--faults SPEC] [--no-minimize] [--exec-backend B]
@@ -568,17 +542,9 @@ int main(int argc, char** argv) {
                 b.c_str());
         return 2;
       }
-    } else if (strcmp(argv[i], "--jobs") == 0) {
-      if (i + 1 >= argc) {
-        fprintf(stderr, "error: --jobs requires a value\n");
-        return 2;
-      }
-      char* end = nullptr;
-      g_jobs = static_cast<std::size_t>(strtoul(argv[++i], &end, 10));
-      if (end == argv[i] || *end != '\0') {
-        fprintf(stderr, "error: --jobs expects a number, got '%s'\n", argv[i]);
-        return 2;
-      }
+    } else if (argv[i][0] == '-') {
+      fprintf(stderr, "error: unknown option '%s'\n", argv[i]);
+      return 2;
     } else {
       which = argv[i];
     }
@@ -595,12 +561,12 @@ int main(int argc, char** argv) {
     run("IGMP", corpus::rfc1112_appendix_i(), "IGMP", corpus::igmp_non_actionable_annotations(), verbose);
   else if (which == "ntp")
     run("NTP", corpus::rfc1059_appendices(), "NTP", corpus::ntp_non_actionable_annotations(), verbose);
-  else if (which == "bfd") {
-    std::string text = "BFD State Management\n\n   Description\n\n";
-    for (auto& s : corpus::bfd_state_sentences()) text += "      " + s + "\n";
-    run("BFD", text, "BFD", {}, verbose);
-  } else {
-    fprintf(stderr, "error: unknown corpus '%s' (expected icmp|icmp-rev|igmp|ntp|bfd)\n",
+  else if (which == "bfd")
+    run("BFD", corpus::bfd_state_document(), "BFD", {}, verbose);
+  else {
+    fprintf(stderr,
+            "error: unknown corpus '%s' (expected "
+            "icmp|icmp-rev|icmp6|icmp6-rev|igmp|ntp|bfd)\n",
             which.c_str());
     return 2;
   }

@@ -40,7 +40,13 @@ int main(int argc, char** argv) {
       return v;
     };
     if (strcmp(argv[i], "--port") == 0) {
-      port = static_cast<std::uint16_t>(number("--port"));
+      const unsigned long v = number("--port");
+      if (v > 65535) {
+        fprintf(stderr, "error: --port expects 0..65535, got '%s'\n",
+                argv[i]);
+        return 2;
+      }
+      port = static_cast<std::uint16_t>(v);
     } else if (strcmp(argv[i], "--jobs") == 0) {
       options.jobs = number("--jobs");
     } else if (strcmp(argv[i], "--cache") == 0) {
