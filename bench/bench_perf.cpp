@@ -87,10 +87,17 @@ void BM_CcgParse(benchmark::State& state) {
   options.enable_composition = state.range(0) != 0;
   options.enable_type_raising = state.range(0) != 0;
   const ccg::CcgParser parser(&lexicon, options);
-  const auto tokens = chunker.chunk(nlp::tokenize(kSentence));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(parser.parse(tokens));
+  std::vector<std::vector<nlp::Token>> sentences;
+  for (const auto& tokens : corpus_sentences()) {
+    sentences.push_back(chunker.chunk(tokens));
   }
+  for (auto _ : state) {
+    for (const auto& tokens : sentences) {
+      benchmark::DoNotOptimize(parser.parse(tokens));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sentences.size()));
 }
 // Arg 1: full grammar; arg 0: application-only ablation.
 BENCHMARK(BM_CcgParse)->Arg(1)->Arg(0);

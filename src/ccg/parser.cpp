@@ -14,18 +14,32 @@ namespace sage::ccg {
 
 namespace {
 
-/// One chart edge: a category with its (beta-normal) semantics, plus an
-/// index into the derivation arena when derivations are recorded.
-struct Edge {
-  CategoryPtr cat;
-  TermPtr sem;
-  int id = -1;
+// Chart edges, memo entries and arena nodes hold raw pointers: every
+// category and term is interned, and its interner owns it for the process
+// lifetime (interner.hpp). ParseResult holds only deep copies.
+
+/// An interned term with its id, as the memo returns it.
+struct Sem {
+  const Term* term = nullptr;
+  std::uint32_t id = 0;
+  explicit operator bool() const { return term != nullptr; }
 };
 
-/// Arena node recorded per edge while parsing. Categories and terms are
-/// interned and immortal (interner.hpp), so raw pointers are safe; the
-/// strings a DerivationNode needs are rendered lazily at harvest, only
-/// for the subtrees that actually reach a sentence-level parse.
+Sem interned(const TermPtr& t) { return {t.get(), t->id}; }
+
+/// One chart edge: a category with its (beta-normal) semantics and that
+/// term's id, so dedup never loads the term, plus an index into the
+/// derivation arena when derivations are recorded.
+struct Edge {
+  const Category* cat;
+  const Term* sem;
+  std::uint32_t sem_id;
+  int id;
+};
+
+/// Arena node recorded per edge while parsing. The strings a
+/// DerivationNode needs are rendered lazily at harvest, only for the
+/// subtrees that actually reach a sentence-level parse.
 struct ArenaNode {
   const Category* cat = nullptr;
   const Term* sem = nullptr;
@@ -100,15 +114,16 @@ class Chart {
   /// derivations are being recorded; the child ids record provenance for
   /// derivations (the first derivation of a deduplicated edge wins).
   template <typename RuleFn>
-  bool add(std::size_t start, std::size_t span, Edge edge, RuleFn&& rule,
-           int left = -1, int right = -1) {
+  bool add(std::size_t start, std::size_t span, const Category* cat, Sem sem,
+           RuleFn&& rule, int left = -1, int right = -1) {
     Cell& c = cell(start, span);
     if (c.edges.size() >= cap_) {
       ++stats_->cap_drops;
       return false;
     }
+    Edge edge{cat, sem.term, sem.id, -1};
     const std::uint64_t key =
-        (static_cast<std::uint64_t>(edge.cat->id()) << 32) | edge.sem->id;
+        (static_cast<std::uint64_t>(cat->id()) << 32) | sem.id;
     for (const std::uint64_t k : c.seen) {
       if (k == key) {
         ++stats_->dedup_hits;
@@ -117,20 +132,19 @@ class Chart {
     }
     c.seen.push_back(key);
     if (arena_ != nullptr) {
-      arena_->push_back(
-          ArenaNode{edge.cat.get(), edge.sem.get(), rule(), left, right});
+      arena_->push_back(ArenaNode{cat, sem.term, rule(), left, right});
       edge.id = static_cast<int>(arena_->size()) - 1;
     }
     const auto pos = static_cast<std::uint32_t>(c.edges.size());
-    c.by_cat.emplace_back(edge.cat->id(), pos);
-    if (!edge.cat->is_primitive()) {
-      if (edge.cat->slash() == Category::Slash::kForward) {
-        c.fwd_by_result.emplace_back(edge.cat->result()->id(), pos);
+    c.by_cat.emplace_back(cat->id(), pos);
+    if (!cat->is_primitive()) {
+      if (cat->slash() == Category::Slash::kForward) {
+        c.fwd_by_result.emplace_back(cat->result()->id(), pos);
       } else {
-        c.bwd_by_arg.emplace_back(edge.cat->arg()->id(), pos);
+        c.bwd_by_arg.emplace_back(cat->arg()->id(), pos);
       }
     }
-    c.edges.push_back(std::move(edge));
+    c.edges.push_back(edge);
     ++stats_->edges_created;
     return true;
   }
@@ -142,9 +156,6 @@ class Chart {
   std::vector<ArenaNode>* arena_;
   ParseStats* stats_;
 };
-
-/// Categories are interned, so this is the primitive named "CONJ".
-bool is_conj(const Category& c) { return &c == cat_CONJ().get(); }
 
 /// Generalized coordination semantics (the Φ-rule of CCG [Steedman]).
 /// Coordinating two edges of category X yields, for primitive X,
@@ -169,17 +180,11 @@ TermPtr coordination_sem(const TermPtr& conj_pred, const TermPtr& right_sem,
   return mk_lam(y, std::move(body));
 }
 
-/// S\NP — cached for the type-raising target.
-const CategoryPtr& cat_S_back_NP() {
-  static const CategoryPtr c =
-      Category::complex(cat_S(), Category::Slash::kBackward, cat_NP());
-  return c;
-}
-
-/// S/(S\NP) — the type-raised category itself.
+/// S/(S\NP) — the type-raised category.
 const CategoryPtr& cat_S_fwd_S_back_NP() {
-  static const CategoryPtr c =
-      Category::complex(cat_S(), Category::Slash::kForward, cat_S_back_NP());
+  static const CategoryPtr c = Category::complex(
+      cat_S(), Category::Slash::kForward,
+      Category::complex(cat_S(), Category::Slash::kBackward, cat_NP()));
   return c;
 }
 
@@ -219,7 +224,8 @@ struct CombineKey {
 struct CombineEntry {
   CombineKey key;
   std::uint32_t steps = 0;
-  TermPtr term;  // nullptr marks an empty slot
+  std::uint32_t term_id = 0;
+  const Term* term = nullptr;  // nullptr marks an empty slot
   bool empty() const { return term == nullptr; }
   std::uint64_t hash() const { return key.hash(); }
 };
@@ -230,14 +236,14 @@ struct CombineEntry {
 /// interner (interner.hpp's ShardedFlat).
 class CombineMemo : public ShardedFlat<CombineEntry> {
  public:
-  /// The result `key` names. On a miss, `build()` makes the unreduced
-  /// term and it is reduced under the parser's one 4096-step cap
-  /// (malformed combinations could otherwise loop). Only a success is
-  /// stored, so a reduction that hits the cap returns nullptr on every
-  /// attempt. Wrappers that are already normal (type raise, compounds)
-  /// pass through the reduction unchanged in 0 steps.
+  /// The result `key` names and its id; a hit touches no refcount. On a
+  /// miss, `build()` makes the unreduced term and it is reduced under the
+  /// parser's one 4096-step cap (malformed combinations could otherwise
+  /// loop). Only a success is stored, so a reduction that hits the cap
+  /// returns an empty Sem on every attempt. Wrappers that are already
+  /// normal (type raise, compounds) pass through unchanged in 0 steps.
   template <typename Build>
-  TermPtr get(const CombineKey& key, ParseStats& stats, Build&& build) {
+  Sem get(const CombineKey& key, ParseStats& stats, Build&& build) {
     const std::uint64_t hash = key.hash();
     Shard& shard = shard_for(hash);
     const auto matches = [&key](const CombineEntry& e) { return e.key == key; };
@@ -247,20 +253,21 @@ class CombineMemo : public ShardedFlat<CombineEntry> {
       if (!entry.empty()) {
         ++stats.memo_hits;
         stats.beta_steps += entry.steps;
-        return entry.term;
+        return {entry.term, entry.term_id};
       }
     }
     ++stats.memo_misses;
     std::size_t steps = 0;
-    TermPtr term = beta_reduce(build(), 4096, &steps);
-    if (term == nullptr) return nullptr;
+    const TermPtr term = beta_reduce(build(), 4096, &steps);
+    if (term == nullptr) return {};
     stats.beta_steps += steps;
     std::lock_guard lock(shard.mutex);
     const std::size_t slot = shard.find_slot(hash, matches);
     if (shard.entries[slot].empty()) {  // else a racing thread stored it
-      shard.insert(slot, {key, static_cast<std::uint32_t>(steps), term});
+      shard.insert(slot, {key, static_cast<std::uint32_t>(steps), term->id,
+                          term.get()});
     }
-    return term;
+    return interned(term);
   }
 };
 
@@ -269,9 +276,12 @@ CombineMemo& combine_memo() {
   return *memo;
 }
 
-/// View an immortal interned term through the TermPtr API without
+/// View an immortal interned node through the shared_ptr API without
 /// copying or refcounting (aliasing constructor, null owner).
-TermPtr unowned(const Term* t) { return TermPtr(TermPtr(), t); }
+template <typename T>
+std::shared_ptr<const T> unowned(const T* p) {
+  return {std::shared_ptr<const T>(), p};
+}
 
 /// Copy the subtree rooted at `root` out of the shared arena into a
 /// compact, self-contained Derivation, rendering the category/semantics
@@ -383,17 +393,26 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
   // exactly as a rebuild would draw them, so ids never depend on hits.
   CombineMemo& memo = combine_memo();
   ParseStats& stats = result.stats;
-  const auto apply = [&](const TermPtr& f, const TermPtr& a) {
+  // The grammar's fixed categories, read once rather than on every test.
+  const Category* const n_cat = cat_N().get();
+  const Category* const np_cat = cat_NP().get();
+  const Category* const s_cat = cat_S().get();
+  const Category* const conj_cat = cat_CONJ().get();
+  const Category* const raised_cat = cat_S_fwd_S_back_NP().get();
+  const auto apply = [&](const Edge& f, const Edge& a) {
     ++stats.beta_reductions;
-    return memo.get({Rule::kApply, f->id, a->id}, stats,
-                    [&] { return mk_app(f, a); });
+    return memo.get({Rule::kApply, f.sem_id, a.sem_id}, stats,
+                    [&] { return mk_app(unowned(f.sem), unowned(a.sem)); });
   };
-  const auto compose = [&](const TermPtr& f, const TermPtr& g) {
+  const auto compose = [&](const Edge& f, const Edge& g) {
     const int z = vg.fresh();
     ++stats.beta_reductions;
     return memo.get(
-        {Rule::kCompose, f->id, g->id, static_cast<std::uint64_t>(z)}, stats,
-        [&] { return mk_lam(z, mk_app(f, mk_app(g, mk_var(z)))); });
+        {Rule::kCompose, f.sem_id, g.sem_id, static_cast<std::uint64_t>(z)},
+        stats, [&] {
+          return mk_lam(z, mk_app(unowned(f.sem),
+                                  mk_app(unowned(g.sem), mk_var(z))));
+        });
   };
   // Unary rules on a completed cell: N -> NP, then, when `raise_np`,
   // NP -> S/(S\NP) : \f. f(x). Edges are copied: add() reallocates.
@@ -402,8 +421,8 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
     const std::size_t base = chart.cell(start, span).edges.size();
     for (std::size_t k = 0; k < base; ++k) {
       const Edge e = chart.cell(start, span).edges[k];
-      if (e.cat.get() == cat_N().get()) {
-        chart.add(start, span, Edge{cat_NP(), e.sem},
+      if (e.cat == n_cat) {
+        chart.add(start, span, np_cat, {e.sem, e.sem_id},
                   [] { return "N -> NP"; }, e.id);
       }
     }
@@ -411,12 +430,12 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
     const std::size_t base2 = chart.cell(start, span).edges.size();
     for (std::size_t k = 0; k < base2; ++k) {
       const Edge e = chart.cell(start, span).edges[k];
-      if (e.cat.get() != cat_NP().get()) continue;
-      const TermPtr raised =
-          memo.get({Rule::kTypeRaise, e.sem->id}, stats, [&] {
-            return mk_lam(kTypeRaiseVar, mk_app(mk_var(kTypeRaiseVar), e.sem));
-          });
-      chart.add(start, span, Edge{cat_S_fwd_S_back_NP(), raised},
+      if (e.cat != np_cat) continue;
+      const Sem raised = memo.get({Rule::kTypeRaise, e.sem_id}, stats, [&] {
+        return mk_lam(kTypeRaiseVar,
+                      mk_app(mk_var(kTypeRaiseVar), unowned(e.sem)));
+      });
+      chart.add(start, span, raised_cat, raised,
                 [] { return "type raising"; }, e.id);
     }
   };
@@ -431,12 +450,12 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
         // Labeled noun phrases enter the chart as N with their surface
         // text as semantics; the unary N->NP rule lifts them.
         has_lexical = true;
-        chart.add(i, 1, Edge{cat_N(), mk_str(tok.lower)},
+        chart.add(i, 1, n_cat, interned(mk_str(tok.lower)),
                   [&] { return "noun phrase '" + tok.text + "'"; });
         break;
       case nlp::TokenKind::kNumber:
         has_lexical = true;
-        chart.add(i, 1, Edge{cat_NP(), mk_num(tok.number)},
+        chart.add(i, 1, np_cat, interned(mk_num(tok.number)),
                   [&] { return "number " + tok.text; });
         break;
       default:
@@ -444,7 +463,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
     }
     for (const LexEntry& entry : lexicon_->lookup(tok.lower)) {
       has_lexical = true;
-      chart.add(i, 1, Edge{entry.category, entry.semantics},
+      chart.add(i, 1, entry.category.get(), interned(entry.semantics),
                 [&] { return "lexicon '" + tok.text + "'"; });
     }
     if (!has_lexical && tok.kind != nlp::TokenKind::kPunct) {
@@ -460,51 +479,49 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
   // or cross-product scan).
   const auto try_combine = [&](const Edge& l, const Edge& r, std::size_t start,
                                std::size_t span) {
+    const Category& lc = *l.cat;
+    const Category& rc = *r.cat;
     // Forward application: X/Y  Y  =>  X
-    if (!l.cat->is_primitive() &&
-        l.cat->slash() == Category::Slash::kForward &&
-        l.cat->arg().get() == r.cat.get()) {
-      if (TermPtr sem = apply(l.sem, r.sem)) {
-        chart.add(start, span, Edge{l.cat->result(), std::move(sem)},
+    if (!lc.is_primitive() && lc.slash() == Category::Slash::kForward &&
+        lc.arg().get() == r.cat) {
+      if (const Sem sem = apply(l, r)) {
+        chart.add(start, span, lc.result().get(), sem,
                   [] { return "forward application"; }, l.id, r.id);
       }
     }
     // Backward application: Y  X\Y  =>  X
-    if (!r.cat->is_primitive() &&
-        r.cat->slash() == Category::Slash::kBackward &&
-        r.cat->arg().get() == l.cat.get()) {
-      if (TermPtr sem = apply(r.sem, l.sem)) {
-        chart.add(start, span, Edge{r.cat->result(), std::move(sem)},
+    if (!rc.is_primitive() && rc.slash() == Category::Slash::kBackward &&
+        rc.arg().get() == l.cat) {
+      if (const Sem sem = apply(r, l)) {
+        chart.add(start, span, rc.result().get(), sem,
                   [] { return "backward application"; }, l.id, r.id);
       }
     }
     if (options_.enable_composition) {
       // Forward composition: X/Y  Y/Z  =>  X/Z
-      if (!l.cat->is_primitive() && !r.cat->is_primitive() &&
-          l.cat->slash() == Category::Slash::kForward &&
-          r.cat->slash() == Category::Slash::kForward &&
-          l.cat->arg().get() == r.cat->result().get()) {
-        if (TermPtr sem = compose(l.sem, r.sem)) {
+      if (!lc.is_primitive() && !rc.is_primitive() &&
+          lc.slash() == Category::Slash::kForward &&
+          rc.slash() == Category::Slash::kForward &&
+          lc.arg() == rc.result()) {
+        if (const Sem sem = compose(l, r)) {
           chart.add(start, span,
-                    Edge{Category::complex(l.cat->result(),
-                                           Category::Slash::kForward,
-                                           r.cat->arg()),
-                         std::move(sem)},
-                    [] { return "forward composition"; }, l.id, r.id);
+                    Category::complex(lc.result(), Category::Slash::kForward,
+                                      rc.arg())
+                        .get(),
+                    sem, [] { return "forward composition"; }, l.id, r.id);
         }
       }
       // Backward composition: Y\Z  X\Y  =>  X\Z
-      if (!l.cat->is_primitive() && !r.cat->is_primitive() &&
-          l.cat->slash() == Category::Slash::kBackward &&
-          r.cat->slash() == Category::Slash::kBackward &&
-          r.cat->arg().get() == l.cat->result().get()) {
-        if (TermPtr sem = compose(r.sem, l.sem)) {
+      if (!lc.is_primitive() && !rc.is_primitive() &&
+          lc.slash() == Category::Slash::kBackward &&
+          rc.slash() == Category::Slash::kBackward &&
+          rc.arg() == lc.result()) {
+        if (const Sem sem = compose(r, l)) {
           chart.add(start, span,
-                    Edge{Category::complex(r.cat->result(),
-                                           Category::Slash::kBackward,
-                                           l.cat->arg()),
-                         std::move(sem)},
-                    [] { return "backward composition"; }, l.id, r.id);
+                    Category::complex(rc.result(), Category::Slash::kBackward,
+                                      lc.arg())
+                        .get(),
+                    sem, [] { return "backward composition"; }, l.id, r.id);
         }
       }
     }
@@ -512,97 +529,118 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
     // "echo reply message"). Two adjacent bare nouns concatenate;
     // this is what lets poorly-labeled noun phrases still parse —
     // at the cost of extra attachment ambiguity (Table 7).
-    if (l.cat.get() == cat_N().get() && r.cat.get() == cat_N().get() &&
-        l.sem->kind == Term::Kind::kStr && r.sem->kind == Term::Kind::kStr) {
+    if (l.cat == n_cat && r.cat == n_cat && l.sem->kind == Term::Kind::kStr &&
+        r.sem->kind == Term::Kind::kStr) {
       // Both analyses the parser cannot choose between: the
       // compound as one name, and the head-modifier relation.
-      const TermPtr name =
-          memo.get({Rule::kCompoundStr, l.sem->id, r.sem->id}, stats,
+      const Sem name =
+          memo.get({Rule::kCompoundStr, l.sem_id, r.sem_id}, stats,
                    [&] { return mk_str(l.sem->name + " " + r.sem->name); });
-      const TermPtr head =
-          memo.get({Rule::kCompoundOf, l.sem->id, r.sem->id}, stats, [&] {
-            return mk_pred_app(std::string(lf::pred::kOf), {r.sem, l.sem});
+      const Sem head =
+          memo.get({Rule::kCompoundOf, l.sem_id, r.sem_id}, stats, [&] {
+            return mk_pred_app(std::string(lf::pred::kOf),
+                               {unowned(r.sem), unowned(l.sem)});
           });
-      chart.add(start, span, Edge{cat_N(), name},
-                [] { return "noun compound"; }, l.id, r.id);
-      chart.add(start, span, Edge{cat_N(), head},
+      chart.add(start, span, n_cat, name, [] { return "noun compound"; },
+                l.id, r.id);
+      chart.add(start, span, n_cat, head,
                 [] { return "noun compound (head)"; }, l.id, r.id);
     }
     // Coordination (binarized): CONJ X => X\X with the
     // generalized Φ semantics. The CONJ edge's semantics is the
     // bare conjunction predicate (@And / @Or).
-    if (options_.enable_coordination && is_conj(*l.cat) &&
+    if (options_.enable_coordination && l.cat == conj_cat &&
         l.sem->kind == Term::Kind::kPred) {
       int arity = 0;
-      for (const Category* c = r.cat.get(); !c->is_primitive();
+      for (const Category* c = r.cat; !c->is_primitive();
            c = c->result().get()) {
         ++arity;
       }
       const int first = vg.fresh(arity + 1);
-      const std::uint64_t aux =
-          (static_cast<std::uint64_t>(r.cat->id()) << 32) |
-          static_cast<std::uint32_t>(first);
+      const std::uint64_t aux = (static_cast<std::uint64_t>(rc.id()) << 32) |
+                                static_cast<std::uint32_t>(first);
       ++stats.beta_reductions;
-      if (TermPtr sem = memo.get(
-              {Rule::kCoordinate, l.sem->id, r.sem->id, aux}, stats,
-              [&] { return coordination_sem(l.sem, r.sem, arity, first); })) {
+      if (const Sem sem = memo.get(
+              {Rule::kCoordinate, l.sem_id, r.sem_id, aux}, stats, [&] {
+                return coordination_sem(unowned(l.sem), unowned(r.sem),
+                                        arity, first);
+              })) {
         chart.add(start, span,
-                  Edge{Category::complex(r.cat, Category::Slash::kBackward,
-                                         r.cat),
-                       std::move(sem)},
-                  [] { return "coordination"; }, l.id, r.id);
+                  Category::complex(unowned(r.cat), Category::Slash::kBackward,
+                                    unowned(r.cat))
+                      .get(),
+                  sem, [] { return "coordination"; }, l.id, r.id);
       }
     }
   };
 
-  // Scratch: candidate right-edge slots, bump-allocated like the cells.
+  // Per cell pair, each left-edge shape's candidate right-edge positions,
+  // gathered on the shape's first occurrence. A shape (category id, is a
+  // coordinating CONJ, is an N with string semantics) is all the gather
+  // reads from a left edge, and the right cell is never the target cell,
+  // so its indexes cannot change while the pair runs. Both lists are
+  // bump-allocated like the cells.
+  struct Shape {
+    std::uint64_t key;
+    std::size_t begin, end;  // range in `cand`
+  };
+  std::pmr::vector<Shape> shapes(&chart_arena);
   std::pmr::vector<std::uint32_t> cand(&chart_arena);
+  const auto probe = [&](const CellIndex& index, std::uint32_t key) {
+    ++stats.index_probes;
+    for (const auto& [k, pos] : index) {
+      if (k == key) cand.push_back(pos);
+    }
+  };
   for (std::size_t span = 2; span <= n; ++span) {
     for (std::size_t start = 0; start + span <= n; ++start) {
       for (std::size_t left_span = 1; left_span < span; ++left_span) {
         const Cell& left = chart.cell(start, left_span);
         const Cell& right = chart.cell(start + left_span, span - left_span);
+        if (right.edges.empty()) continue;
+        shapes.clear();
+        cand.clear();
         for (const Edge& l : left.edges) {
-          // Gather candidate partners from the right cell's indexes. Each
-          // probe list is ascending by insertion; the sort+unique merge
-          // restores the exact right-cell scan order, so cap truncation
-          // and first-derivation-wins dedup behave as a full left×right
-          // scan would.
-          cand.clear();
-          if (options_.enable_coordination && is_conj(*l.cat) &&
-              l.sem->kind == Term::Kind::kPred) {
-            // Coordination pairs a CONJ with ANY right edge.
-            cand.resize(right.edges.size());
-            for (std::uint32_t k = 0; k < cand.size(); ++k) cand[k] = k;
-          } else {
-            const auto probe = [&](const CellIndex& index,
-                                   std::uint32_t key) {
-              ++result.stats.index_probes;
-              for (const auto& [k, pos] : index) {
-                if (k == key) cand.push_back(pos);
+          const bool conj = options_.enable_coordination && l.cat == conj_cat &&
+                            l.sem->kind == Term::Kind::kPred;
+          const bool n_str = l.cat == n_cat && l.sem->kind == Term::Kind::kStr;
+          const std::uint64_t key =
+              (std::uint64_t{l.cat->id()} << 2) | (conj << 1) | n_str;
+          auto shape = shapes.begin();
+          while (shape != shapes.end() && shape->key != key) ++shape;
+          if (shape == shapes.end()) {
+            // Each probe list is ascending by insertion; the sort+unique
+            // merge restores the exact right-cell scan order, so cap
+            // truncation and first-derivation-wins dedup behave as a
+            // full left×right scan would.
+            const std::size_t begin = cand.size();
+            if (conj) {  // coordination pairs a CONJ with ANY right edge
+              for (std::uint32_t k = 0; k < right.edges.size(); ++k) {
+                cand.push_back(k);
               }
-            };
-            if (!l.cat->is_primitive() &&
-                l.cat->slash() == Category::Slash::kForward) {
-              probe(right.by_cat, l.cat->arg()->id());  // forward application
-              if (options_.enable_composition) {
-                probe(right.fwd_by_result, l.cat->arg()->id());  // fwd comp
+            } else {
+              const Category& lc = *l.cat;
+              if (!lc.is_primitive() &&
+                  lc.slash() == Category::Slash::kForward) {
+                probe(right.by_cat, lc.arg()->id());  // forward application
+                if (options_.enable_composition) {
+                  probe(right.fwd_by_result, lc.arg()->id());  // fwd comp
+                }
               }
+              probe(right.bwd_by_arg, lc.id());  // backward application
+              if (options_.enable_composition && !lc.is_primitive() &&
+                  lc.slash() == Category::Slash::kBackward) {
+                probe(right.bwd_by_arg, lc.result()->id());  // bwd comp
+              }
+              if (n_str) probe(right.by_cat, n_cat->id());  // noun compound
+              std::sort(cand.begin() + begin, cand.end());
+              cand.erase(std::unique(cand.begin() + begin, cand.end()),
+                         cand.end());
             }
-            probe(right.bwd_by_arg, l.cat->id());  // backward application
-            if (options_.enable_composition && !l.cat->is_primitive() &&
-                l.cat->slash() == Category::Slash::kBackward) {
-              probe(right.bwd_by_arg, l.cat->result()->id());  // bwd comp
-            }
-            if (l.cat.get() == cat_N().get() &&
-                l.sem->kind == Term::Kind::kStr) {
-              probe(right.by_cat, cat_N()->id());  // noun compound
-            }
-            std::sort(cand.begin(), cand.end());
-            cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
+            shape = shapes.insert(shapes.end(), {key, begin, cand.size()});
           }
-          for (const std::uint32_t k : cand) {
-            try_combine(l, right.edges[k], start, span);
+          for (std::size_t k = shape->begin; k < shape->end; ++k) {
+            try_combine(l, right.edges[cand[k]], start, span);
           }
         }
       }
@@ -623,8 +661,8 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
     return std::pmr::string(render.begin(), render.end(), &chart_arena);
   };
   for (const Edge& e : chart.cell(0, n).edges) {
-    if (e.cat.get() == cat_S().get()) {
-      if (auto form = term_to_logical_form(e.sem)) {
+    if (e.cat == s_cat) {
+      if (auto form = term_to_logical_form(unowned(e.sem))) {
         if (seen_forms.insert(render_key(*form)).second) {
           result.forms.push_back(std::move(*form));
           if (options_.record_derivations && e.id >= 0) {
@@ -632,8 +670,8 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
           }
         }
       }
-    } else if (e.cat.get() == cat_NP().get() || e.cat.get() == cat_N().get()) {
-      if (auto frag = term_to_logical_form(e.sem)) {
+    } else if (e.cat == np_cat || e.cat == n_cat) {
+      if (auto frag = term_to_logical_form(unowned(e.sem))) {
         if (seen_fragments.insert(render_key(*frag)).second) {
           result.fragments.push_back(std::move(*frag));
         }

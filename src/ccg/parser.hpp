@@ -15,12 +15,13 @@
 // [Hockenmaier & Bisk] that real CCG parsers apply.
 //
 // Hot-path design (docs/PARSER_INTERNALS.md): categories and terms are
-// hash-consed (interner.hpp), so edge dedup keys on interner ids instead
-// of rendered strings, and each chart cell carries combinability indexes
-// (by category id, by forward-slash result, by backward-slash argument)
-// that replace the left×right cross-product scan with index probes.
+// hash-consed (interner.hpp), so a chart edge is two raw pointers and a
+// term id, and edge dedup keys on ids instead of rendered strings. Each
+// cell carries combinability indexes (by category id, by forward-slash
+// result, by backward-slash argument), probed once per left-edge shape
+// and pair of cells in place of the left×right cross-product scan.
 // Combinator results are memoized process-wide on term ids, so a warm
-// parse interns no wrapper term.
+// parse interns no wrapper term and a memo hit touches no refcount.
 // tests/test_differential.cpp pins every corpus sentence's parse output
 // to digests recorded while the seed's scan was still in the tree.
 #pragma once
@@ -56,7 +57,7 @@ struct ParseStats {
   std::size_t edges_created = 0;    // edges admitted to the chart
   std::size_t dedup_hits = 0;       // edges rejected as duplicates
   std::size_t cap_drops = 0;        // edges rejected by the per-cell cap
-  std::size_t index_probes = 0;     // cell-index lookups
+  std::size_t index_probes = 0;     // index scans, once per shape & pair
   std::size_t beta_reductions = 0;  // reducing combinations attempted
   std::size_t beta_steps = 0;       // normal-order steps, stored on hits
   std::size_t memo_hits = 0;        // combinator-memo probes answered

@@ -294,6 +294,41 @@ TEST_F(ParserTest, ChartEdgeCountIsPopulated) {
   EXPECT_GT(result.chart_edges, 4u);
 }
 
+// The chart gathers a left edge's partners once per shape: its category,
+// whether it is a coordinating CONJ, and whether it is an N with string
+// semantics. In the two tests below, one cell holds an edge without the
+// flag and then one with it. Handing the second edge the first one's
+// partners would lose the noun compound or the coordination.
+TEST_F(ParserTest, StringNounCompoundsAfterANonStringNounInItsCell) {
+  lex_.add("header", "N", "@Header");
+  lex_.add("header", "N", "\"header\"");
+  CcgParser parser(&lex_);
+  // Built by hand: the chunker would label "header" a noun phrase too.
+  const auto result = parser.parse(
+      {nlp::make_word("header"), nlp::make_noun_phrase("checksum")});
+  std::vector<std::string> fragments;
+  for (const auto& f : result.fragments) fragments.push_back(f.to_string());
+  EXPECT_NE(std::find(fragments.begin(), fragments.end(),
+                      "\"header checksum\""),
+            fragments.end());
+  EXPECT_NE(std::find(fragments.begin(), fragments.end(),
+                      "@Of(\"checksum\", \"header\")"),
+            fragments.end());
+}
+
+TEST_F(ParserTest, PredicateConjCoordinatesAfterANonPredicateConjInItsCell) {
+  lex_.add("or", "CONJ", "1");
+  lex_.add("or", "CONJ", "@Or");
+  CcgParser parser(&lex_);
+  const auto result =
+      parser.parse(prepare("the source or the destination is zero"));
+  std::vector<std::string> forms;
+  for (const auto& f : result.forms) forms.push_back(f.to_string());
+  EXPECT_NE(std::find(forms.begin(), forms.end(),
+                      "@Is(@Or(\"source\", \"destination\"), @Num(0))"),
+            forms.end());
+}
+
 }  // namespace
 }  // namespace sage::ccg
 
