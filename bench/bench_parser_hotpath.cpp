@@ -15,13 +15,12 @@
 //   * heap allocations and peak live bytes per pass, via an
 //     instrumented global operator new/delete in this TU.
 //
-// Results, with the machine record (benchutil::machine_json), are
-// written to BENCH_parser_hotpath.json and copied to bench/results/;
-// EXPERIMENTS.md records the history of these numbers.
+// Gate: at most 5,000 heap allocations per pass. Results and the gate go
+// through benchutil::Scorecard to BENCH_parser_hotpath.json, copied to
+// bench/results/; EXPERIMENTS.md records the history of these numbers.
 #include <malloc.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -99,12 +98,6 @@ using namespace sage;
 
 namespace {
 
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 std::string tcp_text() {
   std::string text = "TCP State Management\n\n   Description\n\n";
   for (const auto& s : corpus::tcp_probe_sentences()) {
@@ -156,13 +149,13 @@ Measurement measure(const ccg::CcgParser& parser,
   }
 
   const AllocSnapshot before = snapshot_and_reset_peak();
-  const double start = now_ms();
+  const double start = benchutil::now_ms();
   for (int i = 0; i < iterations; ++i) {
     for (const auto& tokens : sentences) {
       (void)parser.parse(tokens);
     }
   }
-  const double elapsed = now_ms() - start;
+  const double elapsed = benchutil::now_ms() - start;
   const AllocSnapshot after = snapshot_and_reset_peak();
 
   m.ms_per_pass = elapsed / iterations;
@@ -190,10 +183,9 @@ int main(int argc, char** argv) {
   std::size_t token_count = 0;
   for (const auto& s : sentences) token_count += s.size();
 
-  char buf[160];
-  std::snprintf(buf, sizeof buf, "%zu sentences, %zu tokens, %d iterations",
-                sentences.size(), token_count, iterations);
-  benchutil::row("workload", buf);
+  benchutil::row("workload",
+                 benchutil::fmt("%zu sentences, %zu tokens, %d iterations",
+                                sentences.size(), token_count, iterations));
 
   const ccg::CcgParser parser(&sage.lexicon());
   const Measurement prod = measure(parser, sentences, iterations);
@@ -201,56 +193,36 @@ int main(int argc, char** argv) {
   benchutil::row("configuration",
                  "ms/pass   sent/s      edges/s      allocs/pass");
   benchutil::rule();
-  std::snprintf(buf, sizeof buf, "%8.2f   %8.0f   %10.0f   %10.0f",
-                prod.ms_per_pass, prod.sentences_per_s, prod.edges_per_s,
-                prod.allocs_per_pass);
-  benchutil::row("uncached parse, single thread", buf);
-  std::snprintf(buf, sizeof buf, "%.1f MiB",
-                static_cast<double>(prod.peak_live_bytes) / (1024.0 * 1024.0));
-  benchutil::row("peak live heap during passes", buf);
-  std::snprintf(buf, sizeof buf, "%zu logical forms/pass", prod.forms);
-  benchutil::row("output sanity", buf);
+  benchutil::row("uncached parse, single thread",
+                 benchutil::fmt("%8.2f   %8.0f   %10.0f   %10.0f",
+                                prod.ms_per_pass, prod.sentences_per_s,
+                                prod.edges_per_s, prod.allocs_per_pass));
+  benchutil::row("peak live heap during passes",
+                 benchutil::fmt("%.1f MiB",
+                                prod.peak_live_bytes / (1024.0 * 1024.0)));
+  benchutil::row("output sanity",
+                 benchutil::fmt("%zu logical forms/pass", prod.forms));
 
-  FILE* json = std::fopen("BENCH_parser_hotpath.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n");
-    std::fprintf(json,
-                 "  \"workload\": \"ICMP+IGMP+NTP+BFD+TCP, %zu sentences, "
-                 "%zu tokens\",\n",
-                 sentences.size(), token_count);
-    std::fprintf(json, "  \"machine\": %s,\n",
-                 benchutil::machine_json().c_str());
-    std::fprintf(json, "  \"iterations\": %d,\n", iterations);
-    std::fprintf(json, "  \"single_thread\": {\n");
-    std::fprintf(json, "    \"ms_per_pass\": %.3f,\n", prod.ms_per_pass);
-    std::fprintf(json, "    \"sentences_per_s\": %.0f,\n",
-                 prod.sentences_per_s);
-    std::fprintf(json, "    \"edges_per_s\": %.0f,\n", prod.edges_per_s);
-    std::fprintf(json, "    \"allocs_per_pass\": %.0f,\n",
-                 prod.allocs_per_pass);
-    std::fprintf(json, "    \"peak_live_bytes\": %llu,\n",
-                 static_cast<unsigned long long>(prod.peak_live_bytes));
-    std::fprintf(json, "    \"forms_per_pass\": %zu\n", prod.forms);
-    std::fprintf(json, "  }\n");
-    std::fprintf(json, "}\n");
-    std::fclose(json);
-    benchutil::row("written", "BENCH_parser_hotpath.json");
-    benchutil::commit_scorecard("BENCH_parser_hotpath.json");
-  }
+  benchutil::Scorecard card("parser_hotpath");
+  card.str("workload",
+           benchutil::fmt("ICMP+IGMP+NTP+BFD+TCP, %zu sentences, %zu tokens",
+                          sentences.size(), token_count))
+      .num("iterations", iterations)
+      .obj("single_thread",
+           benchutil::Json()
+               .num("ms_per_pass", prod.ms_per_pass, 3)
+               .num("sentences_per_s", prod.sentences_per_s)
+               .num("edges_per_s", prod.edges_per_s)
+               .num("allocs_per_pass", prod.allocs_per_pass)
+               .num("peak_live_bytes", prod.peak_live_bytes)
+               .num("forms_per_pass", prod.forms));
 
-  // Alloc gate: the arena-backed chart must keep the parser's steady-state
-  // heap traffic bounded. Fail loudly if a regression reintroduces
-  // per-edge/per-candidate allocations.
+  // The arena-backed chart must keep the parser's steady-state heap
+  // traffic bounded; a regression that reintroduces per-edge or
+  // per-candidate allocations fails here.
   constexpr double kMaxAllocsPerPass = 5000.0;
-  if (prod.allocs_per_pass > kMaxAllocsPerPass) {
-    std::fprintf(stderr,
-                 "ALLOC GATE FAILED: %.0f allocs/pass exceeds the %.0f "
-                 "budget (chart arena regression?)\n",
-                 prod.allocs_per_pass, kMaxAllocsPerPass);
-    return 1;
-  }
-  std::snprintf(buf, sizeof buf, "%.0f allocs/pass <= %.0f budget",
-                prod.allocs_per_pass, kMaxAllocsPerPass);
-  benchutil::row("alloc gate", buf);
-  return 0;
+  card.gate("allocs_per_pass", prod.allocs_per_pass <= kMaxAllocsPerPass,
+            benchutil::fmt("%.0f allocs/pass (budget <= %.0f)",
+                           prod.allocs_per_pass, kMaxAllocsPerPass));
+  return card.finish();
 }

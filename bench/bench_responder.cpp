@@ -11,11 +11,11 @@
 //   indexed   — the tree exactly as the generator annotated it, so the
 //               environment dispatches on vector indices.
 //
-// Results are written to BENCH_responder.json; EXPERIMENTS.md records
-// the reference run. The acceptance target for the registry work is
-// >= 1.5x packets/s.
+// Results and the gate (>= 1.5x packets/s, the registry work's
+// acceptance target) go through benchutil::Scorecard to
+// BENCH_responder.json, copied to bench/results/; EXPERIMENTS.md records
+// the reference run.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -31,12 +31,6 @@
 namespace {
 
 using namespace sage;
-
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void strip_expr(codegen::Expr& expr);
 
@@ -84,11 +78,11 @@ double measure_pps(const runtime::Interpreter& interp,
                    std::span<const std::uint8_t> request, net::IpAddr own,
                    std::size_t packets) {
   std::size_t sink = 0;
-  const double start = now_ms();
+  const double start = benchutil::now_ms();
   for (std::size_t i = 0; i < packets; ++i) {
     sink += respond_once(interp, body, request, own);
   }
-  const double elapsed = now_ms() - start;
+  const double elapsed = benchutil::now_ms() - start;
   if (sink == 0) std::printf("(empty replies?)\n");
   return static_cast<double>(packets) / (elapsed / 1000.0);
 }
@@ -157,29 +151,17 @@ int main() {
   }
   const double speedup = indexed_pps / baseline_pps;
 
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.0f packets/s", baseline_pps);
-  benchutil::row("baseline (string dispatch)", buf);
-  std::snprintf(buf, sizeof buf, "%.0f packets/s", indexed_pps);
-  benchutil::row("indexed (schema field ids)", buf);
-  std::snprintf(buf, sizeof buf, "%.2fx (target >= 1.5x)", speedup);
-  benchutil::row("speedup", buf);
+  benchutil::row("baseline (string dispatch)",
+                 benchutil::fmt("%.0f packets/s", baseline_pps));
+  benchutil::row("indexed (schema field ids)",
+                 benchutil::fmt("%.0f packets/s", indexed_pps));
 
-  FILE* json = std::fopen("BENCH_responder.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n"
-                 "  \"machine\": %s,\n"
-                 "  \"packets\": %zu,\n"
-                 "  \"baseline_pps\": %.1f,\n"
-                 "  \"indexed_pps\": %.1f,\n"
-                 "  \"speedup\": %.3f\n"
-                 "}\n",
-                 benchutil::machine_json().c_str(), kPackets, baseline_pps,
-                 indexed_pps, speedup);
-    std::fclose(json);
-    benchutil::row("written", "BENCH_responder.json");
-    benchutil::commit_scorecard("BENCH_responder.json");
-  }
-  return speedup >= 1.5 ? 0 : 1;
+  benchutil::Scorecard card("responder");
+  card.num("packets", kPackets)
+      .num("baseline_pps", baseline_pps, 1)
+      .num("indexed_pps", indexed_pps, 1)
+      .num("speedup", speedup, 3);
+  card.gate("speedup", speedup >= 1.5,
+            benchutil::fmt("%.2fx indexed vs baseline (>= 1.5x)", speedup));
+  return card.finish();
 }

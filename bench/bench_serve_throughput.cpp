@@ -1,4 +1,4 @@
-// Serve daemon throughput (not a paper artifact; ISSUE PR 9 satellite).
+// Serve daemon throughput (not a paper artifact).
 //
 // Measures jobs/second for the same mixed parse+codegen batch in two
 // configurations:
@@ -8,17 +8,16 @@
 //   * warm daemon: one Server with a warmed session pipeline cache,
 //     batch submitted through a loopback Client, at 1/2/4/8 workers.
 //
-// Honest framing (same as BENCH_fuzz_throughput): this container has a
-// single CPU, so the win comes from the session caches — each corpus'
-// pipeline runs and compiles once, then every later job is a
-// hash-lookup — not from thread parallelism. The per-worker rows exist
-// to show scaling is not negative and the determinism contract holds:
+// The rows separate two effects. The 1-worker row against one-shot is
+// memoization: the session caches run and compile each corpus' pipeline
+// once, and every later job is a hash lookup. The 2-, 4- and 8-worker
+// rows add workers on top, and show the determinism contract holds:
 // every configuration's response digests must equal the one-shot run's.
 //
-// Results go to BENCH_serve_throughput.json via benchutil::
-// commit_scorecard. Exit is nonzero if determinism breaks or the warm
-// daemon at 4 workers is below 3x one-shot throughput (the ISSUE gate).
-#include <chrono>
+// Results and gates go through benchutil::Scorecard to
+// BENCH_serve_throughput.json, copied to bench/results/. Exit is nonzero
+// if determinism breaks or the warm daemon at 4 workers is below 3x
+// one-shot throughput.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -32,12 +31,6 @@
 using namespace sage;
 
 namespace {
-
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// The benchmark batch: every corpus, parse + codegen, several rounds —
 /// the repeated-query workload a daemon exists for.
@@ -69,35 +62,28 @@ int main() {
                    "mixed parse+codegen jobs, one-shot CLI vs warm daemon");
 
   const std::vector<serve::Frame> jobs = batch();
-  char buf[160];
 
   // One-shot baseline: a cold Server per job — the pipeline re-derived
   // every time, as each `sage_debug` invocation pays it.
-  const double oneshot_start = now_ms();
+  const double oneshot_start = benchutil::now_ms();
   std::vector<serve::Frame> oneshot_responses;
   oneshot_responses.reserve(jobs.size());
   for (const auto& job : jobs) {
     serve::Server cold({.jobs = 1});
     oneshot_responses.push_back(cold.execute(job));
   }
-  const double oneshot_ms = now_ms() - oneshot_start;
+  const double oneshot_ms = benchutil::now_ms() - oneshot_start;
   const std::uint64_t expected = fold_digests(oneshot_responses);
   const double oneshot_jps = 1000.0 * jobs.size() / oneshot_ms;
 
-  std::snprintf(buf, sizeof buf, "%8.1f jobs/s  (%zu jobs in %.0f ms)",
-                oneshot_jps, jobs.size(), oneshot_ms);
-  benchutil::row("one-shot (cold pipeline per job)", buf);
+  benchutil::row("one-shot (cold pipeline per job)",
+                 benchutil::fmt("%8.1f jobs/s  (%zu jobs in %.0f ms)",
+                                oneshot_jps, jobs.size(), oneshot_ms));
   benchutil::rule();
 
-  struct Point {
-    std::size_t workers;
-    double jps;
-    double speedup;
-    bool identical;
-  };
-  std::vector<Point> points;
-  bool all_ok = true;
-
+  std::vector<benchutil::Json> warm_daemon;
+  bool all_identical = true;
+  double speedup_at_4 = 0.0;
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
     serve::Server server({.jobs = workers});
     // Warm the session caches outside the timed region: first touch of
@@ -111,62 +97,41 @@ int main() {
     server.serve_connection_async(std::move(server_end));
     serve::Client client(std::move(client_end));
 
-    const double start = now_ms();
+    const double start = benchutil::now_ms();
     const std::vector<serve::Frame> responses = client.submit(jobs);
-    const double ms = now_ms() - start;
+    const double ms = benchutil::now_ms() - start;
 
     const bool identical = fold_digests(responses) == expected;
     const double jps = 1000.0 * jobs.size() / ms;
     const double speedup = jps / oneshot_jps;
-    points.push_back({workers, jps, speedup, identical});
-    all_ok = all_ok && identical;
+    if (workers == 4) speedup_at_4 = speedup;
+    all_identical = all_identical && identical;
+    warm_daemon.push_back(benchutil::Json()
+                              .num("workers", workers)
+                              .num("jobs_per_s", jps, 1)
+                              .num("speedup_vs_oneshot", speedup, 1));
 
-    std::snprintf(buf, sizeof buf, "%8.1f jobs/s   %7.1fx%s", jps, speedup,
-                  identical ? "" : "  DIGESTS DIVERGED");
     benchutil::row("warm daemon, " + std::to_string(workers) + " worker(s)",
-                   buf);
+                   benchutil::fmt("%8.1f jobs/s   %7.1fx%s", jps, speedup,
+                                  identical ? "" : "  DIGESTS DIVERGED"));
   }
-
   benchutil::rule();
-  const double speedup_at_4 = points[2].speedup;
-  const bool gate = speedup_at_4 >= 3.0;
-  all_ok = all_ok && gate;
-  std::snprintf(buf, sizeof buf,
-                "%.1fx at 4 workers (gate: >= 3x vs one-shot)", speedup_at_4);
-  benchutil::row(gate ? "speedup gate met" : "SPEEDUP GATE MISSED", buf);
-  benchutil::row("determinism contract",
-                 all_ok ? "response digests identical everywhere"
-                        : "see rows above");
 
-  FILE* json = std::fopen("BENCH_serve_throughput.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n");
-    std::fprintf(json,
-                 "  \"workload\": \"%zu mixed parse+codegen jobs over 5 "
-                 "corpora\",\n",
-                 jobs.size());
-    std::fprintf(json,
-                 "  \"note\": \"single-CPU container: speedup is session-"
-                 "cache amortization (pipeline + handler compilation once "
-                 "per corpus), not thread parallelism\",\n");
-    std::fprintf(json, "  \"oneshot_jobs_per_s\": %.1f,\n", oneshot_jps);
-    std::fprintf(json, "  \"warm_daemon\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const auto& p = points[i];
-      std::fprintf(json,
-                   "    {\"workers\": %zu, \"jobs_per_s\": %.1f, "
-                   "\"speedup_vs_oneshot\": %.1f, \"identical\": %s}%s\n",
-                   p.workers, p.jps, p.speedup,
-                   p.identical ? "true" : "false",
-                   i + 1 == points.size() ? "" : ",");
-    }
-    std::fprintf(json, "  ],\n");
-    std::fprintf(json, "  \"speedup_gate_3x_at_4_workers\": %s\n",
-                 gate ? "true" : "false");
-    std::fprintf(json, "}\n");
-    std::fclose(json);
-    benchutil::row("written", "BENCH_serve_throughput.json");
-    benchutil::commit_scorecard("BENCH_serve_throughput.json");
-  }
-  return all_ok ? 0 : 1;
+  benchutil::Scorecard card("serve_throughput");
+  card.str("workload",
+           benchutil::fmt("%zu mixed parse+codegen jobs over 5 corpora",
+                          jobs.size()))
+      .str("note",
+           "the 1-worker row against one-shot is session-cache memoization "
+           "(pipeline + handler compilation once per corpus); the 2/4/8-"
+           "worker rows add workers, up to machine.nproc cores")
+      .num("oneshot_jobs_per_s", oneshot_jps, 1)
+      .arr("warm_daemon", warm_daemon);
+  card.gate("speedup_3x_at_4_workers", speedup_at_4 >= 3.0,
+            benchutil::fmt("%.1fx at 4 workers vs one-shot (>= 3x)",
+                           speedup_at_4));
+  card.gate("identical", all_identical,
+            all_identical ? "response digests identical everywhere"
+                          : "see rows above");
+  return card.finish();
 }

@@ -23,10 +23,9 @@
 // loses about 4x per 4x hosts (the retired synchronous kernel measured
 // about 0.2x here).
 //
-// Results are written to BENCH_sim_kernel.json (EXPERIMENTS.md records a
-// run) and copied into bench/results/. Exit is nonzero if a capture
-// digest moves or the scale gate fails.
-#include <chrono>
+// Results go through benchutil::Scorecard to BENCH_sim_kernel.json
+// (EXPERIMENTS.md records a run), copied into bench/results/. Exit is
+// nonzero if a capture digest moves or the scale gate fails.
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -41,12 +40,6 @@ using namespace sage;
 using namespace sage::sim;
 
 namespace {
-
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 constexpr int kReps = 5;
 constexpr int kRounds = 8;  // probe batches per repetition
@@ -97,11 +90,11 @@ Measurement measure(Topology& topo, Workload workload) {
   double elapsed_ms = 0.0;
   for (int round = 0; round < kRounds; ++round) {
     const auto batch = build_batch(topo, workload, round);
-    const double t0 = now_ms();
+    const double t0 = benchutil::now_ms();
     for (const auto& [src, packet] : batch) {
       net.send_from_host(*topo.hosts[src], packet);
     }
-    elapsed_ms += now_ms() - t0;
+    elapsed_ms += benchutil::now_ms() - t0;
     net.clear_transient();
   }
   Measurement m;
@@ -135,16 +128,18 @@ int main() {
   benchutil::title("Simulator kernel throughput",
                    "event-queue kernel, star topologies");
 
-  struct Point {
-    const char* workload;
-    std::size_t hosts;
-    Measurement event;
-    std::uint64_t digest;
-    bool pinned;
-  };
-  std::vector<Point> points;
+  benchutil::Scorecard card("sim_kernel");
+  card.obj("workloads",
+           benchutil::Json()
+               .str("sweep", "probes to unassigned far-subnet addresses; "
+                             "routing-only, no responder")
+               .str("ping-mix", "cross-subnet echo sessions"))
+      .str("method", benchutil::fmt("pre-built batches, kernel send loop "
+                                    "timed only, best of %d reps x %d rounds",
+                                    kReps, kRounds));
+  std::vector<benchutil::Json> points;
   bool all_pinned = true;
-  char buf[160];
+  double sweep_eps[3] = {};  // per kHosts entry
 
   constexpr std::size_t kHosts[] = {16, 256, 1024};
   const struct {
@@ -175,69 +170,31 @@ int main() {
         if (e.best_eps > ev.best_eps) ev.best_eps = e.best_eps;
         ev.events = e.events;
       }
-      points.push_back({w.name, hosts, ev, digest, pinned});
-
-      std::snprintf(buf, sizeof buf, "%9.0f ev/s   capture %016llx%s",
-                    ev.best_eps, static_cast<unsigned long long>(digest),
-                    pinned ? "" : "  CAPTURE DRIFTED");
+      if (w.workload == Workload::kSweep) sweep_eps[k] = ev.best_eps;
+      const auto digest_text = benchutil::fmt(
+          "%016llx", static_cast<unsigned long long>(digest));
+      points.push_back(benchutil::Json()
+                           .str("workload", w.name)
+                           .num("hosts", hosts)
+                           .num("events", ev.events)
+                           .num("event_eps", ev.best_eps)
+                           .str("capture_digest", "0x" + digest_text));
       benchutil::row(std::string(w.name) + " " + std::to_string(hosts) +
                          " hosts",
-                     buf);
+                     benchutil::fmt("%9.0f ev/s   capture %s%s", ev.best_eps,
+                                    digest_text.c_str(),
+                                    pinned ? "" : "  CAPTURE DRIFTED"));
     }
   }
 
   benchutil::rule();
-  double sweep_256 = 0.0;
-  double sweep_1024 = 0.0;
-  for (const auto& p : points) {
-    if (std::string(p.workload) != "sweep") continue;
-    if (p.hosts == 256) sweep_256 = p.event.best_eps;
-    if (p.hosts == 1024) sweep_1024 = p.event.best_eps;
-  }
-  const double scale = sweep_256 > 0.0 ? sweep_1024 / sweep_256 : 0.0;
-  const bool gate = scale >= kScaleGate;
-  std::snprintf(buf, sizeof buf,
-                "%.2fx sweep ev/s, 1024 vs 256 hosts (gate: >= %.1fx)", scale,
-                kScaleGate);
-  benchutil::row(gate ? "scale gate met" : "SCALE GATE MISSED", buf);
-  benchutil::row("determinism contract",
-                 all_pinned ? "batch-0 captures match their pins"
-                            : "see rows above");
-
-  FILE* json = std::fopen("BENCH_sim_kernel.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"machine\": %s,\n",
-                 benchutil::machine_json().c_str());
-    std::fprintf(json,
-                 "  \"workloads\": {\"sweep\": \"probes to unassigned far-"
-                 "subnet addresses; routing-only, no responder\", "
-                 "\"ping-mix\": \"cross-subnet echo sessions\"},\n");
-    std::fprintf(json,
-                 "  \"method\": \"pre-built batches, kernel send loop "
-                 "timed only, best of %d reps x %d rounds\",\n",
-                 kReps, kRounds);
-    std::fprintf(json, "  \"points\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const auto& p = points[i];
-      std::fprintf(json,
-                   "    {\"workload\": \"%s\", \"hosts\": %zu, "
-                   "\"events\": %llu, \"event_eps\": %.0f, "
-                   "\"capture_digest\": \"0x%016llx\", "
-                   "\"capture_pinned\": %s}%s\n",
-                   p.workload, p.hosts,
-                   static_cast<unsigned long long>(p.event.events),
-                   p.event.best_eps, static_cast<unsigned long long>(p.digest),
-                   p.pinned ? "true" : "false",
-                   i + 1 == points.size() ? "" : ",");
-    }
-    std::fprintf(json, "  ],\n");
-    std::fprintf(json, "  \"sweep_scale_1024_vs_256\": %.2f,\n", scale);
-    std::fprintf(json, "  \"scale_gate_met\": %s\n", gate ? "true" : "false");
-    std::fprintf(json, "}\n");
-    std::fclose(json);
-    benchutil::row("written", "BENCH_sim_kernel.json");
-    benchutil::commit_scorecard("BENCH_sim_kernel.json");
-  }
-  return (all_pinned && gate) ? 0 : 1;
+  const double scale = sweep_eps[1] > 0.0 ? sweep_eps[2] / sweep_eps[1] : 0.0;
+  card.arr("points", points).num("sweep_scale_1024_vs_256", scale, 2);
+  card.gate("sweep_scale", scale >= kScaleGate,
+            benchutil::fmt("%.2fx sweep ev/s, 1024 vs 256 hosts (>= %.1fx)",
+                           scale, kScaleGate));
+  card.gate("capture_pinned", all_pinned,
+            all_pinned ? "batch-0 captures match their pins"
+                       : "see rows above");
+  return card.finish();
 }

@@ -23,10 +23,10 @@
 //     by compiling and executing programs;
 //   * handler-exec speedup >= 5x.
 //
-// Results go to BENCH_vm_exec.json; EXPERIMENTS.md records the
-// reference run.
+// Results and gates go through benchutil::Scorecard to
+// BENCH_vm_exec.json, copied to bench/results/; EXPERIMENTS.md records
+// the reference run.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -47,12 +47,6 @@ namespace {
 
 using namespace sage;
 
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 runtime::SchemaExecEnv make_env(std::span<const std::uint8_t> request,
                                 net::IpAddr own) {
   auto env =
@@ -67,11 +61,11 @@ double measure_tree_exec(const runtime::Interpreter& interp,
                          const codegen::Stmt& body, runtime::SchemaExecEnv& env,
                          std::size_t runs) {
   std::size_t sink = 0;
-  const double start = now_ms();
+  const double start = benchutil::now_ms();
   for (std::size_t i = 0; i < runs; ++i) {
     sink += interp.run(body, env).ok ? 1 : 0;
   }
-  const double elapsed = now_ms() - start;
+  const double elapsed = benchutil::now_ms() - start;
   if (sink != runs) std::printf("(tree handler reported errors?)\n");
   return static_cast<double>(runs) / (elapsed / 1000.0);
 }
@@ -79,11 +73,11 @@ double measure_tree_exec(const runtime::Interpreter& interp,
 double measure_vm_exec(const runtime::vm::Program& program,
                        runtime::SchemaExecEnv& env, std::size_t runs) {
   std::size_t sink = 0;
-  const double start = now_ms();
+  const double start = benchutil::now_ms();
   for (std::size_t i = 0; i < runs; ++i) {
     sink += runtime::vm::execute(program, env).ok ? 1 : 0;
   }
-  const double elapsed = now_ms() - start;
+  const double elapsed = benchutil::now_ms() - start;
   if (sink != runs) std::printf("(vm handler reported errors?)\n");
   return static_cast<double>(runs) / (elapsed / 1000.0);
 }
@@ -95,13 +89,13 @@ double measure_full_path(std::span<const std::uint8_t> request,
                          net::IpAddr own, std::size_t packets,
                          RunOnce&& run_once) {
   std::size_t sink = 0;
-  const double start = now_ms();
+  const double start = benchutil::now_ms();
   for (std::size_t i = 0; i < packets; ++i) {
     auto env = make_env(request, own);
     run_once(env);
     sink += env.finish_reply().size();
   }
-  const double elapsed = now_ms() - start;
+  const double elapsed = benchutil::now_ms() - start;
   if (sink == 0) std::printf("(empty replies?)\n");
   return static_cast<double>(packets) / (elapsed / 1000.0);
 }
@@ -157,16 +151,16 @@ int main() {
       return 1;
     }
   }
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "%zu functions byte-identical", compiled);
-  benchutil::row("equivalence", buf);
+  benchutil::row("equivalence",
+                 benchutil::fmt("%zu functions byte-identical", compiled));
 
   const auto program = runtime::vm::compile(*echo);
   if (!program.has_value()) return 1;
-  std::snprintf(buf, sizeof buf, "%zu insns, %zu bytes, stack %u",
-                program->code().size(), program->program_bytes(),
-                program->max_stack());
-  benchutil::row("compiled program", buf);
+  benchutil::row("compiled program",
+                 benchutil::fmt("%zu insns, %zu bytes, stack %u",
+                                program->code().size(),
+                                program->program_bytes(),
+                                program->max_stack()));
 
   // SAGE_BENCH_VM_TRACE=1 dumps the program listing and a one-run op
   // histogram — for eyeballing what the gate actually measures.
@@ -218,12 +212,10 @@ int main() {
   }
   const double speedup = threaded_pps / tree_pps;
 
-  std::snprintf(buf, sizeof buf, "%.0f runs/s", tree_pps);
-  benchutil::row("handler exec, tree backend", buf);
-  std::snprintf(buf, sizeof buf, "%.0f runs/s", threaded_pps);
-  benchutil::row("handler exec, threaded backend", buf);
-  std::snprintf(buf, sizeof buf, "%.2fx (target >= 5x)", speedup);
-  benchutil::row("handler-exec speedup", buf);
+  benchutil::row("handler exec, tree backend",
+                 benchutil::fmt("%.0f runs/s", tree_pps));
+  benchutil::row("handler exec, threaded backend",
+                 benchutil::fmt("%.0f runs/s", threaded_pps));
 
   // Context: the full respond path (env build + exec + serialization).
   constexpr std::size_t kFullPackets = 50000;
@@ -243,40 +235,28 @@ int main() {
                             runtime::vm::execute(*program, env);
                           }));
   }
-  std::snprintf(buf, sizeof buf, "%.0f packets/s", full_tree_pps);
-  benchutil::row("full respond path, tree backend", buf);
-  std::snprintf(buf, sizeof buf, "%.0f packets/s (not gated)", full_vm_pps);
-  benchutil::row("full respond path, threaded backend", buf);
+  benchutil::row("full respond path, tree backend",
+                 benchutil::fmt("%.0f packets/s", full_tree_pps));
+  benchutil::row("full respond path, threaded backend",
+                 benchutil::fmt("%.0f packets/s (not gated)", full_vm_pps));
 
+  benchutil::Scorecard card("vm_exec");
+  card.num("runs", kPackets)
+      .str("dispatcher",
+           runtime::vm::have_computed_goto() ? "computed-goto" : "switch")
+      .num("functions_verified", compiled)
+      .num("handler_exec_tree_pps", tree_pps, 1)
+      .num("handler_exec_threaded_pps", threaded_pps, 1)
+      .num("handler_exec_speedup", speedup, 3)
+      .num("full_path_tree_pps", full_tree_pps, 1)
+      .num("full_path_threaded_pps", full_vm_pps, 1)
+      .num("full_path_speedup", full_vm_pps / full_tree_pps, 3);
+  card.gate("handler_exec_speedup", speedup >= 5.0,
+            benchutil::fmt("%.2fx threaded vs tree (>= 5x)", speedup));
   const bool sig_stable =
       core::protocol_run_signature(core::canonical_icmp_run()) == sig_before;
-  benchutil::row("protocol_run_signature",
-                 sig_stable ? "unchanged" : "CHANGED (fail)");
-
-  FILE* json = std::fopen("BENCH_vm_exec.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n"
-                 "  \"machine\": %s,\n"
-                 "  \"runs\": %zu,\n"
-                 "  \"dispatcher\": \"%s\",\n"
-                 "  \"functions_verified\": %zu,\n"
-                 "  \"handler_exec_tree_pps\": %.1f,\n"
-                 "  \"handler_exec_threaded_pps\": %.1f,\n"
-                 "  \"handler_exec_speedup\": %.3f,\n"
-                 "  \"full_path_tree_pps\": %.1f,\n"
-                 "  \"full_path_threaded_pps\": %.1f,\n"
-                 "  \"full_path_speedup\": %.3f,\n"
-                 "  \"signature_stable\": %s\n"
-                 "}\n",
-                 benchutil::machine_json().c_str(), kPackets,
-                 runtime::vm::have_computed_goto() ? "computed-goto" : "switch",
-                 compiled, tree_pps, threaded_pps, speedup, full_tree_pps,
-                 full_vm_pps, full_vm_pps / full_tree_pps,
-                 sig_stable ? "true" : "false");
-    std::fclose(json);
-    benchutil::row("written", "BENCH_vm_exec.json");
-    benchutil::commit_scorecard("BENCH_vm_exec.json");
-  }
-  return (speedup >= 5.0 && sig_stable) ? 0 : 1;
+  card.gate("signature_stable", sig_stable,
+            sig_stable ? "protocol_run_signature unchanged"
+                       : "protocol_run_signature CHANGED");
+  return card.finish();
 }

@@ -1,4 +1,4 @@
-# Writes bench_git_sha.h for benchutil::machine_json: the commit the tree
+# Writes bench_git_sha.h for benchutil::Scorecard: the commit the tree
 # at SOURCE_DIR has checked out, with "-dirty" when tracked files differ
 # from it, or "unknown" when SOURCE_DIR is not a git checkout. Run at
 # every build by the bench_git_sha target; OUT is rewritten only when

@@ -5,17 +5,17 @@
 // `zero-copy-smoke` preset (ASan), which also exercises the views the
 // env keeps into the triggering packet.
 //
-// Heap blocks are counted with a replaced global operator new, as
-// bench/bench_packet_path.cpp counts them.
+// Heap blocks are counted with the replaced global operator new of
+// heap_counter.hpp, which tests/test_zero_copy_smoke.cpp also uses for
+// the sim kernel.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <optional>
 #include <vector>
 
 #include "core/generated_icmp.hpp"
+#include "heap_counter.hpp"
 #include "net/icmp.hpp"
 #include "net/ipv4.hpp"
 #include "net/ipv6.hpp"
@@ -23,26 +23,6 @@
 #include "runtime/generated_responder6.hpp"
 #include "sim/network.hpp"
 #include "util/bytes.hpp"
-
-namespace {
-thread_local std::uint64_t t_heap_blocks = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  ++t_heap_blocks;
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-// Out of line, so the compiler never sees free() meet operator new's
-// pointer (GCC's -Wmismatched-new-delete would flag every inlined pair).
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace sage {
 namespace {
