@@ -7,14 +7,15 @@
 //     the pre-memoization configuration: every campaign re-derives the
 //     generated responder from the corpus.
 //   * harness: DifferentialFuzzer on a warm process, where every case
-//     reuses the process-wide core::canonical_icmp_run(), at 1/2/4/8
-//     worker threads.
+//     answers on a copy of the process-wide
+//     core::canonical_icmp_responder(), at 1/2/4/8 worker threads.
 //
 // The rows separate two effects. The 1-thread row against one-shot is
-// memoization: the pipeline runs once per process, not once per
-// campaign. The 2-, 4- and 8-thread rows add worker threads on top, and
-// show the determinism contract holds at every worker count: the
-// verdict-log hash must be identical on every configuration.
+// memoization: the pipeline runs and the handlers compile once per
+// process, not once per campaign or case. The 2-, 4- and 8-thread rows
+// add worker threads on top, and show the determinism contract holds at
+// every worker count: the verdict-log hash must be identical on every
+// configuration.
 //
 // Results and gates go through benchutil::Scorecard to
 // BENCH_fuzz_throughput.json, copied to bench/results/ (EXPERIMENTS.md
@@ -82,8 +83,8 @@ int main() {
                                 1.0, all_clean ? "" : "  UNCLEAN"));
   benchutil::rule();
 
-  // Harness: warm the canonical run once, outside the timed region.
-  (void)core::canonical_icmp_run();
+  // Harness: warm the canonical responder once, outside the timed region.
+  (void)core::canonical_icmp_responder();
 
   std::vector<benchutil::Json> harness;
   bool all_identical = true;
@@ -122,9 +123,9 @@ int main() {
                           "%d campaigns",
                           kIterationsPerCampaign, kCampaigns))
       .str("note",
-           "the 1-thread row against one-shot is pipeline memoization via "
-           "canonical_icmp_run(); the 2/4/8-thread rows add worker threads, "
-           "up to machine.nproc cores")
+           "the 1-thread row against one-shot is memoization via "
+           "canonical_icmp_run() and canonical_icmp_responder(); the "
+           "2/4/8-thread rows add worker threads, up to machine.nproc cores")
       .num("oneshot_ms_per_campaign", oneshot_ms, 3)
       .arr("harness", harness);
   card.gate("speedup_4x_at_8_jobs", speedup >= 4.0,

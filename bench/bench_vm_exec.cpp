@@ -4,24 +4,32 @@
 // The pipeline generates the RFC 792 handlers once; each is compiled to
 // a flat vm::Program. Two measurements over the generated echo receiver:
 //
-//   handler-exec  — the gated number. One SchemaExecEnv is built from a
-//                   raw echo request and the handler body is executed
-//                   repeatedly on it (the handler is idempotent: every
-//                   run rewrites the same outgoing fields from the same
-//                   incoming image). This isolates dispatch + field
-//                   access, the part the VM rewrites; target >= 5x.
-//   full-respond  — reported for context, not gated: environment
-//                   construction + execution + reply serialization per
-//                   packet, the bench_responder.cpp workload. Env setup
-//                   and serialization are backend-independent, so the
-//                   end-to-end ratio is necessarily smaller.
+//   handler-exec  — One SchemaExecEnv is built from a raw echo request
+//                   and the handler body is executed repeatedly on it
+//                   (the handler is idempotent: every run rewrites the
+//                   same outgoing fields from the same incoming image).
+//                   This isolates dispatch + field access, the part the
+//                   VM rewrites; target >= 5x.
+//   full-respond  — environment construction + execution + reply
+//                   serialization per packet, on three handlers: the
+//                   tree as the generator annotated it, its compiled
+//                   program, and the same tree with every field id and
+//                   symbol cache stripped, which forces each read and
+//                   write through the registry's by-name lookup (the
+//                   string-keyed dispatch before the schema registry).
+//                   Env setup and serialization are backend-independent,
+//                   so the threaded/tree ratio is reported, not gated;
+//                   the annotated/stripped ratio is the registry's
+//                   dense-id gain, target >= 1.5x.
 //
 // Gates, all required for exit 0:
 //   * every generated function produces byte-identical replies and
-//     identical error lists on both backends;
+//     identical error lists on both backends, and the stripped echo
+//     tree replies byte-identically to the annotated one;
 //   * protocol_run_signature() of the canonical ICMP run is unchanged
 //     by compiling and executing programs;
-//   * handler-exec speedup >= 5x.
+//   * handler-exec speedup >= 5x;
+//   * full-respond annotated vs stripped tree >= 1.5x.
 //
 // Results and gates go through benchutil::Scorecard to
 // BENCH_vm_exec.json, copied to bench/results/; EXPERIMENTS.md records
@@ -82,8 +90,35 @@ double measure_vm_exec(const runtime::vm::Program& program,
   return static_cast<double>(runs) / (elapsed / 1000.0);
 }
 
-/// Context workload: full respond path per packet, as a deployed
-/// responder would run it. Returns packets/s.
+void strip_expr(codegen::Expr& expr);
+
+void strip_cond(codegen::Cond& cond) {
+  if (cond.kind == codegen::Cond::Kind::kCompare) {
+    strip_expr(cond.lhs);
+    strip_expr(cond.rhs);
+  }
+  for (auto& child : cond.children) strip_cond(child);
+}
+
+void strip_expr(codegen::Expr& expr) {
+  expr.field.field_id = -1;
+  expr.symbol_cached = false;
+  expr.symbol_cache = 0;
+  for (auto& a : expr.args) strip_expr(a);
+}
+
+/// Remove every generation-time annotation, restoring the pre-registry
+/// string-dispatch tree.
+void strip_ids(codegen::Stmt& stmt) {
+  stmt.target.field_id = -1;
+  strip_expr(stmt.value);
+  for (auto& a : stmt.args) strip_expr(a);
+  strip_cond(stmt.cond);
+  for (auto& child : stmt.body) strip_ids(child);
+}
+
+/// Full respond path per packet, as a deployed responder would run it.
+/// Returns packets/s.
 template <typename RunOnce>
 double measure_full_path(std::span<const std::uint8_t> request,
                          net::IpAddr own, std::size_t packets,
@@ -154,6 +189,20 @@ int main() {
   benchutil::row("equivalence",
                  benchutil::fmt("%zu functions byte-identical", compiled));
 
+  codegen::Stmt stripped = echo->body;  // deep copy, then de-annotate
+  strip_ids(stripped);
+  {
+    auto annotated_env = make_env(request, own);
+    auto stripped_env = make_env(request, own);
+    interp.run(echo->body, annotated_env);
+    interp.run(stripped, stripped_env);
+    if (annotated_env.finish_reply() != stripped_env.finish_reply()) {
+      std::printf("FAIL: annotated and stripped trees disagree\n");
+      return 1;
+    }
+    benchutil::row("equivalence", "annotated == stripped reply bytes");
+  }
+
   const auto program = runtime::vm::compile(*echo);
   if (!program.has_value()) return 1;
   benchutil::row("compiled program",
@@ -217,28 +266,36 @@ int main() {
   benchutil::row("handler exec, threaded backend",
                  benchutil::fmt("%.0f runs/s", threaded_pps));
 
-  // Context: the full respond path (env build + exec + serialization).
-  constexpr std::size_t kFullPackets = 50000;
+  // The full respond path (env build + exec + serialization).
+  const auto run_tree = [&interp](const codegen::Stmt& body) {
+    return [&interp, tree = &body](runtime::SchemaExecEnv& env) {
+      interp.run(*tree, env);
+    };
+  };
   double full_tree_pps = 0.0;
   double full_vm_pps = 0.0;
+  double full_stripped_pps = 0.0;
   for (int trial = 0; trial < kTrials; ++trial) {
-    full_tree_pps = std::max(
-        full_tree_pps,
-        measure_full_path(request, own, kFullPackets,
-                          [&](runtime::SchemaExecEnv& env) {
-                            interp.run(echo->body, env);
-                          }));
+    full_tree_pps =
+        std::max(full_tree_pps, measure_full_path(request, own, kPackets,
+                                                  run_tree(echo->body)));
     full_vm_pps = std::max(
         full_vm_pps,
-        measure_full_path(request, own, kFullPackets,
+        measure_full_path(request, own, kPackets,
                           [&](runtime::SchemaExecEnv& env) {
                             runtime::vm::execute(*program, env);
                           }));
+    full_stripped_pps =
+        std::max(full_stripped_pps, measure_full_path(request, own, kPackets,
+                                                      run_tree(stripped)));
   }
+  const double indexed_speedup = full_tree_pps / full_stripped_pps;
   benchutil::row("full respond path, tree backend",
                  benchutil::fmt("%.0f packets/s", full_tree_pps));
   benchutil::row("full respond path, threaded backend",
                  benchutil::fmt("%.0f packets/s (not gated)", full_vm_pps));
+  benchutil::row("full respond path, stripped tree (string-keyed)",
+                 benchutil::fmt("%.0f packets/s", full_stripped_pps));
 
   benchutil::Scorecard card("vm_exec");
   card.num("runs", kPackets)
@@ -250,9 +307,14 @@ int main() {
       .num("handler_exec_speedup", speedup, 3)
       .num("full_path_tree_pps", full_tree_pps, 1)
       .num("full_path_threaded_pps", full_vm_pps, 1)
-      .num("full_path_speedup", full_vm_pps / full_tree_pps, 3);
+      .num("full_path_speedup", full_vm_pps / full_tree_pps, 3)
+      .num("full_path_stripped_tree_pps", full_stripped_pps, 1)
+      .num("full_path_indexed_speedup", indexed_speedup, 3);
   card.gate("handler_exec_speedup", speedup >= 5.0,
             benchutil::fmt("%.2fx threaded vs tree (>= 5x)", speedup));
+  card.gate("indexed_speedup", indexed_speedup >= 1.5,
+            benchutil::fmt("%.2fx annotated vs stripped tree (>= 1.5x)",
+                           indexed_speedup));
   const bool sig_stable =
       core::protocol_run_signature(core::canonical_icmp_run()) == sig_before;
   card.gate("signature_stable", sig_stable,

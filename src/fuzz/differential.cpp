@@ -15,8 +15,6 @@
 #include "net/ipv6.hpp"
 #include "net/ntp.hpp"
 #include "net/udp.hpp"
-#include "runtime/generated_responder.hpp"
-#include "runtime/generated_responder6.hpp"
 #include "runtime/schema_env.hpp"
 #include "sim/network.hpp"
 #include "sim/reference_responder.hpp"
@@ -87,65 +85,13 @@ long canonical_value(long value, const FieldSpec& spec) {
   return static_cast<long>(v);
 }
 
-/// Where each schema layer of `protocol` starts inside the raw packet.
-/// Mirrors the generator's framing: everything rides IPv4 except BFD
-/// (whose control frame the corpus treats standalone).
-struct LayerSlice {
-  const LayerSpec* spec = nullptr;
-  std::size_t offset = 0;
-};
-
-std::vector<LayerSlice> layer_slices(const std::string& protocol,
-                                     std::span<const std::uint8_t> bytes) {
-  const auto& reg = SchemaRegistry::instance();
-  std::vector<LayerSlice> out;
-  if (protocol == "bfd") {
-    out.push_back({reg.layer("bfd"), 0});
-    return out;
-  }
-  if (protocol == "dhcp") {
-    out.push_back({reg.layer("dhcp"), 0});
-    return out;
-  }
-  if (protocol == "icmp6") {
-    out.push_back({reg.layer("ip6"), 0});
-    const auto ip6 = net::Ipv6Header::parse(bytes);
-    if (ip6 && ip6->next_header == net::kIpProtoIcmp6) {
-      out.push_back({reg.layer("icmp6"), net::Ipv6Header::kHeaderBytes});
-    }
-    return out;
-  }
-  out.push_back({reg.layer("ip"), 0});
-  const auto ip = net::Ipv4Header::parse(bytes);
-  if (!ip) return out;
-  const std::size_t hl = ip->header_length();
-  if (protocol == "icmp") {
-    out.push_back({reg.layer("icmp"), hl});
-  } else if (protocol == "igmp") {
-    out.push_back({reg.layer("igmp"), hl});
-  } else if (protocol == "udp") {
-    out.push_back({reg.layer("udp"), hl});
-  } else if (protocol == "ntp") {
-    out.push_back({reg.layer("udp"), hl});
-    out.push_back({reg.layer("ntp"), hl + 8});
-  }
-  return out;
-}
-
-std::span<const std::uint8_t> slice_image(std::span<const std::uint8_t> bytes,
-                                          const LayerSlice& slice) {
-  if (slice.spec == nullptr || slice.offset >= bytes.size()) return {};
-  auto rest = bytes.subspan(slice.offset);
-  return rest.first(std::min(rest.size(), slice.spec->header_bytes));
-}
-
 /// Universal oracle 1: read→write→read stability for every full-length
 /// layer image, plus inspector determinism. Holds for arbitrary bytes —
 /// a violation means the schema reader and writer disagree about where a
 /// field lives.
 std::string structural_mismatch(const FuzzPacket& pkt) {
-  for (const auto& slice : layer_slices(pkt.protocol, pkt.bytes)) {
-    const auto image = slice_image(pkt.bytes, slice);
+  for (const auto& slice : layer_layout(pkt.protocol, pkt.bytes)) {
+    const auto image = layer_image(std::span(pkt.bytes), slice);
     if (slice.spec == nullptr || image.size() < slice.spec->header_bytes) {
       continue;  // truncated layer: field reads are nullopt by design
     }
@@ -594,10 +540,7 @@ CaseResult DifferentialFuzzer::run_icmp_case(const FuzzPacket& packet,
   std::optional<std::vector<sim::OwnedCaptureEntry>> cap_gen;
   std::optional<std::vector<sim::OwnedCaptureEntry>> cap_ref;
   try {
-    runtime::GeneratedIcmpResponder generated(options_.backend);
-    for (const auto& fn : core::canonical_icmp_run().functions) {
-      generated.add_function(fn);
-    }
+    auto generated = core::canonical_icmp_responder(options_.backend);
     cap_gen = run_icmp_side(&generated, packet, options_.faults, fault_rng);
   } catch (const std::exception& e) {
     crash_detail = std::string("generated responder threw: ") + e.what();
@@ -709,10 +652,7 @@ CaseResult DifferentialFuzzer::run_icmp6_case(const FuzzPacket& packet) const {
 
   std::string crash_detail;
   try {
-    runtime::GeneratedIcmp6Responder generated(options_.backend);
-    for (const auto& fn : core::canonical_icmp6_run().functions) {
-      generated.add_function(fn);
-    }
+    auto generated = core::canonical_icmp6_responder(options_.backend);
     drive(generated, gen_replies);
   } catch (const std::exception& e) {
     crash_detail = std::string("generated responder threw: ") + e.what();
@@ -845,26 +785,23 @@ void DifferentialFuzzer::minimize_case(CaseResult& result,
   // passes, because fixing one field can unlock another.
   const auto donor = donor_bytes(result.packet.protocol);
   for (int pass = 0; pass < 2; ++pass) {
-    const auto donor_slices = layer_slices(result.packet.protocol, donor);
-    for (const auto& slice : layer_slices(result.packet.protocol, best)) {
+    const auto donor_slices = layer_layout(result.packet.protocol, donor);
+    for (const auto& slice : layer_layout(result.packet.protocol, best)) {
       if (slice.spec == nullptr) continue;
-      const LayerSlice* donor_slice = nullptr;
+      const LayerAt* donor_slice = nullptr;
       for (const auto& d : donor_slices) {
         if (d.spec == slice.spec) donor_slice = &d;
       }
       if (donor_slice == nullptr) continue;
       for (const auto& f : slice.spec->fields) {
         if (f.kind != FieldKind::kScalar) continue;
-        const auto target =
-            SchemaRegistry::read_scalar(f, slice_image(donor, *donor_slice));
+        const auto target = SchemaRegistry::read_scalar(
+            f, layer_image(std::span(donor), *donor_slice));
         const auto current =
-            SchemaRegistry::read_scalar(f, slice_image(best, slice));
+            SchemaRegistry::read_scalar(f, layer_image(std::span(best), slice));
         if (!target || !current || *target == *current) continue;
         std::vector<std::uint8_t> candidate = best;
-        const auto image = std::span<std::uint8_t>(candidate)
-                               .subspan(slice.offset)
-                               .first(std::min(candidate.size() - slice.offset,
-                                               slice.spec->header_bytes));
+        const auto image = layer_image(std::span(candidate), slice);
         if (!SchemaRegistry::write_scalar(f, image, *target)) continue;
         if (fails(candidate)) best = std::move(candidate);
       }
@@ -906,11 +843,12 @@ FuzzReport DifferentialFuzzer::run() const {
   };
 
   if (options_.jobs > 1 && n > 1) {
-    // canonical_icmp_run() memoizes under a static guard; touching it
-    // before the fan-out keeps the expensive pipeline pass out of the
-    // measured/parallel region.
-    if (options_.protocol == "icmp") core::canonical_icmp_run();
-    if (options_.protocol == "icmp6") core::canonical_icmp6_run();
+    // The canonical responders memoize under a static guard; building
+    // them before the fan-out keeps the pipeline pass and the compile
+    // out of the measured/parallel region.
+    const auto backend = options_.backend;
+    if (options_.protocol == "icmp") core::canonical_icmp_responder(backend);
+    if (options_.protocol == "icmp6") core::canonical_icmp6_responder(backend);
     util::ThreadPool pool(options_.jobs);
     pool.parallel_for(n, one);
   } else {

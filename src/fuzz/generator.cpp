@@ -18,60 +18,6 @@ namespace schema = net::schema;
 
 namespace {
 
-/// Where one schema layer's header image sits inside a generated packet.
-struct LayerAt {
-  const schema::LayerSpec* spec = nullptr;
-  std::size_t offset = 0;
-};
-
-/// Resolve the packet's layer layout from its bytes (ip at 0, the
-/// protocol layer after the IP header; BFD frames are the layer itself).
-std::vector<LayerAt> layout(const FuzzPacket& pkt) {
-  const auto& reg = schema::SchemaRegistry::instance();
-  std::vector<LayerAt> out;
-  if (pkt.protocol == "bfd") {
-    out.push_back({reg.layer("bfd"), 0});
-    return out;
-  }
-  if (pkt.protocol == "dhcp") {
-    out.push_back({reg.layer("dhcp"), 0});
-    return out;
-  }
-  if (pkt.protocol == "icmp6") {
-    out.push_back({reg.layer("ip6"), 0});
-    const auto ip6 = net::Ipv6Header::parse(pkt.bytes);
-    if (ip6 && ip6->next_header == net::kIpProtoIcmp6) {
-      out.push_back({reg.layer("icmp6"), net::Ipv6Header::kHeaderBytes});
-    }
-    return out;
-  }
-  out.push_back({reg.layer("ip"), 0});
-  const auto ip = net::Ipv4Header::parse(pkt.bytes);
-  if (!ip) return out;
-  const std::size_t hl = ip->header_length();
-  if (pkt.protocol == "icmp") {
-    out.push_back({reg.layer("icmp"), hl});
-  } else if (pkt.protocol == "igmp") {
-    out.push_back({reg.layer("igmp"), hl});
-  } else if (pkt.protocol == "udp") {
-    out.push_back({reg.layer("udp"), hl});
-  } else if (pkt.protocol == "ntp") {
-    out.push_back({reg.layer("udp"), hl});
-    out.push_back({reg.layer("ntp"), hl + 8});
-  }
-  return out;
-}
-
-/// Mutable view of one layer's header image inside the packet; empty when
-/// the packet ends before the layer starts.
-std::span<std::uint8_t> layer_span(std::vector<std::uint8_t>& bytes,
-                                   const LayerAt& at) {
-  if (at.spec == nullptr || at.offset >= bytes.size()) return {};
-  const std::size_t avail =
-      std::min(bytes.size() - at.offset, at.spec->header_bytes);
-  return {bytes.data() + at.offset, avail};
-}
-
 const schema::FieldSpec* find_field(const schema::LayerSpec& layer,
                                     std::string_view name) {
   for (const auto& f : layer.fields) {
@@ -414,7 +360,7 @@ FuzzPacket PacketGenerator::base_packet(Rng& rng) const {
 
 void PacketGenerator::mutate(FuzzPacket& pkt, Rng& rng) const {
   if (pkt.bytes.empty()) return;
-  const auto layers = layout(pkt);
+  const auto layers = layer_layout(pkt.protocol, pkt.bytes);
   // ~35% of inputs stay valid so agreeing-reply coverage never starves.
   if (rng.below(100) < 35) return;
   // Layers with a TLV options region draw from the widened taxonomy; the
@@ -432,7 +378,7 @@ void PacketGenerator::mutate(FuzzPacket& pkt, Rng& rng) const {
   switch (pkt.mutation) {
     case MutationKind::kBoundary: {
       const auto& at = layers[rng.below(layers.size())];
-      auto img = layer_span(pkt.bytes, at);
+      auto img = layer_image(std::span(pkt.bytes), at);
       if (at.spec == nullptr) return;
       const auto fields = scalar_fields(*at.spec);
       if (fields.empty()) return;
@@ -455,7 +401,7 @@ void PacketGenerator::mutate(FuzzPacket& pkt, Rng& rng) const {
     }
     case MutationKind::kFieldSwap: {
       const auto& at = layers[rng.below(layers.size())];
-      auto img = layer_span(pkt.bytes, at);
+      auto img = layer_image(std::span(pkt.bytes), at);
       if (at.spec == nullptr) return;
       const auto fields = scalar_fields(*at.spec);
       if (fields.size() < 2) return;
@@ -485,7 +431,7 @@ void PacketGenerator::mutate(FuzzPacket& pkt, Rng& rng) const {
         if (it->spec == nullptr) continue;
         const auto* f = find_field(*it->spec, "checksum");
         if (f == nullptr) continue;
-        auto img = layer_span(pkt.bytes, *it);
+        auto img = layer_image(std::span(pkt.bytes), *it);
         const auto v = schema::SchemaRegistry::read_scalar(*f, img);
         if (!v) return;
         schema::SchemaRegistry::write_scalar(*f, img, *v ^ 0x5a5a);
@@ -501,7 +447,7 @@ void PacketGenerator::mutate(FuzzPacket& pkt, Rng& rng) const {
         if (it->spec == nullptr) continue;
         const auto* f = find_field(*it->spec, "version");
         if (f == nullptr) continue;
-        auto img = layer_span(pkt.bytes, *it);
+        auto img = layer_image(std::span(pkt.bytes), *it);
         schema::SchemaRegistry::write_scalar(
             *f, img, static_cast<long>(rng.below(1ULL << f->bit_width)));
         return;
@@ -569,6 +515,43 @@ FuzzPacket PacketGenerator::generate(Rng& rng) const {
   FuzzPacket pkt = base_packet(rng);
   mutate(pkt, rng);
   return pkt;
+}
+
+std::vector<LayerAt> layer_layout(std::string_view protocol,
+                                  std::span<const std::uint8_t> bytes) {
+  const auto& reg = schema::SchemaRegistry::instance();
+  std::vector<LayerAt> out;
+  if (protocol == "bfd") {
+    out.push_back({reg.layer("bfd"), 0});
+    return out;
+  }
+  if (protocol == "dhcp") {
+    out.push_back({reg.layer("dhcp"), 0});
+    return out;
+  }
+  if (protocol == "icmp6") {
+    out.push_back({reg.layer("ip6"), 0});
+    const auto ip6 = net::Ipv6Header::parse(bytes);
+    if (ip6 && ip6->next_header == net::kIpProtoIcmp6) {
+      out.push_back({reg.layer("icmp6"), net::Ipv6Header::kHeaderBytes});
+    }
+    return out;
+  }
+  out.push_back({reg.layer("ip"), 0});
+  const auto ip = net::Ipv4Header::parse(bytes);
+  if (!ip) return out;
+  const std::size_t hl = ip->header_length();
+  if (protocol == "icmp") {
+    out.push_back({reg.layer("icmp"), hl});
+  } else if (protocol == "igmp") {
+    out.push_back({reg.layer("igmp"), hl});
+  } else if (protocol == "udp") {
+    out.push_back({reg.layer("udp"), hl});
+  } else if (protocol == "ntp") {
+    out.push_back({reg.layer("udp"), hl});
+    out.push_back({reg.layer("ntp"), hl + 8});
+  }
+  return out;
 }
 
 // ---- round-trip helpers ---------------------------------------------------

@@ -13,10 +13,12 @@
 // byte sequence on any thread count or platform.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -79,6 +81,30 @@ class PacketGenerator {
 
   std::string protocol_;
 };
+
+// ---- layer layout (mutations, oracles, the minimizer) ---------------------
+
+/// Where one schema layer's header image starts inside a packet.
+struct LayerAt {
+  const net::schema::LayerSpec* spec = nullptr;
+  std::size_t offset = 0;
+};
+
+/// The schema layers of a `protocol` packet, resolved from its bytes:
+/// everything rides IPv4 (ip at 0, the protocol layer after the IP
+/// header) except icmp6 (ip6, then icmp6 when the next header says so),
+/// and bfd and dhcp, whose frames are the layer itself.
+std::vector<LayerAt> layer_layout(std::string_view protocol,
+                                  std::span<const std::uint8_t> bytes);
+
+/// The header image of layer `at` inside `bytes`, cut short where the
+/// bytes end; empty when they end before the layer starts.
+template <typename Byte>
+std::span<Byte> layer_image(std::span<Byte> bytes, const LayerAt& at) {
+  if (at.spec == nullptr || at.offset >= bytes.size()) return {};
+  return bytes.subspan(
+      at.offset, std::min(bytes.size() - at.offset, at.spec->header_bytes));
+}
 
 // ---- round-trip property helpers (tests/test_fuzz.cpp) --------------------
 

@@ -22,26 +22,29 @@ GeneratedResponder::GeneratedResponder(const std::vector<Event>& events,
                                        const char* undecodable,
                                        vm::ExecBackend backend)
     : backend_(backend), undecodable_(undecodable) {
-  rows_.reserve(events.size());
-  for (const Event& e : events) rows_.push_back({&e});
+  auto handlers = std::make_shared<Handlers>();
+  handlers->rows.reserve(events.size());
+  for (const Event& e : events) handlers->rows.push_back({&e});
+  handlers_ = std::move(handlers);
 }
 
 void GeneratedResponder::add_function(codegen::GeneratedFunction fn) {
-  Entry entry;
+  auto entry = std::make_shared<Entry>();
   if (backend_ == vm::ExecBackend::kThreaded) {
-    entry.program = vm::compile(fn);
+    entry->program = vm::compile(fn);
   }
-  entry.fn = std::move(fn);
-  const std::string name = entry.fn.name;
-  const Entry& registered = functions_[name] = std::move(entry);
-  for (Row& row : rows_) {
-    if (row.event->function == name) row.entry = &registered;
+  entry->fn = std::move(fn);
+  auto next = std::make_shared<Handlers>(*handlers_);
+  for (Row& row : next->rows) {
+    if (row.event->function == entry->fn.name) row.entry = entry.get();
   }
+  next->functions[entry->fn.name] = entry;
+  handlers_ = std::move(next);
 }
 
 const GeneratedResponder::Row* GeneratedResponder::lookup(std::size_t index) {
   last_errors_.clear();
-  const Row& row = rows_[index];
+  const Row& row = handlers_->rows[index];
   if (row.entry == nullptr) {
     last_errors_.push_back("no generated function named " +
                            row.event->function);
@@ -63,7 +66,7 @@ GeneratedResponder::Reply GeneratedResponder::respond(const Row& row,
   const Entry& entry = *row.entry;
   ExecResult result = entry.program.has_value()
                           ? vm::execute(*entry.program, env)
-                          : interpreter_.run(entry.fn.body, env);
+                          : Interpreter().run(entry.fn.body, env);
   if (!result.ok) {
     last_errors_ = std::move(result.errors);
     return std::nullopt;

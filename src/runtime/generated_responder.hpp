@@ -15,6 +15,11 @@
 // the rows at their handler, so answering a packet indexes the table
 // and does no string work.
 //
+// A responder shares its rows and compiled handlers, one immutable set,
+// with its copies: a copy compiles nothing and keeps its own
+// last_errors(). add_function installs a new set built from the current
+// one, so it changes only the responder it is called on.
+//
 // Each registered function executes on one of two backends
 // (vm::ExecBackend): the threaded-code VM (default — the function is
 // compiled once at registration, runtime/vm) or the tree-walking
@@ -24,13 +29,13 @@
 
 #include <initializer_list>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "codegen/ir.hpp"
-#include "runtime/interpreter.hpp"
 #include "runtime/schema_env.hpp"
 #include "runtime/vm/exec.hpp"
 #include "runtime/vm/program.hpp"
@@ -52,9 +57,9 @@ class GeneratedResponder {
   vm::ExecBackend backend() const { return backend_; }
 
   bool has_function(const std::string& name) const {
-    return functions_.count(name) != 0;
+    return handlers_->functions.count(name) != 0;
   }
-  std::size_t function_count() const { return functions_.size(); }
+  std::size_t function_count() const { return handlers_->functions.size(); }
 
   /// Execution diagnostics from the most recent event (for tests).
   const std::vector<std::string>& last_errors() const { return last_errors_; }
@@ -104,11 +109,16 @@ class GeneratedResponder {
   Reply respond(const Row& row, SchemaExecEnv& env, std::uint8_t code);
 
  private:
+  /// The handler set, immutable once built: one row per event and the
+  /// registered entries by name, shared with the sets built from it.
+  struct Handlers {
+    std::vector<Row> rows;
+    std::map<std::string, std::shared_ptr<const Entry>> functions;
+  };
+
   vm::ExecBackend backend_;
   const char* undecodable_;
-  std::vector<Row> rows_;
-  std::map<std::string, Entry> functions_;
-  Interpreter interpreter_;
+  std::shared_ptr<const Handlers> handlers_;
   std::vector<std::string> last_errors_;
 };
 

@@ -142,11 +142,9 @@ std::shared_ptr<Server::Pipeline> Server::build_pipeline(
       fnv1a_str(core::protocol_run_signature(pipeline->run));
   if (spec.protocol == "ICMP") {
     // The per-session compile: every generated handler is lowered to a
-    // vm::Program exactly once, at registration (PR 7's cache).
-    pipeline->responder = std::make_unique<runtime::GeneratedIcmpResponder>();
-    for (const auto& fn : pipeline->run.functions) {
-      pipeline->responder->add_function(fn);
-    }
+    // vm::Program exactly once, at registration.
+    auto& responder = pipeline->responder.emplace();
+    for (const auto& fn : pipeline->run.functions) responder.add_function(fn);
   }
   return pipeline;
 }
@@ -228,27 +226,21 @@ Frame Server::run_pipeline_job(const Frame& request) {
       break;
     }
     case FrameKind::kInteropRequest: {
-      if (pipeline->responder == nullptr) {
+      if (!pipeline->responder) {
         return error_frame(request.job_id, JobStatus::kBadRequest,
                            "corpus '" + corpus +
                                "' has no runnable responder (interop "
                                "requires an ICMP corpus)");
       }
-      // The responder mutates per-event diagnostics; serialize jobs on
-      // the same corpus. The ping itself is deterministic (fixed
-      // identifier/sequence/timestamp), so serialization order cannot
-      // leak into the payload.
-      std::lock_guard lock(pipeline->responder_mutex);
-      const sim::PingResult ping =
-          eval::ping_against(pipeline->responder.get());
+      runtime::GeneratedIcmpResponder responder = *pipeline->responder;
+      const sim::PingResult ping = eval::ping_against(&responder);
       payload << "corpus=" << corpus
               << " ping=" << (ping.success ? "pass" : "fail");
       for (const auto error : ping.errors) {
         payload << " error=" << sim::interop_error_name(error);
       }
       payload << "\n";
-      for (const auto& line :
-           eval::decode_reply(pipeline->responder.get())) {
+      for (const auto& line : eval::decode_reply(&responder)) {
         payload << line << "\n";
       }
       break;

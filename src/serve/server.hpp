@@ -8,13 +8,14 @@
 //
 //   * the session pipeline cache — the first job touching a corpus runs
 //     the full pipeline (parse → winnow → codegen) once and, for ICMP
-//     corpora, compiles every generated handler to a vm::Program once
-//     (PR 7's "compile once per session" headroom); every later job on
-//     that corpus reuses the cached run and compiled responder,
+//     corpora, compiles every generated handler to a vm::Program once;
+//     every later job on that corpus reuses the cached run, and each
+//     interop job answers on its own copy of the responder, which shares
+//     the compiled handlers,
 //   * the shared ccg::ParseCache — sentences repeated across corpora
 //     (ICMP original vs revised share most of their text) parse once,
-//   * core::canonical_icmp_run() — fuzz campaigns reuse the process-wide
-//     memoized ICMP run they always did.
+//   * core::canonical_icmp_responder() and canonical_icmp6_responder() —
+//     each fuzz case copies the process-wide compiled responder.
 //
 // Determinism contract (docs/SERVICE.md, pinned by
 // tests/test_serve_concurrency.cpp): a response's (kind, status,
@@ -32,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -103,10 +105,7 @@ class Server {
     std::string protocol;
     core::ProtocolRun run;
     std::uint64_t signature_hash = 0;
-    std::unique_ptr<runtime::GeneratedIcmpResponder> responder;
-    /// The responder records per-event diagnostics, so concurrent
-    /// interop jobs on the same corpus serialize here.
-    std::mutex responder_mutex;
+    std::optional<runtime::GeneratedIcmpResponder> responder;
   };
 
   /// Find-or-build the corpus' pipeline. Exactly one builder runs per

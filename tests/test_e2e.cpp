@@ -11,8 +11,8 @@
 //     scenarios).
 #include <gtest/gtest.h>
 
+#include "core/generated_icmp.hpp"
 #include "core/sage.hpp"
-#include "corpus/rfc792.hpp"
 #include "net/icmp.hpp"
 #include "corpus/rfc5880.hpp"
 #include "runtime/bfd_session.hpp"
@@ -25,47 +25,30 @@
 namespace sage {
 namespace {
 
-/// One pipeline run shared by every test in this file (processing the
-/// whole RFC is deterministic; doing it once keeps the suite fast).
+/// The canonical ICMP run (processed once per process), and each test's
+/// own copy of its compiled responder.
 class GeneratedIcmp : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    core::Sage sage;
-    sage.annotate_non_actionable(corpus::icmp_non_actionable_annotations());
-    run_ = new core::ProtocolRun(
-        sage.process(corpus::rfc792_revised(), "ICMP"));
-    responder_ = new runtime::GeneratedIcmpResponder();
-    for (const auto& fn : run_->functions) responder_->add_function(fn);
-  }
-  static void TearDownTestSuite() {
-    delete run_;
-    delete responder_;
-    run_ = nullptr;
-    responder_ = nullptr;
-  }
-
   void SetUp() override {
     net_ = sim::make_appendix_a_network();
-    net_.router()->set_responder(responder_);
-    net_.find_host("server1")->set_responder(responder_);
-    net_.find_host("server2")->set_responder(responder_);
+    net_.router()->set_responder(&responder_);
+    net_.find_host("server1")->set_responder(&responder_);
+    net_.find_host("server2")->set_responder(&responder_);
   }
 
-  static core::ProtocolRun* run_;
-  static runtime::GeneratedIcmpResponder* responder_;
+  const core::ProtocolRun& run_ = core::canonical_icmp_run();
+  runtime::GeneratedIcmpResponder responder_ =
+      core::canonical_icmp_responder();
   sim::Network net_;
   sim::PingClient ping_;
 };
 
-core::ProtocolRun* GeneratedIcmp::run_ = nullptr;
-runtime::GeneratedIcmpResponder* GeneratedIcmp::responder_ = nullptr;
-
 TEST_F(GeneratedIcmp, PipelineFullyDisambiguatedTheRevisedSpec) {
-  EXPECT_EQ(run_->count(core::SentenceStatus::kAmbiguous), 0u);
-  EXPECT_EQ(run_->count(core::SentenceStatus::kZeroForms), 0u);
+  EXPECT_EQ(run_.count(core::SentenceStatus::kAmbiguous), 0u);
+  EXPECT_EQ(run_.count(core::SentenceStatus::kZeroForms), 0u);
   // 11 functions: sender for all 8 messages + receiver for the three
   // request/reply messages.
-  EXPECT_EQ(run_->functions.size(), 11u);
+  EXPECT_EQ(run_.functions.size(), 11u);
 }
 
 // ---- interop with the Linux tool models (the four commands of §6.2) -----
@@ -254,9 +237,9 @@ TEST_F(GeneratedIcmp, GeneratedCodeRunsAcrossTwoRouters) {
   net.add_host("client", net::IpAddr(10, 0, 1, 100), 24);
   net.add_host("server", net::IpAddr(192, 168, 2, 100), 24);
 
-  r1.set_responder(responder_);
-  r2.set_responder(responder_);
-  net.find_host("server")->set_responder(responder_);
+  r1.set_responder(&responder_);
+  r2.set_responder(&responder_);
+  net.find_host("server")->set_responder(&responder_);
 
   sim::PingClient ping;
   const auto echo = ping.ping(net, "client", net::IpAddr(192, 168, 2, 100));

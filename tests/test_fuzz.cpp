@@ -9,6 +9,7 @@
 
 #include <set>
 
+#include "codegen/lowering.hpp"
 #include "eval/students.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/differential.hpp"
@@ -151,13 +152,29 @@ FuzzReport run_campaign(const std::string& proto, std::size_t jobs,
 }
 
 TEST(DifferentialFuzzer, VerdictLogIndependentOfJobs) {
-  const FuzzReport serial = run_campaign("icmp", 1);
-  for (const std::size_t jobs : {std::size_t{2}, std::size_t{8}}) {
-    const FuzzReport parallel = run_campaign("icmp", jobs);
-    EXPECT_EQ(parallel.log, serial.log) << "jobs=" << jobs;
-    EXPECT_EQ(parallel.log_hash, serial.log_hash);
-    EXPECT_EQ(parallel.agree_bytes, serial.agree_bytes);
-    EXPECT_EQ(parallel.agree_silent, serial.agree_silent);
+  for (const char* proto : {"icmp", "icmp6"}) {
+    const FuzzReport serial = run_campaign(proto, 1);
+    for (const std::size_t jobs : {std::size_t{2}, std::size_t{8}}) {
+      const FuzzReport parallel = run_campaign(proto, jobs);
+      EXPECT_EQ(parallel.log, serial.log) << proto << " jobs=" << jobs;
+      EXPECT_EQ(parallel.log_hash, serial.log_hash);
+      EXPECT_EQ(parallel.agree_bytes, serial.agree_bytes);
+      EXPECT_EQ(parallel.agree_silent, serial.agree_silent);
+    }
+  }
+}
+
+TEST(DifferentialFuzzer, CasesCompileNoHandlerOnceTheResponderExists) {
+  // The first campaign builds the canonical responder; every later case,
+  // on any worker, answers on a copy of it and compiles nothing.
+  for (const char* proto : {"icmp", "icmp6"}) {
+    run_campaign(proto, 1);
+    const std::size_t compiled = codegen::exec_stats().programs_compiled;
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+      EXPECT_TRUE(run_campaign(proto, jobs).clean()) << proto;
+      EXPECT_EQ(codegen::exec_stats().programs_compiled, compiled)
+          << proto << " jobs=" << jobs;
+    }
   }
 }
 

@@ -54,22 +54,13 @@ std::vector<std::uint8_t> udp6_trigger(std::size_t payload_bytes = 32) {
   return net::build_ipv6_packet(ip, udp);
 }
 
-runtime::GeneratedIcmp6Responder make_generated(
-    runtime::vm::ExecBackend backend = runtime::vm::ExecBackend::kThreaded) {
-  runtime::GeneratedIcmp6Responder gen(backend);
-  for (const auto& fn : core::canonical_icmp6_run().functions) {
-    gen.add_function(fn);
-  }
-  return gen;
-}
-
 TEST(Icmp6Pipeline, CanonicalRunResolvesEveryField) {
   const auto& run = core::canonical_icmp6_run();
   EXPECT_TRUE(run.unresolved_fields.empty())
       << "first unresolved: "
       << (run.unresolved_fields.empty() ? "" : run.unresolved_fields.front());
   EXPECT_EQ(run.functions.size(), 6u);
-  runtime::GeneratedIcmp6Responder gen = make_generated();
+  const auto& gen = core::canonical_icmp6_responder();
   for (const char* name :
        {"icmp6_echo_or_echo_reply_receiver", "icmp6_destination_unreachable_sender",
         "icmp6_packet_too_big_sender", "icmp6_time_exceeded_sender",
@@ -81,7 +72,7 @@ TEST(Icmp6Pipeline, CanonicalRunResolvesEveryField) {
 TEST(Icmp6Twin, EchoReplyAgreesByteForByte) {
   const auto request = echo_request(0x1234, 7, {1, 2, 3, 4, 5, 6, 7, 8});
   const sim::Responder6Context ctx{kServer, request};
-  auto gen = make_generated();
+  auto gen = core::canonical_icmp6_responder();
   sim::ReferenceIcmp6Responder ref;
   const auto a = gen.on_echo_request(ctx);
   const auto b = ref.on_echo_request(ctx);
@@ -109,7 +100,7 @@ TEST(Icmp6Twin, EchoReplyAgreesByteForByte) {
 TEST(Icmp6Twin, ErrorMessagesAgreeAcrossAllCodes) {
   const auto trigger = udp6_trigger();
   const sim::Responder6Context ctx{kServer, trigger};
-  auto gen = make_generated();
+  auto gen = core::canonical_icmp6_responder();
   sim::ReferenceIcmp6Responder ref;
 
   for (std::uint8_t code = 0; code <= 4; ++code) {
@@ -150,7 +141,7 @@ TEST(Icmp6Twin, ErrorExcerptIsCappedAtMinimumMtu) {
   // error message (IPv6 header + ICMPv6) never exceeds 1280 bytes.
   const auto trigger = udp6_trigger(/*payload_bytes=*/4000);
   const sim::Responder6Context ctx{kServer, trigger};
-  auto gen = make_generated();
+  auto gen = core::canonical_icmp6_responder();
   sim::ReferenceIcmp6Responder ref;
   const auto a = gen.on_time_exceeded(ctx, 0);
   const auto b = ref.on_time_exceeded(ctx, 0);
@@ -170,7 +161,7 @@ TEST(Icmp6Twin, TruncatedEchoRequestDrawsNoReply) {
   const std::vector<std::uint8_t> stub = {128, 0, 0, 0};
   const auto trigger = net::build_ipv6_packet(ip, stub);
   const sim::Responder6Context ctx{kServer, trigger};
-  auto gen = make_generated();
+  auto gen = core::canonical_icmp6_responder();
   sim::ReferenceIcmp6Responder ref;
   EXPECT_FALSE(ref.on_echo_request(ctx).has_value());
   // The generated side starts from a blank message image when the
@@ -189,8 +180,9 @@ TEST(Icmp6Twin, TruncatedEchoRequestDrawsNoReply) {
 TEST(Icmp6Twin, BackendsProduceIdenticalReplies) {
   const auto request = echo_request(42, 1, {9, 9, 9});
   const auto trigger = udp6_trigger();
-  auto tree = make_generated(runtime::vm::ExecBackend::kTree);
-  auto threaded = make_generated(runtime::vm::ExecBackend::kThreaded);
+  auto tree = core::canonical_icmp6_responder(runtime::vm::ExecBackend::kTree);
+  auto threaded =
+      core::canonical_icmp6_responder(runtime::vm::ExecBackend::kThreaded);
   const sim::Responder6Context echo_ctx{kServer, request};
   const sim::Responder6Context err_ctx{kServer, trigger};
   EXPECT_EQ(tree.on_echo_request(echo_ctx), threaded.on_echo_request(echo_ctx));

@@ -242,6 +242,18 @@ TEST(RespondPath, AppendixAEchoAllocatesOneBlockPerResponderCall) {
   }
 }
 
+/// The canonical echo receiver with its body replaced: the reply keeps
+/// the request's bytes except the code octet, which it sets to 7.
+codegen::GeneratedFunction echo_setting_code_7() {
+  codegen::GeneratedFunction replacement;
+  for (const auto& fn : core::canonical_icmp_run().functions) {
+    if (fn.name == "icmp_echo_or_echo_reply_receiver") replacement = fn;
+  }
+  replacement.body = codegen::Stmt::seq({codegen::Stmt::assign(
+      {"icmp", "code"}, codegen::Expr::constant(7))});
+  return replacement;
+}
+
 TEST(RespondPath, ReregisteringANameReplacesTheEventHandler) {
   auto r = canonical<runtime::GeneratedIcmpResponder>(
       core::canonical_icmp_run());
@@ -251,15 +263,8 @@ TEST(RespondPath, ReregisteringANameReplacesTheEventHandler) {
   ASSERT_TRUE(original.has_value());
   const std::size_t functions = r.function_count();
 
-  // Same name, different body: the reply keeps the request's bytes
-  // except the code octet, which the replacement sets to 7.
-  codegen::GeneratedFunction replacement;
-  for (const auto& fn : core::canonical_icmp_run().functions) {
-    if (fn.name == "icmp_echo_or_echo_reply_receiver") replacement = fn;
-  }
+  const codegen::GeneratedFunction replacement = echo_setting_code_7();
   ASSERT_FALSE(replacement.name.empty());
-  replacement.body = codegen::Stmt::seq({codegen::Stmt::assign(
-      {"icmp", "code"}, codegen::Expr::constant(7))});
   r.add_function(replacement);
 
   EXPECT_EQ(r.function_count(), functions);
@@ -270,11 +275,17 @@ TEST(RespondPath, ReregisteringANameReplacesTheEventHandler) {
   EXPECT_EQ((*replaced)[20], static_cast<std::uint8_t>(net::IcmpType::kEcho));
 }
 
-TEST(RespondPath, MissingEchoHandlerReportsItsName) {
+/// Every canonical ICMP function but the echo receiver.
+runtime::GeneratedIcmpResponder without_echo() {
   runtime::GeneratedIcmpResponder r;
   for (const auto& fn : core::canonical_icmp_run().functions) {
     if (fn.name != "icmp_echo_or_echo_reply_receiver") r.add_function(fn);
   }
+  return r;
+}
+
+TEST(RespondPath, MissingEchoHandlerReportsItsName) {
+  auto r = without_echo();
   const Packets4 p;
   EXPECT_FALSE(r.on_echo_request({kRouter, p.echo}).has_value());
   EXPECT_EQ(r.last_errors(),
@@ -306,6 +317,83 @@ TEST(RespondPath, ReverseRegistrationOrderGivesIdenticalReplies) {
     const Reply a = fire6(forward6, packet, e);
     ASSERT_TRUE(a.has_value()) << "icmp6 event " << e;
     EXPECT_EQ(a, fire6(reverse6, packet, e)) << "icmp6 event " << e;
+  }
+}
+
+// ---- copies share their compiled handlers ---------------------------------
+
+TEST(RespondPath, ACopyAnswersEveryEventLikeItsSource) {
+  const Packets4 p;
+  auto source = canonical<runtime::GeneratedIcmpResponder>(
+      core::canonical_icmp_run());
+  auto copy = source;
+  for (std::size_t e = 0; e < kIcmpEvents; ++e) {
+    const Reply a = fire(copy, p, e);
+    ASSERT_TRUE(a.has_value()) << "event " << e;
+    EXPECT_EQ(a, fire(source, p, e)) << "event " << e;
+  }
+
+  const auto packet = echo6_packet(64);
+  auto source6 = canonical<runtime::GeneratedIcmp6Responder>(
+      core::canonical_icmp6_run());
+  auto copy6 = source6;
+  for (std::size_t e = 0; e < kIcmp6Events; ++e) {
+    const Reply a = fire6(copy6, packet, e);
+    ASSERT_TRUE(a.has_value()) << "icmp6 event " << e;
+    EXPECT_EQ(a, fire6(source6, packet, e)) << "icmp6 event " << e;
+  }
+}
+
+TEST(RespondPath, AddFunctionOnACopyChangesOnlyTheCopy) {
+  const Packets4 p;
+  const sim::ResponderContext request{kRouter, p.echo};
+
+  // Registering a missing name.
+  auto source = without_echo();
+  auto copy = source;
+  for (const auto& fn : core::canonical_icmp_run().functions) {
+    if (fn.name == "icmp_echo_or_echo_reply_receiver") copy.add_function(fn);
+  }
+  EXPECT_TRUE(copy.has_function("icmp_echo_or_echo_reply_receiver"));
+  EXPECT_FALSE(source.has_function("icmp_echo_or_echo_reply_receiver"));
+  EXPECT_EQ(copy.function_count(), source.function_count() + 1);
+  const Reply original = copy.on_echo_request(request);
+  ASSERT_TRUE(original.has_value());
+  EXPECT_FALSE(source.on_echo_request(request).has_value());
+
+  // Replacing a registered name.
+  auto replaced = copy;
+  replaced.add_function(echo_setting_code_7());
+  const Reply changed = replaced.on_echo_request(request);
+  ASSERT_TRUE(changed.has_value());
+  EXPECT_EQ((*changed)[20 + 1], 7);
+  EXPECT_EQ(copy.on_echo_request(request), original);
+}
+
+TEST(RespondPath, ACopysDiagnosticsStayItsOwn) {
+  const Packets4 p;
+  const auto source = without_echo();
+  auto copy = source;
+  EXPECT_TRUE(copy.last_errors().empty());
+  EXPECT_FALSE(copy.on_echo_request({kRouter, p.echo}).has_value());
+  EXPECT_EQ(copy.last_errors().size(), 1u);
+  EXPECT_TRUE(source.last_errors().empty());
+}
+
+TEST(RespondPath, ACopyKeepsAnsweringAfterItsSourceIsDestroyed) {
+  const Packets4 p;
+  std::optional<runtime::GeneratedIcmpResponder> source =
+      canonical<runtime::GeneratedIcmpResponder>(core::canonical_icmp_run());
+  std::vector<Reply> expected;
+  for (std::size_t e = 0; e < kIcmpEvents; ++e) {
+    expected.push_back(fire(*source, p, e));
+  }
+  runtime::GeneratedIcmpResponder copy = *source;
+  source.reset();
+  for (std::size_t e = 0; e < kIcmpEvents; ++e) {
+    const Reply reply = fire(copy, p, e);
+    ASSERT_TRUE(reply.has_value()) << "event " << e;
+    EXPECT_EQ(reply, expected[e]) << "event " << e;
   }
 }
 

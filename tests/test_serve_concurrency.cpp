@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,9 +30,9 @@ Client connect(Server& server) {
   return Client(std::move(client_end));
 }
 
-/// The mixed job list both determinism tests replay (kept cheap: no
-/// interop on the cold path is not required — the point is coverage of
-/// every request kind at every worker count).
+/// The mixed job list both determinism tests replay: every request kind
+/// at every worker count, fuzz jobs on both generated responders as well
+/// as a layer protocol, and a burst of interop jobs on one corpus.
 std::vector<Frame> mixed_jobs() {
   std::vector<Frame> jobs;
   for (int round = 0; round < 3; ++round) {
@@ -42,8 +43,16 @@ std::vector<Frame> mixed_jobs() {
           Client::make_request(FrameKind::kCodegenRequest, corpus));
     }
     jobs.push_back(Client::make_request(FrameKind::kInteropRequest, "icmp"));
-    jobs.push_back(Client::make_request(FrameKind::kFuzzRequest,
-                                        "proto=udp seed=3 iters=15"));
+    for (const char* proto : {"udp", "icmp", "icmp6"}) {
+      jobs.push_back(Client::make_request(
+          FrameKind::kFuzzRequest,
+          std::string("proto=") + proto + " seed=3 iters=15"));
+    }
+  }
+  // A burst on one corpus: several workers answer on copies of the same
+  // pipeline responder at once.
+  for (int i = 0; i < 8; ++i) {
+    jobs.push_back(Client::make_request(FrameKind::kInteropRequest, "icmp"));
   }
   return jobs;
 }

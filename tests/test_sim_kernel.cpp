@@ -26,8 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "core/sage.hpp"
-#include "corpus/rfc792.hpp"
+#include "core/generated_icmp.hpp"
 #include "fuzz/fault_injector.hpp"
 #include "net/icmp.hpp"
 #include "net/udp.hpp"
@@ -290,24 +289,10 @@ TEST(AppendixAGoldens, BothKernelsMatchPreRefactorPcapHashes) {
   }
 }
 
-/// The SAGE-generated ICMP functions, compiled once per suite (the
-/// pipeline is deterministic; see tests/test_e2e.cpp for the same
-/// memoization).
-const core::ProtocolRun& generated_icmp_run() {
-  static const core::ProtocolRun run = [] {
-    core::Sage sage;
-    sage.annotate_non_actionable(corpus::icmp_non_actionable_annotations());
-    return sage.process(corpus::rfc792_revised(), "ICMP");
-  }();
-  return run;
-}
-
 std::vector<std::uint8_t> run_scenario_generated(
     const Scenario& scenario, runtime::vm::ExecBackend backend) {
-  runtime::GeneratedIcmpResponder responder(backend);
-  for (const auto& fn : generated_icmp_run().functions) {
-    responder.add_function(fn);
-  }
+  runtime::GeneratedIcmpResponder responder =
+      core::canonical_icmp_responder(backend);
   Network net = make_appendix_a_network();
   net.router()->set_responder(&responder);
   net.find_host("server1")->set_responder(&responder);

@@ -104,12 +104,8 @@ std::vector<sim::OwnedCaptureEntry> drive_network(
 }
 
 void run_network_differential(const std::string& protocol) {
-  runtime::GeneratedIcmpResponder tree(ExecBackend::kTree);
-  runtime::GeneratedIcmpResponder threaded(ExecBackend::kThreaded);
-  for (const auto& fn : core::canonical_icmp_run().functions) {
-    tree.add_function(fn);
-    threaded.add_function(fn);
-  }
+  auto tree = core::canonical_icmp_responder(ExecBackend::kTree);
+  auto threaded = core::canonical_icmp_responder(ExecBackend::kThreaded);
 
   const fuzz::PacketGenerator generator(protocol);
   std::size_t replies = 0;
