@@ -21,7 +21,7 @@ int main() {
 
   core::SageOptions full;
   core::SageOptions no_dict;
-  no_dict.use_term_dictionary = false;
+  no_dict.chunking = nlp::ChunkingMode::kNoDictionary;
   core::SageOptions no_label;
   no_label.chunking = nlp::ChunkingMode::kNoLabeling;
 

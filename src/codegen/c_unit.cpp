@@ -3,6 +3,7 @@
 #include <map>
 #include <set>
 
+#include "codegen/framework.hpp"
 #include "net/schema.hpp"
 #include "util/strings.hpp"
 
@@ -22,11 +23,6 @@ bool is_bytes_field(const FieldRef& ref) {
   return ref.field == "data" ||
          ref.field.find("datagram") != std::string::npos ||
          ref.field.find("internet_header") != std::string::npos;
-}
-
-/// Byte-array-valued framework functions.
-bool is_bytes_function(const std::string& name) {
-  return name == "original_datagram_excerpt" || name == "copy_field";
 }
 
 struct Collected {
@@ -128,7 +124,8 @@ std::string emit_compilation_unit(
   // Framework function declarations. C99 empty parameter lists leave the
   // arity unspecified, matching the variadic way RFC text names them.
   for (const auto& fn : collected.functions) {
-    out += std::string(is_bytes_function(fn) ? "struct sage_bytes " : "long ") +
+    out += std::string(framework::returns_bytes(fn) ? "struct sage_bytes "
+                                                     : "long ") +
            fn + "();\n";
   }
   out += "\n";

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
+#include "codegen/framework.hpp"
 #include "net/schema.hpp"
 #include "util/strings.hpp"
 #include "util/symbols.hpp"
@@ -26,7 +27,8 @@ namespace schema = net::schema;
 class Lowering {
  public:
   explicit Lowering(const GeneratedFunction& fn)
-      : schema_(schema::SchemaRegistry::instance().protocol(fn.protocol)) {
+      : schema_(schema::SchemaRegistry::instance().protocol(fn.protocol)),
+        profile_(framework::profile_of(fn.protocol)) {
     out_.function_name = fn.name;
     out_.protocol = fn.protocol;
   }
@@ -100,12 +102,10 @@ class Lowering {
                      layer->name) != schema_->layers.end();
   }
 
-  /// Mirror of SchemaExecEnv::is_bytes_function (the ICMP profile's two
-  /// byte-valued framework functions); test_vm_differential.cpp pins the
-  /// agreement.
+  /// The framework table's answer, as SchemaExecEnv::is_bytes_function
+  /// gives it for this protocol's profile.
   bool is_bytes_function(const std::string& fn) const {
-    return out_.protocol == "ICMP" &&
-           (fn == "original_datagram_excerpt" || fn == "copy_field");
+    return framework::find(profile_, fn, framework::Kind::kBytes) != nullptr;
   }
 
   bool is_bytes_expr(const Expr& e) const {
@@ -282,6 +282,7 @@ class Lowering {
   }
 
   const schema::ProtocolSchema* schema_;
+  framework::Profile profile_;
   LinearProgram out_;
   int depth_ = 0;
   std::uint32_t max_depth_ = 0;

@@ -34,7 +34,6 @@ const Sage::Grammar& Sage::Grammar::standard() {
     auto* g = new Grammar{corpus::make_lexicon(),
                           corpus::make_term_dictionary(),
                           {},
-                          {},
                           disambig::Winnower(disambig::all_checks()),
                           codegen::HandlerRegistry::standard(),
                           codegen::StaticContext::standard()};
@@ -105,15 +104,10 @@ SentenceReport Sage::analyze_sentence(const rfc::SpecSentence& sentence,
   }
 
   // Tokenize + noun-phrase labeling.
-  const nlp::NounPhraseChunker chunker(
-      options.use_term_dictionary ? &grammar_->dictionary
-                                  : &grammar_->empty_dictionary,
-      &grammar_->closed_class);
-  nlp::ChunkingMode mode = options.chunking;
-  if (!options.use_term_dictionary && mode == nlp::ChunkingMode::kFull) {
-    mode = nlp::ChunkingMode::kNoDictionary;
-  }
-  const auto tokens = chunker.chunk(nlp::tokenize(sentence.text), mode);
+  const nlp::NounPhraseChunker chunker(&grammar_->dictionary,
+                                       &grammar_->closed_class);
+  const auto tokens =
+      chunker.chunk(nlp::tokenize(sentence.text), options.chunking);
 
   const auto field_it = sentence.context.find("field");
   const std::string field =

@@ -82,8 +82,9 @@ struct ProtocolRun {
 
 /// Pipeline configuration (ablations for Tables 7/8).
 struct SageOptions {
+  /// kNoDictionary is Table 8's "no dictionary" row, kNoLabeling its
+  /// "no noun-phrase labeling" row.
   nlp::ChunkingMode chunking = nlp::ChunkingMode::kFull;
-  bool use_term_dictionary = true;  // false: Table 8 "no dictionary" row
   ccg::ParserOptions parser;
 };
 
@@ -150,7 +151,6 @@ class Sage {
   struct Grammar {
     ccg::Lexicon lexicon;
     nlp::TermDictionary dictionary;
-    nlp::TermDictionary empty_dictionary;
     std::unordered_set<std::string> closed_class;  // the lexicon's words
     disambig::Winnower winnower;
     codegen::HandlerRegistry handlers;

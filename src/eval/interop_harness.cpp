@@ -16,12 +16,6 @@ std::vector<std::string> decode_packet(std::span<const std::uint8_t> packet) {
   return sim::PacketInspector().decode(packet);
 }
 
-std::vector<std::string> decode_reply(sim::IcmpResponder* responder) {
-  const auto result = ping_against(responder);
-  if (result.reply.empty()) return {};
-  return decode_packet(result.reply);
-}
-
 CohortReport run_student_experiment(const std::vector<Student>& cohort) {
   CohortReport report;
   report.total = cohort.size();

@@ -47,13 +47,9 @@ sim::PingResult ping_against(sim::IcmpResponder* responder);
 
 /// Schema-driven decode of a raw captured packet: "layer.field = value"
 /// lines through the packet-schema registry (net/schema.hpp). Shared by
-/// decode_reply and the fuzz harness's semantic-equality oracle, so a
-/// divergence report and an interop diagnosis read identically.
+/// serve's interop jobs (decoding a ping's reply) and the fuzz harness's
+/// semantic-equality oracle, so a divergence report and an interop
+/// diagnosis read identically.
 std::vector<std::string> decode_packet(std::span<const std::uint8_t> packet);
-
-/// Decode a responder's ping reply via decode_packet. Empty when no reply
-/// arrived. Lets interop failures be diagnosed field-by-field against the
-/// same table the generated code executed.
-std::vector<std::string> decode_reply(sim::IcmpResponder* responder);
 
 }  // namespace sage::eval

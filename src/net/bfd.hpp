@@ -78,6 +78,8 @@ struct BfdSessionState {
   // Derived/operational state used by the interop harness:
   bool periodic_transmission_enabled = true;
   bool packet_discarded = false;  // set when the spec says "MUST be discarded"
+
+  bool operator==(const BfdSessionState&) const = default;
 };
 
 }  // namespace sage::net

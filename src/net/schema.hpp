@@ -6,7 +6,7 @@
 // state rather than wire bits, and which symbolic names ("Up", "Down")
 // the RFC text compares against. Before this registry existed that
 // knowledge was duplicated four ways: the codegen static context, the
-// per-protocol ExecEnv classes, the net/ serializers, and the simulator's
+// per-protocol exec env classes, the net/ serializers, and the simulator's
 // inspector. The registry makes it one table:
 //
 //   * codegen resolves FieldRefs against it at generation time and

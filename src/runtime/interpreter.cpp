@@ -3,6 +3,7 @@
 #include <functional>
 
 #include "codegen/lowering.hpp"
+#include "runtime/schema_env.hpp"
 
 namespace sage::runtime {
 
@@ -13,7 +14,7 @@ using codegen::Stmt;
 namespace {
 
 /// Is this expression byte-array-valued in `env`?
-bool is_bytes_expr(const Expr& expr, const ExecEnv& env) {
+bool is_bytes_expr(const Expr& expr, const SchemaExecEnv& env) {
   switch (expr.kind) {
     case Expr::Kind::kField:
       return env.is_bytes_field(expr.field);
@@ -26,7 +27,8 @@ bool is_bytes_expr(const Expr& expr, const ExecEnv& env) {
 
 }  // namespace
 
-std::optional<long> Interpreter::eval(const Expr& expr, ExecEnv& env) const {
+std::optional<long> Interpreter::eval(const Expr& expr,
+                                      SchemaExecEnv& env) const {
   switch (expr.kind) {
     case Expr::Kind::kConst:
       return expr.value;
@@ -51,7 +53,7 @@ std::optional<long> Interpreter::eval(const Expr& expr, ExecEnv& env) const {
   return std::nullopt;
 }
 
-bool Interpreter::test(const Cond& cond, ExecEnv& env,
+bool Interpreter::test(const Cond& cond, SchemaExecEnv& env,
                        ExecResult* result) const {
   switch (cond.kind) {
     case Cond::Kind::kTrue:
@@ -90,7 +92,7 @@ bool Interpreter::test(const Cond& cond, ExecEnv& env,
   return false;
 }
 
-ExecResult Interpreter::run(const Stmt& stmt, ExecEnv& env) const {
+ExecResult Interpreter::run(const Stmt& stmt, SchemaExecEnv& env) const {
   ExecResult result;
   std::size_t executed = 0;  // kIf/kAssign/kCall steps, for ExecStats
   const std::function<void(const Stmt&)> exec = [&](const Stmt& s) {

@@ -3,14 +3,13 @@
 // The paper's static framework "provides such functionality along with an
 // API to access and manipulate headers of other protocols, and to
 // interface with the OS". Here the framework doubles as an interpreter
-// for the generated IR: an ExecEnv exposes field access, framework
+// for the generated IR: a SchemaExecEnv exposes field access, framework
 // functions, and OS services for one protocol environment (ICMP packets,
 // BFD session state), and the Interpreter walks a generated Stmt tree
 // against it. This is how SAGE-generated code runs end-to-end inside the
 // simulator.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -19,46 +18,7 @@
 
 namespace sage::runtime {
 
-/// Protocol execution environment: field storage + framework functions.
-class ExecEnv {
- public:
-  virtual ~ExecEnv() = default;
-
-  /// Scalar field read. nullopt -> unknown field (reported as an error).
-  virtual std::optional<long> read_field(const codegen::FieldRef& ref,
-                                         codegen::PacketSel sel) = 0;
-
-  /// Scalar field write.
-  virtual bool write_field(const codegen::FieldRef& ref, long value) = 0;
-
-  /// Is this a byte-array field (payload/data)?
-  virtual bool is_bytes_field(const codegen::FieldRef& ref) const = 0;
-
-  /// Byte-array read/write.
-  virtual std::optional<std::vector<std::uint8_t>> read_bytes(
-      const codegen::FieldRef& ref, codegen::PacketSel sel) = 0;
-  virtual bool write_bytes(const codegen::FieldRef& ref,
-                           std::vector<std::uint8_t> value) = 0;
-
-  /// Does this framework function return bytes?
-  virtual bool is_bytes_function(const std::string& fn) const = 0;
-
-  /// Scalar framework function.
-  virtual std::optional<long> call_scalar(const std::string& fn,
-                                          const std::vector<long>& args) = 0;
-
-  /// Byte-array framework function.
-  virtual std::optional<std::vector<std::uint8_t>> call_bytes(
-      const std::string& fn) = 0;
-
-  /// Framework function invoked for effect.
-  virtual bool call_effect(const std::string& fn,
-                           const std::vector<long>& args) = 0;
-
-  /// Resolve a symbolic name ("scenario", "net unreachable", "up") to a
-  /// comparable value.
-  virtual long resolve_symbol(const std::string& name) = 0;
-};
+class SchemaExecEnv;
 
 /// Result of executing a generated function body.
 struct ExecResult {
@@ -68,13 +28,14 @@ struct ExecResult {
 
 class Interpreter {
  public:
-  ExecResult run(const codegen::Stmt& stmt, ExecEnv& env) const;
+  ExecResult run(const codegen::Stmt& stmt, SchemaExecEnv& env) const;
 
   /// Evaluate a scalar expression (bytes expressions are handled at the
   /// assignment level).
-  std::optional<long> eval(const codegen::Expr& expr, ExecEnv& env) const;
+  std::optional<long> eval(const codegen::Expr& expr,
+                           SchemaExecEnv& env) const;
 
-  bool test(const codegen::Cond& cond, ExecEnv& env,
+  bool test(const codegen::Cond& cond, SchemaExecEnv& env,
             ExecResult* result) const;
 };
 

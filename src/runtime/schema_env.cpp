@@ -75,6 +75,13 @@ constexpr long kH6OutSrc = kAddr6HandleBase + 2;
 constexpr long kH6OutDst = kAddr6HandleBase + 3;
 constexpr long kH6Own = kAddr6HandleBase + 4;
 
+/// ICMPv6 link MTU: the framework serves the IPv6 minimum MTU so both
+/// responders agree deterministically.
+constexpr long kIcmp6LinkMtu = 1280;
+
+using codegen::framework::Kind;
+using FrameworkOp = codegen::framework::Op;
+
 int index_in(const char* const* names, std::size_t n, const std::string& name) {
   for (std::size_t i = 0; i < n; ++i) {
     if (name == names[i]) return static_cast<int>(i);
@@ -92,13 +99,7 @@ const SchemaExecEnv::ProtocolBinding& SchemaExecEnv::binding_for(
     for (const auto& p : registry.protocols()) {
       ProtocolBinding pb;
       pb.schema = &p;
-      pb.profile = p.protocol == "ICMP"    ? Profile::kIcmp
-                   : p.protocol == "ICMP6" ? Profile::kIcmp6
-                   : p.protocol == "IGMP"  ? Profile::kIgmp
-                   : p.protocol == "NTP"   ? Profile::kNtp
-                   : p.protocol == "BFD"   ? Profile::kBfd
-                   : p.protocol == "DHCP"  ? Profile::kDhcp
-                                           : Profile::kStateMachine;
+      pb.profile = codegen::framework::profile_of(p.protocol);
       pb.by_id.resize(registry.field_count());
       for (const auto& layer_name : p.layers) {
         const auto* layer = registry.layer(layer_name);
@@ -424,16 +425,15 @@ SchemaExecEnv SchemaExecEnv::state_machine(const std::string& protocol) {
 // -- field dispatch ---------------------------------------------------------
 
 const SchemaExecEnv::Binding* SchemaExecEnv::binding(
-    const codegen::FieldRef& ref) const {
+    const ProtocolBinding& pb, const codegen::FieldRef& ref) {
   if (ref.field_id >= 0 &&
-      static_cast<std::size_t>(ref.field_id) < pb_->by_id.size()) {
-    return &pb_->by_id[static_cast<std::size_t>(ref.field_id)];
+      static_cast<std::size_t>(ref.field_id) < pb.by_id.size()) {
+    return &pb.by_id[static_cast<std::size_t>(ref.field_id)];
   }
-  // Un-annotated ref (hand-built IR, reference corpus): resolve by name.
   const auto* spec =
       schema::SchemaRegistry::instance().field(ref.layer, ref.field);
   if (spec == nullptr) return nullptr;
-  return &pb_->by_id[static_cast<std::size_t>(spec->id)];
+  return &pb.by_id[static_cast<std::size_t>(spec->id)];
 }
 
 std::optional<long> SchemaExecEnv::read_field(const codegen::FieldRef& ref,
@@ -444,14 +444,7 @@ std::optional<long> SchemaExecEnv::read_field(const codegen::FieldRef& ref,
   if (!spec.readable) return std::nullopt;
   switch (b->kind) {
     case Binding::Kind::kWire: {
-      const LayerImages& L = wire_[b->layer_slot];
-      // Honor the selector when both packets exist; environments that
-      // only hold one side (IGMP/NTP senders) serve it for either
-      // selector, matching the single-message view they model.
-      const std::pmr::vector<std::uint8_t>* img =
-          sel == codegen::PacketSel::kIncoming
-              ? (L.has_in ? &L.in_image : (L.has_out ? &L.out_image : nullptr))
-              : (L.has_out ? &L.out_image : (L.has_in ? &L.in_image : nullptr));
+      const auto* img = wire_[b->layer_slot].image(sel);
       if (img == nullptr) return std::nullopt;
       return schema::SchemaRegistry::read_scalar(spec, *img);
     }
@@ -619,16 +612,6 @@ bool SchemaExecEnv::write_ip6(std::uint8_t slot, long value) {
   }
 }
 
-void SchemaExecEnv::reverse_addresses_effect() {
-  if (profile_ == Profile::kIcmp6) {
-    out_ip6_.src = in_ip6_.dst;
-    out_ip6_.dst = in_ip6_.src;
-    return;
-  }
-  out_ip_.src = in_ip_.dst;
-  out_ip_.dst = in_ip_.src;
-}
-
 std::optional<long> SchemaExecEnv::read_bfd_state(std::uint8_t slot) const {
   const auto& s = *bfd_state_;
   switch (slot) {
@@ -670,18 +653,6 @@ bool SchemaExecEnv::write_bfd_state(std::uint8_t slot, long value) {
 // -- TLV option storage (Binding::Kind::kWireOption) ------------------------
 
 namespace {
-
-/// Selects the image a read should see: the selector is honored when
-/// both packets exist, single-sided envs serve their one image for
-/// either selector (same rule as the kWire path). Templated so the
-/// env's private LayerImages type is deduced, never named.
-template <typename Layer>
-const std::pmr::vector<std::uint8_t>* select_image(const Layer& L,
-                                                   codegen::PacketSel sel) {
-  return sel == codegen::PacketSel::kIncoming
-             ? (L.has_in ? &L.in_image : (L.has_out ? &L.out_image : nullptr))
-             : (L.has_out ? &L.out_image : (L.has_in ? &L.in_image : nullptr));
-}
 
 /// Insert position for a fresh TLV in an out image: just before the end
 /// code when the region already carries one, else the image end. Out
@@ -734,7 +705,7 @@ std::optional<long> SchemaExecEnv::read_wire_option(
     codegen::PacketSel sel) const {
   if (spec.kind != schema::FieldKind::kScalar) return std::nullopt;
   const LayerImages& L = wire_[layer_slot];
-  const auto* img = select_image(L, sel);
+  const auto* img = L.image(sel);
   if (img == nullptr) return std::nullopt;
   const schema::LayoutCursor cursor(*L.spec, {img->data(), img->size()});
   const auto r = schema::SchemaRegistry::read_wire(cursor, spec);
@@ -769,7 +740,7 @@ std::optional<std::vector<std::uint8_t>> SchemaExecEnv::read_option_bytes(
     std::uint8_t layer_slot, const schema::FieldSpec& spec,
     codegen::PacketSel sel) const {
   const LayerImages& L = wire_[layer_slot];
-  const auto* img = select_image(L, sel);
+  const auto* img = L.image(sel);
   if (img == nullptr) return std::nullopt;
   const schema::OptionsView view(*L.spec, {img->data(), img->size()});
   const auto opt = view.find(spec.tlv_type);
@@ -845,109 +816,63 @@ std::vector<std::uint8_t> SchemaExecEnv::out_message_bytes(
 }
 
 bool SchemaExecEnv::is_bytes_function(const std::string& fn) const {
-  return (profile_ == Profile::kIcmp || profile_ == Profile::kIcmp6) &&
-         (fn == "original_datagram_excerpt" || fn == "copy_field");
-}
-
-std::optional<long> SchemaExecEnv::icmp_call_scalar(
-    const std::string& fn, const std::vector<long>& args) {
-  if (fn == "ones_complement_sum") {
-    // Sum over the outgoing ICMP message as currently constructed,
-    // including whatever sits in the checksum field (stale-value
-    // semantics; see finish_reply).
-    return net::ones_complement_sum(out_message_bytes(0));
-  }
-  if (fn == "ones_complement") {
-    if (args.size() == 1) return (~args[0]) & 0xffff;
-    return net::internet_checksum(out_message_bytes(0));
-  }
-  if (fn == "current_time") return static_cast<long>(clock_);
-  if (fn == "receive_time") return static_cast<long>(clock_);
-  if (fn == "transmit_time") return static_cast<long>(clock_) + 1;
-  if (fn == "error_octet") return error_pointer_;
-  if (fn == "better_gateway") return static_cast<long>(better_gateway_.value());
-  if (fn == "own_address") return static_cast<long>(own_address_.value());
-  return std::nullopt;
-}
-
-std::optional<long> SchemaExecEnv::icmp6_call_scalar(
-    const std::string& fn, const std::vector<long>& args) {
-  if (fn == "ones_complement_sum") {
-    // RFC 4443 §2.3: the sum covers the ICMPv6 message chained with the
-    // IPv6 pseudo-header. Same stale-value semantics as v4 — whatever
-    // sits in the checksum field is summed in.
-    const auto bytes = out_message_bytes(0);
-    return net::ones_complement_sum(
-        bytes, net::pseudo_header_sum_v6(
-                   out_ip6_.src.bytes(), out_ip6_.dst.bytes(),
-                   static_cast<std::uint32_t>(bytes.size()),
-                   net::kIpProtoIcmp6));
-  }
-  if (fn == "ones_complement") {
-    if (args.size() == 1) return (~args[0]) & 0xffff;
-    const auto bytes = out_message_bytes(0);
-    return net::internet_checksum(
-        bytes, net::pseudo_header_sum_v6(
-                   out_ip6_.src.bytes(), out_ip6_.dst.bytes(),
-                   static_cast<std::uint32_t>(bytes.size()),
-                   net::kIpProtoIcmp6));
-  }
-  if (fn == "current_time") return static_cast<long>(clock_);
-  if (fn == "receive_time") return static_cast<long>(clock_);
-  if (fn == "transmit_time") return static_cast<long>(clock_) + 1;
-  if (fn == "error_octet") return error_pointer_;
-  // Packet Too Big: the MTU of the next-hop link.
-  if (fn == "link_mtu") return kIcmp6LinkMtu;
-  // The node's own address, served as an opaque handle like every other
-  // 128-bit address (write_ip6 resolves it).
-  if (fn == "own_address") return kH6Own;
-  return std::nullopt;
+  return codegen::framework::find(profile_, fn, Kind::kBytes) != nullptr;
 }
 
 std::optional<long> SchemaExecEnv::call_scalar(const std::string& fn,
                                                const std::vector<long>& args) {
-  switch (profile_) {
-    case Profile::kIcmp:
-      return icmp_call_scalar(fn, args);
-    case Profile::kIcmp6:
-      return icmp6_call_scalar(fn, args);
-    case Profile::kIgmp:
-      if (fn == "ones_complement_sum" || fn == "ones_complement") {
-        return 0;  // deferred: finish() computes the real checksum
-      }
-      return std::nullopt;
-    case Profile::kNtp:
-      if (fn == "current_time") return static_cast<long>(clock_);
-      if (fn == "ones_complement_sum" || fn == "ones_complement") return 0;
-      return std::nullopt;
-    case Profile::kBfd:
-      if (fn == "session_lookup") {
-        // 1 when the Your Discriminator lookup found a session.
-        return session_lookup_fails_ ? 0 : 1;
-      }
-      return std::nullopt;
-    case Profile::kDhcp:
-    case Profile::kStateMachine:
-      return std::nullopt;
+  const auto* f = codegen::framework::find(profile_, fn, Kind::kScalar);
+  if (f == nullptr) return std::nullopt;
+  return framework_value(f->op, args);
+}
+
+long SchemaExecEnv::framework_value(FrameworkOp op,
+                                    std::span<const long> args) const {
+  switch (op) {
+    case FrameworkOp::kClock: return static_cast<long>(clock_);
+    case FrameworkOp::kClockPlusOne: return static_cast<long>(clock_) + 1;
+    case FrameworkOp::kErrorOctet: return error_pointer_;
+    case FrameworkOp::kBetterGateway:
+      return static_cast<long>(better_gateway_.value());
+    case FrameworkOp::kLinkMtu: return kIcmp6LinkMtu;
+    case FrameworkOp::kOwnAddress:
+      // ICMPv6 serves its address as an opaque handle, like every other
+      // 128-bit address (write_ip6 resolves it).
+      return profile_ == Profile::kIcmp6
+                 ? kH6Own
+                 : static_cast<long>(own_address_.value());
+    case FrameworkOp::kChecksum:
+      if (args.size() == 1) return (~args[0]) & 0xffff;
+      [[fallthrough]];
+    case FrameworkOp::kChecksumSum: {
+      // Over the outgoing message as currently constructed, including
+      // whatever sits in the checksum field (stale-value semantics; see
+      // finish_reply). ICMPv6 chains the RFC 4443 §2.3 pseudo-header in.
+      const auto bytes = out_message_bytes(0);
+      const std::uint16_t pseudo =
+          profile_ == Profile::kIcmp6
+              ? net::pseudo_header_sum_v6(
+                    out_ip6_.src.bytes(), out_ip6_.dst.bytes(),
+                    static_cast<std::uint32_t>(bytes.size()),
+                    net::kIpProtoIcmp6)
+              : 0;
+      return op == FrameworkOp::kChecksum
+                 ? net::internet_checksum(bytes, pseudo)
+                 : net::ones_complement_sum(bytes, pseudo);
+    }
+    case FrameworkOp::kSessionLookup: return session_lookup_fails_ ? 0 : 1;
+    default: return 0;  // kDeferredZero: finish() computes the checksum
   }
-  return std::nullopt;
 }
 
 std::optional<std::vector<std::uint8_t>> SchemaExecEnv::call_bytes(
     const std::string& fn) {
-  if (profile_ != Profile::kIcmp && profile_ != Profile::kIcmp6) {
-    return std::nullopt;
-  }
-  if (fn == "original_datagram_excerpt") {
-    const auto excerpt = datagram_excerpt();
-    return std::vector<std::uint8_t>(excerpt.begin(), excerpt.end());
-  }
-  if (fn == "copy_field") {
-    // Bare copy: the echoed data (copied out of the raw packet).
-    const auto& p = wire_[0].in_payload;
-    return std::vector<std::uint8_t>(p.begin(), p.end());
-  }
-  return std::nullopt;
+  const auto* f = codegen::framework::find(profile_, fn, Kind::kBytes);
+  if (f == nullptr) return std::nullopt;
+  // kIncomingPayload: the echoed data, copied out of the raw packet.
+  const auto bytes = f->op == FrameworkOp::kExcerpt ? datagram_excerpt()
+                                                    : wire_[0].in_payload;
+  return std::vector<std::uint8_t>(bytes.begin(), bytes.end());
 }
 
 std::span<const std::uint8_t> SchemaExecEnv::datagram_excerpt() const {
@@ -967,79 +892,15 @@ std::span<const std::uint8_t> SchemaExecEnv::datagram_excerpt() const {
 }
 
 bool SchemaExecEnv::call_effect(const std::string& fn,
-                                const std::vector<long>& args) {
-  (void)args;
-  switch (profile_) {
-    case Profile::kIcmp:
-    case Profile::kIcmp6:
-      if (fn == "reverse_addresses") {
-        reverse_addresses_effect();
-        return true;
-      }
-      if (fn == "recompute_checksum" || fn == "compute_checksum") {
-        // Deferred: the framework computes the checksum when the message
-        // is finalized (after every field, including the variable-length
-        // data, is in place). See finish_reply.
-        checksum_explicitly_computed_ = true;
-        return true;
-      }
-      if (fn == "send_message" || fn == "discard_packet") {
-        return true;  // transmission is the simulator's job
-      }
-      return false;
-    case Profile::kDhcp:
-      if (fn == "compute_checksum" || fn == "recompute_checksum") {
-        return true;  // UDP checksum is filled at serialization
-      }
-      if (fn == "send_message" || fn == "discard_packet") return true;
-      return false;
-    case Profile::kIgmp:
-      if (fn == "compute_checksum" || fn == "recompute_checksum") {
-        checksum_explicitly_computed_ = true;  // finish() fills it
-        return true;
-      }
-      if (fn == "send_message" || fn == "discard_packet") return true;
-      return false;
-    case Profile::kNtp:
-      if (fn == "call_timeout" || fn == "timeout") {
-        timeout_called_ = true;
-        return true;
-      }
-      if (fn == "compute_checksum" || fn == "recompute_checksum" ||
-          fn == "send_message" || fn == "transmit_packet") {
-        return true;  // UDP checksum is filled at serialization
-      }
-      return false;
-    case Profile::kBfd:
-      if (fn == "select_session") {
-        session_selected_ = !session_lookup_fails_;
-        return true;
-      }
-      if (fn == "discard_packet") {
-        // "If no session is found, the packet MUST be discarded" — but
-        // only when the lookup actually failed; generated code guards
-        // this with the rewritten condition (Table 5).
-        bfd_state_->packet_discarded = true;
-        return true;
-      }
-      if (fn == "cease_transmission") {
-        bfd_state_->periodic_transmission_enabled = false;
-        return true;
-      }
-      if (fn == "call_timeout") {
-        timeout_called_ = true;
-        return true;
-      }
-      if (fn == "transmit_packet" || fn == "send_message") {
-        packet_transmitted_ = true;
-        return true;
-      }
-      return false;
-    case Profile::kStateMachine:
-      effects_.push_back(fn);
-      return true;
+                                const std::vector<long>& /*args*/) {
+  if (profile_ == Profile::kStateMachine) {
+    effects_.push_back(fn);
+    return true;
   }
-  return false;
+  const auto* f = codegen::framework::find(profile_, fn, Kind::kEffect);
+  if (f == nullptr) return false;
+  framework_effect(f->op);
+  return true;
 }
 
 void SchemaExecEnv::set_scenario(std::string_view name) {

@@ -1,13 +1,13 @@
-// Table-driven execution environment: ONE ExecEnv for every protocol,
+// Table-driven execution environment: ONE env for every protocol,
 // configured from the packet-schema registry (net/schema.hpp).
 //
 // This replaces the four bespoke Icmp/Igmp/Ntp/BfdExecEnv classes. A
 // protocol environment is a registry entry (which layers exist, where
 // fields live) plus a small per-protocol profile for the behaviors that
-// are genuinely special: ICMP's deliberately-stale echo checksum and
-// original-datagram excerpt, IGMP's serialize-time checksum, NTP's
-// deferred UDP checksum and timeout effect, BFD's session-state storage
-// and lookup effects. Everything else — field reads, writes, payload
+// are genuinely special: ICMP's deliberately-stale echo checksum, IGMP's
+// serialize-time checksum, BFD's session-state storage. The framework
+// functions each profile serves are rows of one table
+// (codegen/framework.hpp). Everything else — field reads, writes, payload
 // rows, symbols — is generic table dispatch:
 //
 //   read_field(ref, sel)  ->  bindings[ref.field_id]  ->  bit extraction
@@ -30,6 +30,8 @@
 #include <string_view>
 #include <vector>
 
+#include "codegen/framework.hpp"
+#include "codegen/ir.hpp"
 #include "net/bfd.hpp"
 #include "net/icmp.hpp"
 #include "net/igmp.hpp"
@@ -38,7 +40,6 @@
 #include "net/ntp.hpp"
 #include "net/schema.hpp"
 #include "net/udp.hpp"
-#include "runtime/interpreter.hpp"
 #include "util/symbols.hpp"
 
 namespace sage::runtime {
@@ -47,7 +48,7 @@ namespace vm {
 struct EnvAccess;
 }  // namespace vm
 
-class SchemaExecEnv : public ExecEnv {
+class SchemaExecEnv {
  public:
   // -- factories (one per protocol environment) ----------------------------
 
@@ -149,23 +150,25 @@ class SchemaExecEnv : public ExecEnv {
   net::NtpPacket packet() const;       // NTP: packet under construction
   net::UdpHeader udp() const;          // NTP: UDP header as written
 
-  // -- ExecEnv -------------------------------------------------------------
+  // -- generated-code access (the tree interpreter, the VM's slow path) ----
   std::optional<long> read_field(const codegen::FieldRef& ref,
-                                 codegen::PacketSel sel) override;
-  bool write_field(const codegen::FieldRef& ref, long value) override;
-  bool is_bytes_field(const codegen::FieldRef& ref) const override;
+                                 codegen::PacketSel sel);
+  bool write_field(const codegen::FieldRef& ref, long value);
+  bool is_bytes_field(const codegen::FieldRef& ref) const;
   std::optional<std::vector<std::uint8_t>> read_bytes(
-      const codegen::FieldRef& ref, codegen::PacketSel sel) override;
+      const codegen::FieldRef& ref, codegen::PacketSel sel);
   bool write_bytes(const codegen::FieldRef& ref,
-                   std::vector<std::uint8_t> value) override;
-  bool is_bytes_function(const std::string& fn) const override;
+                   std::vector<std::uint8_t> value);
+  /// Framework calls, looked up in this profile's rows of the framework
+  /// table: nullopt / false when the profile serves no such function.
+  bool is_bytes_function(const std::string& fn) const;
   std::optional<long> call_scalar(const std::string& fn,
-                                  const std::vector<long>& args) override;
-  std::optional<std::vector<std::uint8_t>> call_bytes(
-      const std::string& fn) override;
-  bool call_effect(const std::string& fn,
-                   const std::vector<long>& args) override;
-  long resolve_symbol(const std::string& name) override;
+                                  const std::vector<long>& args);
+  std::optional<std::vector<std::uint8_t>> call_bytes(const std::string& fn);
+  bool call_effect(const std::string& fn, const std::vector<long>& args);
+  /// Resolve a symbolic name ("scenario", "net unreachable", "up") to a
+  /// comparable value.
+  long resolve_symbol(const std::string& name);
 
  private:
   /// The threaded-code backend (runtime/vm) reads the binding tables at
@@ -175,15 +178,7 @@ class SchemaExecEnv : public ExecEnv {
 
   /// The handful of genuinely protocol-specific behaviors (framework
   /// functions, finalization); field access never consults this.
-  enum class Profile : std::uint8_t {
-    kIcmp,
-    kIcmp6,
-    kIgmp,
-    kNtp,
-    kBfd,
-    kDhcp,
-    kStateMachine,
-  };
+  using Profile = codegen::framework::Profile;
 
   /// How one registry field maps onto this env's storage.
   struct Binding {
@@ -255,6 +250,15 @@ class SchemaExecEnv : public ExecEnv {
     LayerImages& operator=(LayerImages&&) = default;
     LayerImages& operator=(const LayerImages&) = default;
 
+    /// The image a read with `sel` sees: the selector is honored when
+    /// both packets exist, and single-sided envs (IGMP/NTP senders) serve
+    /// their one image for either selector.
+    const std::pmr::vector<std::uint8_t>* image(codegen::PacketSel sel) const {
+      return sel == codegen::PacketSel::kIncoming
+                 ? (has_in ? &in_image : (has_out ? &out_image : nullptr))
+                 : (has_out ? &out_image : (has_in ? &in_image : nullptr));
+    }
+
     const net::schema::LayerSpec* spec = nullptr;
     bool has_in = false;
     bool has_out = false;
@@ -268,7 +272,14 @@ class SchemaExecEnv : public ExecEnv {
 
   static const ProtocolBinding& binding_for(const std::string& protocol);
 
-  const Binding* binding(const codegen::FieldRef& ref) const;
+  /// The binding `ref` resolves to in `pb`: its dense id when annotated,
+  /// a registry lookup by name otherwise (hand-built IR, the reference
+  /// corpus). The VM compiler resolves through the same function.
+  static const Binding* binding(const ProtocolBinding& pb,
+                                const codegen::FieldRef& ref);
+  const Binding* binding(const codegen::FieldRef& ref) const {
+    return binding(*pb_, ref);
+  }
   std::vector<std::uint8_t> out_message_bytes(std::size_t layer_slot) const;
   /// ICMP/ICMPv6: the invoking-packet excerpt an error message quotes, as
   /// a view of the raw incoming packet (RFC 792: internet header + 64
@@ -283,9 +294,12 @@ class SchemaExecEnv : public ExecEnv {
   std::optional<long> read_bfd_state(std::uint8_t slot) const;
   bool write_bfd_state(std::uint8_t slot, long value);
 
-  /// Profile-aware reverse_addresses effect body (shared by call_effect
-  /// and the VM's specialized kEffectReverse op).
-  void reverse_addresses_effect();
+  /// The bodies of the framework table's scalar and effect ops, shared
+  /// by call_scalar / call_effect and the VM's specialized ops.
+  long framework_value(codegen::framework::Op op,
+                       std::span<const long> args) const;
+  /// Inline, so the VM's kEffect* ops compile to the bare effect.
+  void framework_effect(codegen::framework::Op op);
 
   // TLV-located field access (Binding::Kind::kWireOption). Scalar reads
   // resolve the layer's options region through a LayoutCursor; writes
@@ -302,15 +316,6 @@ class SchemaExecEnv : public ExecEnv {
   bool write_option_bytes(std::uint8_t layer_slot,
                           const net::schema::FieldSpec& spec,
                           std::span<const std::uint8_t> value);
-
-  /// ICMPv6 link_mtu: the framework serves the IPv6 minimum MTU so both
-  /// responders agree deterministically.
-  static constexpr long kIcmp6LinkMtu = 1280;
-
-  std::optional<long> icmp_call_scalar(const std::string& fn,
-                                       const std::vector<long>& args);
-  std::optional<long> icmp6_call_scalar(const std::string& fn,
-                                        const std::vector<long>& args);
 
   /// The thread-local arena backing every env's layer images on this
   /// thread (defined in schema_env.cpp).
@@ -363,5 +368,39 @@ class SchemaExecEnv : public ExecEnv {
   bool packet_transmitted_ = false;
   std::vector<std::string> effects_;
 };
+
+inline void SchemaExecEnv::framework_effect(codegen::framework::Op op) {
+  using Op = codegen::framework::Op;
+  switch (op) {
+    case Op::kReverseAddresses:
+      if (profile_ == Profile::kIcmp6) {
+        out_ip6_.src = in_ip6_.dst;
+        out_ip6_.dst = in_ip6_.src;
+      } else {
+        out_ip_.src = in_ip_.dst;
+        out_ip_.dst = in_ip_.src;
+      }
+      break;
+    case Op::kChecksumFlag:
+      // Deferred: the framework computes the checksum when the message is
+      // finalized, after every field is in place (finish_reply, finish).
+      checksum_explicitly_computed_ = true;
+      break;
+    case Op::kTimeout: timeout_called_ = true; break;
+    case Op::kSelectSession:
+      session_selected_ = !session_lookup_fails_;
+      break;
+    case Op::kDiscard:
+      // "If no session is found, the packet MUST be discarded": generated
+      // code guards this with the rewritten condition (Table 5).
+      bfd_state_->packet_discarded = true;
+      break;
+    case Op::kCease:
+      bfd_state_->periodic_transmission_enabled = false;
+      break;
+    case Op::kTransmit: packet_transmitted_ = true; break;
+    default: break;  // kNop: transmission is the simulator's job
+  }
+}
 
 }  // namespace sage::runtime

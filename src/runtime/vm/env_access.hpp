@@ -11,40 +11,18 @@
 
 namespace sage::runtime::vm {
 
-/// The framework values kPushFramework serves. Each mirrors one plain
-/// branch of SchemaExecEnv::call_scalar; the compiler emits the op only
-/// for the (profile, name) pairs where call_scalar returns that value.
-enum class FrameworkValue : std::uint8_t {
-  kClock,          // current_time, receive_time
-  kClockPlusOne,   // transmit_time
-  kErrorOctet,     // error_octet (the parameter-problem pointer)
-  kBetterGateway,  // better_gateway (ICMP redirect)
-  kLinkMtu,        // link_mtu (ICMPv6 packet too big)
-};
-
 struct EnvAccess {
   using Binding = SchemaExecEnv::Binding;
   using ProtocolBinding = SchemaExecEnv::ProtocolBinding;
   using LayerImages = SchemaExecEnv::LayerImages;
-  using Profile = SchemaExecEnv::Profile;
 
   static const ProtocolBinding& binding_for(const std::string& protocol) {
     return SchemaExecEnv::binding_for(protocol);
   }
 
-  /// Mirror of SchemaExecEnv::binding(): dense id when annotated,
-  /// registry name lookup otherwise. Resolvable statically because the
-  /// registry is immutable.
   static const Binding* plan(const ProtocolBinding& pb,
                              const codegen::FieldRef& ref) {
-    if (ref.field_id >= 0 &&
-        static_cast<std::size_t>(ref.field_id) < pb.by_id.size()) {
-      return &pb.by_id[static_cast<std::size_t>(ref.field_id)];
-    }
-    const auto* spec =
-        net::schema::SchemaRegistry::instance().field(ref.layer, ref.field);
-    if (spec == nullptr) return nullptr;
-    return &pb.by_id[static_cast<std::size_t>(spec->id)];
+    return SchemaExecEnv::binding(pb, ref);
   }
 
   static const void* binding_key(const SchemaExecEnv& env) { return env.pb_; }
@@ -77,30 +55,16 @@ struct EnvAccess {
     return env.scenario_value_;
   }
 
-  // Specialized-effect bodies (kEffect* ops). Each mirrors one branch of
-  // SchemaExecEnv::call_effect exactly; the compiler only emits the op
-  // for the (profile, name) pairs where that branch is trivial.
-  static void set_checksum_computed(SchemaExecEnv& env) {
-    env.checksum_explicitly_computed_ = true;
+  // The framework table's op bodies (codegen/framework.hpp), the same
+  // ones SchemaExecEnv::call_scalar and call_effect run: kPushFramework
+  // reads a value op, the kEffect* ops run an effect op.
+  static long framework_value(const SchemaExecEnv& env,
+                              codegen::framework::Op op) {
+    return env.framework_value(op, {});
   }
-  static void reverse_addresses(SchemaExecEnv& env) {
-    env.reverse_addresses_effect();
-  }
-  static void set_timeout_called(SchemaExecEnv& env) {
-    env.timeout_called_ = true;
-  }
-
-  static long framework_value(const SchemaExecEnv& env, FrameworkValue v) {
-    switch (v) {
-      case FrameworkValue::kClock: return static_cast<long>(env.clock_);
-      case FrameworkValue::kClockPlusOne:
-        return static_cast<long>(env.clock_) + 1;
-      case FrameworkValue::kErrorOctet: return env.error_pointer_;
-      case FrameworkValue::kBetterGateway:
-        return static_cast<long>(env.better_gateway_.value());
-      case FrameworkValue::kLinkMtu: return SchemaExecEnv::kIcmp6LinkMtu;
-    }
-    return 0;
+  static void framework_effect(SchemaExecEnv& env,
+                               codegen::framework::Op op) {
+    env.framework_effect(op);
   }
   static std::span<const std::uint8_t> datagram_excerpt(
       const SchemaExecEnv& env) {

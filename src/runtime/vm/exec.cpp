@@ -11,6 +11,7 @@
 namespace sage::runtime::vm {
 
 namespace schema = net::schema;
+namespace framework = codegen::framework;
 
 namespace {
 
@@ -90,9 +91,8 @@ inline void store_rejected(Frame& f) {
 }
 
 // -- op handlers ------------------------------------------------------------
-// One inline function per opcode, shared by both dispatch loops. Each
-// handler advances f.ip itself (jumps overwrite it), so the loops are
-// pure dispatchers.
+// One inline function per opcode. Each handler advances f.ip itself
+// (jumps overwrite it), so the loop is a pure dispatcher.
 
 inline void op_kHalt(Frame& f) { f.halted = true; }
 
@@ -103,13 +103,8 @@ inline void op_kPushConst(Frame& f) {
 
 inline void op_kPushWire(Frame& f) {
   const Insn& in = f.code[f.ip];
-  const auto& L = f.wire[in.b];
-  // Selector honored when both packets exist; single-sided envs serve
-  // their one image for either selector (same rule as read_field).
-  const std::pmr::vector<std::uint8_t>* img =
-      static_cast<codegen::PacketSel>(in.a) == codegen::PacketSel::kIncoming
-          ? (L.has_in ? &L.in_image : (L.has_out ? &L.out_image : nullptr))
-          : (L.has_out ? &L.out_image : (L.has_in ? &L.in_image : nullptr));
+  const auto* img =
+      f.wire[in.b].image(static_cast<codegen::PacketSel>(in.a));
   if (img == nullptr) {
     f.poison = true;
     f.stack[f.sp++] = 0;
@@ -180,25 +175,28 @@ inline void op_kPushScenario(Frame& f) {
   ++f.ip;
 }
 
-inline void op_kCmp(Frame& f) {
-  const Insn& in = f.code[f.ip];
-  const long rhs = f.stack[--f.sp];
-  const long lhs = f.stack[--f.sp];
+/// A compare's result. A failed operand (poison) yields exactly one
+/// error per compare, whichever operand(s) failed, and the result 0.
+inline bool cmp_eval(Frame& f, codegen::CmpOp op, long lhs, long rhs) {
   if (f.poison) {
-    // Exactly one error per compare, whichever operand(s) failed.
     f.poison = false;
     fail(f, "condition operand failed to evaluate");
-    f.stack[f.sp++] = 0;
-  } else {
-    bool r = false;
-    switch (static_cast<codegen::CmpOp>(in.a)) {
-      case codegen::CmpOp::kEq: r = lhs == rhs; break;
-      case codegen::CmpOp::kNe: r = lhs != rhs; break;
-      case codegen::CmpOp::kGt: r = lhs > rhs; break;
-      case codegen::CmpOp::kLt: r = lhs < rhs; break;
-    }
-    f.stack[f.sp++] = r ? 1 : 0;
+    return false;
   }
+  switch (op) {
+    case codegen::CmpOp::kEq: return lhs == rhs;
+    case codegen::CmpOp::kNe: return lhs != rhs;
+    case codegen::CmpOp::kGt: return lhs > rhs;
+    case codegen::CmpOp::kLt: return lhs < rhs;
+  }
+  return false;
+}
+
+inline void op_kCmp(Frame& f) {
+  const long rhs = f.stack[--f.sp];
+  const long lhs = f.stack[--f.sp];
+  f.stack[f.sp++] =
+      cmp_eval(f, static_cast<codegen::CmpOp>(f.code[f.ip].a), lhs, rhs);
   ++f.ip;
 }
 
@@ -244,27 +242,28 @@ inline void op_kCallEffect(Frame& f) {
   ++f.ip;
 }
 
+/// A wire store once its value is known. `fills_rest` is RFC 792's
+/// pointer, whose write owns the whole rest word.
+inline void store_wire(Frame& f, std::size_t slot, bool fills_rest,
+                       long value) {
+  auto& L = f.wire[slot];
+  bool ok = false;
+  if (L.has_out && fills_rest) {
+    util::put_be32({L.out_image.data() + 4, 4},
+                   static_cast<std::uint32_t>(static_cast<std::uint8_t>(value))
+                       << 24);
+    ok = true;
+  } else if (L.has_out) {
+    ok = schema::SchemaRegistry::write_scalar(*spec_of(f.code[f.ip]),
+                                              L.out_image, value);
+  }
+  if (!ok) store_rejected(f);
+}
+
 inline void op_kStoreWire(Frame& f) {
   const Insn& in = f.code[f.ip];
   long value;
-  if (store_value(f, value)) {
-    auto& L = f.wire[in.b];
-    bool ok = false;
-    if (L.has_out) {
-      if (in.a != 0) {
-        // RFC 792 pointer: the write owns the whole rest word.
-        util::put_be32({L.out_image.data() + 4, 4},
-                       static_cast<std::uint32_t>(
-                           static_cast<std::uint8_t>(value))
-                           << 24);
-        ok = true;
-      } else {
-        ok = schema::SchemaRegistry::write_scalar(*spec_of(in), L.out_image,
-                                                  value);
-      }
-    }
-    if (!ok) store_rejected(f);
-  }
+  if (store_value(f, value)) store_wire(f, in.b, in.a != 0, value);
   ++f.ip;
 }
 
@@ -372,7 +371,7 @@ inline void op_kPushFramework(Frame& f) {
   f.stack[f.sp++] =
       f.poison ? 0
                : EnvAccess::framework_value(
-                     f.env, static_cast<FrameworkValue>(in.b));
+                     f.env, static_cast<framework::Op>(in.b));
   ++f.ip;
 }
 
@@ -402,22 +401,6 @@ inline void op_kStoreOption(Frame& f) {
 // Each is observably identical to the sequence it replaces, including
 // poison consumption and error strings, under ANY entry poison state.
 
-inline bool cmp_eval(Frame& f, codegen::CmpOp op, long lhs, long rhs) {
-  if (f.poison) {
-    // The kCmp half of the pair: consume poison, one error, result 0.
-    f.poison = false;
-    fail(f, "condition operand failed to evaluate");
-    return false;
-  }
-  switch (op) {
-    case codegen::CmpOp::kEq: return lhs == rhs;
-    case codegen::CmpOp::kNe: return lhs != rhs;
-    case codegen::CmpOp::kGt: return lhs > rhs;
-    case codegen::CmpOp::kLt: return lhs < rhs;
-  }
-  return false;
-}
-
 inline void op_kCmpBranch(Frame& f) {
   const Insn& in = f.code[f.ip];
   const long rhs = f.stack[--f.sp];
@@ -443,22 +426,7 @@ inline void op_kStoreWireConst(Frame& f) {
     fail(f, "expression failed for assignment to " +
                 f.prog.refs()[in.c].ref.to_string());
   } else {
-    auto& L = f.wire[in.b >> 8];
-    const long value = in.b & 0xff;
-    bool ok = false;
-    if (L.has_out) {
-      if (in.a != 0) {
-        util::put_be32({L.out_image.data() + 4, 4},
-                       static_cast<std::uint32_t>(
-                           static_cast<std::uint8_t>(value))
-                           << 24);
-        ok = true;
-      } else {
-        ok = schema::SchemaRegistry::write_scalar(*spec_of(in), L.out_image,
-                                                  value);
-      }
-    }
-    if (!ok) store_rejected(f);
+    store_wire(f, in.b >> 8, in.a != 0, in.b & 0xff);
   }
   ++f.ip;
 }
@@ -476,17 +444,23 @@ inline bool effect_entry(Frame& f) {
 }
 
 inline void op_kEffectChecksum(Frame& f) {
-  if (effect_entry(f)) EnvAccess::set_checksum_computed(f.env);
+  if (effect_entry(f)) {
+    EnvAccess::framework_effect(f.env, framework::Op::kChecksumFlag);
+  }
   ++f.ip;
 }
 
 inline void op_kEffectReverse(Frame& f) {
-  if (effect_entry(f)) EnvAccess::reverse_addresses(f.env);
+  if (effect_entry(f)) {
+    EnvAccess::framework_effect(f.env, framework::Op::kReverseAddresses);
+  }
   ++f.ip;
 }
 
 inline void op_kEffectTimeout(Frame& f) {
-  if (effect_entry(f)) EnvAccess::set_timeout_called(f.env);
+  if (effect_entry(f)) {
+    EnvAccess::framework_effect(f.env, framework::Op::kTimeout);
+  }
   ++f.ip;
 }
 
@@ -511,31 +485,10 @@ inline void op_kCopyIp(Frame& f) {
   ++f.ip;
 }
 
-// -- dispatch loops ---------------------------------------------------------
-
-template <bool kCount>
-void run_switch(Frame& f) {
-  for (;;) {
-    const Op op = f.code[f.ip].op;
-    if constexpr (kCount) bump_op(op);
-    ++f.ops;
-    switch (op) {
-#define SAGE_VM_CASE(name) \
-  case Op::name:           \
-    op_##name(f);          \
-    break;
-      SAGE_VM_OP_LIST(SAGE_VM_CASE)
-#undef SAGE_VM_CASE
-      case Op::kCount:
-        f.halted = true;
-        break;
-    }
-    if (f.halted) return;
-  }
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#define SAGE_VM_HAVE_COMPUTED_GOTO 1
+// -- dispatch loop ----------------------------------------------------------
+// Computed goto (GCC/Clang `&&label` tables): one indirect jump per op.
+// The toolchains this repo builds with all have it (util/arena.hpp
+// already requires GCC/Clang builtins).
 
 template <bool kCount>
 void run_goto(Frame& f) {
@@ -566,20 +519,11 @@ void run_goto(Frame& f) {
 #undef SAGE_VM_DISPATCH
 }
 
-#endif  // computed goto
-
 }  // namespace
 
-bool have_computed_goto() {
-#if defined(SAGE_VM_HAVE_COMPUTED_GOTO)
-  return true;
-#else
-  return false;
-#endif
-}
+bool have_computed_goto() { return true; }
 
-ExecResult execute(const Program& program, SchemaExecEnv& env,
-                   DispatchMode mode) {
+ExecResult execute(const Program& program, SchemaExecEnv& env) {
   if (EnvAccess::binding_key(env) != program.binding_key()) {
     ExecResult result;
     result.ok = false;
@@ -589,46 +533,11 @@ ExecResult execute(const Program& program, SchemaExecEnv& env,
   }
 
   Frame f(program, env);
-
-  bool use_goto = false;
-#if defined(SAGE_VM_HAVE_COMPUTED_GOTO)
-  switch (mode) {
-    case DispatchMode::kComputedGoto:
-      use_goto = true;
-      break;
-    case DispatchMode::kSwitch:
-      use_goto = false;
-      break;
-    case DispatchMode::kDefault:
-#if defined(SAGE_VM_FORCE_SWITCH)
-      use_goto = false;
-#else
-      use_goto = true;
-#endif
-      break;
+  if (g_count_ops.load(std::memory_order_relaxed)) {
+    run_goto<true>(f);
+  } else {
+    run_goto<false>(f);
   }
-#else
-  (void)mode;
-#endif
-
-  const bool count = g_count_ops.load(std::memory_order_relaxed);
-#if defined(SAGE_VM_HAVE_COMPUTED_GOTO)
-  if (use_goto) {
-    if (count) {
-      run_goto<true>(f);
-    } else {
-      run_goto<false>(f);
-    }
-  } else
-#endif
-  {
-    if (count) {
-      run_switch<true>(f);
-    } else {
-      run_switch<false>(f);
-    }
-  }
-
   codegen::note_vm_execution(f.ops, f.slow);
   return std::move(f.result);
 }

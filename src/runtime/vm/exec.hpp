@@ -1,12 +1,7 @@
 // Threaded-code executor for compiled handler programs.
 //
-// Two dispatch loops over the same op handlers: a computed-goto loop
-// (GCC/Clang `&&label` tables, one indirect jump per op) and a portable
-// switch loop. The switch loop is ALWAYS compiled — it is the reference
-// dispatcher and the fallback for toolchains without the extension — and
-// tests exercise it explicitly via DispatchMode::kSwitch, so a build
-// where it rotted fails fast. Configuring with -DSAGE_VM_FORCE_SWITCH=ON
-// makes it the default dispatcher too.
+// One dispatch loop over inlined op handlers: computed goto (GCC/Clang
+// `&&label` tables, one indirect jump per op).
 //
 // Execution semantics are bit-for-bit those of the tree interpreter
 // (runtime/interpreter.cpp): same env accesses in the same order, same
@@ -31,20 +26,14 @@ namespace sage::runtime::vm {
 /// implementation; kThreaded runs the compiled flat program.
 enum class ExecBackend : std::uint8_t { kTree, kThreaded };
 
-/// Dispatcher selection inside the threaded backend. kDefault picks
-/// computed goto when the toolchain has it (and the build didn't force
-/// the switch loop); requesting kComputedGoto without support falls back
-/// to the switch loop.
-enum class DispatchMode : std::uint8_t { kDefault, kComputedGoto, kSwitch };
-
-/// True when this build carries the computed-goto dispatcher.
+/// True when this build dispatches with computed goto (always, since
+/// the toolchains this repo builds with all have it).
 bool have_computed_goto();
 
 /// Run `program` against `env`. The env must be bound to the same
 /// protocol table the program was specialized for (the responder wiring
 /// guarantees this; a mismatch returns a failed result, never UB).
-ExecResult execute(const Program& program, SchemaExecEnv& env,
-                   DispatchMode mode = DispatchMode::kDefault);
+ExecResult execute(const Program& program, SchemaExecEnv& env);
 
 /// Per-op retirement counters (sage_debug --parse-stats). Off by
 /// default; counting adds one relaxed atomic add per op.

@@ -9,6 +9,7 @@
 namespace sage::runtime::vm {
 
 namespace schema = net::schema;
+namespace framework = codegen::framework;
 
 namespace {
 
@@ -129,101 +130,55 @@ Insn specialize_bytes(const EnvAccess::ProtocolBinding& pb,
       return {Op::kCopyPayload, 0, value->layer_slot, target->layer_slot};
     }
   }
-  const bool icmp = pb.profile == EnvAccess::Profile::kIcmp ||
-                    pb.profile == EnvAccess::Profile::kIcmp6;
-  if (target_is_bytes && src == BytesSrc::kCall && icmp) {
-    // Both calls always succeed on the ICMP profiles (see
-    // SchemaExecEnv::call_bytes), and a bytes target always accepts.
-    if (linear.names[in.b] == "copy_field") {
-      // copy_field reads wire_[0].in_payload.
-      return {Op::kCopyPayload, 0, 0, target->layer_slot};
-    }
-    if (linear.names[in.b] == "original_datagram_excerpt") {
-      return {Op::kCopyExcerpt, 0, 0, target->layer_slot};
-    }
+  const auto* f = target_is_bytes && src == BytesSrc::kCall
+                      ? framework::find(pb.profile, linear.names[in.b],
+                                        framework::Kind::kBytes)
+                      : nullptr;
+  // A framework bytes function always succeeds, and a bytes target always
+  // accepts. kIncomingPayload reads wire_[0].in_payload.
+  if (f != nullptr && f->op == framework::Op::kExcerpt) {
+    return {Op::kCopyExcerpt, 0, 0, target->layer_slot};
   }
+  if (f != nullptr) return {Op::kCopyPayload, 0, 0, target->layer_slot};
   return {Op::kAssignBytes, in.a, in.b, in.c};
 }
 
-/// Specialize an ICMP/ICMPv6 scalar framework call whose call_scalar
-/// branch returns a plain env value (the clock, the error octet, the
-/// redirect gateway, the link MTU). Same binding-key argument as
-/// specialize_effect; everything else keeps the generic
-/// string-dispatched op.
+/// Specialize a scalar framework call whose op reads one env value into
+/// kPushFramework. The checksum ops serialize the outgoing message and,
+/// like names the profile does not serve, keep the generic slow-path op.
 Insn specialize_call(const EnvAccess::ProtocolBinding& pb,
                      const codegen::LinearProgram& linear,
                      const codegen::LinInsn& in) {
-  const Insn generic{Op::kCallScalar, in.a, in.b};
-  const bool v4 = pb.profile == EnvAccess::Profile::kIcmp;
-  const bool v6 = pb.profile == EnvAccess::Profile::kIcmp6;
-  if (!v4 && !v6) return generic;
-  const std::string& fn = linear.names[in.b];
-  std::optional<FrameworkValue> value;
-  if (fn == "current_time" || fn == "receive_time") {
-    value = FrameworkValue::kClock;
-  } else if (fn == "transmit_time") {
-    value = FrameworkValue::kClockPlusOne;
-  } else if (fn == "error_octet") {
-    value = FrameworkValue::kErrorOctet;
-  } else if (v4 && fn == "better_gateway") {
-    value = FrameworkValue::kBetterGateway;
-  } else if (v6 && fn == "link_mtu") {
-    value = FrameworkValue::kLinkMtu;
+  const auto* f = framework::find(pb.profile, linear.names[in.b],
+                                  framework::Kind::kScalar);
+  if (f == nullptr || f->op == framework::Op::kChecksumSum ||
+      f->op == framework::Op::kChecksum) {
+    return {Op::kCallScalar, in.a, in.b};
   }
-  if (!value) return generic;
-  return {Op::kPushFramework, in.a, static_cast<std::uint16_t>(*value), in.b};
+  return {Op::kPushFramework, in.a, static_cast<std::uint16_t>(f->op), in.b};
 }
 
-/// Specialize a 0-arg framework effect whose call_effect branch for this
-/// binding table's profile is trivial (set a flag / swap addresses /
-/// accept-and-ignore). The binding-key guard makes this sound: any env
-/// the program can run against shares the table, hence the profile.
-/// Everything else keeps the generic string-dispatched op.
+/// Specialize a 0-arg framework effect whose op has a dedicated VM op
+/// (the deferred-checksum flag, the address swap, the timeout, the
+/// accepted-and-ignored sends). The binding-key guard makes this sound:
+/// any env the program can run against shares the table, hence the
+/// profile. BFD's session effects keep the generic op.
 Insn specialize_effect(const EnvAccess::ProtocolBinding& pb,
                        const codegen::LinearProgram& linear,
                        const codegen::LinInsn& in) {
-  using Profile = EnvAccess::Profile;
   const Insn generic{Op::kCallEffect, in.a, in.b};
-  if (in.a != 0) return generic;
-  const std::string& fn = linear.names[in.b];
-  const bool checksum = fn == "compute_checksum" || fn == "recompute_checksum";
-  switch (pb.profile) {
-    case Profile::kIcmp:
-    case Profile::kIcmp6:
-      // kEffectReverse delegates to the env's profile-aware swap, so the
-      // same specialization serves both IP versions.
-      if (checksum) return {Op::kEffectChecksum, 0, in.b};
-      if (fn == "reverse_addresses") return {Op::kEffectReverse, 0, in.b};
-      if (fn == "send_message" || fn == "discard_packet") {
-        return {Op::kEffectNop, 0, in.b};
-      }
-      return generic;
-    case Profile::kDhcp:
-      if (checksum || fn == "send_message" || fn == "discard_packet") {
-        return {Op::kEffectNop, 0, in.b};
-      }
-      return generic;
-    case Profile::kIgmp:
-      if (checksum) return {Op::kEffectChecksum, 0, in.b};
-      if (fn == "send_message" || fn == "discard_packet") {
-        return {Op::kEffectNop, 0, in.b};
-      }
-      return generic;
-    case Profile::kNtp:
-      if (fn == "call_timeout" || fn == "timeout") {
-        return {Op::kEffectTimeout, 0, in.b};
-      }
-      if (checksum || fn == "send_message" || fn == "transmit_packet") {
-        return {Op::kEffectNop, 0, in.b};
-      }
-      return generic;
-    case Profile::kBfd:
-      if (fn == "call_timeout") return {Op::kEffectTimeout, 0, in.b};
-      return generic;
-    case Profile::kStateMachine:
-      return generic;
+  const auto* f = in.a == 0 ? framework::find(pb.profile, linear.names[in.b],
+                                              framework::Kind::kEffect)
+                            : nullptr;
+  if (f == nullptr) return generic;
+  switch (f->op) {
+    case framework::Op::kChecksumFlag: return {Op::kEffectChecksum, 0, in.b};
+    case framework::Op::kReverseAddresses:
+      return {Op::kEffectReverse, 0, in.b};
+    case framework::Op::kTimeout: return {Op::kEffectTimeout, 0, in.b};
+    case framework::Op::kNop: return {Op::kEffectNop, 0, in.b};
+    default: return generic;
   }
-  return generic;
 }
 
 inline bool is_branch(Op op) {

@@ -22,8 +22,8 @@
 namespace sage::runtime::vm {
 
 // Executable opcode list. The X-macro keeps the enum, the name table,
-// and both dispatcher bodies (exec.cpp) in exactly the same order — the
-// computed-goto label table is indexed by raw op value.
+// and the dispatcher's label table (exec.cpp) in exactly the same order —
+// the computed-goto label table is indexed by raw op value.
 //
 // Fast-path ops touch env storage directly (images, slots, structs);
 // slow-path ops (counted in ExecStats::slow_path_entries) go through the
@@ -74,7 +74,7 @@ namespace sage::runtime::vm {
   X(kEffectNop)      /* specialized always-true effect; b=name idx      */ \
   X(kCopyExcerpt)    /* invoking-packet excerpt -> c=dst slot           */ \
                      /* out_payload, straight from the raw packet       */ \
-  X(kPushFramework)  /* a=nargs, b=FrameworkValue, c=name idx: push a   */ \
+  X(kPushFramework)  /* a=nargs, b=framework::Op, c=name idx: push a   */ \
                      /* framework value (clock, error octet, ...)       */
 
 enum class Op : std::uint8_t {

@@ -240,8 +240,10 @@ Frame Server::run_pipeline_job(const Frame& request) {
         payload << " error=" << sim::interop_error_name(error);
       }
       payload << "\n";
-      for (const auto& line : eval::decode_reply(&responder)) {
-        payload << line << "\n";
+      if (!ping.reply.empty()) {
+        for (const auto& line : eval::decode_packet(ping.reply)) {
+          payload << line << "\n";
+        }
       }
       break;
     }

@@ -84,7 +84,7 @@ TEST(FallbackLabeling, UnknownContentWordsBecomeNounsWithoutDictionary) {
   sentence.text = "The frobnicator is zero.";
   sentence.context["protocol"] = "ICMP";
   core::SageOptions no_dict;
-  no_dict.use_term_dictionary = false;
+  no_dict.chunking = nlp::ChunkingMode::kNoDictionary;
   // "frobnicator" is unknown everywhere; without the dictionary the
   // SpaCy-style fallback still labels it a noun and the sentence parses.
   const auto report = sage.analyze_sentence(sentence, no_dict);

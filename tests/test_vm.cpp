@@ -5,17 +5,23 @@
 //      identically on the tree interpreter and the compiled program:
 //      same ExecResult, same error text in the same order, same env
 //      mutations.
-//   2. Dispatchers — the computed-goto and portable switch loops agree
-//      byte-for-byte, and the switch loop is exercised explicitly so a
-//      build where it rotted fails here, not on an exotic toolchain.
+//   2. Framework parity — every function of the framework table
+//      (codegen/framework.hpp), plus one unknown name, called in every
+//      position on every profile's env agrees across the backends.
 //   3. Mechanics — compilation bounds (kMaxStack), the binding-key
 //      guard, op counters, ExecStats, and program introspection.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+
+#include "codegen/framework.hpp"
 #include "codegen/lowering.hpp"
 #include "core/generated_icmp.hpp"
+#include "net/bfd.hpp"
 #include "net/icmp.hpp"
 #include "net/ipv4.hpp"
+#include "net/ipv6.hpp"
 #include "runtime/interpreter.hpp"
 #include "runtime/schema_env.hpp"
 #include "runtime/vm/exec.hpp"
@@ -38,39 +44,126 @@ std::vector<std::uint8_t> echo_request() {
                                             {0xde, 0xad, 0xbe, 0xef});
 }
 
-codegen::GeneratedFunction wrap(std::vector<Stmt> body) {
+std::vector<std::uint8_t> echo6_request() {
+  const std::vector<std::uint8_t> msg = {128, 0, 0, 0, 0x12, 0x34, 0, 7,
+                                         0xde, 0xad, 0xbe, 0xef};
+  net::Ipv6Header ip;
+  ip.next_header = net::kIpProtoIcmp6;
+  ip.src = net::Ip6Addr::from_groups(0x2001, 0xdb8, 0, 0, 0, 0, 0, 1);
+  ip.dst = net::Ip6Addr::from_groups(0x2001, 0xdb8, 0, 0, 0, 0, 0, 2);
+  return net::build_ipv6_packet(ip, msg);
+}
+
+/// One protocol environment as parity sees it: a factory for fresh envs
+/// (BFD's writes land in the state it is given), a scalar and a bytes
+/// field to target (ICMP's data where the protocol binds no bytes
+/// field), and the packet the env finishes with, if it builds one.
+struct EnvCase {
+  std::string protocol;
+  std::function<SchemaExecEnv(net::BfdSessionState*)> make;
+  FieldRef scalar;
+  FieldRef bytes;
+  std::function<std::vector<std::uint8_t>(SchemaExecEnv&)> finish;
+};
+
+const std::vector<EnvCase>& env_cases() {
+  static const std::vector<std::uint8_t> request = echo_request();
+  static const std::vector<std::uint8_t> request6 = echo6_request();
+  static const net::BfdControlPacket bfd_packet;
+  const auto reply = [](SchemaExecEnv& env) { return env.finish_reply(); };
+  const auto finish = [](SchemaExecEnv& env) {
+    return env.finish(net::IpAddr(224, 0, 0, 1));
+  };
+  static const std::vector<EnvCase> cases = {
+      {"ICMP",
+       [](net::BfdSessionState*) {
+         return SchemaExecEnv::icmp(request, net::IpAddr(10, 0, 1, 1),
+                                    /*start_from_incoming=*/true);
+       },
+       {"icmp", "checksum"}, {"icmp", "data"}, reply},
+      {"ICMP6",
+       [](net::BfdSessionState*) {
+         return SchemaExecEnv::icmp6(
+             request6,
+             net::Ip6Addr::from_groups(0x2001, 0xdb8, 0, 0, 0, 0, 0, 2),
+             /*start_from_incoming=*/true);
+       },
+       {"icmp6", "checksum"}, {"icmp6", "data"}, reply},
+      {"IGMP",
+       [](net::BfdSessionState*) {
+         return SchemaExecEnv::igmp(net::IpAddr(10, 0, 1, 100),
+                                    net::IpAddr(224, 1, 2, 3));
+       },
+       {"igmp", "checksum"}, {"icmp", "data"}, finish},
+      {"NTP",
+       [](net::BfdSessionState*) {
+         return SchemaExecEnv::ntp(net::IpAddr(10, 0, 1, 100), 0x83aa7e80,
+                                   net::NtpPacket{});
+       },
+       {"ntp", "stratum"}, {"icmp", "data"}, finish},
+      {"BFD",
+       [](net::BfdSessionState* state) {
+         return SchemaExecEnv::bfd(state, &bfd_packet);
+       },
+       {"bfd", "local_diag"}, {"icmp", "data"}, nullptr},
+      {"DHCP", [](net::BfdSessionState*) { return SchemaExecEnv::dhcp(); },
+       {"dhcp", "op"}, {"dhcp", "parameter_request_list"},
+       [](SchemaExecEnv& env) { return env.out_dhcp(); }},
+      {"TCP",
+       [](net::BfdSessionState*) {
+         return SchemaExecEnv::state_machine("TCP");
+       },
+       {"tcp", "connection_state"}, {"icmp", "data"}, nullptr},
+  };
+  return cases;
+}
+
+codegen::GeneratedFunction wrap(std::vector<Stmt> body,
+                                const std::string& protocol = "ICMP") {
   codegen::GeneratedFunction fn;
   fn.name = "vm_test_fn";
-  fn.protocol = "ICMP";
+  fn.protocol = protocol;
   fn.body = Stmt::seq(std::move(body));
   return fn;
 }
 
-/// Run `body` on both backends against identically-constructed ICMP
-/// envs and demand full observable agreement: result flag, error text
-/// in order, and the serialized reply.
-void expect_parity(std::vector<Stmt> body, const std::string& scenario = "",
-                   vm::DispatchMode mode = vm::DispatchMode::kDefault) {
-  const auto fn = wrap(std::move(body));
+/// Run `body` on both backends against identically-constructed envs of
+/// `env_case` and demand full observable agreement: result flag, error
+/// text in order, the finished packet, BFD state, recorded effects and
+/// the framework's flags.
+void expect_parity(std::vector<Stmt> body, const EnvCase& env_case,
+                   const std::string& scenario = "") {
+  const auto fn = wrap(std::move(body), env_case.protocol);
   const auto program = vm::compile(fn);
   ASSERT_TRUE(program.has_value());
 
-  const auto request = echo_request();
-  auto env_tree = SchemaExecEnv::icmp(request, net::IpAddr(10, 0, 1, 1),
-                                      /*start_from_incoming=*/true);
-  auto env_vm = SchemaExecEnv::icmp(request, net::IpAddr(10, 0, 1, 1),
-                                    /*start_from_incoming=*/true);
+  net::BfdSessionState state_tree;
+  net::BfdSessionState state_vm;
+  auto env_tree = env_case.make(&state_tree);
+  auto env_vm = env_case.make(&state_vm);
   if (!scenario.empty()) {
     env_tree.set_scenario(scenario);
     env_vm.set_scenario(scenario);
   }
 
   const ExecResult tree = Interpreter().run(fn.body, env_tree);
-  const ExecResult vm = vm::execute(*program, env_vm, mode);
+  const ExecResult vm = vm::execute(*program, env_vm);
 
   EXPECT_EQ(tree.ok, vm.ok);
   EXPECT_EQ(tree.errors, vm.errors);
-  EXPECT_EQ(env_tree.finish_reply(), env_vm.finish_reply());
+  if (env_case.finish) {
+    EXPECT_EQ(env_case.finish(env_tree), env_case.finish(env_vm));
+  }
+  EXPECT_EQ(state_tree, state_vm);
+  EXPECT_EQ(env_tree.effects(), env_vm.effects());
+  EXPECT_EQ(env_tree.timeout_called(), env_vm.timeout_called());
+  EXPECT_EQ(env_tree.packet_transmitted(), env_vm.packet_transmitted());
+  EXPECT_EQ(env_tree.session_selected(), env_vm.session_selected());
+}
+
+/// The ICMP echo-request env.
+void expect_parity(std::vector<Stmt> body, const std::string& scenario = "") {
+  expect_parity(std::move(body), env_cases().front(), scenario);
 }
 
 // ---- 1. Parity on hand-built edge cases -----------------------------------
@@ -181,41 +274,37 @@ TEST(VmParity, CommentsAndEmptySequencesAreNoops) {
                  Stmt::assign({"icmp", "type"}, Expr::constant(0))});
 }
 
-// ---- 2. Dispatcher agreement ----------------------------------------------
+// ---- 2. Framework parity ---------------------------------------------------
 
-TEST(VmDispatch, SwitchLoopIsAlwaysBuiltAndAgreesWithDefault) {
-  // The portable switch dispatcher is the reference loop; it must be
-  // compiled and runnable in every configuration (the vm-smoke preset
-  // runs this file under ASan+UBSan on both dispatchers).
-  const std::vector<Stmt> body = {
-      Stmt::assign({"icmp", "type"}, Expr::constant(0)),
-      Stmt::call("reverse_addresses"),
-      Stmt::assign({"icmp", "checksum"}, Expr::constant(0)),
-      Stmt::call("recompute_checksum"),
-  };
-  expect_parity(body, "", vm::DispatchMode::kSwitch);
-  expect_parity(body, "", vm::DispatchMode::kComputedGoto);
-  expect_parity(body, "", vm::DispatchMode::kDefault);
-}
+TEST(VmFrameworkParity, EveryFunctionInEveryPositionOnEveryProfile) {
+  std::set<codegen::framework::Profile> covered;
+  for (const auto& c : env_cases()) {
+    covered.insert(codegen::framework::profile_of(c.protocol));
+  }
+  std::set<std::string> names = {"no_such_function"};
+  for (const auto& f : codegen::framework::functions()) {
+    EXPECT_TRUE(covered.count(f.profile) != 0) << f.name;
+    names.insert(std::string(f.name));
+  }
 
-TEST(VmDispatch, GotoAndSwitchProduceIdenticalReplies) {
-  const auto& run = core::canonical_icmp_run();
-  ASSERT_FALSE(run.functions.empty());
-  const auto request = echo_request();
-  for (const auto& fn : run.functions) {
-    const auto program = vm::compile(fn);
-    ASSERT_TRUE(program.has_value()) << fn.name;
-    auto env_goto = SchemaExecEnv::icmp(request, net::IpAddr(10, 0, 1, 1),
-                                        /*start_from_incoming=*/true);
-    auto env_switch = SchemaExecEnv::icmp(request, net::IpAddr(10, 0, 1, 1),
-                                          /*start_from_incoming=*/true);
-    const ExecResult a =
-        vm::execute(*program, env_goto, vm::DispatchMode::kComputedGoto);
-    const ExecResult b =
-        vm::execute(*program, env_switch, vm::DispatchMode::kSwitch);
-    EXPECT_EQ(a.ok, b.ok) << fn.name;
-    EXPECT_EQ(a.errors, b.errors) << fn.name;
-    EXPECT_EQ(env_goto.finish_reply(), env_switch.finish_reply()) << fn.name;
+  for (const auto& c : env_cases()) {
+    for (const auto& name : names) {
+      SCOPED_TRACE(c.protocol + " " + name);
+      const auto call = [&](std::vector<Expr> args = {}) {
+        return Expr::call(name, std::move(args));
+      };
+      const auto unknown = Expr::field_read({"nosuch", "field"});
+      expect_parity({Stmt::assign(c.scalar, call())}, c);
+      expect_parity({Stmt::assign(c.scalar, call({Expr::constant(1)}))}, c);
+      expect_parity({Stmt::assign(c.scalar, call({unknown}))}, c);
+      expect_parity({Stmt::assign(c.bytes, call())}, c);
+      expect_parity(
+          {Stmt::if_then(Cond::compare(call(), CmpOp::kEq, Expr::constant(0)),
+                         {Stmt::assign(c.scalar, Expr::constant(1))})},
+          c);
+      expect_parity({Stmt::call(name)}, c);
+      expect_parity({Stmt::call(name, {Expr::constant(7)})}, c);
+    }
   }
 }
 
