@@ -111,8 +111,7 @@ int main() {
     sentence.context["message"] = "NTP Peer Variables";
     const auto report = ntp_sage.analyze_sentence(sentence);
     if (report.final_form) {
-      const codegen::CodeGenerator generator(&ntp_sage.static_context(),
-                                             &ntp_sage.handlers());
+      const codegen::CodeGenerator generator(&ntp_sage.static_context());
       codegen::SentenceLf entry;
       entry.form = *report.final_form;
       entry.context = codegen::DynamicContext::from_map(sentence.context);

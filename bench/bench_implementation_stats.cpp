@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "codegen/handlers.hpp"
 #include "core/sage.hpp"
 #include "disambig/checks.hpp"
 
@@ -48,17 +49,13 @@ int main() {
   benchutil::row("associativity check", "graph isomorphism (1)");
 
   benchutil::row("predicate handlers, ICMP",
-                 std::to_string(sage.handlers().count_by_source("icmp")) +
-                     " (25)");
+                 std::to_string(codegen::handler_count("icmp")) + " (25)");
   benchutil::row("predicate handlers, +IGMP",
-                 std::to_string(sage.handlers().count_by_source("igmp")) +
-                     " (4)");
+                 std::to_string(codegen::handler_count("igmp")) + " (4)");
   benchutil::row("predicate handlers, +NTP",
-                 std::to_string(sage.handlers().count_by_source("ntp")) +
-                     " (n/a)");
+                 std::to_string(codegen::handler_count("ntp")) + " (n/a)");
   benchutil::row("predicate handlers, +BFD",
-                 std::to_string(sage.handlers().count_by_source("bfd")) +
-                     " (8)");
+                 std::to_string(codegen::handler_count("bfd")) + " (8)");
   benchutil::row("static context fields",
                  std::to_string(sage.static_context().field_count()));
   benchutil::row("static context functions",

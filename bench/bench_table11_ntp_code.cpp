@@ -27,8 +27,7 @@ int main() {
   if (!report.final_form) return 1;
   std::printf("LF       | %s\n", report.final_form->to_string().c_str());
 
-  const codegen::CodeGenerator generator(&sage.static_context(),
-                                         &sage.handlers());
+  const codegen::CodeGenerator generator(&sage.static_context());
   codegen::SentenceLf entry;
   entry.form = *report.final_form;
   entry.context = codegen::DynamicContext::from_map(sentence.context);

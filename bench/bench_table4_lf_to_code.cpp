@@ -27,8 +27,7 @@ int main() {
 
   const auto statics = codegen::StaticContext::standard();
   const codegen::ResolutionContext resolution(dynamic, &statics);
-  const auto registry = codegen::HandlerRegistry::standard();
-  codegen::LfConverter converter(&resolution, &registry);
+  codegen::LfConverter converter(&resolution);
 
   const auto stmt = converter.to_stmt(*lf);
 

@@ -75,8 +75,7 @@ int main(int argc, char** argv) {
 
   // 4. Generate code from the single surviving form.
   if (report.final_form) {
-    const codegen::CodeGenerator generator(&sage.static_context(),
-                                           &sage.handlers());
+    const codegen::CodeGenerator generator(&sage.static_context());
     codegen::SentenceLf entry;
     entry.form = *report.final_form;
     entry.context = codegen::DynamicContext::from_map(spec.context);

@@ -15,11 +15,9 @@ namespace {
 /// view runtime::SchemaExecEnv executes against). The substring
 /// fallback keeps non-registry layers behaving as before.
 bool is_bytes_field(const FieldRef& ref) {
-  const auto& registry = net::schema::SchemaRegistry::instance();
-  const auto* spec = ref.field_id >= 0
-                         ? registry.field_by_id(ref.field_id)
-                         : registry.field(ref.layer, ref.field);
-  if (spec != nullptr) return spec->kind == net::schema::FieldKind::kBytes;
+  if (const auto* spec = field_spec(ref)) {
+    return spec->kind == net::schema::FieldKind::kBytes;
+  }
   return ref.field == "data" ||
          ref.field.find("datagram") != std::string::npos ||
          ref.field.find("internet_header") != std::string::npos;

@@ -31,26 +31,12 @@ std::string layer_for_protocol(std::string_view protocol) {
 void StaticContext::add_field(std::string_view phrase, FieldRef ref) {
   // Annotate the ref against the packet-schema registry at table-build
   // time so every ref handed out by resolve_field carries its dense id.
-  if (ref.field_id < 0) {
-    const auto* spec =
-        net::schema::SchemaRegistry::instance().field(ref.layer, ref.field);
-    if (spec != nullptr) ref.field_id = spec->id;
-  }
+  if (const auto* spec = field_spec(ref)) ref.field_id = spec->id;
   fields_[util::to_lower(phrase)].push_back(std::move(ref));
 }
 
 void StaticContext::add_function(std::string_view phrase, std::string_view fn) {
   functions_[util::to_lower(phrase)] = std::string(fn);
-}
-
-std::optional<FieldRef> StaticContext::field(
-    std::string_view phrase, std::string_view preferred_layer) const {
-  const auto it = fields_.find(util::to_lower(phrase));
-  if (it == fields_.end() || it->second.empty()) return std::nullopt;
-  for (const auto& ref : it->second) {
-    if (!preferred_layer.empty() && ref.layer == preferred_layer) return ref;
-  }
-  return it->second.front();
 }
 
 std::optional<FieldRef> StaticContext::field(

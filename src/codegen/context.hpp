@@ -49,16 +49,12 @@ class StaticContext {
   /// Register phrase -> framework function name.
   void add_function(std::string_view phrase, std::string_view fn);
 
-  /// Field lookup by phrase. `preferred_layer` breaks multi-layer ties;
-  /// nullopt when the phrase is unknown.
-  std::optional<FieldRef> field(std::string_view phrase,
-                                std::string_view preferred_layer = "") const;
-
-  /// Multi-layer tie-break: the first layer in `preferred_layers` that
-  /// has a ref for the phrase wins. Protocols whose schema binds several
-  /// layers (ICMPv6 over ip6) resolve "source address" to their own
-  /// network layer instead of whichever protocol registered the phrase
-  /// first.
+  /// Field lookup by phrase; nullopt when the phrase is unknown. The
+  /// first layer in `preferred_layers` that has a ref for the phrase
+  /// wins, else the first ref registered. Protocols whose schema binds
+  /// several layers (ICMPv6 over ip6) resolve "source address" to their
+  /// own network layer instead of whichever protocol registered the
+  /// phrase first.
   std::optional<FieldRef> field(
       std::string_view phrase,
       std::span<const std::string> preferred_layers) const;

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 
+#include "codegen/handlers.hpp"
 #include "net/schema.hpp"
 #include "util/strings.hpp"
-#include "util/symbols.hpp"
 
 namespace sage::codegen {
 
@@ -38,11 +38,7 @@ class SchemaAnnotator {
  private:
   void note(FieldRef& ref) {
     if (!ref.valid()) return;
-    if (ref.field_id < 0) {
-      const auto* spec =
-          net::schema::SchemaRegistry::instance().field(ref.layer, ref.field);
-      if (spec != nullptr) ref.field_id = spec->id;
-    }
+    if (const auto* spec = field_spec(ref)) ref.field_id = spec->id;
     if (ref.field_id >= 0) {
       g_schema_resolved.fetch_add(1, std::memory_order_relaxed);
       return;
@@ -61,22 +57,12 @@ class SchemaAnnotator {
     for (auto& a : expr.args) annotate(a);
   }
 
-  /// Mirror of SchemaExecEnv::resolve_symbol, minus the per-run
-  /// "scenario" alias (which must stay a runtime lookup).
+  /// The schema's symbol value, except for the per-run "scenario" alias
+  /// (which must stay a runtime lookup).
   void cache_symbol(Expr& expr) {
-    const std::string lower = util::to_lower(expr.name);
-    if (lower == "scenario") return;
-    if (schema_ != nullptr) {
-      for (const auto& sym : schema_->symbols) {
-        if (sym.name == lower) {
-          expr.symbol_cached = true;
-          expr.symbol_cache = sym.value;
-          return;
-        }
-      }
-    }
+    if (util::to_lower(expr.name) == "scenario") return;
     expr.symbol_cached = true;
-    expr.symbol_cache = util::symbol_value(expr.name);
+    expr.symbol_cache = net::schema::symbol_value(schema_, expr.name);
   }
 
   void annotate(Cond& cond) {
@@ -148,7 +134,7 @@ GenerationOutcome CodeGenerator::generate(
     DynamicContext ctx = s.context;
     ctx.role = role;
     const ResolutionContext resolution(ctx, statics_);
-    LfConverter converter(&resolution, registry_);
+    LfConverter converter(&resolution);
 
     const bool is_advice = s.form.is_predicate(lf::pred::kAdvBefore);
     const lf::LfNode& to_convert =

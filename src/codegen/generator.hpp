@@ -20,7 +20,6 @@
 
 #include "codegen/context.hpp"
 #include "codegen/emitter.hpp"
-#include "codegen/handlers.hpp"
 #include "codegen/ir.hpp"
 #include "lf/logical_form.hpp"
 
@@ -61,8 +60,7 @@ void reset_schema_resolution_stats();
 
 class CodeGenerator {
  public:
-  CodeGenerator(const StaticContext* statics, const HandlerRegistry* registry)
-      : statics_(statics), registry_(registry) {}
+  explicit CodeGenerator(const StaticContext* statics) : statics_(statics) {}
 
   /// Generate the handler function for (protocol, message, role) from the
   /// given sentences (in document order, per §5.2's ordering rule).
@@ -80,7 +78,6 @@ class CodeGenerator {
 
  private:
   const StaticContext* statics_;
-  const HandlerRegistry* registry_;
 };
 
 }  // namespace sage::codegen

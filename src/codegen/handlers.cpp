@@ -9,19 +9,7 @@ namespace sage::codegen {
 namespace {
 
 using lf::LfNode;
-
-/// Pseudo-labels for leaves.
-std::string node_key(const LfNode& node) {
-  switch (node.kind) {
-    case LfNode::Kind::kPredicate:
-      return node.label;
-    case LfNode::Kind::kString:
-      return "$str";
-    case LfNode::Kind::kNumber:
-      return "$num";
-  }
-  return "?";
-}
+namespace pred = lf::pred;
 
 /// The surface phrase of a nominal node ("source address", or the joined
 /// phrase of an @Of chain like "address of the source" -> handled by the
@@ -35,25 +23,37 @@ std::optional<std::string> leaf_phrase(const LfNode& n) {
 /// mode", ...) that are values rather than fields.
 bool is_symbolic_value(const std::string& phrase) {
   static const std::vector<std::string> kValues = {
-      "up",        "down",  "init",          "admindown",
-      "adminDown", "zero",  "symmetric mode", "client mode",
-      "active",    "passive"};
+      "up",          "down",   "init",    "admindown", "zero",
+      "symmetric mode", "client mode", "active", "passive"};
   const std::string lower = util::to_lower(phrase);
   return std::find(kValues.begin(), kValues.end(), lower) != kValues.end();
 }
 
-Handler make(std::string name, std::string predicate, OutKind produces,
-             std::string source,
-             std::function<std::optional<HandlerOutput>(LfConverter&,
-                                                        const LfNode&)>
-                 fn) {
-  Handler h;
-  h.name = std::move(name);
-  h.predicate = std::move(predicate);
-  h.produces = produces;
-  h.source = std::move(source);
-  h.fn = std::move(fn);
-  return h;
+/// Appends the lowercased string leaves under `n`, in order, separated
+/// by spaces.
+void append_strings(const LfNode& n, std::string& flat) {
+  if (n.is_string()) {
+    if (!flat.empty()) flat += ' ';
+    flat += util::to_lower(n.label);
+  }
+  for (const auto& a : n.args) append_strings(a, flat);
+}
+
+/// The whole subtree rendered as one phrase, for idiom detection.
+std::string flatten_strings(const LfNode& n) {
+  std::string flat;
+  append_strings(n, flat);
+  return flat;
+}
+
+/// The excerpt idiom: "the internet header plus the first 64 bits of the
+/// original datagram's data" (and RFC 4443's "invoking packet").
+bool is_excerpt_phrase(const std::string& flat) {
+  return (flat.find("internet header") != std::string::npos ||
+          flat.find("ipv6 header") != std::string::npos) &&
+         (flat.find("64 bits") != std::string::npos ||
+          flat.find("original") != std::string::npos ||
+          flat.find("invoking packet") != std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -63,20 +63,7 @@ Handler make(std::string name, std::string predicate, OutKind produces,
 /// @Is(field, value) -> target = value. Table 4's example:
 /// @Is('type', '3') + {field: Type, message: Destination Unreachable}
 /// -> hdr->type = 3;
-std::string flatten_strings(const LfNode& n) {
-  std::string flat;
-  const std::function<void(const LfNode&)> render = [&](const LfNode& m) {
-    if (m.is_string()) {
-      if (!flat.empty()) flat += ' ';
-      flat += util::to_lower(m.label);
-    }
-    for (const auto& a : m.args) render(a);
-  };
-  render(n);
-  return flat;
-}
-
-std::optional<HandlerOutput> is_assign(LfConverter& conv, const LfNode& n) {
+std::optional<Stmt> is_assign(LfConverter& conv, const LfNode& n) {
   if (n.args.size() != 2) return std::nullopt;
 
   // The address idiom of RFC 792's echo section (Table 7's sentence):
@@ -99,8 +86,8 @@ std::optional<HandlerOutput> is_assign(LfConverter& conv, const LfNode& n) {
       const auto dst = conv.context().resolve_field("destination address");
       const auto src = conv.context().resolve_field("source address");
       if (dst && src) {
-        return HandlerOutput::of(Stmt::assign(
-            *dst, Expr::field_read(*src, PacketSel::kIncoming)));
+        return Stmt::assign(*dst,
+                            Expr::field_read(*src, PacketSel::kIncoming));
       }
     }
   }
@@ -120,16 +107,15 @@ std::optional<HandlerOutput> is_assign(LfConverter& conv, const LfNode& n) {
   // variable-length data is in place.
   if (target->field == "checksum" && value->kind == Expr::Kind::kCall &&
       util::starts_with(value->name, "ones_complement")) {
-    return HandlerOutput::of(Stmt::call("compute_checksum"));
+    return Stmt::call("compute_checksum");
   }
-  return HandlerOutput::of(Stmt::assign(*target, *value));
+  return Stmt::assign(*target, *value);
 }
 
 /// @Is(@And(f1, f2), value) -> both fields assigned ("the identifier and
 /// the sequence number are the values from the echo message").
-std::optional<HandlerOutput> is_assign_compound(LfConverter& conv,
-                                                const LfNode& n) {
-  if (n.args.size() != 2 || !n.args[0].is_predicate(lf::pred::kAnd)) {
+std::optional<Stmt> is_assign_compound(LfConverter& conv, const LfNode& n) {
+  if (n.args.size() != 2 || !n.args[0].is_predicate(pred::kAnd)) {
     return std::nullopt;
   }
   std::vector<Stmt> assigns;
@@ -151,97 +137,77 @@ std::optional<HandlerOutput> is_assign_compound(LfConverter& conv,
     }
     assigns.push_back(Stmt::assign(*target, std::move(*value)));
   }
-  return HandlerOutput::of(Stmt::seq(std::move(assigns)));
+  return Stmt::seq(std::move(assigns));
 }
 
 /// A bare numeric logical form under a field description assigns the
 /// value to the described field (the "Type / 3" idiom of RFC 792).
-std::optional<HandlerOutput> num_field_default(LfConverter& conv,
-                                               const LfNode& n) {
+std::optional<Stmt> num_field_default(LfConverter& conv, const LfNode& n) {
   if (!n.is_number()) return std::nullopt;
   const auto target = conv.context().resolve_field("");
   if (!target) return std::nullopt;
-  return HandlerOutput::of(Stmt::assign(*target, Expr::constant(n.number)));
+  return Stmt::assign(*target, Expr::constant(n.number));
 }
 
 /// @If(cond, body) -> if statement.
-std::optional<HandlerOutput> if_stmt(LfConverter& conv, const LfNode& n) {
+std::optional<Stmt> if_stmt(LfConverter& conv, const LfNode& n) {
   if (n.args.size() != 2) return std::nullopt;
   const auto cond = conv.to_cond(n.args[0]);
   if (!cond) return std::nullopt;
   const auto body = conv.to_stmt(n.args[1]);
   if (!body) return std::nullopt;
-  return HandlerOutput::of(Stmt::if_then(*cond, {*body}));
+  return Stmt::if_then(*cond, {*body});
 }
 
 /// @And(s1, s2) at statement level -> sequence.
-std::optional<HandlerOutput> and_seq(LfConverter& conv, const LfNode& n) {
+std::optional<Stmt> and_seq(LfConverter& conv, const LfNode& n) {
   std::vector<Stmt> body;
   for (const auto& part : n.args) {
     const auto s = conv.to_stmt(part);
     if (!s) return std::nullopt;
     body.push_back(*s);
   }
-  return HandlerOutput::of(Stmt::seq(std::move(body)));
+  return Stmt::seq(std::move(body));
 }
 
 /// @Action("copy", target[, source]) -> read from the incoming packet,
 /// write the outgoing one.
-std::optional<HandlerOutput> action_copy(LfConverter& conv, const LfNode& n) {
+std::optional<Stmt> action_copy(LfConverter& conv, const LfNode& n) {
   if (n.args.empty() || !n.args[0].is_string() || n.args[0].label != "copy") {
     return std::nullopt;
   }
   if (n.args.size() < 2) return std::nullopt;
   const auto phrase = leaf_phrase(n.args[1]);
   if (!phrase) return std::nullopt;
-  // "copy" may target a conjunction of fields.
-  std::vector<std::string> phrases = {*phrase};
-  if (n.args[1].is_predicate(lf::pred::kAnd)) {
-    phrases.clear();
-    for (const auto& part : n.args[1].args) {
-      const auto p = leaf_phrase(part);
-      if (!p) return std::nullopt;
-      phrases.push_back(*p);
-    }
+  const auto target = conv.context().resolve_field(*phrase);
+  if (!target) {
+    conv.report("cannot resolve field '" + *phrase + "'");
+    return std::nullopt;
   }
-  std::vector<Stmt> body;
-  for (const auto& p : phrases) {
-    const auto target = conv.context().resolve_field(p);
-    if (!target) {
-      conv.report("cannot resolve field '" + p + "'");
-      return std::nullopt;
-    }
-    body.push_back(Stmt::assign(
-        *target, Expr::field_read(*target, PacketSel::kIncoming)));
-  }
-  return HandlerOutput::of(body.size() == 1 ? body[0]
-                                            : Stmt::seq(std::move(body)));
+  return Stmt::assign(*target,
+                      Expr::field_read(*target, PacketSel::kIncoming));
 }
 
 /// @Action("reverse", addresses) -> framework reverse_addresses().
-std::optional<HandlerOutput> action_reverse(LfConverter& conv,
-                                            const LfNode& n) {
+std::optional<Stmt> action_reverse(LfConverter&, const LfNode& n) {
   if (n.args.empty() || !n.args[0].is_string() ||
       n.args[0].label != "reverse") {
     return std::nullopt;
   }
-  (void)conv;
-  return HandlerOutput::of(Stmt::call("reverse_addresses"));
+  return Stmt::call("reverse_addresses");
 }
 
 /// @Action("recompute", checksum) -> framework recompute_checksum().
-std::optional<HandlerOutput> action_recompute(LfConverter& conv,
-                                              const LfNode& n) {
+std::optional<Stmt> action_recompute(LfConverter&, const LfNode& n) {
   if (n.args.empty() || !n.args[0].is_string() ||
       n.args[0].label != "recompute") {
     return std::nullopt;
   }
-  (void)conv;
-  return HandlerOutput::of(Stmt::call("recompute_checksum"));
+  return Stmt::call("recompute_checksum");
 }
 
 /// Generic @Action(fn, args...) -> framework call.
-std::optional<HandlerOutput> action_call(LfConverter& conv, const LfNode& n) {
+std::optional<Stmt> action_call(LfConverter& conv, const LfNode& n) {
   if (n.args.empty() || !n.args[0].is_string()) return std::nullopt;
   const auto fn = conv.context().resolve_function(n.args[0].label);
   if (!fn) {
@@ -254,58 +220,46 @@ std::optional<HandlerOutput> action_call(LfConverter& conv, const LfNode& n) {
     if (!e) return std::nullopt;
     args.push_back(*e);
   }
-  return HandlerOutput::of(Stmt::call(*fn, std::move(args)));
+  return Stmt::call(*fn, std::move(args));
 }
 
 /// @Compute(x) -> checksum computation over the message.
-std::optional<HandlerOutput> compute_stmt(LfConverter& conv, const LfNode& n) {
-  (void)conv;
-  (void)n;
-  return HandlerOutput::of(Stmt::call("compute_checksum"));
+std::optional<Stmt> compute_stmt(LfConverter&, const LfNode&) {
+  return Stmt::call("compute_checksum");
 }
 
 /// @May(body): permitted behavior. It binds the *sender* — the §6.5
 /// under-specification: "a sender may generate a non-zero identifier,
 /// and the receiver should set the identifier to be zero in the reply"
 /// was the buggy reading; the corrected spec scopes @May to the sender.
-std::optional<HandlerOutput> may_stmt(LfConverter& conv, const LfNode& n) {
+std::optional<Stmt> may_stmt(LfConverter& conv, const LfNode& n) {
   if (n.args.size() != 1) return std::nullopt;
   if (conv.context().dynamic().role == "receiver") {
-    return HandlerOutput::of(
-        Stmt::comment("permitted for sender only: not generated here"));
+    return Stmt::comment("permitted for sender only: not generated here");
   }
-  const auto body = conv.to_stmt(n.args[0]);
-  if (!body) return std::nullopt;
-  return HandlerOutput::of(*body);
+  return conv.to_stmt(n.args[0]);
 }
 
 /// @Must(body): mandatory behavior; generated unconditionally.
-std::optional<HandlerOutput> must_stmt(LfConverter& conv, const LfNode& n) {
+std::optional<Stmt> must_stmt(LfConverter& conv, const LfNode& n) {
   if (n.args.size() != 1) return std::nullopt;
-  const auto body = conv.to_stmt(n.args[0]);
-  if (!body) return std::nullopt;
-  return HandlerOutput::of(*body);
+  return conv.to_stmt(n.args[0]);
 }
 
 /// @AdvBefore(advice, main): the advice statement must execute before
 /// the main computation (Figure 2's "For computing the checksum, the
 /// checksum should be zero"). The converter emits advice first; the
 /// generator additionally hoists it before the checksum call.
-std::optional<HandlerOutput> advbefore_stmt(LfConverter& conv,
-                                            const LfNode& n) {
+std::optional<Stmt> advbefore_stmt(LfConverter& conv, const LfNode& n) {
   if (n.args.size() != 2) return std::nullopt;
-  const auto main_clause = conv.to_stmt(n.args[1]);
-  if (!main_clause) return std::nullopt;
-  return HandlerOutput::of(*main_clause);
+  return conv.to_stmt(n.args[1]);
 }
 
 /// @AdvComment(...): non-actionable text — kept as a comment.
-std::optional<HandlerOutput> advcomment_stmt(LfConverter& conv,
-                                             const LfNode& n) {
-  (void)conv;
+std::optional<Stmt> advcomment_stmt(LfConverter&, const LfNode& n) {
   std::string text = "non-actionable";
   if (!n.args.empty() && n.args[0].is_string()) text = n.args[0].label;
-  return HandlerOutput::of(Stmt::comment(std::move(text)));
+  return Stmt::comment(std::move(text));
 }
 
 /// @Case(value, name): the "0 = net unreachable" idiom (§3). The field
@@ -313,36 +267,36 @@ std::optional<HandlerOutput> advcomment_stmt(LfConverter& conv,
 /// static framework supplies the current scenario at run time (the event
 /// that triggered the message — net unreachable vs port unreachable,
 /// echo vs echo reply).
-std::optional<HandlerOutput> case_stmt(LfConverter& conv, const LfNode& n) {
+std::optional<Stmt> case_stmt(LfConverter& conv, const LfNode& n) {
   if (n.args.size() != 2 || !n.args[0].is_number()) return std::nullopt;
   const std::string name =
       n.args[1].is_string() ? n.args[1].label : n.args[1].to_string();
   const auto target = conv.context().resolve_field("");
   if (!target) {
-    return HandlerOutput::of(Stmt::comment(
-        "case " + std::to_string(n.args[0].number) + " = " + name));
+    return Stmt::comment("case " + std::to_string(n.args[0].number) + " = " +
+                         name);
   }
   Cond cond = Cond::compare(Expr::symbol("scenario"), CmpOp::kEq,
                             Expr::symbol(util::to_lower(name)));
   Stmt assign = Stmt::assign(*target, Expr::constant(n.args[0].number));
-  return HandlerOutput::of(Stmt::if_then(std::move(cond), {std::move(assign)}));
+  return Stmt::if_then(std::move(cond), {std::move(assign)});
 }
 
 /// @When(scenario, body): "In a host membership query message, the group
 /// address field is zero" — the body applies when the named message
 /// variant is being formed. The static framework supplies the current
 /// scenario, exactly as for @Case.
-std::optional<HandlerOutput> when_stmt(LfConverter& conv, const LfNode& n) {
+std::optional<Stmt> when_stmt(LfConverter& conv, const LfNode& n) {
   if (n.args.size() != 2 || !n.args[0].is_string()) return std::nullopt;
   const auto body = conv.to_stmt(n.args[1]);
   if (!body) return std::nullopt;
   Cond cond = Cond::compare(Expr::symbol("scenario"), CmpOp::kEq,
                             Expr::symbol(util::to_lower(n.args[0].label)));
-  return HandlerOutput::of(Stmt::if_then(std::move(cond), {*body}));
+  return Stmt::if_then(std::move(cond), {*body});
 }
 
 /// @Send(message[, destination]) -> framework send.
-std::optional<HandlerOutput> send_stmt(LfConverter& conv, const LfNode& n) {
+std::optional<Stmt> send_stmt(LfConverter& conv, const LfNode& n) {
   std::vector<Expr> args;
   for (const auto& a : n.args) {
     if (a.is_string()) {
@@ -353,47 +307,42 @@ std::optional<HandlerOutput> send_stmt(LfConverter& conv, const LfNode& n) {
       args.push_back(*e);
     }
   }
-  return HandlerOutput::of(Stmt::call("send_message", std::move(args)));
+  return Stmt::call("send_message", std::move(args));
 }
 
 /// @Discard(packet) -> framework discard.
-std::optional<HandlerOutput> discard_stmt(LfConverter& conv, const LfNode& n) {
-  (void)conv;
-  (void)n;
-  return HandlerOutput::of(Stmt::call("discard_packet"));
+std::optional<Stmt> discard_stmt(LfConverter&, const LfNode&) {
+  return Stmt::call("discard_packet");
 }
 
 // ---------------------------------------------------------------------------
 // Expression handlers
 // ---------------------------------------------------------------------------
 
-std::optional<HandlerOutput> num_expr(LfConverter& conv, const LfNode& n) {
-  (void)conv;
+std::optional<Expr> num_expr(LfConverter&, const LfNode& n) {
   if (!n.is_number()) return std::nullopt;
-  return HandlerOutput::of(Expr::constant(n.number));
+  return Expr::constant(n.number);
 }
 
 /// String leaf as a value: a field read (incoming packet), a symbolic
 /// state value (BFD "Up"), or a framework value function.
-std::optional<HandlerOutput> str_value_expr(LfConverter& conv,
-                                            const LfNode& n) {
+std::optional<Expr> str_value_expr(LfConverter& conv, const LfNode& n) {
   if (!n.is_string()) return std::nullopt;
   if (is_symbolic_value(n.label)) {
-    return HandlerOutput::of(Expr::symbol(util::to_lower(n.label)));
+    return Expr::symbol(util::to_lower(n.label));
   }
   if (const auto field = conv.context().resolve_field(n.label)) {
-    return HandlerOutput::of(
-        Expr::field_read(*field, PacketSel::kIncoming));
+    return Expr::field_read(*field, PacketSel::kIncoming);
   }
   if (const auto fn = conv.context().resolve_function(n.label)) {
-    return HandlerOutput::of(Expr::call(*fn));
+    return Expr::call(*fn);
   }
   // "the values from the echo message" style references: a copy marker
   // that the assignment handler retargets to the assigned field.
   const std::string lower = util::to_lower(n.label);
   if (lower.find("message") != std::string::npos ||
       lower.find("request") != std::string::npos) {
-    return HandlerOutput::of(Expr::call("copy_field"));
+    return Expr::call("copy_field");
   }
   conv.report("cannot resolve value '" + n.label + "'");
   return std::nullopt;
@@ -405,26 +354,12 @@ std::optional<HandlerOutput> str_value_expr(LfConverter& conv,
 ///   * excerpt idiom: "internet header ... 64 bits ... original
 ///     datagram" -> original_datagram_excerpt()
 ///   * field path: "address of the gateway" -> gateway field read.
-std::optional<HandlerOutput> of_expr(LfConverter& conv, const LfNode& n) {
+std::optional<Expr> of_expr(LfConverter& conv, const LfNode& n) {
   if (n.args.size() != 2) return std::nullopt;
 
-  // Render the whole chain as a phrase for idiom detection.
-  std::string flat;
-  const std::function<void(const LfNode&)> render = [&](const LfNode& m) {
-    if (m.is_string()) {
-      if (!flat.empty()) flat += ' ';
-      flat += util::to_lower(m.label);
-    }
-    for (const auto& a : m.args) render(a);
-  };
-  render(n);
-
-  if ((flat.find("internet header") != std::string::npos ||
-       flat.find("ipv6 header") != std::string::npos) &&
-      (flat.find("64 bits") != std::string::npos ||
-       flat.find("original") != std::string::npos ||
-       flat.find("invoking packet") != std::string::npos)) {
-    return HandlerOutput::of(Expr::call("original_datagram_excerpt"));
+  const std::string flat = flatten_strings(n);
+  if (is_excerpt_phrase(flat)) {
+    return Expr::call("original_datagram_excerpt");
   }
   // "The source network and address from the original datagram's data" /
   // "The source address from the invoking packet": error messages are
@@ -434,8 +369,7 @@ std::optional<HandlerOutput> of_expr(LfConverter& conv, const LfNode& n) {
       (flat.find("original datagram") != std::string::npos ||
        flat.find("invoking packet") != std::string::npos)) {
     if (const auto src = conv.context().resolve_field("source address")) {
-      return HandlerOutput::of(
-          Expr::field_read(*src, PacketSel::kIncoming));
+      return Expr::field_read(*src, PacketSel::kIncoming);
     }
   }
 
@@ -446,20 +380,19 @@ std::optional<HandlerOutput> of_expr(LfConverter& conv, const LfNode& n) {
       // when it itself resolves ("one's complement sum of the ICMP
       // message"), and is absorbed otherwise ("the octet of the error").
       if (const auto arg = conv.to_expr(n.args[1])) {
-        return HandlerOutput::of(Expr::call(*fn, {*arg}));
+        return Expr::call(*fn, {*arg});
       }
-      return HandlerOutput::of(Expr::call(*fn));
+      return Expr::call(*fn);
     }
     // "address of the source" -> the source address field.
     if (n.args[1].is_string()) {
       const std::string path = n.args[1].label + " " + *head;
       if (const auto field = conv.context().resolve_field(path)) {
-        return HandlerOutput::of(
-            Expr::field_read(*field, PacketSel::kIncoming));
+        return Expr::field_read(*field, PacketSel::kIncoming);
       }
     }
     if (const auto field = conv.context().resolve_field(*head)) {
-      return HandlerOutput::of(Expr::field_read(*field, PacketSel::kIncoming));
+      return Expr::field_read(*field, PacketSel::kIncoming);
     }
   }
   conv.report("cannot resolve @Of value '" + n.to_string() + "'");
@@ -469,30 +402,13 @@ std::optional<HandlerOutput> of_expr(LfConverter& conv, const LfNode& n) {
 /// @And as a value — the excerpt idiom: "the internet header plus the
 /// first 64 bits of the original datagram's data" parses as a nominal
 /// conjunction; the static framework provides the excerpt as one unit.
-std::optional<HandlerOutput> and_excerpt_expr(LfConverter& conv,
-                                              const LfNode& n) {
-  std::string flat;
-  const std::function<void(const LfNode&)> render = [&](const LfNode& m) {
-    if (m.is_string()) {
-      if (!flat.empty()) flat += ' ';
-      flat += util::to_lower(m.label);
-    }
-    for (const auto& a : m.args) render(a);
-  };
-  render(n);
-  if ((flat.find("internet header") != std::string::npos ||
-       flat.find("ipv6 header") != std::string::npos) &&
-      (flat.find("64 bits") != std::string::npos ||
-       flat.find("original") != std::string::npos ||
-       flat.find("invoking packet") != std::string::npos)) {
-    return HandlerOutput::of(Expr::call("original_datagram_excerpt"));
-  }
-  (void)conv;
-  return std::nullopt;
+std::optional<Expr> and_excerpt_expr(LfConverter&, const LfNode& n) {
+  if (!is_excerpt_phrase(flatten_strings(n))) return std::nullopt;
+  return Expr::call("original_datagram_excerpt");
 }
 
 /// @Action / @Compute as a value: "the 16-bit one's complement of X".
-std::optional<HandlerOutput> action_expr(LfConverter& conv, const LfNode& n) {
+std::optional<Expr> action_expr(LfConverter& conv, const LfNode& n) {
   if (n.args.empty() || !n.args[0].is_string()) return std::nullopt;
   const auto fn = conv.context().resolve_function(n.args[0].label);
   if (!fn) return std::nullopt;
@@ -502,7 +418,7 @@ std::optional<HandlerOutput> action_expr(LfConverter& conv, const LfNode& n) {
     if (!e) return std::nullopt;
     args.push_back(*e);
   }
-  return HandlerOutput::of(Expr::call(*fn, std::move(args)));
+  return Expr::call(*fn, std::move(args));
 }
 
 // ---------------------------------------------------------------------------
@@ -510,7 +426,7 @@ std::optional<HandlerOutput> action_expr(LfConverter& conv, const LfNode& n) {
 // ---------------------------------------------------------------------------
 
 /// @Is(a, b) in condition position -> equality test.
-std::optional<HandlerOutput> is_cond(LfConverter& conv, const LfNode& n) {
+std::optional<Cond> is_cond(LfConverter& conv, const LfNode& n) {
   if (n.args.size() != 2) return std::nullopt;
   std::optional<Expr> lhs;
   if (const auto phrase = leaf_phrase(n.args[0])) {
@@ -524,74 +440,74 @@ std::optional<HandlerOutput> is_cond(LfConverter& conv, const LfNode& n) {
   if (!lhs) return std::nullopt;
   const auto rhs = conv.to_expr(n.args[1]);
   if (!rhs) return std::nullopt;
-  return HandlerOutput::of(Cond::compare(*lhs, CmpOp::kEq, *rhs));
+  return Cond::compare(*lhs, CmpOp::kEq, *rhs);
 }
 
 /// @Nonzero(field) -> field != 0.
-std::optional<HandlerOutput> nonzero_cond(LfConverter& conv, const LfNode& n) {
+std::optional<Cond> nonzero_cond(LfConverter& conv, const LfNode& n) {
   if (n.args.size() != 1) return std::nullopt;
   const auto e = conv.to_expr(n.args[0]);
   if (!e) return std::nullopt;
-  return HandlerOutput::of(Cond::compare(*e, CmpOp::kNe, Expr::constant(0)));
+  return Cond::compare(*e, CmpOp::kNe, Expr::constant(0));
 }
 
-std::optional<HandlerOutput> and_cond(LfConverter& conv, const LfNode& n) {
+std::optional<Cond> and_cond(LfConverter& conv, const LfNode& n) {
   std::vector<Cond> children;
   for (const auto& part : n.args) {
     const auto c = conv.to_cond(part);
     if (!c) return std::nullopt;
     children.push_back(*c);
   }
-  return HandlerOutput::of(Cond::conj(std::move(children)));
+  return Cond::conj(std::move(children));
 }
 
-std::optional<HandlerOutput> or_cond(LfConverter& conv, const LfNode& n) {
+std::optional<Cond> or_cond(LfConverter& conv, const LfNode& n) {
   std::vector<Cond> children;
   for (const auto& part : n.args) {
     const auto c = conv.to_cond(part);
     if (!c) return std::nullopt;
     children.push_back(*c);
   }
-  return HandlerOutput::of(Cond::disj(std::move(children)));
+  return Cond::disj(std::move(children));
 }
 
 // ---------------------------------------------------------------------------
 // IGMP additions (§6.3: 4 extra handlers)
 // ---------------------------------------------------------------------------
 
-std::optional<HandlerOutput> in_expr(LfConverter& conv, const LfNode& n) {
+std::optional<Expr> in_expr(LfConverter& conv, const LfNode& n) {
   if (n.args.size() != 2) return std::nullopt;
   // "@In(a, b)": a located in b — resolve the head like @Of.
   if (const auto phrase = leaf_phrase(n.args[0])) {
     if (const auto field = conv.context().resolve_field(*phrase)) {
-      return HandlerOutput::of(Expr::field_read(*field, PacketSel::kIncoming));
+      return Expr::field_read(*field, PacketSel::kIncoming);
     }
   }
   conv.report("cannot resolve @In value '" + n.to_string() + "'");
   return std::nullopt;
 }
 
-std::optional<HandlerOutput> not_cond(LfConverter& conv, const LfNode& n) {
+std::optional<Cond> not_cond(LfConverter& conv, const LfNode& n) {
   if (n.args.size() != 1) return std::nullopt;
   const auto inner = conv.to_cond(n.args[0]);
   if (!inner) return std::nullopt;
-  return HandlerOutput::of(Cond::negate(*inner));
+  return Cond::negate(*inner);
 }
 
-std::optional<HandlerOutput> greater_cond(LfConverter& conv, const LfNode& n) {
+std::optional<Cond> greater_cond(LfConverter& conv, const LfNode& n) {
   if (n.args.size() != 2) return std::nullopt;
   const auto lhs = conv.to_expr(n.args[0]);
   const auto rhs = conv.to_expr(n.args[1]);
   if (!lhs || !rhs) return std::nullopt;
-  return HandlerOutput::of(Cond::compare(*lhs, CmpOp::kGt, *rhs));
+  return Cond::compare(*lhs, CmpOp::kGt, *rhs);
 }
 
-std::optional<HandlerOutput> less_cond(LfConverter& conv, const LfNode& n) {
+std::optional<Cond> less_cond(LfConverter& conv, const LfNode& n) {
   if (n.args.size() != 2) return std::nullopt;
   const auto lhs = conv.to_expr(n.args[0]);
   const auto rhs = conv.to_expr(n.args[1]);
   if (!lhs || !rhs) return std::nullopt;
-  return HandlerOutput::of(Cond::compare(*lhs, CmpOp::kLt, *rhs));
+  return Cond::compare(*lhs, CmpOp::kLt, *rhs);
 }
 
 // ---------------------------------------------------------------------------
@@ -599,28 +515,22 @@ std::optional<HandlerOutput> less_cond(LfConverter& conv, const LfNode& n) {
 // ---------------------------------------------------------------------------
 
 /// @Select(session[, key]) -> framework select_session.
-std::optional<HandlerOutput> select_stmt(LfConverter& conv, const LfNode& n) {
+std::optional<Stmt> select_stmt(LfConverter& conv, const LfNode& n) {
   std::vector<Expr> args;
-  if (!n.args.empty()) {
-    if (n.args.size() > 1) {
-      const auto key = conv.to_expr(n.args[1]);
-      if (key) args.push_back(*key);
-    }
+  if (n.args.size() > 1) {
+    if (const auto key = conv.to_expr(n.args[1])) args.push_back(*key);
   }
-  return HandlerOutput::of(Stmt::call("select_session", std::move(args)));
+  return Stmt::call("select_session", std::move(args));
 }
 
 /// @Cease(activity) -> framework cease_transmission.
-std::optional<HandlerOutput> cease_stmt(LfConverter& conv, const LfNode& n) {
-  (void)conv;
-  (void)n;
-  return HandlerOutput::of(Stmt::call("cease_transmission"));
+std::optional<Stmt> cease_stmt(LfConverter&, const LfNode&) {
+  return Stmt::call("cease_transmission");
 }
 
 /// bfd.* variable assignment with a symbolic state value:
 /// "bfd.SessionState is Up" -> state variable write.
-std::optional<HandlerOutput> bfd_var_assign(LfConverter& conv,
-                                            const LfNode& n) {
+std::optional<Stmt> bfd_var_assign(LfConverter& conv, const LfNode& n) {
   if (n.args.size() != 2 || !n.args[0].is_string()) return std::nullopt;
   if (util::to_lower(n.args[0].label).find("bfd.") != 0) return std::nullopt;
   const auto target = conv.context().resolve_field(n.args[0].label);
@@ -630,30 +540,26 @@ std::optional<HandlerOutput> bfd_var_assign(LfConverter& conv,
   }
   const auto value = conv.to_expr(n.args[1]);
   if (!value) return std::nullopt;
-  return HandlerOutput::of(Stmt::assign(*target, *value));
+  return Stmt::assign(*target, *value);
 }
 
 /// Symbolic BFD state values as expressions.
-std::optional<HandlerOutput> state_value_expr(LfConverter& conv,
-                                              const LfNode& n) {
-  (void)conv;
+std::optional<Expr> state_value_expr(LfConverter&, const LfNode& n) {
   if (!n.is_string() || !is_symbolic_value(n.label)) return std::nullopt;
-  return HandlerOutput::of(Expr::symbol(util::to_lower(n.label)));
+  return Expr::symbol(util::to_lower(n.label));
 }
 
 /// @Action("timeout" / "transmit" ...) in state-management text.
-std::optional<HandlerOutput> timer_stmt(LfConverter& conv, const LfNode& n) {
+std::optional<Stmt> timer_stmt(LfConverter&, const LfNode& n) {
   if (n.args.empty() || !n.args[0].is_string()) return std::nullopt;
   const std::string name = util::to_lower(n.args[0].label);
   if (name != "timeout" && name != "transmit") return std::nullopt;
-  (void)conv;
-  return HandlerOutput::of(Stmt::call(name == "timeout" ? "call_timeout"
-                                                        : "transmit_packet"));
+  return Stmt::call(name == "timeout" ? "call_timeout" : "transmit_packet");
 }
 
 /// bfd.* variable reads in conditions.
-std::optional<HandlerOutput> bfd_var_cond(LfConverter& conv, const LfNode& n) {
-  if (!n.is_predicate(lf::pred::kIs) || n.args.size() != 2 ||
+std::optional<Cond> bfd_var_cond(LfConverter& conv, const LfNode& n) {
+  if (!n.is_predicate(pred::kIs) || n.args.size() != 2 ||
       !n.args[0].is_string()) {
     return std::nullopt;
   }
@@ -662,177 +568,130 @@ std::optional<HandlerOutput> bfd_var_cond(LfConverter& conv, const LfNode& n) {
   if (!field) return std::nullopt;
   const auto rhs = conv.to_expr(n.args[1]);
   if (!rhs) return std::nullopt;
-  return HandlerOutput::of(Cond::compare(
-      Expr::field_read(*field, PacketSel::kIncoming), CmpOp::kEq, *rhs));
+  return Cond::compare(Expr::field_read(*field, PacketSel::kIncoming),
+                       CmpOp::kEq, *rhs);
 }
 
 /// @Select in condition position: "the session is not found" — the
 /// framework's session lookup as a boolean.
-std::optional<HandlerOutput> select_cond(LfConverter& conv, const LfNode& n) {
-  (void)conv;
-  (void)n;
-  return HandlerOutput::of(Cond::compare(Expr::call("session_lookup"),
-                                         CmpOp::kNe, Expr::constant(0)));
+std::optional<Cond> select_cond(LfConverter&, const LfNode&) {
+  return Cond::compare(Expr::call("session_lookup"), CmpOp::kNe,
+                       Expr::constant(0));
 }
 
 /// @Nonzero over a BFD packet field ("the Your Discriminator field is
 /// nonzero").
-std::optional<HandlerOutput> bfd_nonzero_cond(LfConverter& conv,
-                                              const LfNode& n) {
-  if (!n.is_predicate(lf::pred::kNonzero) || n.args.size() != 1 ||
+std::optional<Cond> bfd_nonzero_cond(LfConverter& conv, const LfNode& n) {
+  if (!n.is_predicate(pred::kNonzero) || n.args.size() != 1 ||
       !n.args[0].is_string()) {
     return std::nullopt;
   }
   const auto field = conv.context().resolve_field(n.args[0].label);
   if (!field || field->layer != "bfd") return std::nullopt;
-  return HandlerOutput::of(
-      Cond::compare(Expr::field_read(*field, PacketSel::kIncoming), CmpOp::kNe,
-                    Expr::constant(0)));
+  return Cond::compare(Expr::field_read(*field, PacketSel::kIncoming),
+                       CmpOp::kNe, Expr::constant(0));
+}
+
+// ---------------------------------------------------------------------------
+// The table. A node tries the rows of its kind and key top to bottom and
+// takes the first output. The BFD @Is rows lead their predicate, so a
+// bfd.* subject reaches them first; they decline every other subject
+// before resolving or reporting anything.
+// ---------------------------------------------------------------------------
+
+constexpr HandlerRow<Stmt> kStmtRows[] = {
+    {pred::kIs, "bfd", bfd_var_assign},
+    {pred::kIs, "icmp", is_assign_compound},
+    {pred::kIs, "icmp", is_assign},
+    {kNumLeaf, "icmp", num_field_default},
+    {pred::kIf, "icmp", if_stmt},
+    {pred::kAnd, "icmp", and_seq},
+    {pred::kAction, "icmp", action_copy},
+    {pred::kAction, "icmp", action_reverse},
+    {pred::kAction, "icmp", action_recompute},
+    {pred::kAction, "icmp", action_call},
+    {pred::kCompute, "icmp", compute_stmt},
+    {pred::kMay, "icmp", may_stmt},
+    {pred::kMust, "icmp", must_stmt},
+    {pred::kAdvBefore, "icmp", advbefore_stmt},
+    {pred::kAdvComment, "icmp", advcomment_stmt},
+    {pred::kCase, "icmp", case_stmt},
+    {pred::kWhen, "icmp", when_stmt},
+    {pred::kDiscard, "icmp", discard_stmt},
+    {pred::kSend, "igmp", send_stmt},
+    {pred::kAction, "ntp", timer_stmt},  // Table 11's peer variables
+    {pred::kSelect, "bfd", select_stmt},
+    {pred::kCease, "bfd", cease_stmt},
+};
+
+constexpr HandlerRow<Expr> kExprRows[] = {
+    {kNumLeaf, "icmp", num_expr},
+    {kStrLeaf, "icmp", str_value_expr},
+    {pred::kOf, "icmp", of_expr},
+    {pred::kAction, "icmp", action_expr},
+    {pred::kAnd, "icmp", and_excerpt_expr},
+    {pred::kIn, "igmp", in_expr},
+    {kStrLeaf, "bfd", state_value_expr},
+};
+
+constexpr HandlerRow<Cond> kCondRows[] = {
+    {pred::kIs, "bfd", bfd_var_cond},
+    {pred::kIs, "icmp", is_cond},
+    {pred::kAnd, "icmp", and_cond},
+    {pred::kOr, "icmp", or_cond},
+    {pred::kNot, "igmp", not_cond},
+    {pred::kGreater, "igmp", greater_cond},
+    {pred::kLess, "ntp", less_cond},
+    {pred::kNonzero, "bfd", bfd_nonzero_cond},
+    {pred::kNonzero, "bfd", nonzero_cond},
+    {pred::kSelect, "bfd", select_cond},
+};
+
+/// The one dispatcher: the first output among the rows keyed like `node`.
+template <typename T>
+std::optional<T> dispatch(std::span<const HandlerRow<T>> rows,
+                          LfConverter& conv, const LfNode& node) {
+  const std::string_view key = node.is_string()   ? kStrLeaf
+                               : node.is_number() ? kNumLeaf
+                                                  : std::string_view(node.label);
+  for (const auto& row : rows) {
+    if (row.predicate != key) continue;
+    if (auto out = row.fn(conv, node)) return out;
+  }
+  return std::nullopt;
+}
+
+template <typename T>
+std::size_t count_source(std::span<const HandlerRow<T>> rows,
+                         std::string_view source) {
+  return static_cast<std::size_t>(
+      std::count_if(rows.begin(), rows.end(), [source](const auto& row) {
+        return row.source == source;
+      }));
 }
 
 }  // namespace
 
-void HandlerRegistry::add(Handler handler) {
-  handlers_.push_back(std::move(handler));
-}
+std::span<const HandlerRow<Stmt>> stmt_handlers() { return kStmtRows; }
+std::span<const HandlerRow<Expr>> expr_handlers() { return kExprRows; }
+std::span<const HandlerRow<Cond>> cond_handlers() { return kCondRows; }
 
-std::vector<const Handler*> HandlerRegistry::lookup(std::string_view predicate,
-                                                    OutKind kind) const {
-  std::vector<const Handler*> out;
-  for (const auto& h : handlers_) {
-    if (h.predicate == predicate && h.produces == kind) out.push_back(&h);
-  }
-  return out;
-}
-
-std::size_t HandlerRegistry::count_by_source(std::string_view source) const {
-  return static_cast<std::size_t>(
-      std::count_if(handlers_.begin(), handlers_.end(),
-                    [&source](const Handler& h) { return h.source == source; }));
-}
-
-HandlerRegistry HandlerRegistry::standard() {
-  HandlerRegistry reg;
-  // ---- ICMP: 25 handlers (§6.1) ------------------------------------------
-  reg.add(make("is-assign-compound", "@Is", OutKind::kStmt, "icmp",
-               is_assign_compound));
-  reg.add(make("is-assign", "@Is", OutKind::kStmt, "icmp", is_assign));
-  reg.add(make("num-field-default", "$num", OutKind::kStmt, "icmp",
-               num_field_default));
-  reg.add(make("if-stmt", "@If", OutKind::kStmt, "icmp", if_stmt));
-  reg.add(make("and-seq", "@And", OutKind::kStmt, "icmp", and_seq));
-  reg.add(make("action-copy", "@Action", OutKind::kStmt, "icmp", action_copy));
-  reg.add(make("action-reverse", "@Action", OutKind::kStmt, "icmp",
-               action_reverse));
-  reg.add(make("action-recompute", "@Action", OutKind::kStmt, "icmp",
-               action_recompute));
-  reg.add(make("action-call", "@Action", OutKind::kStmt, "icmp", action_call));
-  reg.add(make("compute-stmt", "@Compute", OutKind::kStmt, "icmp",
-               compute_stmt));
-  reg.add(make("may-stmt", "@May", OutKind::kStmt, "icmp", may_stmt));
-  reg.add(make("must-stmt", "@Must", OutKind::kStmt, "icmp", must_stmt));
-  reg.add(make("advbefore-stmt", "@AdvBefore", OutKind::kStmt, "icmp",
-               advbefore_stmt));
-  reg.add(make("advcomment-stmt", "@AdvComment", OutKind::kStmt, "icmp",
-               advcomment_stmt));
-  reg.add(make("case-stmt", "@Case", OutKind::kStmt, "icmp", case_stmt));
-  reg.add(make("when-stmt", "@When", OutKind::kStmt, "icmp", when_stmt));
-  reg.add(make("discard-stmt", "@Discard", OutKind::kStmt, "icmp",
-               discard_stmt));
-  reg.add(make("num-expr", "$num", OutKind::kExpr, "icmp", num_expr));
-  reg.add(make("str-value-expr", "$str", OutKind::kExpr, "icmp",
-               str_value_expr));
-  reg.add(make("of-expr", "@Of", OutKind::kExpr, "icmp", of_expr));
-  reg.add(make("action-expr", "@Action", OutKind::kExpr, "icmp", action_expr));
-  reg.add(make("and-excerpt-expr", "@And", OutKind::kExpr, "icmp",
-               and_excerpt_expr));
-  reg.add(make("is-cond", "@Is", OutKind::kCond, "icmp", is_cond));
-  reg.add(make("and-cond", "@And", OutKind::kCond, "icmp", and_cond));
-  reg.add(make("or-cond", "@Or", OutKind::kCond, "icmp", or_cond));
-
-  // ---- IGMP: +4 (§6.3) -----------------------------------------------------
-  reg.add(make("send-stmt", "@Send", OutKind::kStmt, "igmp", send_stmt));
-  reg.add(make("in-expr", "@In", OutKind::kExpr, "igmp", in_expr));
-  reg.add(make("not-cond", "@Not", OutKind::kCond, "igmp", not_cond));
-  reg.add(make("greater-cond", "@Greater", OutKind::kCond, "igmp",
-               greater_cond));
-
-  // ---- NTP: peer-variable sentences (Table 11) --------------------------------
-  reg.add(make("timer-stmt", "@Action", OutKind::kStmt, "ntp", timer_stmt));
-  reg.add(make("less-cond", "@Less", OutKind::kCond, "ntp", less_cond));
-
-  // ---- BFD: +8 (§6.4) --------------------------------------------------------
-  reg.add(make("bfd-var-assign", "@Is", OutKind::kStmt, "bfd", bfd_var_assign));
-  reg.add(make("bfd-var-cond", "@Is", OutKind::kCond, "bfd", bfd_var_cond));
-  reg.add(make("bfd-nonzero-cond", "@Nonzero", OutKind::kCond, "bfd",
-               bfd_nonzero_cond));
-  reg.add(make("nonzero-cond", "@Nonzero", OutKind::kCond, "bfd",
-               nonzero_cond));
-  reg.add(make("select-cond", "@Select", OutKind::kCond, "bfd", select_cond));
-  reg.add(make("select-stmt", "@Select", OutKind::kStmt, "bfd", select_stmt));
-  reg.add(make("cease-stmt", "@Cease", OutKind::kStmt, "bfd", cease_stmt));
-  reg.add(make("state-value-expr", "$str", OutKind::kExpr, "bfd",
-               state_value_expr));
-
-  return reg;
-}
-
-std::optional<HandlerOutput> LfConverter::dispatch(const lf::LfNode& node,
-                                                   OutKind kind) {
-  const std::string key = node_key(node);
-  for (const Handler* h : registry_->lookup(key, kind)) {
-    // BFD-specific handlers take precedence for bfd.* targets; they are
-    // registered later, so try specialized handlers (which self-select
-    // via nullopt) in order and fall through.
-    if (auto out = h->fn(*this, node)) return out;
-  }
-  return std::nullopt;
+std::size_t handler_count(std::string_view source) {
+  return count_source(stmt_handlers(), source) +
+         count_source(expr_handlers(), source) +
+         count_source(cond_handlers(), source);
 }
 
 std::optional<Stmt> LfConverter::to_stmt(const lf::LfNode& node) {
-  // Specialized handlers registered later must still win over the generic
-  // ICMP ones when they apply (bfd-var-assign vs is-assign): try handlers
-  // in reverse-registration order for statements whose first argument is
-  // a bfd.* variable, else in registration order.
-  const std::string key = node_key(node);
-  const auto handlers = registry_->lookup(key, OutKind::kStmt);
-  const bool bfd_target = node.kind == lf::LfNode::Kind::kPredicate &&
-                          !node.args.empty() && node.args[0].is_string() &&
-                          util::to_lower(node.args[0].label).find("bfd.") == 0;
-  if (bfd_target) {
-    for (auto it = handlers.rbegin(); it != handlers.rend(); ++it) {
-      if (auto out = (*it)->fn(*this, node)) return out->stmt;
-    }
-    return std::nullopt;
-  }
-  for (const Handler* h : handlers) {
-    if (auto out = h->fn(*this, node)) return out->stmt;
-  }
-  return std::nullopt;
+  return dispatch(stmt_handlers(), *this, node);
 }
 
 std::optional<Expr> LfConverter::to_expr(const lf::LfNode& node) {
-  if (auto out = dispatch(node, OutKind::kExpr)) return out->expr;
-  return std::nullopt;
+  return dispatch(expr_handlers(), *this, node);
 }
 
 std::optional<Cond> LfConverter::to_cond(const lf::LfNode& node) {
-  const std::string key = node_key(node);
-  const auto handlers = registry_->lookup(key, OutKind::kCond);
-  // bfd-specific condition handlers are registered after the generic
-  // ones; for bfd.* subjects try them first.
-  const bool bfd_target = node.kind == lf::LfNode::Kind::kPredicate &&
-                          !node.args.empty() && node.args[0].is_string() &&
-                          util::to_lower(node.args[0].label).find("bfd.") == 0;
-  if (bfd_target) {
-    for (auto it = handlers.rbegin(); it != handlers.rend(); ++it) {
-      if (auto out = (*it)->fn(*this, node)) return out->cond;
-    }
-  }
-  for (const Handler* h : handlers) {
-    if (auto out = h->fn(*this, node)) return out->cond;
-  }
-  return std::nullopt;
+  return dispatch(cond_handlers(), *this, node);
 }
 
 }  // namespace sage::codegen

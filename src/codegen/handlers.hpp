@@ -2,16 +2,17 @@
 // 25 predicate handler functions to convert LFs to code snippets").
 //
 // Code generation is a post-order traversal of the (single, winnowed)
-// logical form; at each node the registry supplies a handler that turns
-// the predicate into an IR fragment, using the resolution context to map
-// surface phrases onto fields and framework functions. Handlers are
+// logical form; at each node the handler table supplies the rows that
+// turn the predicate into an IR fragment, using the resolution context to
+// map surface phrases onto fields and framework functions. Rows are
 // tagged with the protocol that required them, reproducing the paper's
 // incremental-cost numbers (25 for ICMP, +4 for IGMP, +8 for BFD).
 #pragma once
 
-#include <functional>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "codegen/context.hpp"
@@ -22,75 +23,38 @@ namespace sage::codegen {
 
 class LfConverter;
 
-/// What a handler produces.
-enum class OutKind { kStmt, kExpr, kCond };
+/// Row keys for leaves, which carry no predicate.
+inline constexpr std::string_view kStrLeaf = "$str";
+inline constexpr std::string_view kNumLeaf = "$num";
 
-struct HandlerOutput {
-  OutKind kind = OutKind::kStmt;
-  Stmt stmt;
-  Expr expr;
-  Cond cond;
+/// One predicate handler: the node converted to a `T` (Stmt, Expr or
+/// Cond), or nullopt when the node is not its case and the next row for
+/// the same key is tried.
+template <typename T>
+using HandlerFn = std::optional<T> (*)(LfConverter&, const lf::LfNode&);
 
-  static HandlerOutput of(Stmt s) {
-    HandlerOutput o;
-    o.kind = OutKind::kStmt;
-    o.stmt = std::move(s);
-    return o;
-  }
-  static HandlerOutput of(Expr e) {
-    HandlerOutput o;
-    o.kind = OutKind::kExpr;
-    o.expr = std::move(e);
-    return o;
-  }
-  static HandlerOutput of(Cond c) {
-    HandlerOutput o;
-    o.kind = OutKind::kCond;
-    o.cond = std::move(c);
-    return o;
-  }
+template <typename T>
+struct HandlerRow {
+  std::string_view predicate;  // an lf::pred label, kStrLeaf or kNumLeaf
+  std::string_view source;     // "icmp", "igmp", "ntp", "bfd"
+  HandlerFn<T> fn;
 };
 
-/// One predicate handler. `predicate` is the LF label it applies to
-/// ("@Is", ...), or the pseudo-labels "$str" / "$num" for leaves.
-/// Returning nullopt means "this handler does not apply"; the next
-/// registered handler for the same predicate is tried.
-struct Handler {
-  std::string name;       // e.g. "is-assign"
-  std::string predicate;  // e.g. "@Is"
-  OutKind produces = OutKind::kStmt;
-  std::string source;     // "icmp", "igmp", "bfd"
-  std::function<std::optional<HandlerOutput>(LfConverter&, const lf::LfNode&)>
-      fn;
-};
+/// The handler table: one array per output kind, each in dispatch order.
+std::span<const HandlerRow<Stmt>> stmt_handlers();
+std::span<const HandlerRow<Expr>> expr_handlers();
+std::span<const HandlerRow<Cond>> cond_handlers();
 
-class HandlerRegistry {
- public:
-  /// The full SAGE handler set (ICMP 25, IGMP +4, BFD +8).
-  static HandlerRegistry standard();
-
-  void add(Handler handler);
-
-  /// Handlers applicable to `predicate` producing `kind`, in
-  /// registration order.
-  std::vector<const Handler*> lookup(std::string_view predicate,
-                                     OutKind kind) const;
-
-  std::size_t size() const { return handlers_.size(); }
-  std::size_t count_by_source(std::string_view source) const;
-
-  const std::vector<Handler>& all() const { return handlers_; }
-
- private:
-  std::vector<Handler> handlers_;
-};
+/// Rows tagged with `source` (§6.1: ICMP 25, IGMP +4, BFD +8; NTP's
+/// peer-variable sentences add 2).
+std::size_t handler_count(std::string_view source);
 
 /// Drives the post-order conversion; handlers call back into it for
-/// sub-trees.
+/// sub-trees. Each conversion walks its kind's rows whose key matches the
+/// node, in order, and returns the first output.
 class LfConverter {
  public:
-  LfConverter(const ResolutionContext* context, const HandlerRegistry* registry)
-      : context_(context), registry_(registry) {}
+  explicit LfConverter(const ResolutionContext* context) : context_(context) {}
 
   std::optional<Stmt> to_stmt(const lf::LfNode& node);
   std::optional<Expr> to_expr(const lf::LfNode& node);
@@ -104,10 +68,7 @@ class LfConverter {
   void report(std::string error) { errors_.push_back(std::move(error)); }
 
  private:
-  std::optional<HandlerOutput> dispatch(const lf::LfNode& node, OutKind kind);
-
   const ResolutionContext* context_;
-  const HandlerRegistry* registry_;
   std::vector<std::string> errors_;
 };
 

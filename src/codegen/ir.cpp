@@ -1,6 +1,14 @@
 #include "codegen/ir.hpp"
 
+#include "net/schema.hpp"
+
 namespace sage::codegen {
+
+const net::schema::FieldSpec* field_spec(const FieldRef& ref) {
+  const auto& registry = net::schema::SchemaRegistry::instance();
+  return ref.field_id >= 0 ? registry.field_by_id(ref.field_id)
+                           : registry.field(ref.layer, ref.field);
+}
 
 std::size_t Stmt::executable_count() const {
   switch (kind) {

@@ -11,6 +11,10 @@
 #include <string>
 #include <vector>
 
+namespace sage::net::schema {
+struct FieldSpec;
+}  // namespace sage::net::schema
+
 namespace sage::codegen {
 
 /// A resolved reference to a protocol field: layer + field, e.g.
@@ -31,6 +35,10 @@ struct FieldRef {
     return layer == o.layer && field == o.field;
   }
 };
+
+/// The packet-schema spec `ref` names: its dense id's when annotated,
+/// else the registry's (layer, field) lookup; nullptr when unknown.
+const net::schema::FieldSpec* field_spec(const FieldRef& ref);
 
 /// Which packet a field read refers to: the incoming (triggering) packet
 /// or the outgoing (reply under construction).

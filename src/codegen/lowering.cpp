@@ -6,7 +6,6 @@
 #include "codegen/framework.hpp"
 #include "net/schema.hpp"
 #include "util/strings.hpp"
-#include "util/symbols.hpp"
 
 namespace sage::codegen {
 
@@ -78,19 +77,10 @@ class Lowering {
     return static_cast<std::uint16_t>(out_.names.size() - 1);
   }
 
-  // Mirror of SchemaExecEnv::binding()'s spec resolution: dense id when
-  // annotated, registry name lookup (with payload-pattern fallback)
-  // otherwise.
-  const schema::FieldSpec* resolve_spec(const FieldRef& ref) const {
-    const auto& reg = schema::SchemaRegistry::instance();
-    if (ref.field_id >= 0) return reg.field_by_id(ref.field_id);
-    return reg.field(ref.layer, ref.field);
-  }
-
   /// Mirror of SchemaExecEnv::is_bytes_field: the field is the payload
   /// of a layer this protocol actually binds.
   bool is_bytes_field(const FieldRef& ref) const {
-    const auto* spec = resolve_spec(ref);
+    const auto* spec = field_spec(ref);
     if (spec == nullptr || spec->kind != schema::FieldKind::kBytes ||
         schema_ == nullptr) {
       return false;
@@ -129,31 +119,18 @@ class Lowering {
         return;
       case Expr::Kind::kName: {
         // Constant-fold the symbol exactly as resolve_symbol would: the
-        // SchemaAnnotator cache when present; otherwise the schema symbol
-        // table / util::symbol_value, both immutable. Only the per-run
-        // scenario alias survives as a runtime op.
-        long value = 0;
-        if (e.symbol_cached) {
-          value = e.symbol_cache;
-        } else {
-          const std::string lower = util::to_lower(e.name);
+        // SchemaAnnotator cache when present; otherwise the schema's
+        // symbol value, which is immutable. Only the per-run scenario
+        // alias survives as a runtime op.
+        long value = e.symbol_cache;
+        if (!e.symbol_cached) {
           if (schema_ != nullptr && schema_->scenario_symbol &&
-              lower == "scenario") {
+              util::to_lower(e.name) == "scenario") {
             emit({LinOp::kPushScenario});
             push_depth(1);
             return;
           }
-          bool found = false;
-          if (schema_ != nullptr) {
-            for (const auto& s : schema_->symbols) {
-              if (s.name == lower) {
-                value = s.value;
-                found = true;
-                break;
-              }
-            }
-          }
-          if (!found) value = util::symbol_value(e.name);
+          value = schema::symbol_value(schema_, e.name);
         }
         emit({LinOp::kPushConst, 0, 0, 0, value});
         push_depth(1);

@@ -35,7 +35,6 @@ const Sage::Grammar& Sage::Grammar::standard() {
                           corpus::make_term_dictionary(),
                           {},
                           disambig::Winnower(disambig::all_checks()),
-                          codegen::HandlerRegistry::standard(),
                           codegen::StaticContext::standard()};
     for (auto& word : g->lexicon.words()) {
       g->closed_class.insert(std::move(word));
@@ -236,7 +235,9 @@ ProtocolRun Sage::process(const std::string& rfc_text,
   }
 
   // Group winnowed forms per (message, role), in document order.
-  std::map<std::string, std::vector<codegen::SentenceLf>> per_function;
+  std::map<std::pair<std::string, std::string>,
+           std::vector<codegen::SentenceLf>>
+      per_function;
   for (std::size_t i = 0; i < sentences.size(); ++i) {
     const auto& sentence = sentences[i];
     const SentenceReport& report = run.reports[i];
@@ -251,7 +252,7 @@ ProtocolRun Sage::process(const std::string& rfc_text,
       entry.context = codegen::DynamicContext::from_map(sentence.context);
       entry.context.role = role;
       entry.sentence = sentence.text;
-      per_function[message + "\x1f" + role].push_back(std::move(entry));
+      per_function[{message, role}].push_back(std::move(entry));
     }
   }
 
@@ -259,13 +260,9 @@ ProtocolRun Sage::process(const std::string& rfc_text,
   // sentence that fails conversion is tagged @AdvComment and the
   // function is regenerated (§5.2 "Iterative discovery of non-actionable
   // sentences").
-  const codegen::CodeGenerator generator(&grammar_->statics,
-                                         &grammar_->handlers);
+  const codegen::CodeGenerator generator(&grammar_->statics);
   for (auto& [key, sentence_lfs] : per_function) {
-    const auto sep = key.find('\x1f');
-    const std::string message = key.substr(0, sep);
-    const std::string role = key.substr(sep + 1);
-
+    const auto& [message, role] = key;
     auto outcome = generator.generate(protocol, message, role, sentence_lfs);
     if (!outcome.failed_sentences.empty()) {
       for (const auto& failed : outcome.failed_sentences) {

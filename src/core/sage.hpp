@@ -19,7 +19,6 @@
 #include "ccg/parser.hpp"
 #include "codegen/context.hpp"
 #include "codegen/generator.hpp"
-#include "codegen/handlers.hpp"
 #include "codegen/lowering.hpp"
 #include "disambig/winnower.hpp"
 #include "nlp/chunker.hpp"
@@ -121,9 +120,6 @@ class Sage {
   const ccg::Lexicon& lexicon() const { return grammar_->lexicon; }
   const nlp::TermDictionary& dictionary() const { return grammar_->dictionary; }
   const disambig::Winnower& winnower() const { return grammar_->winnower; }
-  const codegen::HandlerRegistry& handlers() const {
-    return grammar_->handlers;
-  }
   const codegen::StaticContext& static_context() const {
     return grammar_->statics;
   }
@@ -153,7 +149,6 @@ class Sage {
     nlp::TermDictionary dictionary;
     std::unordered_set<std::string> closed_class;  // the lexicon's words
     disambig::Winnower winnower;
-    codegen::HandlerRegistry handlers;
     codegen::StaticContext statics;
 
     static const Grammar& standard();

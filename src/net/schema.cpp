@@ -1,6 +1,8 @@
 #include "net/schema.hpp"
 
 #include "util/bytes.hpp"
+#include "util/strings.hpp"
+#include "util/symbols.hpp"
 
 namespace sage::net::schema {
 
@@ -661,6 +663,16 @@ const ProtocolSchema* SchemaRegistry::protocol(std::string_view name) const {
     if (p.protocol == name) return &p;
   }
   return nullptr;
+}
+
+long symbol_value(const ProtocolSchema* schema, std::string_view name) {
+  if (schema != nullptr) {
+    const std::string lower = util::to_lower(name);
+    for (const auto& s : schema->symbols) {
+      if (s.name == lower) return s.value;
+    }
+  }
+  return util::symbol_value(name);
 }
 
 const FieldSpec* SchemaRegistry::field(std::string_view layer_name,

@@ -162,6 +162,11 @@ struct ProtocolSchema {
   bool scenario_symbol = false;
 };
 
+/// The value a symbolic name stands for: `schema`'s symbol-table entry
+/// (names compare case-insensitively), else util::symbol_value's hash.
+/// The per-run "scenario" alias is the caller's to handle.
+long symbol_value(const ProtocolSchema* schema, std::string_view name);
+
 /// One TLV option as a view into the underlying image. The value span
 /// aliases the image the view was built over — same lifetime contract as
 /// every other decode span (docs/MEMORY.md): valid while the image is.

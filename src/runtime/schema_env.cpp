@@ -426,12 +426,7 @@ SchemaExecEnv SchemaExecEnv::state_machine(const std::string& protocol) {
 
 const SchemaExecEnv::Binding* SchemaExecEnv::binding(
     const ProtocolBinding& pb, const codegen::FieldRef& ref) {
-  if (ref.field_id >= 0 &&
-      static_cast<std::size_t>(ref.field_id) < pb.by_id.size()) {
-    return &pb.by_id[static_cast<std::size_t>(ref.field_id)];
-  }
-  const auto* spec =
-      schema::SchemaRegistry::instance().field(ref.layer, ref.field);
+  const auto* spec = codegen::field_spec(ref);
   if (spec == nullptr) return nullptr;
   return &pb.by_id[static_cast<std::size_t>(spec->id)];
 }
@@ -910,16 +905,11 @@ void SchemaExecEnv::set_scenario(std::string_view name) {
 }
 
 long SchemaExecEnv::resolve_symbol(const std::string& name) {
-  const std::string lower = util::to_lower(name);
-  if (pb_->schema != nullptr) {
-    if (pb_->schema->scenario_symbol && lower == "scenario") {
-      return scenario_value_;
-    }
-    for (const auto& s : pb_->schema->symbols) {
-      if (s.name == lower) return s.value;
-    }
+  if (pb_->schema != nullptr && pb_->schema->scenario_symbol &&
+      util::to_lower(name) == "scenario") {
+    return scenario_value_;
   }
-  return util::symbol_value(name);
+  return schema::symbol_value(pb_->schema, name);
 }
 
 // -- finalization and typed views -------------------------------------------

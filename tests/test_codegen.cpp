@@ -3,11 +3,15 @@
 // role separation, non-actionable discovery).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "codegen/context.hpp"
 #include "codegen/emitter.hpp"
 #include "codegen/generator.hpp"
 #include "codegen/handlers.hpp"
 #include "lf/logical_form.hpp"
+#include "pin_inputs.hpp"
 
 namespace sage::codegen {
 namespace {
@@ -20,9 +24,7 @@ lf::LogicalForm parse(const std::string& text) {
 
 class ConverterTest : public ::testing::Test {
  protected:
-  ConverterTest()
-      : statics_(StaticContext::standard()),
-        registry_(HandlerRegistry::standard()) {}
+  ConverterTest() : statics_(StaticContext::standard()) {}
 
   LfConverter make_converter(const std::string& protocol,
                              const std::string& message,
@@ -34,11 +36,10 @@ class ConverterTest : public ::testing::Test {
     dynamic.field = field;
     dynamic.role = role;
     resolution_ = std::make_unique<ResolutionContext>(dynamic, &statics_);
-    return LfConverter(resolution_.get(), &registry_);
+    return LfConverter(resolution_.get());
   }
 
   StaticContext statics_;
-  HandlerRegistry registry_;
   std::unique_ptr<ResolutionContext> resolution_;
 };
 
@@ -181,9 +182,132 @@ TEST_F(ConverterTest, BfdVariableAssignment) {
 }
 
 TEST_F(ConverterTest, HandlerCountsMatchPaper) {
-  EXPECT_EQ(registry_.count_by_source("icmp"), 25u);
-  EXPECT_EQ(registry_.count_by_source("igmp"), 4u);
-  EXPECT_EQ(registry_.count_by_source("bfd"), 8u);
+  EXPECT_EQ(handler_count("icmp"), 25u);
+  EXPECT_EQ(handler_count("igmp"), 4u);
+  EXPECT_EQ(handler_count("bfd"), 8u);
+  EXPECT_EQ(handler_count("ntp"), 2u);
+}
+
+// ---- the handler table ------------------------------------------------------
+
+/// One handler row as the pin sees it: what it produces, the predicate it
+/// serves, the protocol that required it, and a call that renders its
+/// output as C (nullopt when the row declines the node).
+struct PinRow {
+  std::string_view kind;
+  std::string_view predicate;
+  std::string_view source;
+  std::function<std::optional<std::string>(const ResolutionContext&,
+                                           const lf::LfNode&)>
+      run;
+};
+
+std::string render(const Stmt& stmt) { return emit_stmt(stmt); }
+std::string render(const Expr& expr) { return emit_expr(expr); }
+std::string render(const Cond& cond) { return emit_cond(cond); }
+
+template <typename T>
+void add_pin_rows(std::string_view kind, std::span<const HandlerRow<T>> table,
+                  std::vector<PinRow>& rows) {
+  for (const HandlerRow<T>& row : table) {
+    rows.push_back(
+        {kind, row.predicate, row.source,
+         [fn = row.fn](const ResolutionContext& context,
+                       const lf::LfNode& node) -> std::optional<std::string> {
+           LfConverter conv(&context);
+           const auto out = fn(conv, node);
+           if (!out) return std::nullopt;
+           return render(*out);
+         }});
+  }
+}
+
+std::vector<PinRow> pin_rows() {
+  std::vector<PinRow> rows;
+  add_pin_rows("stmt", stmt_handlers(), rows);
+  add_pin_rows("expr", expr_handlers(), rows);
+  add_pin_rows("cond", cond_handlers(), rows);
+  return rows;
+}
+
+std::string_view pin_key(const lf::LfNode& node) {
+  if (node.is_string()) return kStrLeaf;
+  if (node.is_number()) return kNumLeaf;
+  return node.label;
+}
+
+void collect_nodes(const lf::LfNode& node,
+                   std::vector<const lf::LfNode*>& out) {
+  out.push_back(&node);
+  for (const auto& a : node.args) collect_nodes(a, out);
+}
+
+TEST(Handlers, EveryRowPinnedOnCorpusAndRandomForms) {
+  // Every row is called directly on every node whose key it serves: each
+  // node of every corpus base candidate in its sentence's context, and of
+  // seeded random forms, once as sender and once as receiver. Each row
+  // hashes (kind, predicate, source, context, node, output); the pin
+  // hashes the sorted row digests, so it depends on neither row order nor
+  // row names. Recorded on the registry of std::function handlers that
+  // the table replaced.
+  std::vector<pins::ContextForm> inputs = pins::corpus_base_forms_in_context();
+  ASSERT_EQ(inputs.size(), 420u);
+  const std::size_t corpus_count = inputs.size();
+  // The disambig pin's leaves plus the framework verbs and excerpt words
+  // the handlers look for.
+  constexpr std::string_view kLeaves[] = {
+      "the state field", "the poll bit", "the detection timer",
+      "bfd.sessionstate", "checksum", "type", "compute", "frobnicate",
+      "timeout", "transmit", "copy", "internet header", "64 bits", "up",
+  };
+  util::SplitMix64 rng(26);
+  for (std::size_t i = 0; i < 2000; ++i) {
+    inputs.push_back({pins::random_predicate(rng, 4, kLeaves),
+                      inputs[i % corpus_count].context});
+  }
+
+  const StaticContext statics = StaticContext::standard();
+  const std::vector<PinRow> rows = pin_rows();
+  ASSERT_EQ(rows.size(), 39u);
+  std::vector<pins::Fnv1a> digests(rows.size());
+  std::vector<std::size_t> produced(rows.size(), 0);
+  std::vector<const lf::LfNode*> nodes;
+  for (const auto& input : inputs) {
+    nodes.clear();
+    collect_nodes(input.form, nodes);
+    for (const char* role : {"sender", "receiver"}) {
+      DynamicContext dynamic = DynamicContext::from_map(input.context);
+      dynamic.role = role;
+      const ResolutionContext resolution(dynamic, &statics);
+      const std::string context = dynamic.to_string();
+      for (const lf::LfNode* node : nodes) {
+        const std::string text = node->to_string();
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          if (rows[i].predicate != pin_key(*node)) continue;
+          const auto out = rows[i].run(resolution, *node);
+          produced[i] += out ? 1 : 0;
+          auto& d = digests[i];
+          d.add(rows[i].kind);
+          d.add(rows[i].predicate);
+          d.add(rows[i].source);
+          d.add(context);
+          d.add(text);
+          d.add(out ? *out : "none");
+        }
+      }
+    }
+  }
+  std::vector<std::uint64_t> row_digests;
+  for (const auto& d : digests) row_digests.push_back(d.h);
+  std::sort(row_digests.begin(), row_digests.end());
+  pins::Fnv1a fnv;
+  for (const auto h : row_digests) fnv.add(std::to_string(h));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_GT(produced[i], 0u)
+        << rows[i].kind << " row " << i << " (" << rows[i].predicate << ", "
+        << rows[i].source << ")";
+  }
+  EXPECT_EQ(fnv.h, 0x214147102f9bce54ull);
 }
 
 // ---- emitter ------------------------------------------------------------------
@@ -229,8 +353,7 @@ TEST(Generator, FunctionNaming) {
 
 TEST(Generator, AdviceHoistedBeforeChecksumCall) {
   const StaticContext statics = StaticContext::standard();
-  const HandlerRegistry registry = HandlerRegistry::standard();
-  const CodeGenerator generator(&statics, &registry);
+  const CodeGenerator generator(&statics);
 
   DynamicContext ctx;
   ctx.protocol = "ICMP";
@@ -270,8 +393,7 @@ TEST(Generator, AdviceHoistedBeforeChecksumCall) {
 
 TEST(Generator, AdvCommentBecomesComment) {
   const StaticContext statics = StaticContext::standard();
-  const HandlerRegistry registry = HandlerRegistry::standard();
-  const CodeGenerator generator(&statics, &registry);
+  const CodeGenerator generator(&statics);
 
   SentenceLf s;
   s.form = lf::LfNode::predicate(std::string(lf::pred::kAdvComment),
@@ -288,8 +410,7 @@ TEST(Generator, AdvCommentBecomesComment) {
 
 TEST(Generator, FailedSentenceReported) {
   const StaticContext statics = StaticContext::standard();
-  const HandlerRegistry registry = HandlerRegistry::standard();
-  const CodeGenerator generator(&statics, &registry);
+  const CodeGenerator generator(&statics);
 
   SentenceLf s;
   s.form = *lf::parse_logical_form("@May(@Action(\"use\", \"identifier\"))");

@@ -2,16 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdint>
-#include <iterator>
-#include <string_view>
 
-#include "core/sage.hpp"
-#include "corpus/spec_corpora.hpp"
 #include "disambig/checks.hpp"
 #include "disambig/winnower.hpp"
 #include "lf/logical_form.hpp"
-#include "util/rng.hpp"
+#include "pin_inputs.hpp"
 
 namespace sage::disambig {
 namespace {
@@ -30,82 +25,18 @@ bool any_check_violated(const std::vector<Check>& checks,
   return false;
 }
 
-struct Fnv1a {
-  std::uint64_t h = 14695981039346656037ull;
-  void add(std::string_view s) {
-    for (const unsigned char c : s) {
-      h ^= c;
-      h *= 1099511628211ull;
-    }
-  }
-};
-
-/// Every base candidate the parser hands the winnower on the six spec
-/// corpora, each corpus through a fresh Sage.
-std::vector<lf::LogicalForm> corpus_base_forms() {
-  std::vector<lf::LogicalForm> forms;
-  for (const auto& c : corpus::spec_corpora()) {
-    core::Sage sage;
-    sage.annotate_non_actionable(c.annotations);
-    for (auto& report : sage.process(c.text, c.protocol).reports) {
-      for (auto& form : report.base_candidates) forms.push_back(std::move(form));
-    }
-  }
-  return forms;
-}
-
-constexpr std::string_view kAllLabels[] = {
-    lf::pred::kIs,        lf::pred::kIf,         lf::pred::kAnd,
-    lf::pred::kOr,        lf::pred::kOf,         lf::pred::kIn,
-    lf::pred::kAction,    lf::pred::kCompute,    lf::pred::kNum,
-    lf::pred::kMay,       lf::pred::kMust,       lf::pred::kNot,
-    lf::pred::kAdvBefore, lf::pred::kAdvComment, lf::pred::kSelect,
-    lf::pred::kDiscard,   lf::pred::kSend,       lf::pred::kCease,
-    lf::pred::kNonzero,   lf::pred::kCase,       lf::pred::kWhen,
-    lf::pred::kGreater,   lf::pred::kLess,
-};
-
-/// Leaves: packet fields, bits and timers (read-only at the receiver), a
-/// state variable, known and unknown function names, plain nouns.
-constexpr std::string_view kLeaves[] = {
-    "the state field", "the poll bit", "the detection timer",
-    "bfd.sessionstate", "checksum", "type", "compute", "frobnicate",
-};
-
-lf::LogicalForm random_predicate(util::SplitMix64& rng, int depth);
-
-lf::LogicalForm random_node(util::SplitMix64& rng, int depth) {
-  if (depth == 0 || rng.chance(35)) {
-    if (rng.chance(30)) return lf::LfNode::num(static_cast<long>(rng.below(3)));
-    return lf::LfNode::str(std::string(kLeaves[rng.below(std::size(kLeaves))]));
-  }
-  return random_predicate(rng, depth);
-}
-
-/// A seeded random form rooted at a predicate. Most nodes take one or two
-/// arguments; the rest take none or three, which the arity checks reject.
-lf::LogicalForm random_predicate(util::SplitMix64& rng, int depth) {
-  auto node = lf::LfNode::predicate(
-      std::string(kAllLabels[rng.below(std::size(kAllLabels))]));
-  const std::uint64_t arity = rng.chance(80) ? 1 + rng.below(2) : 3 * rng.below(2);
-  for (std::uint64_t i = 0; i < arity; ++i) {
-    node.args.push_back(random_node(rng, depth - 1));
-  }
-  return node;
-}
-
 TEST(Checks, EveryVerdictPinnedOnCorpusAndRandomForms) {
   // One digest over (check, form, verdict) for all 47 checks, recorded
   // when every check walked the whole form itself.
-  std::vector<lf::LogicalForm> forms = corpus_base_forms();
+  std::vector<lf::LogicalForm> forms = pins::corpus_base_forms();
   ASSERT_EQ(forms.size(), 420u);
   util::SplitMix64 rng(18);
-  for (int i = 0; i < 3000; ++i) forms.push_back(random_predicate(rng, 4));
+  for (int i = 0; i < 3000; ++i) forms.push_back(pins::random_predicate(rng, 4));
 
   const std::vector<Check> checks = all_checks();
   ASSERT_EQ(checks.size(), 47u);
   std::vector<std::size_t> fired(checks.size(), 0);
-  Fnv1a fnv;
+  pins::Fnv1a fnv;
   for (const auto& form : forms) {
     const std::string text = form.to_string();
     for (std::size_t i = 0; i < checks.size(); ++i) {
