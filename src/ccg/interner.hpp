@@ -17,10 +17,16 @@
 // Concurrency: the tables are mutex-striped (shard = high hash bits), so
 // parallel parses interning different structures almost never contend.
 // Entries are intentionally immortal — the table owns one shared_ptr per
-// distinct structure. Growth stops once a workload has been seen,
-// because no term's identity depends on process history: parse-time
-// variable ids restart at kParseVarBase for every parse and lexicon
-// binder ids at kLexVarBase for every lexicon (see VarGen in term.hpp).
+// distinct structure — so only what must live for ever is interned:
+// categories, lexicon terms, lexical leaves, and the reduced combinator
+// results the parser's memo keeps, with their subterms. A memo miss
+// builds its wrapper and β-reduces it in a per-thread scratch generation
+// of uninterned terms and promotes only the result (ScratchScope in
+// term.hpp), so no process-table node points at a scratch node. Growth
+// stops once a workload has been seen, because no term's identity
+// depends on process history: parse-time variable ids restart at
+// kParseVarBase for every parse and lexicon binder ids at kLexVarBase
+// for every lexicon (see VarGen in term.hpp).
 // Rebuilding the grammar or re-parsing a sentence re-interns the same
 // nodes, so the parser's combinator memo, keyed on their ids, stops
 // growing too.

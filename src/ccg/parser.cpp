@@ -15,8 +15,10 @@ namespace sage::ccg {
 namespace {
 
 // Chart edges, memo entries and arena nodes hold raw pointers: every
-// category and term is interned, and its interner owns it for the process
-// lifetime (interner.hpp). ParseResult holds only deep copies.
+// category and every term they see is interned, and its interner owns it
+// for the process lifetime (interner.hpp). The scratch terms a memo miss
+// builds never reach them (CombineMemo::get). ParseResult holds only deep
+// copies.
 
 /// An interned term with its id, as the memo returns it.
 struct Sem {
@@ -239,9 +241,12 @@ class CombineMemo : public ShardedFlat<CombineEntry> {
   /// The result `key` names and its id; a hit touches no refcount. On a
   /// miss, `build()` makes the unreduced term and it is reduced under the
   /// parser's one 4096-step cap (malformed combinations could otherwise
-  /// loop). Only a success is stored, so a reduction that hits the cap
-  /// returns an empty Sem on every attempt. Wrappers that are already
-  /// normal (type raise, compounds) pass through unchanged in 0 steps.
+  /// loop). Both run in this thread's scratch generation, and only the
+  /// reduced result is interned, so the wrapper and every β-step
+  /// intermediate die with the miss. Only a success is stored, so a
+  /// reduction that hits the cap returns an empty Sem on every attempt.
+  /// Wrappers that are already normal (type raise, compounds) pass
+  /// through unchanged in 0 steps.
   template <typename Build>
   Sem get(const CombineKey& key, ParseStats& stats, Build&& build) {
     const std::uint64_t hash = key.hash();
@@ -258,8 +263,13 @@ class CombineMemo : public ShardedFlat<CombineEntry> {
     }
     ++stats.memo_misses;
     std::size_t steps = 0;
-    const TermPtr term = beta_reduce(build(), 4096, &steps);
-    if (term == nullptr) return {};
+    TermPtr term;
+    {
+      ScratchScope scratch;
+      const TermPtr reduced = beta_reduce(build(), 4096, &steps);
+      if (reduced == nullptr) return {};
+      term = scratch.promote(reduced);
+    }
     stats.beta_steps += steps;
     std::lock_guard lock(shard.mutex);
     const std::size_t slot = shard.find_slot(hash, matches);

@@ -1,7 +1,12 @@
 #include "ccg/term.hpp"
 
+#include <sanitizer/asan_interface.h>  // no-op macros without ASan
+
+#include <cassert>
 #include <cctype>
+#include <cstddef>
 #include <map>
+#include <new>
 
 #include "ccg/interner.hpp"
 
@@ -53,72 +58,181 @@ TermKey key_of(const Term& t) {
   return key;
 }
 
-TermPtr intern_term(Term::Kind kind, int var, long number, std::string name,
-                    TermPtr a, TermPtr b) {
-  TermKey key{kind, var, number, name, a.get(), b.get(), 0};
-  key.hash = term_hash(key);
+bool is_scratch(const Term& t) { return (t.id & kScratchBit) != 0; }
+
+/// Fills a new node from its probe key. Interned and scratch nodes are
+/// both built here, so they carry the same hash, `normal` and
+/// `var_bloom`. `key.name` may view `name`, so it is dead afterwards.
+void fill(Term& t, const TermKey& key, std::string&& name, TermPtr a,
+          TermPtr b) {
+  t.kind = key.kind;
+  t.var = key.var;
+  t.number = key.number;
+  t.name = std::move(name);
+  t.a = std::move(a);
+  t.b = std::move(b);
+  t.hash = key.hash;
+  switch (t.kind) {
+    case Term::Kind::kVar:
+      t.var_bloom = 1ull << (static_cast<unsigned>(t.var) & 63u);
+      break;
+    case Term::Kind::kLam:
+      t.normal = t.a->normal;
+      t.var_bloom = t.a->var_bloom;
+      break;
+    case Term::Kind::kApp:
+      t.normal = t.a->normal && t.b->normal && t.a->kind != Term::Kind::kLam;
+      t.var_bloom = t.a->var_bloom | t.b->var_bloom;
+      break;
+    default:
+      break;  // leaves: normal, no variables
+  }
+}
+
+/// The canonical node for `key`. `key.name` views `name` (or other
+/// storage that outlives the call) until the probe is done.
+TermPtr intern_term(const TermKey& key, std::string&& name, TermPtr a,
+                    TermPtr b) {
+  // A process-table node never points into a scratch generation.
+  assert(a == nullptr || !is_scratch(*a));
+  assert(b == nullptr || !is_scratch(*b));
   return term_table().intern(
       key,
       [&](std::uint32_t id) {
         auto t = std::make_shared<Term>();
-        t->kind = kind;
-        t->var = var;
-        t->number = number;
-        t->name = std::move(name);
-        t->a = std::move(a);
-        t->b = std::move(b);
-        t->hash = key.hash;
+        fill(*t, key, std::move(name), std::move(a), std::move(b));
         t->id = id;
-        switch (kind) {
-          case Term::Kind::kVar:
-            t->var_bloom = 1ull << (static_cast<unsigned>(var) & 63u);
-            break;
-          case Term::Kind::kLam:
-            t->normal = t->a->normal;
-            t->var_bloom = t->a->var_bloom;
-            break;
-          case Term::Kind::kApp:
-            t->normal = t->a->normal && t->b->normal &&
-                        t->a->kind != Term::Kind::kLam;
-            t->var_bloom = t->a->var_bloom | t->b->var_bloom;
-            break;
-          default:
-            break;  // leaves: normal, no variables
-        }
         return t;
       },
       [](const Term& t) { return key_of(t); });
+}
+
+/// One thread's scratch generation: the nodes built while its ScratchScope
+/// is open, in fixed-size chunks the thread keeps across scopes, so a
+/// warm thread's miss allocates no node storage. Closing the scope runs
+/// every node's destructor (names, child references) and, under ASan,
+/// poisons the slots, so a scratch node that escaped its scope reads as
+/// a use-after-poison.
+class ScratchStore {
+ public:
+  ScratchStore() = default;
+  ScratchStore(const ScratchStore&) = delete;
+  ScratchStore& operator=(const ScratchStore&) = delete;
+  ~ScratchStore() { clear(); }
+
+  TermPtr make(const TermKey& key, std::string&& name, TermPtr a, TermPtr b) {
+    if (used_ == chunks_.size() * kChunk) {
+      chunks_.push_back(std::make_unique<Slot[]>(kChunk));
+      ASAN_POISON_MEMORY_REGION(chunks_.back().get(), kChunk * sizeof(Slot));
+    }
+    Slot* slot = &chunks_[used_ / kChunk][used_ % kChunk];
+    ASAN_UNPOISON_MEMORY_REGION(slot, sizeof(Slot));
+    Term* t = ::new (slot->bytes) Term();
+    fill(*t, key, std::move(name), std::move(a), std::move(b));
+    t->id = kScratchBit | static_cast<std::uint32_t>(used_++);
+    return TermPtr(TermPtr(), t);  // null owner: the store owns it
+  }
+
+  TermPtr promote(const TermPtr& term) {
+    promoted_.resize(used_);
+    return lift(term);
+  }
+
+  void clear() {
+    for (std::size_t i = 0; i < used_; ++i) {
+      Slot* slot = &chunks_[i / kChunk][i % kChunk];
+      std::destroy_at(std::launder(reinterpret_cast<Term*>(slot->bytes)));
+      ASAN_POISON_MEMORY_REGION(slot, sizeof(Slot));
+    }
+    used_ = 0;
+    promoted_.clear();
+  }
+
+ private:
+  static constexpr std::size_t kChunk = 256;
+  struct Slot {
+    alignas(Term) std::byte bytes[sizeof(Term)];
+  };
+
+  /// Interns `t` after its children, once per scratch node: `promoted_`
+  /// remembers each slot's canonical node for the rest of the scope.
+  TermPtr lift(const TermPtr& t) {
+    if (t == nullptr || !is_scratch(*t)) return t;
+    const std::size_t slot = t->id & ~kScratchBit;
+    if (promoted_[slot] == nullptr) {
+      TermPtr a = lift(t->a);
+      TermPtr b = lift(t->b);
+      const TermKey key{t->kind, t->var,  t->number, t->name,
+                        a.get(),  b.get(), t->hash};
+      promoted_[slot] = intern_term(key, std::string(t->name), std::move(a),
+                                    std::move(b));
+    }
+    return promoted_[slot];
+  }
+
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::size_t used_ = 0;
+  std::vector<TermPtr> promoted_;  // by slot, during promote()
+};
+
+/// The store of the scope open on this thread, or nullptr.
+thread_local ScratchStore* open_scratch = nullptr;
+
+TermPtr make_term(Term::Kind kind, int var, long number, std::string name,
+                  TermPtr a, TermPtr b) {
+  TermKey key{kind, var, number, name, a.get(), b.get(), 0};
+  key.hash = term_hash(key);
+  if (open_scratch != nullptr) {
+    return open_scratch->make(key, std::move(name), std::move(a),
+                              std::move(b));
+  }
+  return intern_term(key, std::move(name), std::move(a), std::move(b));
 }
 
 }  // namespace
 
 std::size_t term_interner_size() { return term_table().size(); }
 
+ScratchScope::ScratchScope() {
+  static thread_local ScratchStore store;
+  assert(open_scratch == nullptr && "scratch scopes do not nest");
+  open_scratch = &store;
+}
+
+ScratchScope::~ScratchScope() {
+  open_scratch->clear();
+  open_scratch = nullptr;
+}
+
+TermPtr ScratchScope::promote(const TermPtr& term) {
+  return open_scratch->promote(term);
+}
+
 TermPtr mk_var(int id) {
-  return intern_term(Term::Kind::kVar, id, 0, {}, nullptr, nullptr);
+  return make_term(Term::Kind::kVar, id, 0, {}, nullptr, nullptr);
 }
 
 TermPtr mk_lam(int var, TermPtr body) {
-  return intern_term(Term::Kind::kLam, var, 0, {}, std::move(body), nullptr);
+  return make_term(Term::Kind::kLam, var, 0, {}, std::move(body), nullptr);
 }
 
 TermPtr mk_app(TermPtr fun, TermPtr arg) {
-  return intern_term(Term::Kind::kApp, 0, 0, {}, std::move(fun),
-                     std::move(arg));
+  return make_term(Term::Kind::kApp, 0, 0, {}, std::move(fun),
+                   std::move(arg));
 }
 
 TermPtr mk_pred(std::string name) {
-  return intern_term(Term::Kind::kPred, 0, 0, std::move(name), nullptr,
-                     nullptr);
+  return make_term(Term::Kind::kPred, 0, 0, std::move(name), nullptr,
+                   nullptr);
 }
 
 TermPtr mk_str(std::string value) {
-  return intern_term(Term::Kind::kStr, 0, 0, std::move(value), nullptr,
-                     nullptr);
+  return make_term(Term::Kind::kStr, 0, 0, std::move(value), nullptr,
+                   nullptr);
 }
 
 TermPtr mk_num(long value) {
-  return intern_term(Term::Kind::kNum, 0, value, {}, nullptr, nullptr);
+  return make_term(Term::Kind::kNum, 0, value, {}, nullptr, nullptr);
 }
 
 TermPtr mk_pred_app(std::string name, std::vector<TermPtr> args) {

@@ -20,9 +20,10 @@ namespace sage::ccg {
 struct Term;
 using TermPtr = std::shared_ptr<const Term>;
 
-/// Immutable, hash-consed lambda term (see interner.hpp): the mk_*
-/// factories return canonical pointers, so structurally identical terms
-/// are the SAME object. Never mutated after build.
+/// Immutable, hash-consed lambda term (see interner.hpp): outside a
+/// ScratchScope the mk_* factories return canonical pointers, so
+/// structurally identical terms are the SAME object. Never mutated after
+/// build.
 struct Term {
   enum class Kind : std::uint8_t {
     kVar,   // bound variable (id)
@@ -40,10 +41,12 @@ struct Term {
   TermPtr a;          // kLam: body; kApp: function
   TermPtr b;          // kApp: argument
 
-  std::uint64_t hash = 0;  // precomputed structural hash (interner-set)
-  std::uint32_t id = 0;    // dense interner id; same structure <=> same id
+  std::uint64_t hash = 0;  // precomputed structural hash (factory-set)
+  /// Dense interner id; same structure <=> same id. A scratch node (see
+  /// ScratchScope) has none: its id holds kScratchBit over its slot.
+  std::uint32_t id = 0;
 
-  // Memoized structural facts, also set at intern time. Hash-consing is
+  // Memoized structural facts, also set at build time. Hash-consing is
   // what makes these pay: every shared subterm carries them, so
   // beta-reduction skips normal-form subtrees in O(1) and substitution
   // returns untouched subtrees without walking them.
@@ -53,6 +56,10 @@ struct Term {
   /// (bit = 1 << (id & 63)). A clear bit proves the variable is absent.
   std::uint64_t var_bloom = 0;
 };
+
+/// Marks a scratch node's `id`. Interned ids count up from 1 and would
+/// need 2^31 live terms to reach it.
+inline constexpr std::uint32_t kScratchBit = 1u << 31;
 
 TermPtr mk_var(int id);
 TermPtr mk_lam(int var, TermPtr body);
@@ -98,13 +105,36 @@ class VarGen {
 /// Build @Pred(arg1, ..., argN) as an application spine.
 TermPtr mk_pred_app(std::string name, std::vector<TermPtr> args);
 
+/// This thread's scratch generation, open for the life of the scope.
+/// While it is open, the mk_* factories on this thread build uninterned
+/// nodes: they take no lock and draw no id, but carry the hash, `normal`
+/// and `var_bloom` an interned node gets, so beta_reduce runs on them
+/// unchanged. `promote` interns a result; closing the scope destroys
+/// every scratch node, so only what was promoted may outlive it. The
+/// parser opens one per combinator-memo miss (docs/PARSER_INTERNALS.md,
+/// "Interning"). Scopes do not nest.
+class ScratchScope {
+ public:
+  ScratchScope();
+  ~ScratchScope();
+  ScratchScope(const ScratchScope&) = delete;
+  ScratchScope& operator=(const ScratchScope&) = delete;
+
+  /// The canonical interned node with `term`'s structure, built bottom-up
+  /// through the interner: each scratch node below is interned once, and
+  /// a structure already in the table comes back as its existing node.
+  /// An interned `term` is returned as is.
+  TermPtr promote(const TermPtr& term);
+};
+
 /// Full normal-order β-reduction with a step cap (malformed combinations
 /// could otherwise loop). Returns nullptr if the cap is exceeded.
-/// Substitution shares untouched subtrees, and interning makes rebuilt
-/// already-seen subtrees allocation-free. `steps_out`, when non-null, is
-/// incremented by the number of reduction steps taken (parse stats).
-/// Not memoized: the parser memoizes whole combinator results instead,
-/// keyed before any wrapper term is built (parser.cpp).
+/// Substitution shares untouched subtrees; each rebuilt node comes from
+/// the mk_* factories, so inside a ScratchScope every intermediate is a
+/// scratch node. `steps_out`, when non-null, is incremented by the number
+/// of reduction steps taken (parse stats). Not memoized: the parser
+/// memoizes whole combinator results instead, keyed before any wrapper
+/// term is built (parser.cpp).
 TermPtr beta_reduce(const TermPtr& term, int max_steps = 4096,
                     std::size_t* steps_out = nullptr);
 

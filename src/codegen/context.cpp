@@ -40,9 +40,9 @@ void StaticContext::add_function(std::string_view phrase, std::string_view fn) {
 }
 
 std::optional<FieldRef> StaticContext::field(
-    std::string_view phrase,
+    std::string_view lowered_phrase,
     std::span<const std::string> preferred_layers) const {
-  const auto it = fields_.find(util::to_lower(phrase));
+  const auto it = fields_.find(lowered_phrase);
   if (it == fields_.end() || it->second.empty()) return std::nullopt;
   for (const auto& layer : preferred_layers) {
     for (const auto& ref : it->second) {
@@ -53,8 +53,8 @@ std::optional<FieldRef> StaticContext::field(
 }
 
 std::optional<std::string> StaticContext::function(
-    std::string_view phrase) const {
-  const auto it = functions_.find(util::to_lower(phrase));
+    std::string_view lowered_phrase) const {
+  const auto it = functions_.find(lowered_phrase);
   if (it == functions_.end()) return std::nullopt;
   return it->second;
 }
@@ -222,43 +222,46 @@ StaticContext StaticContext::standard() {
   return ctx;
 }
 
-std::optional<FieldRef> ResolutionContext::resolve_field(
-    std::string_view phrase) const {
-  const std::string key = util::to_lower(util::trim(phrase));
-  const std::string layer = layer_for_protocol(dynamic_.protocol);
-
-  // Layer preference order: the protocol's own layer first, then the
-  // rest of its schema-bound layers. A multi-layer protocol like ICMPv6
-  // resolves "source address" to ip6.src, not whichever layer registered
-  // the phrase first; protocols outside the registry keep the
-  // single-layer behavior.
-  std::vector<std::string> preference{layer};
+ResolutionContext::ResolutionContext(DynamicContext dynamic,
+                                     const StaticContext* statics)
+    : dynamic_(std::move(dynamic)),
+      statics_(statics),
+      layers_{layer_for_protocol(dynamic_.protocol)},
+      field_key_(util::to_lower(dynamic_.field)) {
+  // A multi-layer protocol like ICMPv6 resolves "source address" to
+  // ip6.src, not whichever layer registered the phrase first; protocols
+  // outside the registry keep the single-layer behavior.
   if (const auto* schema =
           net::schema::SchemaRegistry::instance().protocol(dynamic_.protocol)) {
     for (const auto& bound : schema->layers) {
-      if (bound != layer) preference.push_back(bound);
+      if (bound != layers_.front()) layers_.push_back(bound);
     }
   }
+}
+
+std::optional<FieldRef> ResolutionContext::resolve_field(
+    std::string_view phrase) const {
+  const std::string key = util::to_lower(util::trim(phrase));
 
   // Dynamic context first (§5.2): a bare reference to the field being
   // described ("type", or an empty phrase meaning "this field") resolves
   // through the document structure.
   if (!dynamic_.field.empty()) {
-    const std::string field_key = util::to_lower(dynamic_.field);
-    if (key.empty() || key == field_key ||
-        key == "the " + field_key) {
+    const std::string_view k = key;
+    if (k.empty() || k == field_key_ ||
+        (k.starts_with("the ") && k.substr(4) == field_key_)) {
       // The group tells us which layer's field is being described
       // ("IP Fields" vs "ICMP Fields").
-      if (auto from_static = statics_->field(key.empty() ? field_key : key,
-                                             preference)) {
+      if (auto from_static =
+              statics_->field(key.empty() ? field_key_ : key, layers_)) {
         return from_static;
       }
-      return FieldRef{layer, util::to_snake_case(dynamic_.field)};
+      return FieldRef{layers_.front(), util::to_snake_case(dynamic_.field)};
     }
   }
 
   // Then the static context.
-  return statics_->field(key, preference);
+  return statics_->field(key, layers_);
 }
 
 std::optional<std::string> ResolutionContext::resolve_function(

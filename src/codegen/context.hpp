@@ -17,6 +17,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "codegen/ir.hpp"
 
@@ -49,18 +50,18 @@ class StaticContext {
   /// Register phrase -> framework function name.
   void add_function(std::string_view phrase, std::string_view fn);
 
-  /// Field lookup by phrase; nullopt when the phrase is unknown. The
-  /// first layer in `preferred_layers` that has a ref for the phrase
-  /// wins, else the first ref registered. Protocols whose schema binds
-  /// several layers (ICMPv6 over ip6) resolve "source address" to their
-  /// own network layer instead of whichever protocol registered the
-  /// phrase first.
+  /// Field lookup by lowercased phrase (the form add_field stores);
+  /// nullopt when the phrase is unknown. The first layer in
+  /// `preferred_layers` that has a ref for the phrase wins, else the
+  /// first ref registered. Protocols whose schema binds several layers
+  /// (ICMPv6 over ip6) resolve "source address" to their own network
+  /// layer instead of whichever protocol registered the phrase first.
   std::optional<FieldRef> field(
-      std::string_view phrase,
+      std::string_view lowered_phrase,
       std::span<const std::string> preferred_layers) const;
 
-  /// Function lookup by phrase.
-  std::optional<std::string> function(std::string_view phrase) const;
+  /// Function lookup by lowercased phrase (the form add_function stores).
+  std::optional<std::string> function(std::string_view lowered_phrase) const;
 
   std::size_t field_count() const;
   std::size_t function_count() const { return functions_.size(); }
@@ -77,8 +78,7 @@ std::string layer_for_protocol(std::string_view protocol);
 /// static (§5.2).
 class ResolutionContext {
  public:
-  ResolutionContext(DynamicContext dynamic, const StaticContext* statics)
-      : dynamic_(std::move(dynamic)), statics_(statics) {}
+  ResolutionContext(DynamicContext dynamic, const StaticContext* statics);
 
   const DynamicContext& dynamic() const { return dynamic_; }
   const StaticContext& statics() const { return *statics_; }
@@ -94,6 +94,10 @@ class ResolutionContext {
  private:
   DynamicContext dynamic_;
   const StaticContext* statics_;
+  /// The protocol's own layer first, then the rest of its schema-bound
+  /// layers: the order resolve_field prefers a phrase's refs in.
+  std::vector<std::string> layers_;
+  std::string field_key_;  // dynamic_.field, lowercased
 };
 
 }  // namespace sage::codegen

@@ -1,11 +1,14 @@
 // Property tests for the hash-consing interner (src/ccg/interner.hpp):
 // canonical pointers, stable hashes/ids, thread-safety of concurrent
-// interning, and the bound that makes the process-wide tables pay: a
-// fresh core::Sage re-interns nothing once the grammar has been seen.
+// interning, the scratch generation a combinator-memo miss reduces in
+// (ScratchScope, term.hpp), and the bound that makes the process-wide
+// tables pay: a fresh core::Sage re-interns nothing once the grammar has
+// been seen.
 // This file runs under the `concurrency` ctest label, so the TSan preset
 // covers the striped-lock paths and the shared grammar's first build.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <latch>
 #include <string>
@@ -116,6 +119,139 @@ TEST(Interner, MemoBitsMatchStructure) {
 
   const TermPtr redex = mk_app(mk_lam(7, mk_var(7)), mk_num(1));
   EXPECT_FALSE(redex->normal);
+}
+
+/// True iff no node of `term` is a scratch node.
+bool fully_interned(const Term* term) {
+  if (term == nullptr) return true;
+  return (term->id & kScratchBit) == 0 && fully_interned(term->a.get()) &&
+         fully_interned(term->b.get());
+}
+
+TEST(Interner, ScratchScopeInternsNothing) {
+  const std::size_t before = term_interner_size();
+  {
+    ScratchScope scratch;
+    const TermPtr fn = mk_lam(
+        kParseVarBase,
+        mk_pred_app("@ZzScratchOnly", {mk_var(kParseVarBase),
+                                       mk_str("zz scratch"), mk_num(424242)}));
+    EXPECT_NE(fn->id & kScratchBit, 0u);
+    EXPECT_TRUE(fn->normal);
+    const TermPtr redex = mk_app(fn, mk_num(7));
+    EXPECT_FALSE(redex->normal);
+    std::size_t steps = 0;
+    const TermPtr reduced = beta_reduce(redex, 4096, &steps);
+    EXPECT_EQ(term_to_string(reduced),
+              "@ZzScratchOnly(7, \"zz scratch\", 424242)");
+    EXPECT_EQ(steps, 1u);
+    EXPECT_EQ(term_interner_size(), before);
+  }
+  EXPECT_EQ(term_interner_size(), before);
+}
+
+TEST(Interner, PromotionInternsEachNewNodeOnce) {
+  const TermPtr resident = mk_str("zz promoted resident");
+  const std::size_t before = term_interner_size();
+  // New distinct nodes: the predicate, the leaf (built twice, one
+  // structure) and the three applications of the spine.
+  const auto build = [&resident] {
+    return mk_pred_app("@ZzPromote", {mk_str("zz promoted leaf"),
+                                      mk_str("zz promoted leaf"), resident});
+  };
+  TermPtr promoted;
+  {
+    ScratchScope scratch;
+    const TermPtr term = build();
+    EXPECT_EQ(term->b.get(), resident.get());  // interned operands stay
+    promoted = scratch.promote(term);
+    EXPECT_EQ(term_interner_size(), before + 5);
+    EXPECT_TRUE(fully_interned(promoted.get()));
+    EXPECT_EQ(promoted->hash, term->hash);
+    EXPECT_EQ(promoted->a->b.get(), promoted->a->a->b.get());
+    // Promoting again, or promoting an interned node, interns nothing.
+    EXPECT_EQ(scratch.promote(term).get(), promoted.get());
+    EXPECT_EQ(scratch.promote(resident).get(), resident.get());
+    EXPECT_EQ(term_interner_size(), before + 5);
+  }
+  // The promoted node is the canonical one.
+  const TermPtr rebuilt = build();
+  EXPECT_EQ(rebuilt.get(), promoted.get());
+  EXPECT_EQ(rebuilt->id, promoted->id);
+  // A structure that already exists comes back with its pointer and id.
+  {
+    ScratchScope scratch;
+    const TermPtr again = scratch.promote(build());
+    EXPECT_EQ(again.get(), promoted.get());
+    EXPECT_EQ(again->id, promoted->id);
+  }
+  EXPECT_EQ(term_interner_size(), before + 5);
+}
+
+/// The standard lexicon's distinct semantic terms, in lexicon order.
+std::vector<TermPtr> lexicon_terms() {
+  static const Lexicon lexicon = corpus::make_lexicon();
+  std::vector<TermPtr> terms;
+  for (const auto& word : lexicon.words()) {
+    for (const LexEntry& entry : lexicon.lookup(word)) {
+      const bool seen =
+          std::any_of(terms.begin(), terms.end(), [&](const TermPtr& t) {
+            return t.get() == entry.semantics.get();
+          });
+      if (!seen) terms.push_back(entry.semantics);
+    }
+  }
+  return terms;
+}
+
+struct Reduction {
+  const Term* term;
+  std::string text;
+  std::size_t steps;
+  bool operator==(const Reduction&) const = default;
+};
+
+/// β(f a) for every ordered pair of the first `kLexiconSample` lexicon
+/// terms. With `scratch`, each pair reduces in its own scratch scope and
+/// its result is promoted, as a combinator-memo miss does.
+std::vector<Reduction> reduce_lexicon_pairs(bool scratch) {
+  constexpr std::size_t kLexiconSample = 48;
+  std::vector<TermPtr> terms = lexicon_terms();
+  if (terms.size() > kLexiconSample) terms.resize(kLexiconSample);
+  std::vector<Reduction> out;
+  for (const TermPtr& f : terms) {
+    for (const TermPtr& a : terms) {
+      std::size_t steps = 0;
+      TermPtr result;
+      if (scratch) {
+        ScratchScope scope;
+        const TermPtr reduced = beta_reduce(mk_app(f, a), 4096, &steps);
+        if (reduced != nullptr) result = scope.promote(reduced);
+      } else {
+        result = beta_reduce(mk_app(f, a), 4096, &steps);
+      }
+      out.push_back({result.get(), term_to_string(result), steps});
+    }
+  }
+  return out;
+}
+
+// Reducing in a scratch generation changes where intermediates live, not
+// what the reduction computes: the same rendering, the same step count
+// and, once promoted, the very node the interned reduction returns.
+TEST(Interner, ScratchReductionMatchesInternedReduction) {
+  const std::vector<Reduction> scratch = reduce_lexicon_pairs(true);
+  ASSERT_GE(scratch.size(), 1000u);
+  std::size_t reduced = 0;
+  for (const Reduction& r : scratch) {
+    EXPECT_TRUE(fully_interned(r.term)) << r.text;
+    reduced += r.steps > 0 ? 1 : 0;
+  }
+  EXPECT_GT(reduced, 100u);
+  const std::size_t promoted = term_interner_size();
+  EXPECT_EQ(reduce_lexicon_pairs(true), scratch);
+  EXPECT_EQ(term_interner_size(), promoted);
+  EXPECT_EQ(reduce_lexicon_pairs(false), scratch);
 }
 
 // Many threads intern the same structures concurrently; every thread
@@ -302,6 +438,27 @@ TEST(Interner, ConcurrentParsesShareOneCombinatorMemo) {
     EXPECT_EQ(concurrent[t], serial) << "thread " << t;
   }
   EXPECT_GT(combine_memo_size(), 0u);
+}
+
+// Four threads reduce the same lexicon pairs at once, each in its own
+// scratch scopes, and race to promote the same results. Every thread
+// must get the serial renderings, step counts and canonical nodes.
+TEST(Interner, ConcurrentScratchReductionsMatchSerial) {
+  constexpr int kThreads = 4;
+  std::vector<std::vector<Reduction>> concurrent(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      concurrent[t] = reduce_lexicon_pairs(true);
+    });
+  }
+  for (auto& th : threads) th.join();
+  const std::vector<Reduction> serial = reduce_lexicon_pairs(true);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(concurrent[t], serial) << "thread " << t;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-# Runs one command line and fails unless it exits with EXIT_CODE and its
-# stderr contains STDERR. The `cli` ctest cases (tools/CMakeLists.txt)
-# call it as
-#   cmake -DEXIT_CODE=<n> -DSTDERR=<text> -P cli_check.cmake -- <tool> [args...]
+# Runs one command line and fails unless it exits with EXIT_CODE, its
+# stderr contains STDERR and, when STDOUT is given, its stdout contains
+# STDOUT. The `cli` ctest cases (tools/CMakeLists.txt) call it as
+#   cmake -DEXIT_CODE=<n> -DSTDERR=<text> [-DSTDOUT=<text>]
+#         -P cli_check.cmake -- <tool> [args...]
 # An abort or a signal is reported as a non-numeric result, so it fails.
 set(command)
 set(after_separator FALSE)
@@ -15,7 +16,7 @@ foreach(n RANGE ${last})
 endforeach()
 
 execute_process(COMMAND ${command}
-  RESULT_VARIABLE result OUTPUT_QUIET ERROR_VARIABLE stderr)
+  RESULT_VARIABLE result OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr)
 string(JOIN " " shown ${command})
 if(NOT result STREQUAL EXIT_CODE)
   message(FATAL_ERROR "${shown}: exited with '${result}', expected "
@@ -24,4 +25,10 @@ endif()
 string(FIND "${stderr}" "${STDERR}" at)
 if(at EQUAL -1)
   message(FATAL_ERROR "${shown}: stderr lacks '${STDERR}'\nstderr: ${stderr}")
+endif()
+if(DEFINED STDOUT)
+  string(FIND "${stdout}" "${STDOUT}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "${shown}: stdout lacks '${STDOUT}'\nstdout: ${stdout}")
+  endif()
 endif()
