@@ -13,7 +13,9 @@
 // Reported per configuration:
 //   * sentences/s and chart edges/s (single thread);
 //   * heap allocations and peak live bytes per pass, via an
-//     instrumented global operator new/delete in this TU.
+//     instrumented global operator new/delete in this TU;
+//   * the interned terms after the passes and the bytes the term store
+//     and the combinator memo hold.
 //
 // Gate: at most 5,000 heap allocations per pass. Results and the gate go
 // through benchutil::Scorecard to BENCH_parser_hotpath.json, copied to
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "ccg/interner.hpp"
 #include "ccg/parser.hpp"
 #include "core/sage.hpp"
 #include "corpus/rfc1059.hpp"
@@ -202,6 +205,12 @@ int main(int argc, char** argv) {
                                 prod.peak_live_bytes / (1024.0 * 1024.0)));
   benchutil::row("output sanity",
                  benchutil::fmt("%zu logical forms/pass", prod.forms));
+  const std::size_t terms = ccg::term_interner_size();
+  const std::size_t term_bytes = ccg::term_store_bytes();
+  const std::size_t memo_bytes = ccg::combine_memo_bytes();
+  benchutil::row("interned terms",
+                 benchutil::fmt("%zu (term store %zu bytes, memo %zu bytes)",
+                                terms, term_bytes, memo_bytes));
 
   benchutil::Scorecard card("parser_hotpath");
   card.str("workload",
@@ -215,7 +224,10 @@ int main(int argc, char** argv) {
                .num("edges_per_s", prod.edges_per_s)
                .num("allocs_per_pass", prod.allocs_per_pass)
                .num("peak_live_bytes", prod.peak_live_bytes)
-               .num("forms_per_pass", prod.forms));
+               .num("forms_per_pass", prod.forms))
+      .num("interned_terms", terms)
+      .num("term_store_bytes", term_bytes)
+      .num("combine_memo_bytes", memo_bytes);
 
   // The arena-backed chart must keep the parser's steady-state heap
   // traffic bounded; a regression that reintroduces per-edge or

@@ -7,8 +7,8 @@ namespace sage::ccg {
 
 namespace {
 
-/// Probe key for the category interner: scalars + child pointers. For
-/// the stored copy, `name` views the canonical node's own name_.
+/// Probe key for the category interner: scalars + child pointers. For a
+/// resident, `name` views its pooled name.
 struct CatKey {
   Category::Slash slash;
   std::string_view name;      // primitive only
@@ -20,78 +20,54 @@ struct CatKey {
     return slash == o.slash && name == o.name && result == o.result &&
            arg == o.arg;
   }
-};
-struct CatKeyHash {
-  std::size_t operator()(const CatKey& k) const {
-    return static_cast<std::size_t>(k.hash);
+
+  static CatKey of(const Category& c) {
+    return {c.slash(), c.name(), c.result(), c.arg(), c.hash()};
   }
 };
 
-using CatTable = InternTable<Category, CatKey, CatKeyHash>;
+using CatTable = InternTable<Category, CatKey>;
 
 CatTable& cat_table() {
   static CatTable* table = new CatTable();  // immortal by design
   return *table;
 }
 
-CatKey key_of(const Category& c) {
-  CatKey key{c.slash(),
-             c.is_primitive() ? std::string_view(c.name()) : std::string_view(),
-             c.is_primitive() ? nullptr : c.result().get(),
-             c.is_primitive() ? nullptr : c.arg().get(), c.hash()};
-  return key;
-}
-
 }  // namespace
 
 std::size_t category_interner_size() { return cat_table().size(); }
 
-CategoryPtr Category::primitive(std::string name) {
-  CatKey key{Slash::kNone, name, nullptr, nullptr, 0};
-  key.hash = hash_bytes(hash_mix(kHashSeed, 0x5ca7), key.name);
+CategoryPtr Category::intern(Slash slash, std::string_view name,
+                             CategoryPtr result, CategoryPtr arg,
+                             std::uint64_t hash) {
   return cat_table().intern(
-      key,
-      [&](std::uint32_t id) {
-        auto c = std::shared_ptr<Category>(new Category());
-        c->name_ = std::move(name);
-        c->hash_ = key.hash;
+      {slash, name, result, arg, hash}, [&](void* memory, std::uint32_t id) {
+        auto* c = ::new (memory) Category();
+        c->slash_ = slash;
+        c->name_ = pool_name(name);
+        c->result_ = result;
+        c->arg_ = arg;
+        c->hash_ = hash;
         c->id_ = id;
         return c;
-      },
-      [](const Category& c) { return key_of(c); });
+      });
+}
+
+CategoryPtr Category::primitive(std::string_view name) {
+  return intern(Slash::kNone, name, nullptr, nullptr,
+                hash_bytes(hash_mix(kHashSeed, 0x5ca7), name));
 }
 
 CategoryPtr Category::complex(CategoryPtr result, Slash slash, CategoryPtr arg) {
-  CatKey key{slash, std::string_view(), result.get(), arg.get(), 0};
-  key.hash = hash_mix(
-      hash_mix(hash_mix(kHashSeed, static_cast<std::uint64_t>(slash)),
-               result->hash()),
-      arg->hash());
-  return cat_table().intern(
-      key,
-      [&](std::uint32_t id) {
-        auto c = std::shared_ptr<Category>(new Category());
-        c->slash_ = slash;
-        c->result_ = std::move(result);
-        c->arg_ = std::move(arg);
-        c->hash_ = key.hash;
-        c->id_ = id;
-        return c;
-      },
-      [](const Category& c) { return key_of(c); });
-}
-
-bool Category::equals(const Category& other) const {
-  // Interned: structural equality is pointer equality. The structural
-  // walk stays as a safety net for any copied-out-of-interner object.
-  if (this == &other) return true;
-  if (slash_ != other.slash_) return false;
-  if (is_primitive()) return name_ == other.name_;
-  return result_->equals(*other.result_) && arg_->equals(*other.arg_);
+  return intern(
+      slash, {}, result, arg,
+      hash_mix(hash_mix(hash_mix(kHashSeed, static_cast<std::uint64_t>(slash)),
+                        result->hash()),
+               arg->hash()));
 }
 
 std::string Category::to_string() const {
-  if (is_primitive()) return name_;
+  if (is_primitive()) return std::string(name_);
   const auto wrap = [](const Category& c) {
     return c.is_primitive() ? c.to_string() : "(" + c.to_string() + ")";
   };
@@ -158,7 +134,7 @@ class CatParser {
       name += text_[pos_++];
     }
     if (name.empty()) return nullptr;
-    return Category::primitive(std::move(name));
+    return Category::primitive(name);
   }
 
   std::string_view text_;
@@ -171,25 +147,9 @@ CategoryPtr Category::parse(std::string_view text) {
   return CatParser(text).parse();
 }
 
-const CategoryPtr& cat_S() {
-  static const CategoryPtr c = Category::primitive("S");
-  return c;
-}
-const CategoryPtr& cat_NP() {
-  static const CategoryPtr c = Category::primitive("NP");
-  return c;
-}
-const CategoryPtr& cat_N() {
-  static const CategoryPtr c = Category::primitive("N");
-  return c;
-}
-const CategoryPtr& cat_PP() {
-  static const CategoryPtr c = Category::primitive("PP");
-  return c;
-}
-const CategoryPtr& cat_CONJ() {
-  static const CategoryPtr c = Category::primitive("CONJ");
-  return c;
-}
+CategoryPtr cat_S() { return Category::primitive("S"); }
+CategoryPtr cat_NP() { return Category::primitive("NP"); }
+CategoryPtr cat_N() { return Category::primitive("N"); }
+CategoryPtr cat_CONJ() { return Category::primitive("CONJ"); }
 
 }  // namespace sage::ccg

@@ -8,43 +8,43 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
 namespace sage::ccg {
 
 class Category;
-using CategoryPtr = std::shared_ptr<const Category>;
+using CategoryPtr = const Category*;  // never owns: see interner.hpp
 
 /// Immutable, hash-consed category tree (see interner.hpp): the
 /// factories return canonical pointers, so structurally identical
 /// categories are the SAME object — equality is pointer equality, and
 /// every node carries a precomputed structural hash and a dense id the
-/// chart indexes key on.
+/// chart indexes key on. A primitive's name lives in the name pool.
 class Category {
  public:
   enum class Slash { kNone, kForward, kBackward };
 
   /// Primitive category, e.g. "S". Interned.
-  static CategoryPtr primitive(std::string name);
+  static CategoryPtr primitive(std::string_view name);
 
   /// Complex category `result slash arg`. Interned.
   static CategoryPtr complex(CategoryPtr result, Slash slash, CategoryPtr arg);
 
   bool is_primitive() const { return slash_ == Slash::kNone; }
-  const std::string& name() const { return name_; }
+  std::string_view name() const { return name_; }
   Slash slash() const { return slash_; }
-  const CategoryPtr& result() const { return result_; }
-  const CategoryPtr& arg() const { return arg_; }
+  CategoryPtr result() const { return result_; }
+  CategoryPtr arg() const { return arg_; }
 
   /// Precomputed structural hash (equal structures hash equal).
   std::uint64_t hash() const { return hash_; }
   /// Dense interner id; same structure <=> same id.
   std::uint32_t id() const { return id_; }
 
-  bool equals(const Category& other) const;
+  /// Structural equality. Categories exist only as interned nodes (no
+  /// constructor or copy is public), so it is identity.
+  bool equals(const Category& other) const { return this == &other; }
 
   /// Render with minimal parentheses: "(S\NP)/NP".
   std::string to_string() const;
@@ -55,23 +55,25 @@ class Category {
 
  private:
   Category() = default;
-  std::string name_;          // primitive only
+  Category(const Category&) = delete;
+  Category& operator=(const Category&) = delete;
+  /// The canonical node with these fields, built on first sight.
+  static CategoryPtr intern(Slash slash, std::string_view name,
+                            CategoryPtr result, CategoryPtr arg,
+                            std::uint64_t hash);
+
+  std::string_view name_;         // primitive only, pooled
+  CategoryPtr result_ = nullptr;  // complex only
+  CategoryPtr arg_ = nullptr;     // complex only
+  std::uint64_t hash_ = 0;        // structural hash, set by the interner
+  std::uint32_t id_ = 0;          // dense interner id
   Slash slash_ = Slash::kNone;
-  CategoryPtr result_;        // complex only
-  CategoryPtr arg_;           // complex only
-  std::uint64_t hash_ = 0;    // structural hash, set by the interner
-  std::uint32_t id_ = 0;      // dense interner id
 };
 
-inline bool operator==(const Category& a, const Category& b) {
-  return a.equals(b);
-}
-
-/// Shared singletons for the common primitives.
-const CategoryPtr& cat_S();
-const CategoryPtr& cat_NP();
-const CategoryPtr& cat_N();
-const CategoryPtr& cat_PP();
-const CategoryPtr& cat_CONJ();
+/// The common primitives.
+CategoryPtr cat_S();
+CategoryPtr cat_NP();
+CategoryPtr cat_N();
+CategoryPtr cat_CONJ();
 
 }  // namespace sage::ccg

@@ -3,7 +3,7 @@
 // Both `Category` and `Term` are immutable trees built exclusively
 // through factory functions. The factories route every construction
 // through a process-wide intern table: structurally identical nodes get
-// the SAME canonical `shared_ptr`, so
+// the SAME canonical `const Node*`, so
 //
 //   * structural equality is pointer equality (no recursive compares on
 //     the parse hot path),
@@ -14,33 +14,33 @@
 //     β-reduction steps that do not touch a subtree return the original
 //     interned node.
 //
+// Each table owns its nodes in an immortal NodeStore and their names
+// live in the immortal name pool (pool_name), so a node pointer is valid
+// for the process lifetime and nothing counts references. Only what must
+// live for ever is interned: categories, lexicon terms, lexical leaves,
+// and the reduced combinator results the parser's memo keeps, with their
+// subterms. A memo miss builds its wrapper and β-reduces it in a
+// per-thread scratch generation of uninterned terms and promotes only
+// the result (ScratchScope in term.hpp), so no process-table node points
+// at a scratch node. Growth stops once a workload has been seen, because
+// no term's identity depends on process history: parse-time variable ids
+// restart at kParseVarBase for every parse and lexicon binder ids at
+// kLexVarBase for every lexicon (see VarGen in term.hpp).
+//
 // Concurrency: the tables are mutex-striped (shard = high hash bits), so
-// parallel parses interning different structures almost never contend.
-// Entries are intentionally immortal — the table owns one shared_ptr per
-// distinct structure — so only what must live for ever is interned:
-// categories, lexicon terms, lexical leaves, and the reduced combinator
-// results the parser's memo keeps, with their subterms. A memo miss
-// builds its wrapper and β-reduces it in a per-thread scratch generation
-// of uninterned terms and promotes only the result (ScratchScope in
-// term.hpp), so no process-table node points at a scratch node. Growth
-// stops once a workload has been seen, because no term's identity
-// depends on process history: parse-time variable ids restart at
-// kParseVarBase for every parse and lexicon binder ids at kLexVarBase
-// for every lexicon (see VarGen in term.hpp).
-// Rebuilding the grammar or re-parsing a sentence re-interns the same
-// nodes, so the parser's combinator memo, keyed on their ids, stops
-// growing too.
-// `category_interner_size()` / `term_interner_size()` expose the live
-// table sizes for `sage_debug --parse-stats` and the property tests.
+// parallel parses interning different structures almost never contend;
+// a table's store has a mutex of its own, taken only to place a new node.
 #pragma once
 
+#include <sanitizer/asan_interface.h>  // no-op macros without ASan
+
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace sage::ccg {
@@ -66,6 +66,48 @@ inline std::uint64_t hash_bytes(std::uint64_t h, std::string_view s) {
   }
   return h;
 }
+
+/// Fixed-size chunks of placement-built, trivially destructible nodes.
+/// A node never moves and stays valid until reset(), which the intern
+/// tables never call; under ASan a slot is poisoned until allocate()
+/// hands it out and again after reset(). Not thread-safe.
+template <typename Node, std::size_t kChunk>
+class NodeStore {
+  static_assert(std::is_trivially_destructible_v<Node>);
+
+ public:
+  /// Storage for one more node.
+  void* allocate() {
+    if (used_ == chunks_.size() * kChunk) {
+      chunks_.push_back(std::make_unique<Slot[]>(kChunk));
+      ASAN_POISON_MEMORY_REGION(chunks_.back().get(), kChunk * sizeof(Slot));
+    }
+    Slot* slot = &chunks_[used_ / kChunk][used_ % kChunk];
+    ++used_;
+    ASAN_UNPOISON_MEMORY_REGION(slot, sizeof(Slot));
+    return slot->bytes;
+  }
+
+  /// Nodes allocated since the last reset.
+  std::size_t size() const { return used_; }
+  /// Chunk bytes held.
+  std::size_t bytes() const { return chunks_.size() * kChunk * sizeof(Slot); }
+
+  /// Forgets every node and keeps the chunks for the next ones.
+  void reset() {
+    for (std::size_t c = 0; c * kChunk < used_; ++c) {
+      ASAN_POISON_MEMORY_REGION(chunks_[c].get(), kChunk * sizeof(Slot));
+    }
+    used_ = 0;
+  }
+
+ private:
+  struct Slot {
+    alignas(Node) std::byte bytes[sizeof(Node)];
+  };
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::size_t used_ = 0;
+};
 
 /// A table split into 16 lock stripes, each a flat open-addressing
 /// table: power-of-two capacity, linear probing, doubled at 3/4 load.
@@ -101,16 +143,16 @@ class ShardedFlat {
 
     /// Fills the empty `slot` find_slot returned.
     void insert(std::size_t slot, Entry entry) {
-      entries[slot] = std::move(entry);
+      entries[slot] = entry;
       if (++used * 4 <= entries.size() * 3) return;
       std::vector<Entry> old = std::move(entries);
       entries.assign(old.size() * 2, Entry{});
       const std::size_t mask = entries.size() - 1;
-      for (Entry& e : old) {
+      for (const Entry& e : old) {
         if (e.empty()) continue;
         std::size_t s = static_cast<std::size_t>(e.hash()) & mask;
         while (!entries[s].empty()) s = (s + 1) & mask;
-        entries[s] = std::move(e);
+        entries[s] = e;
       }
     }
   };
@@ -118,61 +160,91 @@ class ShardedFlat {
   Shard& shard_for(std::uint64_t hash) { return shards_[hash >> 60]; }
 
   /// Entries stored over all stripes.
-  std::size_t size() const {
+  std::size_t size() const { return sum([](auto& s) { return s.used; }); }
+  /// Slot bytes held over all stripes.
+  std::size_t bytes() const {
+    return sum([](auto& s) { return s.entries.size() * sizeof(Entry); });
+  }
+
+ private:
+  template <typename Of>
+  std::size_t sum(Of&& of) const {
     std::size_t total = 0;
     for (const Shard& shard : shards_) {
       std::lock_guard lock(shard.mutex);
-      total += shard.used;
+      total += of(shard);
     }
     return total;
   }
 
- private:
   std::array<Shard, 16> shards_;
 };
 
-/// One InternTable slot: a canonical node and its structural hash.
-template <typename Node>
-struct InternEntry {
-  std::uint64_t key_hash = 0;
-  std::shared_ptr<const Node> node;  // nullptr marks an empty slot
+/// One InternTable slot: a resident node, screened by the hash stored in
+/// the node itself. `Key::of(node)` rebuilds the node's probe key.
+template <typename Node, typename Key>
+struct InternSlot {
+  const Node* node = nullptr;  // nullptr marks an empty slot
   bool empty() const { return node == nullptr; }
-  std::uint64_t hash() const { return key_hash; }
+  std::uint64_t hash() const { return Key::of(*node).hash; }
 };
 
-/// Thread-safe hash-consing table. `Key` is a cheap probe view of a
-/// node's structure (child pointers + scalars + string_views) carrying
-/// its precomputed `hash`; `stored_key_of(node)` rebuilds that view
-/// from a canonical node so probes can be compared against residents.
-/// The stored 64-bit hash is screened before any full key comparison.
-template <typename Node, typename Key, typename KeyHash>
-class InternTable : public ShardedFlat<InternEntry<Node>> {
+/// Thread-safe hash-consing table that owns its nodes. `Key` is a cheap
+/// probe view of a node's structure (child pointers + scalars +
+/// string_views) carrying its precomputed `hash`; the static
+/// `Key::of(node)` rebuilds it from a resident, and the stored hash is
+/// screened before any full key comparison.
+template <typename Node, typename Key>
+class InternTable : public ShardedFlat<InternSlot<Node, Key>> {
  public:
-  using Ptr = std::shared_ptr<const Node>;
-
-  /// Returns the canonical node for `probe`, creating it with
-  /// `make(id)` on first sight. `stored_key_of(node)` must rebuild the
-  /// probe key with views into the node's own storage.
-  template <typename Factory, typename StoredKeyOf>
-  Ptr intern(const Key& probe, Factory&& make, StoredKeyOf&& stored_key_of) {
+  /// Returns the canonical node for `probe`. On first sight,
+  /// `build(memory, id)` placement-constructs it in the table's store
+  /// with the next dense id (same structure <=> same id, from 1).
+  template <typename Build>
+  const Node* intern(const Key& probe, Build&& build) {
     auto& shard = this->shard_for(probe.hash);
     std::lock_guard lock(shard.mutex);
-    const std::size_t slot = shard.find_slot(probe.hash, [&](const Entry& e) {
-      return e.key_hash == probe.hash && stored_key_of(*e.node) == probe;
+    const std::size_t slot = shard.find_slot(probe.hash, [&](const Slot& s) {
+      const Key resident = Key::of(*s.node);
+      return resident.hash == probe.hash && resident == probe;
     });
     if (!shard.entries[slot].empty()) return shard.entries[slot].node;
-    Ptr node = make(next_id_.fetch_add(1, std::memory_order_relaxed));
-    shard.insert(slot, Entry{probe.hash, node});
+    std::lock_guard store_lock(store_mutex_);
+    void* memory = store_.allocate();
+    const Node* node = build(memory, static_cast<std::uint32_t>(store_.size()));
+    shard.insert(slot, Slot{node});
     return node;
   }
 
+  /// Slot and node-chunk bytes held. Takes the store's lock and the
+  /// stripes' locks one at a time (intern() nests them stripe first).
+  std::size_t bytes() const {
+    std::size_t nodes = 0;
+    {
+      std::lock_guard lock(store_mutex_);
+      nodes = store_.bytes();
+    }
+    return ShardedFlat<Slot>::bytes() + nodes;
+  }
+
  private:
-  using Entry = InternEntry<Node>;
-  std::atomic<std::uint32_t> next_id_{1};
+  using Slot = InternSlot<Node, Key>;
+  mutable std::mutex store_mutex_;
+  NodeStore<Node, 256> store_;
 };
+
+/// Copies `name` into the process-wide name pool: append-only chunks
+/// that are never freed, so the returned view is valid for the process
+/// lifetime. Interned and scratch terms and primitive categories keep
+/// their names here. Thread-safe. Defined in term.cpp.
+std::string_view pool_name(std::string_view name);
 
 /// Live intern-table sizes (distinct structures seen process-wide).
 std::size_t category_interner_size();  // defined in category.cpp
 std::size_t term_interner_size();      // defined in term.cpp
+
+/// Bytes the term interner holds: its node chunks and slots, plus the
+/// name pool's chunks.
+std::size_t term_store_bytes();  // defined in term.cpp
 
 }  // namespace sage::ccg

@@ -1,7 +1,5 @@
 #include "ccg/lexicon.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -22,10 +20,6 @@ void Lexicon::add(std::string_view word, std::string_view category,
                           "' for lexicon word '" + std::string(word) + "'");
   }
   entry.source = std::string(source);
-  add_entry(std::move(entry));
-}
-
-void Lexicon::add_entry(LexEntry entry) {
   entries_[entry.word].push_back(std::move(entry));
   ++total_;
 }
@@ -72,18 +66,6 @@ std::vector<std::string> Lexicon::words() const {
   std::vector<std::string> out;
   out.reserve(entries_.size());
   for (const auto& [word, list] : entries_) out.push_back(word);
-  return out;
-}
-
-std::vector<std::string> Lexicon::sources() const {
-  std::vector<std::string> out;
-  for (const auto& [word, list] : entries_) {
-    for (const auto& e : list) {
-      if (std::find(out.begin(), out.end(), e.source) == out.end()) {
-        out.push_back(e.source);
-      }
-    }
-  }
   return out;
 }
 

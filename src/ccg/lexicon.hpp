@@ -40,9 +40,6 @@ class Lexicon {
   void add(std::string_view word, std::string_view category,
            std::string_view semantics, std::string_view source = "core");
 
-  /// Add a pre-built entry.
-  void add_entry(LexEntry entry);
-
   /// All entries for a (lowercased) word; empty if unknown.
   const std::vector<LexEntry>& lookup(std::string_view word) const;
 
@@ -52,9 +49,6 @@ class Lexicon {
 
   /// Number of entries contributed by a given source tag.
   std::size_t count_by_source(std::string_view source) const;
-
-  /// Distinct source tags present.
-  std::vector<std::string> sources() const;
 
   /// All distinct surface words with entries (the grammar's closed-class
   /// vocabulary, used by the chunker's no-dictionary fallback).

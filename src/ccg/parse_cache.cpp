@@ -114,15 +114,4 @@ std::size_t ParseCache::size() const {
   return total;
 }
 
-void ParseCache::clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    shard->lru.clear();
-    shard->index.clear();
-  }
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace sage::ccg

@@ -47,18 +47,13 @@ struct CachedParse {
   bool used_structural_context = false;
 };
 
-/// Monotonic counters (totals since construction or clear()).
+/// Monotonic counters (totals since construction).
 struct ParseCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
 
   std::uint64_t lookups() const { return hits + misses; }
-  double hit_rate() const {
-    return lookups() == 0 ? 0.0
-                          : static_cast<double>(hits) /
-                                static_cast<double>(lookups());
-  }
 };
 
 class ParseCache {
@@ -87,7 +82,6 @@ class ParseCache {
   ParseCacheStats stats() const;
   std::size_t size() const;
   std::size_t capacity() const { return per_shard_capacity_ * shards_.size(); }
-  void clear();
 
  private:
   struct Entry {

@@ -14,11 +14,11 @@ namespace sage::ccg {
 
 namespace {
 
-// Chart edges, memo entries and arena nodes hold raw pointers: every
-// category and every term they see is interned, and its interner owns it
-// for the process lifetime (interner.hpp). The scratch terms a memo miss
-// builds never reach them (CombineMemo::get). ParseResult holds only deep
-// copies.
+// Chart edges, memo entries and arena nodes hold plain pointers: every
+// category and every term they see is interned, and its interner's store
+// owns it for the process lifetime (interner.hpp). The scratch terms a
+// memo miss builds never reach them (CombineMemo::get). ParseResult holds
+// only deep copies.
 
 /// An interned term with its id, as the memo returns it.
 struct Sem {
@@ -27,7 +27,7 @@ struct Sem {
   explicit operator bool() const { return term != nullptr; }
 };
 
-Sem interned(const TermPtr& t) { return {t.get(), t->id}; }
+Sem interned(TermPtr t) { return {t, t->id}; }
 
 /// One chart edge: a category with its (beta-normal) semantics and that
 /// term's id, so dedup never loads the term, plus an index into the
@@ -121,6 +121,7 @@ class Chart {
     Cell& c = cell(start, span);
     if (c.edges.size() >= cap_) {
       ++stats_->cap_drops;
+      full_span_capped = full_span_capped || span == n_;
       return false;
     }
     Edge edge{cat, sem.term, sem.id, -1};
@@ -151,6 +152,8 @@ class Chart {
     return true;
   }
 
+  bool full_span_capped = false;  // the full-span cell refused an edge
+
  private:
   std::size_t n_;
   std::size_t cap_;
@@ -169,21 +172,21 @@ class Chart {
 /// @And(@Is(A,C), @Is(B,C)) alongside the plain @Is(@And(A,B), C).
 /// The binders are the attempt's n+1 fresh ids: xi = first + i - 1,
 /// y = first + n.
-TermPtr coordination_sem(const TermPtr& conj_pred, const TermPtr& right_sem,
-                         int arity, int first) {
+TermPtr coordination_sem(TermPtr conj_pred, TermPtr right_sem, int arity,
+                         int first) {
   const auto apply_chain = [&](TermPtr f) {
-    for (int i = 0; i < arity; ++i) f = mk_app(std::move(f), mk_var(first + i));
+    for (int i = 0; i < arity; ++i) f = mk_app(f, mk_var(first + i));
     return f;
   };
   const int y = first + arity;
   TermPtr body = mk_app(mk_app(conj_pred, apply_chain(mk_var(y))),
                         apply_chain(right_sem));
-  for (int i = arity; i-- > 0;) body = mk_lam(first + i, std::move(body));
-  return mk_lam(y, std::move(body));
+  for (int i = arity; i-- > 0;) body = mk_lam(first + i, body);
+  return mk_lam(y, body);
 }
 
 /// S/(S\NP) — the type-raised category.
-const CategoryPtr& cat_S_fwd_S_back_NP() {
+CategoryPtr cat_S_fwd_S_back_NP() {
   static const CategoryPtr c = Category::complex(
       cat_S(), Category::Slash::kForward,
       Category::complex(cat_S(), Category::Slash::kBackward, cat_NP()));
@@ -223,14 +226,25 @@ struct CombineKey {
   }
 };
 
+/// The memo's reduction cap; a stored step count is below it.
+constexpr int kMaxBetaSteps = 4096;
+
+/// One memo slot: a CombineKey's fields laid flat beside the result, so
+/// a slot is 32 bytes.
 struct CombineEntry {
-  CombineKey key;
-  std::uint32_t steps = 0;
-  std::uint32_t term_id = 0;
   const Term* term = nullptr;  // nullptr marks an empty slot
+  std::uint64_t aux = 0;
+  std::uint32_t left = 0;
+  std::uint32_t right = 0;
+  std::uint32_t term_id = 0;
+  std::uint16_t steps = 0;
+  Rule rule = Rule::kApply;
+
+  CombineKey key() const { return {rule, left, right, aux}; }
   bool empty() const { return term == nullptr; }
-  std::uint64_t hash() const { return key.hash(); }
+  std::uint64_t hash() const { return key().hash(); }
 };
+static_assert(sizeof(CombineEntry) <= 32 && kMaxBetaSteps <= UINT16_MAX);
 
 /// Process-wide memo of combinator results: key -> (β-normal result,
 /// steps its reduction took). A hit returns the term a rebuild would
@@ -238,7 +252,7 @@ struct CombineEntry {
 /// interner (interner.hpp's ShardedFlat).
 class CombineMemo : public ShardedFlat<CombineEntry> {
  public:
-  /// The result `key` names and its id; a hit touches no refcount. On a
+  /// The result `key` names and its id; a hit reads only its slot. On a
   /// miss, `build()` makes the unreduced term and it is reduced under the
   /// parser's one 4096-step cap (malformed combinations could otherwise
   /// loop). Both run in this thread's scratch generation, and only the
@@ -251,7 +265,7 @@ class CombineMemo : public ShardedFlat<CombineEntry> {
   Sem get(const CombineKey& key, ParseStats& stats, Build&& build) {
     const std::uint64_t hash = key.hash();
     Shard& shard = shard_for(hash);
-    const auto matches = [&key](const CombineEntry& e) { return e.key == key; };
+    const auto matches = [&](const CombineEntry& e) { return e.key() == key; };
     {
       std::lock_guard lock(shard.mutex);
       const CombineEntry& entry = shard.entries[shard.find_slot(hash, matches)];
@@ -263,10 +277,10 @@ class CombineMemo : public ShardedFlat<CombineEntry> {
     }
     ++stats.memo_misses;
     std::size_t steps = 0;
-    TermPtr term;
+    TermPtr term = nullptr;
     {
       ScratchScope scratch;
-      const TermPtr reduced = beta_reduce(build(), 4096, &steps);
+      const TermPtr reduced = beta_reduce(build(), kMaxBetaSteps, &steps);
       if (reduced == nullptr) return {};
       term = scratch.promote(reduced);
     }
@@ -274,8 +288,8 @@ class CombineMemo : public ShardedFlat<CombineEntry> {
     std::lock_guard lock(shard.mutex);
     const std::size_t slot = shard.find_slot(hash, matches);
     if (shard.entries[slot].empty()) {  // else a racing thread stored it
-      shard.insert(slot, {key, static_cast<std::uint32_t>(steps), term->id,
-                          term.get()});
+      shard.insert(slot, {term, key.aux, key.left, key.right, term->id,
+                          static_cast<std::uint16_t>(steps), key.rule});
     }
     return interned(term);
   }
@@ -284,13 +298,6 @@ class CombineMemo : public ShardedFlat<CombineEntry> {
 CombineMemo& combine_memo() {
   static auto* memo = new CombineMemo();  // immortal, like the interners
   return *memo;
-}
-
-/// View an immortal interned node through the shared_ptr API without
-/// copying or refcounting (aliasing constructor, null owner).
-template <typename T>
-std::shared_ptr<const T> unowned(const T* p) {
-  return {std::shared_ptr<const T>(), p};
 }
 
 /// Copy the subtree rooted at `root` out of the shared arena into a
@@ -332,7 +339,7 @@ Derivation extract_derivation(const std::vector<ArenaNode>& arena, int root) {
       if (enter(node.right)) continue;
     }
     out.nodes.push_back(DerivationNode{node.cat->to_string(),
-                                       term_to_string(unowned(node.sem)),
+                                       term_to_string(node.sem),
                                        node.rule, f.left_out, ret});
     ret = static_cast<int>(out.nodes.size()) - 1;
     stack.pop_back();
@@ -344,6 +351,8 @@ Derivation extract_derivation(const std::vector<ArenaNode>& arena, int root) {
 }  // namespace
 
 std::size_t combine_memo_size() { return combine_memo().size(); }
+
+std::size_t combine_memo_bytes() { return combine_memo().bytes(); }
 
 std::string Derivation::to_string() const {
   std::string out;
@@ -383,7 +392,8 @@ std::string Derivation::to_string() const {
 ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
   ParseResult result;
   const std::size_t n = tokens.size();
-  if (n == 0 || n > options_.max_tokens) return result;
+  result.over_max_tokens = n > options_.max_tokens;
+  if (n == 0 || result.over_max_tokens) return result;
 
   VarGen vg;  // per-parse: derivations and dedup ids are deterministic
   std::vector<ArenaNode> arena;
@@ -404,15 +414,15 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
   CombineMemo& memo = combine_memo();
   ParseStats& stats = result.stats;
   // The grammar's fixed categories, read once rather than on every test.
-  const Category* const n_cat = cat_N().get();
-  const Category* const np_cat = cat_NP().get();
-  const Category* const s_cat = cat_S().get();
-  const Category* const conj_cat = cat_CONJ().get();
-  const Category* const raised_cat = cat_S_fwd_S_back_NP().get();
+  const Category* const n_cat = cat_N();
+  const Category* const np_cat = cat_NP();
+  const Category* const s_cat = cat_S();
+  const Category* const conj_cat = cat_CONJ();
+  const Category* const raised_cat = cat_S_fwd_S_back_NP();
   const auto apply = [&](const Edge& f, const Edge& a) {
     ++stats.beta_reductions;
     return memo.get({Rule::kApply, f.sem_id, a.sem_id}, stats,
-                    [&] { return mk_app(unowned(f.sem), unowned(a.sem)); });
+                    [&] { return mk_app(f.sem, a.sem); });
   };
   const auto compose = [&](const Edge& f, const Edge& g) {
     const int z = vg.fresh();
@@ -420,8 +430,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
     return memo.get(
         {Rule::kCompose, f.sem_id, g.sem_id, static_cast<std::uint64_t>(z)},
         stats, [&] {
-          return mk_lam(z, mk_app(unowned(f.sem),
-                                  mk_app(unowned(g.sem), mk_var(z))));
+          return mk_lam(z, mk_app(f.sem, mk_app(g.sem, mk_var(z))));
         });
   };
   // Unary rules on a completed cell: N -> NP, then, when `raise_np`,
@@ -442,8 +451,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
       const Edge e = chart.cell(start, span).edges[k];
       if (e.cat != np_cat) continue;
       const Sem raised = memo.get({Rule::kTypeRaise, e.sem_id}, stats, [&] {
-        return mk_lam(kTypeRaiseVar,
-                      mk_app(mk_var(kTypeRaiseVar), unowned(e.sem)));
+        return mk_lam(kTypeRaiseVar, mk_app(mk_var(kTypeRaiseVar), e.sem));
       });
       chart.add(start, span, raised_cat, raised,
                 [] { return "type raising"; }, e.id);
@@ -473,7 +481,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
     }
     for (const LexEntry& entry : lexicon_->lookup(tok.lower)) {
       has_lexical = true;
-      chart.add(i, 1, entry.category.get(), interned(entry.semantics),
+      chart.add(i, 1, entry.category, interned(entry.semantics),
                 [&] { return "lexicon '" + tok.text + "'"; });
     }
     if (!has_lexical && tok.kind != nlp::TokenKind::kPunct) {
@@ -493,17 +501,17 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
     const Category& rc = *r.cat;
     // Forward application: X/Y  Y  =>  X
     if (!lc.is_primitive() && lc.slash() == Category::Slash::kForward &&
-        lc.arg().get() == r.cat) {
+        lc.arg() == r.cat) {
       if (const Sem sem = apply(l, r)) {
-        chart.add(start, span, lc.result().get(), sem,
+        chart.add(start, span, lc.result(), sem,
                   [] { return "forward application"; }, l.id, r.id);
       }
     }
     // Backward application: Y  X\Y  =>  X
     if (!rc.is_primitive() && rc.slash() == Category::Slash::kBackward &&
-        rc.arg().get() == l.cat) {
+        rc.arg() == l.cat) {
       if (const Sem sem = apply(r, l)) {
-        chart.add(start, span, rc.result().get(), sem,
+        chart.add(start, span, rc.result(), sem,
                   [] { return "backward application"; }, l.id, r.id);
       }
     }
@@ -516,8 +524,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
         if (const Sem sem = compose(l, r)) {
           chart.add(start, span,
                     Category::complex(lc.result(), Category::Slash::kForward,
-                                      rc.arg())
-                        .get(),
+                                      rc.arg()),
                     sem, [] { return "forward composition"; }, l.id, r.id);
         }
       }
@@ -529,8 +536,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
         if (const Sem sem = compose(r, l)) {
           chart.add(start, span,
                     Category::complex(rc.result(), Category::Slash::kBackward,
-                                      lc.arg())
-                        .get(),
+                                      lc.arg()),
                     sem, [] { return "backward composition"; }, l.id, r.id);
         }
       }
@@ -544,12 +550,15 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
       // Both analyses the parser cannot choose between: the
       // compound as one name, and the head-modifier relation.
       const Sem name =
-          memo.get({Rule::kCompoundStr, l.sem_id, r.sem_id}, stats,
-                   [&] { return mk_str(l.sem->name + " " + r.sem->name); });
+          memo.get({Rule::kCompoundStr, l.sem_id, r.sem_id}, stats, [&] {
+            std::string joined(l.sem->name());
+            joined += ' ';
+            joined += r.sem->name();
+            return mk_str(joined);
+          });
       const Sem head =
           memo.get({Rule::kCompoundOf, l.sem_id, r.sem_id}, stats, [&] {
-            return mk_pred_app(std::string(lf::pred::kOf),
-                               {unowned(r.sem), unowned(l.sem)});
+            return mk_pred_app(lf::pred::kOf, {r.sem, l.sem});
           });
       chart.add(start, span, n_cat, name, [] { return "noun compound"; },
                 l.id, r.id);
@@ -563,7 +572,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
         l.sem->kind == Term::Kind::kPred) {
       int arity = 0;
       for (const Category* c = r.cat; !c->is_primitive();
-           c = c->result().get()) {
+           c = c->result()) {
         ++arity;
       }
       const int first = vg.fresh(arity + 1);
@@ -572,13 +581,10 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
       ++stats.beta_reductions;
       if (const Sem sem = memo.get(
               {Rule::kCoordinate, l.sem_id, r.sem_id, aux}, stats, [&] {
-                return coordination_sem(unowned(l.sem), unowned(r.sem),
-                                        arity, first);
+                return coordination_sem(l.sem, r.sem, arity, first);
               })) {
         chart.add(start, span,
-                  Category::complex(unowned(r.cat), Category::Slash::kBackward,
-                                    unowned(r.cat))
-                      .get(),
+                  Category::complex(r.cat, Category::Slash::kBackward, r.cat),
                   sem, [] { return "coordination"; }, l.id, r.id);
       }
     }
@@ -672,7 +678,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
   };
   for (const Edge& e : chart.cell(0, n).edges) {
     if (e.cat == s_cat) {
-      if (auto form = term_to_logical_form(unowned(e.sem))) {
+      if (auto form = term_to_logical_form(e.sem)) {
         if (seen_forms.insert(render_key(*form)).second) {
           result.forms.push_back(std::move(*form));
           if (options_.record_derivations && e.id >= 0) {
@@ -681,7 +687,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
         }
       }
     } else if (e.cat == np_cat || e.cat == n_cat) {
-      if (auto frag = term_to_logical_form(unowned(e.sem))) {
+      if (auto frag = term_to_logical_form(e.sem)) {
         if (seen_fragments.insert(render_key(*frag)).second) {
           result.fragments.push_back(std::move(*frag));
         }
@@ -689,6 +695,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
     }
   }
   result.chart_edges = result.stats.edges_created;
+  result.full_span_capped = chart.full_span_capped;
   result.stats.arena_bytes_reserved = chart_arena.bytes_reserved();
   result.stats.arena_high_water = chart_arena.high_water();
   result.stats.arena_resets = static_cast<std::size_t>(chart_arena.resets());

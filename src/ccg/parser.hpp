@@ -21,7 +21,7 @@
 // result, by backward-slash argument), probed once per left-edge shape
 // and pair of cells in place of the left×right cross-product scan.
 // Combinator results are memoized process-wide on term ids, so a warm
-// parse interns no wrapper term and a memo hit touches no refcount.
+// parse interns no wrapper term and a memo hit reads only its slot.
 // tests/test_differential.cpp pins every corpus sentence's parse output
 // to digests recorded while the seed's scan was still in the tree.
 #pragma once
@@ -107,12 +107,19 @@ struct ParseResult {
   std::size_t chart_edges = 0;
   /// Tokens that had no lexical entry at all (diagnosis for 0-LF results).
   std::vector<std::string> unknown_tokens;
+  /// The full-span cell refused an edge at max_edges_per_cell, so
+  /// `forms` and `fragments` may lack readings.
+  bool full_span_capped = false;
+  /// The input had more than max_tokens tokens and was not parsed.
+  bool over_max_tokens = false;
   /// Hot-path counters for this parse.
   ParseStats stats;
 };
 
-/// Entries in the process-wide combinator memo every parse shares.
+/// Entries in the process-wide combinator memo every parse shares, and
+/// the slot bytes it holds.
 std::size_t combine_memo_size();
+std::size_t combine_memo_bytes();
 
 class CcgParser {
  public:

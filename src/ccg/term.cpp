@@ -1,21 +1,23 @@
 #include "ccg/term.hpp"
 
-#include <sanitizer/asan_interface.h>  // no-op macros without ASan
-
 #include <cassert>
 #include <cctype>
 #include <cstddef>
+#include <limits>
 #include <map>
 #include <new>
+#include <stdexcept>
+#include <vector>
 
 #include "ccg/interner.hpp"
+#include "util/arena.hpp"
 
 namespace sage::ccg {
 
 namespace {
 
-/// Probe key for the term interner: scalars + child pointers. For the
-/// stored copy, `name` views the canonical node's own storage.
+/// Probe key for the term interner: scalars + child pointers. For a
+/// resident, `name` views the node's pooled name.
 struct TermKey {
   Term::Kind kind;
   int var;
@@ -29,18 +31,26 @@ struct TermKey {
     return kind == o.kind && var == o.var && number == o.number &&
            name == o.name && a == o.a && b == o.b;
   }
-};
-struct TermKeyHash {
-  std::size_t operator()(const TermKey& k) const {
-    return static_cast<std::size_t>(k.hash);
+
+  static TermKey of(const Term& t) {
+    return {t.kind, t.var,  t.kind == Term::Kind::kNum ? t.number : 0,
+            t.name(), t.a, t.b, t.hash};
   }
 };
 
-using TermTable = InternTable<Term, TermKey, TermKeyHash>;
+using TermTable = InternTable<Term, TermKey>;
 
 TermTable& term_table() {
   static TermTable* table = new TermTable();  // immortal by design
   return *table;
+}
+
+/// The name pool behind pool_name: an arena that is never reset, so its
+/// chunks and every view into them live for the process.
+std::mutex name_pool_mutex;
+util::Arena& name_pool() {
+  static auto* pool = new util::Arena(4096);  // immortal by design
+  return *pool;
 }
 
 std::uint64_t term_hash(const TermKey& k) {
@@ -53,159 +63,130 @@ std::uint64_t term_hash(const TermKey& k) {
   return h;
 }
 
-TermKey key_of(const Term& t) {
-  TermKey key{t.kind, t.var, t.number, t.name, t.a.get(), t.b.get(), t.hash};
-  return key;
-}
-
 bool is_scratch(const Term& t) { return (t.id & kScratchBit) != 0; }
 
-/// Fills a new node from its probe key. Interned and scratch nodes are
-/// both built here, so they carry the same hash, `normal` and
-/// `var_bloom`. `key.name` may view `name`, so it is dead afterwards.
-void fill(Term& t, const TermKey& key, std::string&& name, TermPtr a,
-          TermPtr b) {
-  t.kind = key.kind;
-  t.var = key.var;
-  t.number = key.number;
-  t.name = std::move(name);
-  t.a = std::move(a);
-  t.b = std::move(b);
-  t.hash = key.hash;
-  switch (t.kind) {
+/// Builds the node `key` describes in `memory`, naming it with the pooled
+/// `name`. Interned and scratch nodes are both built here, so they carry
+/// the same hash, `normal` and `var_bloom`.
+Term* build(void* memory, const TermKey& key, std::string_view name) {
+  Term* t = ::new (memory) Term();
+  t->kind = key.kind;
+  t->var = key.var;
+  t->name_chars = name.data();
+  t->name_size = static_cast<std::uint32_t>(name.size());
+  if (key.kind == Term::Kind::kNum) t->number = key.number;  // no name
+  t->a = key.a;
+  t->b = key.b;
+  t->hash = key.hash;
+  switch (t->kind) {
     case Term::Kind::kVar:
-      t.var_bloom = 1ull << (static_cast<unsigned>(t.var) & 63u);
+      t->var_bloom = 1ull << (static_cast<unsigned>(t->var) & 63u);
       break;
     case Term::Kind::kLam:
-      t.normal = t.a->normal;
-      t.var_bloom = t.a->var_bloom;
+      t->normal = t->a->normal;
+      t->var_bloom = t->a->var_bloom;
       break;
     case Term::Kind::kApp:
-      t.normal = t.a->normal && t.b->normal && t.a->kind != Term::Kind::kLam;
-      t.var_bloom = t.a->var_bloom | t.b->var_bloom;
+      t->normal =
+          t->a->normal && t->b->normal && t->a->kind != Term::Kind::kLam;
+      t->var_bloom = t->a->var_bloom | t->b->var_bloom;
       break;
     default:
       break;  // leaves: normal, no variables
   }
+  return t;
 }
 
-/// The canonical node for `key`. `key.name` views `name` (or other
-/// storage that outlives the call) until the probe is done.
-TermPtr intern_term(const TermKey& key, std::string&& name, TermPtr a,
-                    TermPtr b) {
+/// The canonical node for `key`. A new node takes its name from the pool:
+/// `key.name` itself when `name_pooled`, else a pooled copy of it.
+TermPtr intern_term(const TermKey& key, bool name_pooled) {
   // A process-table node never points into a scratch generation.
-  assert(a == nullptr || !is_scratch(*a));
-  assert(b == nullptr || !is_scratch(*b));
-  return term_table().intern(
-      key,
-      [&](std::uint32_t id) {
-        auto t = std::make_shared<Term>();
-        fill(*t, key, std::move(name), std::move(a), std::move(b));
-        t->id = id;
-        return t;
-      },
-      [](const Term& t) { return key_of(t); });
+  assert(key.a == nullptr || !is_scratch(*key.a));
+  assert(key.b == nullptr || !is_scratch(*key.b));
+  return term_table().intern(key, [&](void* memory, std::uint32_t id) {
+    Term* t = build(memory, key,
+                    name_pooled ? key.name : pool_name(key.name));
+    t->id = id;
+    return t;
+  });
 }
 
 /// One thread's scratch generation: the nodes built while its ScratchScope
-/// is open, in fixed-size chunks the thread keeps across scopes, so a
-/// warm thread's miss allocates no node storage. Closing the scope runs
-/// every node's destructor (names, child references) and, under ASan,
-/// poisons the slots, so a scratch node that escaped its scope reads as
-/// a use-after-poison.
-class ScratchStore {
- public:
-  ScratchStore() = default;
-  ScratchStore(const ScratchStore&) = delete;
-  ScratchStore& operator=(const ScratchStore&) = delete;
-  ~ScratchStore() { clear(); }
-
-  TermPtr make(const TermKey& key, std::string&& name, TermPtr a, TermPtr b) {
-    if (used_ == chunks_.size() * kChunk) {
-      chunks_.push_back(std::make_unique<Slot[]>(kChunk));
-      ASAN_POISON_MEMORY_REGION(chunks_.back().get(), kChunk * sizeof(Slot));
-    }
-    Slot* slot = &chunks_[used_ / kChunk][used_ % kChunk];
-    ASAN_UNPOISON_MEMORY_REGION(slot, sizeof(Slot));
-    Term* t = ::new (slot->bytes) Term();
-    fill(*t, key, std::move(name), std::move(a), std::move(b));
-    t->id = kScratchBit | static_cast<std::uint32_t>(used_++);
-    return TermPtr(TermPtr(), t);  // null owner: the store owns it
-  }
-
-  TermPtr promote(const TermPtr& term) {
-    promoted_.resize(used_);
-    return lift(term);
-  }
-
-  void clear() {
-    for (std::size_t i = 0; i < used_; ++i) {
-      Slot* slot = &chunks_[i / kChunk][i % kChunk];
-      std::destroy_at(std::launder(reinterpret_cast<Term*>(slot->bytes)));
-      ASAN_POISON_MEMORY_REGION(slot, sizeof(Slot));
-    }
-    used_ = 0;
-    promoted_.clear();
-  }
-
- private:
-  static constexpr std::size_t kChunk = 256;
-  struct Slot {
-    alignas(Term) std::byte bytes[sizeof(Term)];
-  };
-
-  /// Interns `t` after its children, once per scratch node: `promoted_`
-  /// remembers each slot's canonical node for the rest of the scope.
-  TermPtr lift(const TermPtr& t) {
-    if (t == nullptr || !is_scratch(*t)) return t;
-    const std::size_t slot = t->id & ~kScratchBit;
-    if (promoted_[slot] == nullptr) {
-      TermPtr a = lift(t->a);
-      TermPtr b = lift(t->b);
-      const TermKey key{t->kind, t->var,  t->number, t->name,
-                        a.get(),  b.get(), t->hash};
-      promoted_[slot] = intern_term(key, std::string(t->name), std::move(a),
-                                    std::move(b));
-    }
-    return promoted_[slot];
-  }
-
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
-  std::size_t used_ = 0;
-  std::vector<TermPtr> promoted_;  // by slot, during promote()
+/// is open, in a store the thread keeps across scopes, and during
+/// promote() each slot's canonical node. Closing the scope resets the
+/// store, which under ASan poisons the freed slots. Names go to the pool,
+/// where a node's promoted twin reuses them.
+struct Scratch {
+  NodeStore<Term, 256> nodes;
+  std::vector<TermPtr> promoted;  // by slot
 };
 
-/// The store of the scope open on this thread, or nullptr.
-thread_local ScratchStore* open_scratch = nullptr;
+/// The generation of the scope open on this thread, or nullptr.
+thread_local Scratch* open_scratch = nullptr;
 
-TermPtr make_term(Term::Kind kind, int var, long number, std::string name,
-                  TermPtr a, TermPtr b) {
-  TermKey key{kind, var, number, name, a.get(), b.get(), 0};
-  key.hash = term_hash(key);
-  if (open_scratch != nullptr) {
-    return open_scratch->make(key, std::move(name), std::move(a),
-                              std::move(b));
+/// Interns scratch node `t` after its children, once per node.
+TermPtr lift(TermPtr t) {
+  if (t == nullptr || !is_scratch(*t)) return t;
+  TermPtr& canonical = open_scratch->promoted[t->id & ~kScratchBit];
+  if (canonical == nullptr) {
+    TermKey key = TermKey::of(*t);
+    key.a = lift(t->a);
+    key.b = lift(t->b);
+    canonical = intern_term(key, /*name_pooled=*/true);
   }
-  return intern_term(key, std::move(name), std::move(a), std::move(b));
+  return canonical;
+}
+
+TermPtr make_term(Term::Kind kind, int var, long number, std::string_view name,
+                  TermPtr a, TermPtr b) {
+  TermKey key{kind, var, number, name, a, b, 0};
+  key.hash = term_hash(key);
+  if (open_scratch == nullptr) return intern_term(key, /*name_pooled=*/false);
+  const auto slot = static_cast<std::uint32_t>(open_scratch->nodes.size());
+  Term* t = build(open_scratch->nodes.allocate(), key, pool_name(key.name));
+  t->id = kScratchBit | slot;
+  return t;
 }
 
 }  // namespace
 
+std::string_view pool_name(std::string_view name) {
+  if (name.empty()) return {};
+  if (name.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("term name longer than 4 GiB");
+  }
+  std::lock_guard lock(name_pool_mutex);
+  const auto pooled = name_pool().intern(
+      {reinterpret_cast<const std::uint8_t*>(name.data()), name.size()});
+  return {reinterpret_cast<const char*>(pooled.data()), pooled.size()};
+}
+
 std::size_t term_interner_size() { return term_table().size(); }
 
+std::size_t term_store_bytes() {
+  std::size_t names = 0;
+  {
+    std::lock_guard lock(name_pool_mutex);  // never held with a table lock
+    names = name_pool().bytes_reserved();
+  }
+  return term_table().bytes() + names;
+}
+
 ScratchScope::ScratchScope() {
-  static thread_local ScratchStore store;
+  static thread_local Scratch scratch;
   assert(open_scratch == nullptr && "scratch scopes do not nest");
-  open_scratch = &store;
+  open_scratch = &scratch;
 }
 
 ScratchScope::~ScratchScope() {
-  open_scratch->clear();
+  open_scratch->nodes.reset();
+  open_scratch->promoted.clear();
   open_scratch = nullptr;
 }
 
-TermPtr ScratchScope::promote(const TermPtr& term) {
-  return open_scratch->promote(term);
+TermPtr ScratchScope::promote(TermPtr term) {
+  open_scratch->promoted.resize(open_scratch->nodes.size());
+  return lift(term);
 }
 
 TermPtr mk_var(int id) {
@@ -213,31 +194,29 @@ TermPtr mk_var(int id) {
 }
 
 TermPtr mk_lam(int var, TermPtr body) {
-  return make_term(Term::Kind::kLam, var, 0, {}, std::move(body), nullptr);
+  return make_term(Term::Kind::kLam, var, 0, {}, body, nullptr);
 }
 
 TermPtr mk_app(TermPtr fun, TermPtr arg) {
-  return make_term(Term::Kind::kApp, 0, 0, {}, std::move(fun),
-                   std::move(arg));
+  return make_term(Term::Kind::kApp, 0, 0, {}, fun, arg);
 }
 
-TermPtr mk_pred(std::string name) {
-  return make_term(Term::Kind::kPred, 0, 0, std::move(name), nullptr,
-                   nullptr);
+TermPtr mk_pred(std::string_view name) {
+  return make_term(Term::Kind::kPred, 0, 0, name, nullptr, nullptr);
 }
 
-TermPtr mk_str(std::string value) {
-  return make_term(Term::Kind::kStr, 0, 0, std::move(value), nullptr,
-                   nullptr);
+TermPtr mk_str(std::string_view value) {
+  return make_term(Term::Kind::kStr, 0, 0, value, nullptr, nullptr);
 }
 
 TermPtr mk_num(long value) {
   return make_term(Term::Kind::kNum, 0, value, {}, nullptr, nullptr);
 }
 
-TermPtr mk_pred_app(std::string name, std::vector<TermPtr> args) {
-  TermPtr t = mk_pred(std::move(name));
-  for (auto& a : args) t = mk_app(std::move(t), std::move(a));
+TermPtr mk_pred_app(std::string_view name,
+                    std::initializer_list<TermPtr> args) {
+  TermPtr t = mk_pred(name);
+  for (TermPtr a : args) t = mk_app(t, a);
   return t;
 }
 
@@ -249,7 +228,7 @@ namespace {
 /// (kTypeRaiseVar) is only ever bound over its own head occurrence —
 /// so the shadowing check below is exact and capture cannot occur
 /// (docs/PARSER_INTERNALS.md spells out the argument).
-TermPtr substitute(const TermPtr& term, int var, const TermPtr& value) {
+TermPtr substitute(TermPtr term, int var, TermPtr value) {
   // Bloom miss proves `var` does not occur anywhere below: no walk.
   if ((term->var_bloom & (1ull << (static_cast<unsigned>(var) & 63u))) == 0) {
     return term;
@@ -260,14 +239,13 @@ TermPtr substitute(const TermPtr& term, int var, const TermPtr& value) {
     case Term::Kind::kLam: {
       if (term->var == var) return term;  // shadowed
 
-      TermPtr body = substitute(term->a, var, value);
-      return body == term->a ? term : mk_lam(term->var, std::move(body));
+      const TermPtr body = substitute(term->a, var, value);
+      return body == term->a ? term : mk_lam(term->var, body);
     }
     case Term::Kind::kApp: {
-      TermPtr f = substitute(term->a, var, value);
-      TermPtr x = substitute(term->b, var, value);
-      return (f == term->a && x == term->b) ? term
-                                            : mk_app(std::move(f), std::move(x));
+      const TermPtr f = substitute(term->a, var, value);
+      const TermPtr x = substitute(term->b, var, value);
+      return (f == term->a && x == term->b) ? term : mk_app(f, x);
     }
     default:
       return term;
@@ -275,19 +253,19 @@ TermPtr substitute(const TermPtr& term, int var, const TermPtr& value) {
 }
 
 /// One normal-order reduction step; nullptr when already in normal form.
-TermPtr step(const TermPtr& term) {
+TermPtr step(TermPtr term) {
   if (term->normal) return nullptr;  // memoized: no redex below
   switch (term->kind) {
     case Term::Kind::kApp: {
       if (term->a->kind == Term::Kind::kLam) {
         return substitute(term->a->a, term->a->var, term->b);
       }
-      if (TermPtr f = step(term->a)) return mk_app(std::move(f), term->b);
-      if (TermPtr x = step(term->b)) return mk_app(term->a, std::move(x));
+      if (const TermPtr f = step(term->a)) return mk_app(f, term->b);
+      if (const TermPtr x = step(term->b)) return mk_app(term->a, x);
       return nullptr;
     }
     case Term::Kind::kLam: {
-      if (TermPtr body = step(term->a)) return mk_lam(term->var, std::move(body));
+      if (const TermPtr body = step(term->a)) return mk_lam(term->var, body);
       return nullptr;
     }
     default:
@@ -297,17 +275,17 @@ TermPtr step(const TermPtr& term) {
 
 }  // namespace
 
-TermPtr beta_reduce(const TermPtr& term, int max_steps,
+TermPtr beta_reduce(TermPtr term, int max_steps,
                     std::size_t* steps_out) {
   if (term->normal) return term;
   TermPtr current = term;
   for (int i = 0; i < max_steps; ++i) {
-    TermPtr next = step(current);
+    const TermPtr next = step(current);
     if (!next) {
       if (steps_out != nullptr) *steps_out += static_cast<std::size_t>(i);
       return current;
     }
-    current = std::move(next);
+    current = next;
   }
   return nullptr;  // did not normalize within the cap
 }
@@ -327,18 +305,18 @@ void append_term(const Term* term, std::string& out) {
       out += "\\x";
       out += std::to_string(term->var);
       out += '.';
-      append_term(term->a.get(), out);
+      append_term(term->a, out);
       return;
     case Term::Kind::kApp: {
       // Collect the application spine for @Pred(a, b) style printing.
       std::vector<const Term*> args;
       const Term* head = term;
       while (head->kind == Term::Kind::kApp) {
-        args.push_back(head->b.get());
-        head = head->a.get();
+        args.push_back(head->b);
+        head = head->a;
       }
       if (head->kind == Term::Kind::kPred) {
-        out += head->name;
+        out += head->name();
       } else {
         append_term(head, out);
       }
@@ -351,11 +329,11 @@ void append_term(const Term* term, std::string& out) {
       return;
     }
     case Term::Kind::kPred:
-      out += term->name;
+      out += term->name();
       return;
     case Term::Kind::kStr:
       out += '"';
-      out += term->name;
+      out += term->name();
       out += '"';
       return;
     case Term::Kind::kNum:
@@ -368,17 +346,17 @@ void append_term(const Term* term, std::string& out) {
 std::optional<lf::LfNode> term_to_lf_node(const Term* term) {
   switch (term->kind) {
     case Term::Kind::kStr:
-      return lf::LfNode::str(term->name);
+      return lf::LfNode::str(std::string(term->name()));
     case Term::Kind::kNum:
       return lf::LfNode::num(term->number);
     case Term::Kind::kPred:
-      return lf::LfNode::predicate(term->name);
+      return lf::LfNode::predicate(std::string(term->name()));
     case Term::Kind::kApp: {
       std::vector<const Term*> spine;
       const Term* head = term;
       while (head->kind == Term::Kind::kApp) {
-        spine.push_back(head->b.get());
-        head = head->a.get();
+        spine.push_back(head->b);
+        head = head->a;
       }
       if (head->kind != Term::Kind::kPred) return std::nullopt;
       std::vector<lf::LfNode> args;
@@ -388,7 +366,7 @@ std::optional<lf::LfNode> term_to_lf_node(const Term* term) {
         if (!arg) return std::nullopt;
         args.push_back(std::move(*arg));
       }
-      return lf::LfNode::predicate(head->name, std::move(args));
+      return lf::LfNode::predicate(std::string(head->name()), std::move(args));
     }
     case Term::Kind::kVar:
     case Term::Kind::kLam:
@@ -399,16 +377,16 @@ std::optional<lf::LfNode> term_to_lf_node(const Term* term) {
 
 }  // namespace
 
-std::string term_to_string(const TermPtr& term) {
+std::string term_to_string(TermPtr term) {
   if (!term) return "<null>";
   std::string out;
-  append_term(term.get(), out);
+  append_term(term, out);
   return out;
 }
 
-std::optional<lf::LogicalForm> term_to_logical_form(const TermPtr& term) {
+std::optional<lf::LogicalForm> term_to_logical_form(TermPtr term) {
   if (!term) return std::nullopt;
-  return term_to_lf_node(term.get());
+  return term_to_lf_node(term);
 }
 
 namespace {
@@ -420,7 +398,7 @@ class TermParser {
       : text_(text), binders_(binders) {}
 
   TermPtr parse() {
-    TermPtr t = parse_term();
+    const TermPtr t = parse_term();
     skip_ws();
     if (t && pos_ != text_.size()) return nullptr;
     return t;
@@ -457,10 +435,10 @@ class TermParser {
     if (name.empty() || !eat('.')) return nullptr;
     const int id = binders_.fresh();
     vars_[name] = id;
-    TermPtr body = parse_term();
+    const TermPtr body = parse_term();
     vars_.erase(name);
     if (!body) return nullptr;
-    return mk_lam(id, std::move(body));
+    return mk_lam(id, body);
   }
 
   /// atom optionally followed by (arg, arg, ...) application lists.
@@ -477,9 +455,9 @@ class TermParser {
         continue;  // nullary application: just the head
       }
       while (true) {
-        TermPtr arg = parse_term();
+        const TermPtr arg = parse_term();
         if (!arg) return nullptr;
-        head = mk_app(std::move(head), std::move(arg));
+        head = mk_app(head, arg);
         if (eat(')')) break;
         if (!eat(',')) return nullptr;
       }
@@ -497,7 +475,7 @@ class TermParser {
       while (pos_ < text_.size() && text_[pos_] != '"') value += text_[pos_++];
       if (pos_ >= text_.size()) return nullptr;
       ++pos_;
-      return mk_str(std::move(value));
+      return mk_str(value);
     }
     if (c == '@') {
       ++pos_;

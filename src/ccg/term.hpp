@@ -7,23 +7,23 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <type_traits>
 
 #include "lf/logical_form.hpp"
 
 namespace sage::ccg {
 
 struct Term;
-using TermPtr = std::shared_ptr<const Term>;
+using TermPtr = const Term*;  // never owns: see interner.hpp
 
 /// Immutable, hash-consed lambda term (see interner.hpp): outside a
 /// ScratchScope the mk_* factories return canonical pointers, so
 /// structurally identical terms are the SAME object. Never mutated after
-/// build.
+/// build. Trivially destructible; its name lives in the name pool.
 struct Term {
   enum class Kind : std::uint8_t {
     kVar,   // bound variable (id)
@@ -35,27 +35,35 @@ struct Term {
   };
 
   Kind kind = Kind::kVar;
-  int var = 0;        // kVar, kLam
-  std::string name;   // kPred, kStr
-  long number = 0;    // kNum
-  TermPtr a;          // kLam: body; kApp: function
-  TermPtr b;          // kApp: argument
-
-  std::uint64_t hash = 0;  // precomputed structural hash (factory-set)
-  /// Dense interner id; same structure <=> same id. A scratch node (see
-  /// ScratchScope) has none: its id holds kScratchBit over its slot.
-  std::uint32_t id = 0;
-
   // Memoized structural facts, also set at build time. Hash-consing is
   // what makes these pay: every shared subterm carries them, so
   // beta-reduction skips normal-form subtrees in O(1) and substitution
   // returns untouched subtrees without walking them.
   /// True iff the subtree contains no redex (kApp with a kLam function).
   bool normal = true;
+  int var = 0;  // kVar, kLam
+  union {
+    long number = 0;         // kNum
+    const char* name_chars;  // every other kind: name()'s pooled bytes
+  };
+  TermPtr a = nullptr;  // kLam: body; kApp: function
+  TermPtr b = nullptr;  // kApp: argument
+
+  std::uint64_t hash = 0;  // precomputed structural hash (factory-set)
   /// Bloom filter over the variable ids occurring in the subtree
   /// (bit = 1 << (id & 63)). A clear bit proves the variable is absent.
   std::uint64_t var_bloom = 0;
+  /// Dense interner id; same structure <=> same id. A scratch node (see
+  /// ScratchScope) has none: its id holds kScratchBit over its slot.
+  std::uint32_t id = 0;
+  std::uint32_t name_size = 0;  // kPred, kStr
+
+  /// kPred, kStr: the pooled name; empty for every other kind.
+  std::string_view name() const {
+    return {name_size != 0 ? name_chars : "", name_size};
+  }
 };
+static_assert(std::is_trivially_destructible_v<Term> && sizeof(Term) <= 56);
 
 /// Marks a scratch node's `id`. Interned ids count up from 1 and would
 /// need 2^31 live terms to reach it.
@@ -64,8 +72,8 @@ inline constexpr std::uint32_t kScratchBit = 1u << 31;
 TermPtr mk_var(int id);
 TermPtr mk_lam(int var, TermPtr body);
 TermPtr mk_app(TermPtr fun, TermPtr arg);
-TermPtr mk_pred(std::string name);
-TermPtr mk_str(std::string value);
+TermPtr mk_pred(std::string_view name);
+TermPtr mk_str(std::string_view value);
 TermPtr mk_num(long value);
 
 /// Base id for lexicon/surface-syntax binders: every Lexicon numbers its
@@ -103,13 +111,13 @@ class VarGen {
 };
 
 /// Build @Pred(arg1, ..., argN) as an application spine.
-TermPtr mk_pred_app(std::string name, std::vector<TermPtr> args);
+TermPtr mk_pred_app(std::string_view name, std::initializer_list<TermPtr> args);
 
 /// This thread's scratch generation, open for the life of the scope.
 /// While it is open, the mk_* factories on this thread build uninterned
-/// nodes: they take no lock and draw no id, but carry the hash, `normal`
-/// and `var_bloom` an interned node gets, so beta_reduce runs on them
-/// unchanged. `promote` interns a result; closing the scope destroys
+/// nodes: they probe no table and draw no id, but carry the hash,
+/// `normal` and `var_bloom` an interned node gets, so beta_reduce runs on
+/// them unchanged. `promote` interns a result; closing the scope frees
 /// every scratch node, so only what was promoted may outlive it. The
 /// parser opens one per combinator-memo miss (docs/PARSER_INTERNALS.md,
 /// "Interning"). Scopes do not nest.
@@ -124,7 +132,7 @@ class ScratchScope {
   /// through the interner: each scratch node below is interned once, and
   /// a structure already in the table comes back as its existing node.
   /// An interned `term` is returned as is.
-  TermPtr promote(const TermPtr& term);
+  TermPtr promote(TermPtr term);
 };
 
 /// Full normal-order β-reduction with a step cap (malformed combinations
@@ -135,16 +143,16 @@ class ScratchScope {
 /// of reduction steps taken (parse stats). Not memoized: the parser
 /// memoizes whole combinator results instead, keyed before any wrapper
 /// term is built (parser.cpp).
-TermPtr beta_reduce(const TermPtr& term, int max_steps = 4096,
+TermPtr beta_reduce(TermPtr term, int max_steps = 4096,
                     std::size_t* steps_out = nullptr);
 
 /// Render for diagnostics: "\x1.@Is(x1, @Num(0))".
-std::string term_to_string(const TermPtr& term);
+std::string term_to_string(TermPtr term);
 
 /// Convert a fully reduced, closed term into a logical form. Fails
 /// (nullopt) if lambdas/variables remain or an application head is not a
 /// predicate — such parses are discarded (they are CCG artifacts).
-std::optional<lf::LogicalForm> term_to_logical_form(const TermPtr& term);
+std::optional<lf::LogicalForm> term_to_logical_form(TermPtr term);
 
 /// Parse the lexicon surface syntax:
 ///   \x.\y.@Is(y, x)        lambdas and predicate application

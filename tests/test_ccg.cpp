@@ -8,8 +8,11 @@
 #include "ccg/lexicon.hpp"
 #include "ccg/parser.hpp"
 #include "ccg/term.hpp"
+#include "core/sage.hpp"
+#include "corpus/spec_corpora.hpp"
 #include "nlp/chunker.hpp"
 #include "nlp/tokenizer.hpp"
+#include "rfc/preprocessor.hpp"
 #include "util/error.hpp"
 
 namespace sage::ccg {
@@ -327,6 +330,78 @@ TEST_F(ParserTest, PredicateConjCoordinatesAfterANonPredicateConjInItsCell) {
   EXPECT_NE(std::find(forms.begin(), forms.end(),
                       "@Is(@Or(\"source\", \"destination\"), @Num(0))"),
             forms.end());
+}
+
+/// "the type is 8, and the code is 0, and ..." with `clauses` clauses:
+/// four tokens per clause and two per ", and" under the standard
+/// grammar's chunker, which reads each field name as one noun phrase.
+std::string coordinated_clauses(std::size_t clauses) {
+  static const char* const kFields[] = {
+      "type", "code", "checksum", "identifier", "sequence number", "pointer",
+      "gateway internet address", "originate timestamp", "receive timestamp"};
+  std::string text;
+  for (std::size_t i = 0; i < clauses; ++i) {
+    if (i != 0) text += ", and ";
+    text += std::string("the ") + kFields[i] + " is " + (i == 0 ? "8" : "0");
+  }
+  return text;
+}
+
+// A bound that cuts a parse says so. At six clauses the full-span cell
+// refuses edges at max_edges_per_cell (96), so exactly 96 forms come back
+// and which readings they are depends on insertion order; at nine
+// clauses (52 tokens) max_tokens (48) rejects the sentence outright.
+TEST_F(ParserTest, BoundsThatCutAParseAreReported) {
+  CcgParser small(&lex_);
+  const ParseResult plain = small.parse(prepare("the checksum is zero"));
+  EXPECT_FALSE(plain.full_span_capped);
+  EXPECT_FALSE(plain.over_max_tokens);
+
+  const core::Sage sage;
+  const nlp::NounPhraseChunker chunker(&sage.dictionary());
+  const CcgParser parser(&sage.lexicon());
+  const auto six = chunker.chunk(nlp::tokenize(coordinated_clauses(6)));
+  ASSERT_EQ(six.size(), 34u);
+  const ParseResult capped = parser.parse(six);
+  EXPECT_EQ(capped.forms.size(), 96u);
+  EXPECT_TRUE(capped.full_span_capped);
+  EXPECT_FALSE(capped.over_max_tokens);
+
+  const auto nine = chunker.chunk(nlp::tokenize(coordinated_clauses(9)));
+  ASSERT_EQ(nine.size(), 52u);
+  const ParseResult rejected = parser.parse(nine);
+  EXPECT_TRUE(rejected.forms.empty());
+  EXPECT_TRUE(rejected.over_max_tokens);
+  EXPECT_FALSE(rejected.full_span_capped);
+}
+
+// Over the spec corpora only three sentences of the original RFC 792
+// text reach the full-span cap, and none exceeds max_tokens. The counts
+// were recorded before ParseResult carried the flags, by a probe that
+// marked the full-span cell's refusals in Chart::add.
+TEST_F(ParserTest, CorpusSentencesCutByABound) {
+  const core::Sage sage;
+  const nlp::NounPhraseChunker chunker(&sage.dictionary());
+  const CcgParser parser(&sage.lexicon());
+  std::string counts;
+  for (const auto& c : corpus::spec_corpora()) {
+    const rfc::RfcDocument doc = rfc::preprocess(c.text, c.protocol);
+    std::size_t sentences = 0;
+    std::size_t capped = 0;
+    std::size_t over = 0;
+    for (const auto& sentence : rfc::extract_sentences(doc, c.protocol)) {
+      const ParseResult r =
+          parser.parse(chunker.chunk(nlp::tokenize(sentence.text)));
+      ++sentences;
+      capped += r.full_span_capped ? 1 : 0;
+      over += r.over_max_tokens ? 1 : 0;
+    }
+    counts += c.name + ":" + std::to_string(sentences) + "/" +
+              std::to_string(capped) + "/" + std::to_string(over) + " ";
+  }
+  EXPECT_EQ(counts,
+            "icmp:87/0/0 icmp-orig:87/3/0 igmp:11/0/0 ntp:14/0/0 bfd:22/0/0 "
+            "icmp6:58/0/0 ");
 }
 
 }  // namespace

@@ -42,13 +42,13 @@ TEST(Interner, SameCategoryStructureSamePointer) {
   const CategoryPtr a = Category::parse("(S\\NP)/NP");
   const CategoryPtr b = Category::parse("(S\\NP)/NP");
   ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(a, b);
 
   // Built a different way — explicit factories — still the same node.
   const CategoryPtr c = Category::complex(
       Category::complex(cat_S(), Category::Slash::kBackward, cat_NP()),
       Category::Slash::kForward, cat_NP());
-  EXPECT_EQ(a.get(), c.get());
+  EXPECT_EQ(a, c);
 }
 
 TEST(Interner, PointerEqualityMatchesStructuralEquality) {
@@ -59,7 +59,7 @@ TEST(Interner, PointerEqualityMatchesStructuralEquality) {
   };
   for (const auto& x : cats) {
     for (const auto& y : cats) {
-      EXPECT_EQ(x.get() == y.get(), x->equals(*y))
+      EXPECT_EQ(x == y, x->to_string() == y->to_string())
           << x->to_string() << " vs " << y->to_string();
     }
   }
@@ -68,15 +68,15 @@ TEST(Interner, PointerEqualityMatchesStructuralEquality) {
 TEST(Interner, SameTermStructureSamePointer) {
   const TermPtr a = mk_pred_app("@Is", {mk_str("checksum"), mk_num(0)});
   const TermPtr b = mk_pred_app("@Is", {mk_str("checksum"), mk_num(0)});
-  EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(a, b);
 
   const TermPtr lam1 = mk_lam(5, mk_app(mk_var(5), mk_str("x")));
   const TermPtr lam2 = mk_lam(5, mk_app(mk_var(5), mk_str("x")));
-  EXPECT_EQ(lam1.get(), lam2.get());
+  EXPECT_EQ(lam1, lam2);
 
   // Different binder id => different term.
   const TermPtr lam3 = mk_lam(6, mk_app(mk_var(6), mk_str("x")));
-  EXPECT_NE(lam1.get(), lam3.get());
+  EXPECT_NE(lam1, lam3);
 }
 
 TEST(Interner, HashAndIdAreStableAndInjective) {
@@ -97,8 +97,8 @@ TEST(Interner, HashAndIdAreStableAndInjective) {
 TEST(Interner, InterningNewStructureGrowsTables) {
   const std::size_t cats_before = category_interner_size();
   const std::size_t terms_before = term_interner_size();
-  const CategoryPtr c = Category::primitive("ZZINTERNTEST");
-  const TermPtr t = mk_pred("@ZzInternTest");
+  Category::primitive("ZZINTERNTEST");
+  mk_pred("@ZzInternTest");
   EXPECT_EQ(category_interner_size(), cats_before + 1);
   EXPECT_EQ(term_interner_size(), terms_before + 1);
   // Re-interning the same structures adds nothing.
@@ -124,8 +124,8 @@ TEST(Interner, MemoBitsMatchStructure) {
 /// True iff no node of `term` is a scratch node.
 bool fully_interned(const Term* term) {
   if (term == nullptr) return true;
-  return (term->id & kScratchBit) == 0 && fully_interned(term->a.get()) &&
-         fully_interned(term->b.get());
+  return (term->id & kScratchBit) == 0 && fully_interned(term->a) &&
+         fully_interned(term->b);
 }
 
 TEST(Interner, ScratchScopeInternsNothing) {
@@ -159,30 +159,30 @@ TEST(Interner, PromotionInternsEachNewNodeOnce) {
     return mk_pred_app("@ZzPromote", {mk_str("zz promoted leaf"),
                                       mk_str("zz promoted leaf"), resident});
   };
-  TermPtr promoted;
+  TermPtr promoted = nullptr;
   {
     ScratchScope scratch;
     const TermPtr term = build();
-    EXPECT_EQ(term->b.get(), resident.get());  // interned operands stay
+    EXPECT_EQ(term->b, resident);  // interned operands stay
     promoted = scratch.promote(term);
     EXPECT_EQ(term_interner_size(), before + 5);
-    EXPECT_TRUE(fully_interned(promoted.get()));
+    EXPECT_TRUE(fully_interned(promoted));
     EXPECT_EQ(promoted->hash, term->hash);
-    EXPECT_EQ(promoted->a->b.get(), promoted->a->a->b.get());
+    EXPECT_EQ(promoted->a->b, promoted->a->a->b);
     // Promoting again, or promoting an interned node, interns nothing.
-    EXPECT_EQ(scratch.promote(term).get(), promoted.get());
-    EXPECT_EQ(scratch.promote(resident).get(), resident.get());
+    EXPECT_EQ(scratch.promote(term), promoted);
+    EXPECT_EQ(scratch.promote(resident), resident);
     EXPECT_EQ(term_interner_size(), before + 5);
   }
   // The promoted node is the canonical one.
   const TermPtr rebuilt = build();
-  EXPECT_EQ(rebuilt.get(), promoted.get());
+  EXPECT_EQ(rebuilt, promoted);
   EXPECT_EQ(rebuilt->id, promoted->id);
   // A structure that already exists comes back with its pointer and id.
   {
     ScratchScope scratch;
     const TermPtr again = scratch.promote(build());
-    EXPECT_EQ(again.get(), promoted.get());
+    EXPECT_EQ(again, promoted);
     EXPECT_EQ(again->id, promoted->id);
   }
   EXPECT_EQ(term_interner_size(), before + 5);
@@ -195,8 +195,8 @@ std::vector<TermPtr> lexicon_terms() {
   for (const auto& word : lexicon.words()) {
     for (const LexEntry& entry : lexicon.lookup(word)) {
       const bool seen =
-          std::any_of(terms.begin(), terms.end(), [&](const TermPtr& t) {
-            return t.get() == entry.semantics.get();
+          std::any_of(terms.begin(), terms.end(), [&](const TermPtr t) {
+            return t == entry.semantics;
           });
       if (!seen) terms.push_back(entry.semantics);
     }
@@ -219,10 +219,10 @@ std::vector<Reduction> reduce_lexicon_pairs(bool scratch) {
   std::vector<TermPtr> terms = lexicon_terms();
   if (terms.size() > kLexiconSample) terms.resize(kLexiconSample);
   std::vector<Reduction> out;
-  for (const TermPtr& f : terms) {
-    for (const TermPtr& a : terms) {
+  for (const TermPtr f : terms) {
+    for (const TermPtr a : terms) {
       std::size_t steps = 0;
-      TermPtr result;
+      TermPtr result = nullptr;
       if (scratch) {
         ScratchScope scope;
         const TermPtr reduced = beta_reduce(mk_app(f, a), 4096, &steps);
@@ -230,7 +230,7 @@ std::vector<Reduction> reduce_lexicon_pairs(bool scratch) {
       } else {
         result = beta_reduce(mk_app(f, a), 4096, &steps);
       }
-      out.push_back({result.get(), term_to_string(result), steps});
+      out.push_back({result, term_to_string(result), steps});
     }
   }
   return out;
@@ -277,11 +277,11 @@ TEST(Interner, ConcurrentInternStress) {
             kParseVarBase + (i % 16),
             mk_pred_app("@Stress", {mk_var(kParseVarBase + (i % 16)),
                                     mk_num(i % 16)}));
-        shared_seen[t].push_back(shared.get());
+        shared_seen[t].push_back(shared);
         const CategoryPtr cat = Category::complex(
             cat_S(), Category::Slash::kForward,
             (i % 2) == 0 ? cat_NP() : cat_N());
-        cat_seen[t].push_back(cat.get());
+        cat_seen[t].push_back(cat);
       }
     });
   }
@@ -292,6 +292,95 @@ TEST(Interner, ConcurrentInternStress) {
     EXPECT_EQ(cat_seen[t], cat_seen[0]) << "thread " << t;
   }
 }
+
+// Eight threads intern overlapping windows of one family of term and
+// category structures at once: thread t builds members t .. t+63. Each
+// member is a term with a name of its own and a category chain as deep
+// as its index, so the threads race on the stripes, the node stores and
+// the name pool. A serial replay afterwards must get every thread's
+// pointers and ids and add no node and no store byte, and the tables
+// must have grown by exactly the family's distinct structures.
+TEST(Interner, ConcurrentStoreMatchesSerial) {
+  constexpr int kThreads = 8;
+  constexpr int kWindow = 64;
+  constexpr int kFamily = kThreads - 1 + kWindow;
+  constexpr int kVar = kParseVarBase + 777'777;
+  struct Member {
+    const Term* term;
+    std::uint32_t term_id;
+    const Category* cat;
+    std::uint32_t cat_id;
+    bool operator==(const Member&) const = default;
+  };
+  const CategoryPtr np = cat_NP();  // interned before the counts below
+  // Three shared term nodes (the predicate, the variable and their
+  // application), then five per member; one shared primitive category,
+  // then one chain node per member.
+  const auto build = [np](int i) {
+    const TermPtr term = mk_lam(
+        kVar, mk_pred_app("@ZzStore", {mk_var(kVar),
+                                       mk_str("zz store " + std::to_string(i)),
+                                       mk_num(9'000'000 + i)}));
+    CategoryPtr cat = Category::primitive("ZZSTORE");
+    for (int k = 0; k <= i; ++k) {
+      cat = Category::complex(
+          cat, k % 2 == 0 ? Category::Slash::kForward
+                          : Category::Slash::kBackward,
+          np);
+    }
+    return Member{term, term->id, cat, cat->id()};
+  };
+  const std::size_t terms_before = term_interner_size();
+  const std::size_t cats_before = category_interner_size();
+  std::vector<std::vector<Member>> seen(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int i = t; i < t + kWindow; ++i) seen[t].push_back(build(i));
+    });
+  }
+  for (auto& th : threads) th.join();
+  const std::size_t terms = term_interner_size();
+  const std::size_t cats = category_interner_size();
+  const std::size_t bytes = term_store_bytes();
+  EXPECT_EQ(terms, terms_before + 3 + 5 * kFamily);
+  EXPECT_EQ(cats, cats_before + 1 + kFamily);
+
+  std::vector<Member> serial;
+  for (int i = 0; i < kFamily; ++i) serial.push_back(build(i));
+  for (int t = 0; t < kThreads; ++t) {
+    for (int k = 0; k < kWindow; ++k) {
+      EXPECT_EQ(seen[t][k], serial[t + k]) << "thread " << t << ", member " << k;
+    }
+  }
+  for (const Member& m : serial) {
+    EXPECT_LE(m.term_id, terms);
+    EXPECT_LE(m.cat_id, cats);
+  }
+  EXPECT_EQ(term_interner_size(), terms);
+  EXPECT_EQ(category_interner_size(), cats);
+  EXPECT_EQ(term_store_bytes(), bytes);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// Closing a scratch scope poisons its nodes, so under ASan a scratch node
+// read after its scope is reported as a use-after-poison.
+TEST(Interner, ScratchNodeReadAfterItsScopeIsPoisoned) {
+  TermPtr escaped = nullptr;
+  {
+    ScratchScope scratch;
+    escaped = mk_app(mk_var(kParseVarBase), mk_num(1));
+  }
+  EXPECT_DEATH(
+      {
+        const volatile std::uint64_t hash = escaped->hash;
+        (void)hash;
+      },
+      "use-after-poison");
+}
+#endif
 
 TEST(Interner, VarGenIsDeterministicPerParse) {
   VarGen a;
@@ -306,7 +395,7 @@ TEST(Interner, VarGenIsDeterministicPerParse) {
   std::size_t binders = 0;
   for (const auto& word : lexicon.words()) {
     for (const LexEntry& entry : lexicon.lookup(word)) {
-      std::vector<const Term*> stack = {entry.semantics.get()};
+      std::vector<const Term*> stack = {entry.semantics};
       while (!stack.empty()) {
         const Term* t = stack.back();
         stack.pop_back();
@@ -315,8 +404,8 @@ TEST(Interner, VarGenIsDeterministicPerParse) {
           EXPECT_GE(t->var, kLexVarBase) << word;
           EXPECT_LT(t->var, kTypeRaiseVar) << word;
         }
-        if (t->a) stack.push_back(t->a.get());
-        if (t->b) stack.push_back(t->b.get());
+        if (t->a) stack.push_back(t->a);
+        if (t->b) stack.push_back(t->b);
       }
     }
   }
@@ -334,8 +423,8 @@ TEST(Interner, RebuiltLexiconHoldsTheSameTerms) {
     const auto& ys = b.lookup(word);
     ASSERT_EQ(xs.size(), ys.size()) << word;
     for (std::size_t i = 0; i < xs.size(); ++i) {
-      EXPECT_EQ(xs[i].semantics.get(), ys[i].semantics.get()) << word;
-      EXPECT_EQ(xs[i].category.get(), ys[i].category.get()) << word;
+      EXPECT_EQ(xs[i].semantics, ys[i].semantics) << word;
+      EXPECT_EQ(xs[i].category, ys[i].category) << word;
     }
   }
 }

@@ -31,11 +31,13 @@ using namespace sage;
 
 // --parse-stats re-parses the corpus with the parse cache off and dumps
 // the chart-parser instrumentation: per-stage counters from
-// ccg::ParseStats plus the process-wide interner and combinator-memo
-// sizes, the generated-code execution counters, and (on the threaded
-// backend) per-op retirement counts. Only the parse cache is off: the
-// process-wide interners and combinator memo are warm from the run, so
-// the memo counters show how much of the re-parse it answered.
+// ccg::ParseStats, how many sentences a parser bound cut (full-span cell
+// capped, over max_tokens), the process-wide interner and
+// combinator-memo sizes and bytes, the generated-code execution
+// counters, and (on the threaded backend) per-op retirement counts.
+// Only the parse cache is off: the process-wide interners and combinator
+// memo are warm from the run, so the memo counters show how much of the
+// re-parse it answered.
 bool g_parse_stats = false;
 
 // --exec-backend tree|threaded picks which backend executes the
@@ -93,9 +95,13 @@ void dump_parse_stats(const std::string& text, const std::string& proto,
   const ccg::CcgParser parser(&s.lexicon(), {});
   ccg::ParseStats total;
   std::size_t parses = 0;
+  std::size_t full_span_capped = 0;
+  std::size_t over_max_tokens = 0;
   for (const auto& sentence : sentences) {
     const auto tokens = chunker.chunk(nlp::tokenize(sentence.text));
     const ccg::ParseResult r = parser.parse(tokens);
+    full_span_capped += r.full_span_capped ? 1 : 0;
+    over_max_tokens += r.over_max_tokens ? 1 : 0;
     total.edges_created += r.stats.edges_created;
     total.dedup_hits += r.stats.dedup_hits;
     total.cap_drops += r.stats.cap_drops;
@@ -116,6 +122,8 @@ void dump_parse_stats(const std::string& text, const std::string& proto,
   printf("edges created   : %zu\n", total.edges_created);
   printf("dedup hits      : %zu\n", total.dedup_hits);
   printf("cap drops       : %zu\n", total.cap_drops);
+  printf("full-span capped: %zu sentences\n", full_span_capped);
+  printf("over max tokens : %zu sentences\n", over_max_tokens);
   printf("index probes    : %zu\n", total.index_probes);
   printf("beta reductions : %zu\n", total.beta_reductions);
   printf("beta steps      : %zu\n", total.beta_steps);
@@ -123,6 +131,8 @@ void dump_parse_stats(const std::string& text, const std::string& proto,
   printf("memo misses     : %zu\n", total.memo_misses);
   printf("interned categories : %zu\n", ccg::category_interner_size());
   printf("interned terms      : %zu\n", ccg::term_interner_size());
+  printf("term store bytes    : %zu\n", ccg::term_store_bytes());
+  printf("combine memo bytes  : %zu\n", ccg::combine_memo_bytes());
   printf("combinator memo     : %zu entries\n", ccg::combine_memo_size());
   printf("chart arena reserved   : %zu bytes\n", total.arena_bytes_reserved);
   printf("chart arena high-water : %zu bytes\n", total.arena_high_water);
