@@ -17,8 +17,10 @@ namespace {
 // Chart edges, memo entries and arena nodes hold plain pointers: every
 // category and every term they see is interned, and its interner's store
 // owns it for the process lifetime (interner.hpp). The scratch terms a
-// memo miss builds never reach them (CombineMemo::get). ParseResult holds
-// only deep copies.
+// memo miss builds never reach them (CombineMemo::get). Nothing in a
+// ParseResult points at a term: its logical forms own their nodes (each
+// term converted once per harvest, shared by the readings that contain
+// it) and derivations are rendered.
 
 /// An interned term with its id, as the memo returns it.
 struct Sem {
@@ -400,8 +402,8 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
   // Per-thread chart arena: reset() rewinds it while keeping its chunks,
   // so after the first few parses warmed the chunks, chart storage costs
   // zero heap allocations per parse. Nothing that escapes parse() points
-  // into it — ParseResult deep-copies forms/derivations — so resetting
-  // at the next parse is safe.
+  // into it — forms keep their nodes on the heap and derivations are
+  // copied out — so resetting at the next parse is safe.
   static thread_local util::Arena chart_arena;
   chart_arena.reset();
   Chart chart(n, options_.max_edges_per_cell,
@@ -667,9 +669,15 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
 
   // --- harvest full-span parses -------------------------------------------
   // Dedup sets live in the chart arena too: node and string storage is
-  // bump-allocated and reclaimed by the next parse's reset().
+  // bump-allocated and reclaimed by the next parse's reset(). The
+  // conversion memo turns each term into a form once, so readings that
+  // share a subterm share that subtree; it bump-allocates from an arena of
+  // its own, which the chart arena counters (`--parse-stats`) leave out.
   std::pmr::unordered_set<std::pmr::string> seen_forms(&chart_arena);
   std::pmr::unordered_set<std::pmr::string> seen_fragments(&chart_arena);
+  static thread_local util::Arena memo_arena;
+  memo_arena.reset();
+  LfMemo lf_memo(&memo_arena);
   std::string render;  // reused per-candidate render buffer
   const auto render_key = [&](const lf::LogicalForm& form) {
     render.clear();
@@ -678,7 +686,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
   };
   for (const Edge& e : chart.cell(0, n).edges) {
     if (e.cat == s_cat) {
-      if (auto form = term_to_logical_form(e.sem)) {
+      if (auto form = term_to_logical_form(e.sem, lf_memo)) {
         if (seen_forms.insert(render_key(*form)).second) {
           result.forms.push_back(std::move(*form));
           if (options_.record_derivations && e.id >= 0) {
@@ -687,7 +695,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
         }
       }
     } else if (e.cat == np_cat || e.cat == n_cat) {
-      if (auto frag = term_to_logical_form(e.sem)) {
+      if (auto frag = term_to_logical_form(e.sem, lf_memo)) {
         if (seen_fragments.insert(render_key(*frag)).second) {
           result.fragments.push_back(std::move(*frag));
         }

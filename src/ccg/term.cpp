@@ -343,7 +343,7 @@ void append_term(const Term* term, std::string& out) {
   out += '?';
 }
 
-std::optional<lf::LfNode> term_to_lf_node(const Term* term) {
+std::optional<lf::LfNode> term_to_lf_node(const Term* term, LfMemo& memo) {
   switch (term->kind) {
     case Term::Kind::kStr:
       return lf::LfNode::str(std::string(term->name()));
@@ -351,28 +351,35 @@ std::optional<lf::LfNode> term_to_lf_node(const Term* term) {
       return lf::LfNode::num(term->number);
     case Term::Kind::kPred:
       return lf::LfNode::predicate(std::string(term->name()));
-    case Term::Kind::kApp: {
-      std::vector<const Term*> spine;
-      const Term* head = term;
-      while (head->kind == Term::Kind::kApp) {
-        spine.push_back(head->b);
-        head = head->a;
-      }
-      if (head->kind != Term::Kind::kPred) return std::nullopt;
-      std::vector<lf::LfNode> args;
-      args.reserve(spine.size());
-      for (std::size_t i = spine.size(); i-- > 0;) {
-        auto arg = term_to_lf_node(spine[i]);
-        if (!arg) return std::nullopt;
-        args.push_back(std::move(*arg));
-      }
-      return lf::LfNode::predicate(std::string(head->name()), std::move(args));
-    }
+    case Term::Kind::kApp:
+      break;
     case Term::Kind::kVar:
     case Term::Kind::kLam:
       return std::nullopt;  // not a ground logical form
   }
-  return std::nullopt;
+  if (const auto it = memo.find(term->id); it != memo.end()) return it->second;
+
+  std::vector<const Term*> spine;
+  const Term* head = term;
+  while (head->kind == Term::Kind::kApp) {
+    spine.push_back(head->b);
+    head = head->a;
+  }
+  std::optional<lf::LfNode> out;
+  if (head->kind == Term::Kind::kPred) {
+    std::vector<lf::LfNode> args;
+    args.reserve(spine.size());
+    for (std::size_t i = spine.size(); i-- > 0;) {
+      auto arg = term_to_lf_node(spine[i], memo);
+      if (!arg) break;
+      args.push_back(std::move(*arg));
+    }
+    if (args.size() == spine.size()) {
+      out = lf::LfNode::predicate(std::string(head->name()), std::move(args));
+    }
+  }
+  memo.emplace(term->id, out);
+  return out;
 }
 
 }  // namespace
@@ -384,9 +391,15 @@ std::string term_to_string(TermPtr term) {
   return out;
 }
 
-std::optional<lf::LogicalForm> term_to_logical_form(TermPtr term) {
+std::optional<lf::LogicalForm> term_to_logical_form(TermPtr term,
+                                                    LfMemo& memo) {
   if (!term) return std::nullopt;
-  return term_to_lf_node(term);
+  return term_to_lf_node(term, memo);
+}
+
+std::optional<lf::LogicalForm> term_to_logical_form(TermPtr term) {
+  LfMemo memo;
+  return term_to_logical_form(term, memo);
 }
 
 namespace {

@@ -8,10 +8,12 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <memory_resource>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <unordered_map>
 
 #include "lf/logical_form.hpp"
 
@@ -149,9 +151,18 @@ TermPtr beta_reduce(TermPtr term, int max_steps = 4096,
 /// Render for diagnostics: "\x1.@Is(x1, @Num(0))".
 std::string term_to_string(TermPtr term);
 
+/// Term id -> the logical form it converts to (nullopt: not ground),
+/// for one parse's harvest.
+using LfMemo =
+    std::pmr::unordered_map<std::uint32_t, std::optional<lf::LogicalForm>>;
+
 /// Convert a fully reduced, closed term into a logical form. Fails
 /// (nullopt) if lambdas/variables remain or an application head is not a
-/// predicate — such parses are discarded (they are CCG artifacts).
+/// predicate — such parses are discarded (they are CCG artifacts). Each
+/// application term converts once per `memo`: a subterm two readings
+/// share becomes one shared subtree of their forms.
+std::optional<lf::LogicalForm> term_to_logical_form(TermPtr term, LfMemo& memo);
+/// The same, with a memo of its own.
 std::optional<lf::LogicalForm> term_to_logical_form(TermPtr term);
 
 /// Parse the lexicon surface syntax:

@@ -138,7 +138,7 @@ GenerationOutcome CodeGenerator::generate(
 
     const bool is_advice = s.form.is_predicate(lf::pred::kAdvBefore);
     const lf::LfNode& to_convert =
-        is_advice && s.form.args.size() == 2 ? s.form.args[1] : s.form;
+        is_advice && s.form.args().size() == 2 ? s.form.args()[1] : s.form;
 
     auto stmt = converter.to_stmt(to_convert);
     if (!stmt) {

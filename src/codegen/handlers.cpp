@@ -15,7 +15,7 @@ namespace pred = lf::pred;
 /// phrase of an @Of chain like "address of the source" -> handled by the
 /// of-expr handler instead).
 std::optional<std::string> leaf_phrase(const LfNode& n) {
-  if (n.is_string()) return n.label;
+  if (n.is_string()) return n.label();
   return std::nullopt;
 }
 
@@ -34,9 +34,9 @@ bool is_symbolic_value(const std::string& phrase) {
 void append_strings(const LfNode& n, std::string& flat) {
   if (n.is_string()) {
     if (!flat.empty()) flat += ' ';
-    flat += util::to_lower(n.label);
+    flat += util::to_lower(n.label());
   }
-  for (const auto& a : n.args) append_strings(a, flat);
+  for (const auto& a : n.args()) append_strings(a, flat);
 }
 
 /// The whole subtree rendered as one phrase, for idiom detection.
@@ -64,15 +64,15 @@ bool is_excerpt_phrase(const std::string& flat) {
 /// @Is('type', '3') + {field: Type, message: Destination Unreachable}
 /// -> hdr->type = 3;
 std::optional<Stmt> is_assign(LfConverter& conv, const LfNode& n) {
-  if (n.args.size() != 2) return std::nullopt;
+  if (n.args().size() != 2) return std::nullopt;
 
   // The address idiom of RFC 792's echo section (Table 7's sentence):
   // "The address of the source in an echo message will be the
   // destination of the echo reply message" — the reply's destination is
   // the request's source.
   {
-    const std::string lhs = flatten_strings(n.args[0]);
-    const std::string rhs = flatten_strings(n.args[1]);
+    const std::string lhs = flatten_strings(n.args()[0]);
+    const std::string rhs = flatten_strings(n.args()[1]);
     const std::string both = lhs + " | " + rhs;
     const bool mentions_source = both.find("source") != std::string::npos;
     const bool mentions_destination =
@@ -92,14 +92,14 @@ std::optional<Stmt> is_assign(LfConverter& conv, const LfNode& n) {
     }
   }
 
-  const auto phrase = leaf_phrase(n.args[0]);
+  const auto phrase = leaf_phrase(n.args()[0]);
   if (!phrase) return std::nullopt;
   const auto target = conv.context().resolve_field(*phrase);
   if (!target) {
     conv.report("cannot resolve field '" + *phrase + "'");
     return std::nullopt;
   }
-  const auto value = conv.to_expr(n.args[1]);
+  const auto value = conv.to_expr(n.args()[1]);
   if (!value) return std::nullopt;
   // "The checksum is the 16-bit one's complement of the one's complement
   // sum of the ICMP message ..." compiles to the framework's deferred
@@ -115,11 +115,11 @@ std::optional<Stmt> is_assign(LfConverter& conv, const LfNode& n) {
 /// @Is(@And(f1, f2), value) -> both fields assigned ("the identifier and
 /// the sequence number are the values from the echo message").
 std::optional<Stmt> is_assign_compound(LfConverter& conv, const LfNode& n) {
-  if (n.args.size() != 2 || !n.args[0].is_predicate(pred::kAnd)) {
+  if (n.args().size() != 2 || !n.args()[0].is_predicate(pred::kAnd)) {
     return std::nullopt;
   }
   std::vector<Stmt> assigns;
-  for (const auto& part : n.args[0].args) {
+  for (const auto& part : n.args()[0].args()) {
     const auto phrase = leaf_phrase(part);
     if (!phrase) return std::nullopt;
     const auto target = conv.context().resolve_field(*phrase);
@@ -130,7 +130,7 @@ std::optional<Stmt> is_assign_compound(LfConverter& conv, const LfNode& n) {
     // Distribute the right-hand side over the conjoined targets; a
     // value described as "from the <message>" copies the same-named
     // field of the incoming packet.
-    auto value = conv.to_expr(n.args[1]);
+    auto value = conv.to_expr(n.args()[1]);
     if (!value) return std::nullopt;
     if (value->kind == Expr::Kind::kCall && value->name == "copy_field") {
       value->args = {Expr::field_read(*target, PacketSel::kIncoming)};
@@ -146,15 +146,15 @@ std::optional<Stmt> num_field_default(LfConverter& conv, const LfNode& n) {
   if (!n.is_number()) return std::nullopt;
   const auto target = conv.context().resolve_field("");
   if (!target) return std::nullopt;
-  return Stmt::assign(*target, Expr::constant(n.number));
+  return Stmt::assign(*target, Expr::constant(n.number()));
 }
 
 /// @If(cond, body) -> if statement.
 std::optional<Stmt> if_stmt(LfConverter& conv, const LfNode& n) {
-  if (n.args.size() != 2) return std::nullopt;
-  const auto cond = conv.to_cond(n.args[0]);
+  if (n.args().size() != 2) return std::nullopt;
+  const auto cond = conv.to_cond(n.args()[0]);
   if (!cond) return std::nullopt;
-  const auto body = conv.to_stmt(n.args[1]);
+  const auto body = conv.to_stmt(n.args()[1]);
   if (!body) return std::nullopt;
   return Stmt::if_then(*cond, {*body});
 }
@@ -162,7 +162,7 @@ std::optional<Stmt> if_stmt(LfConverter& conv, const LfNode& n) {
 /// @And(s1, s2) at statement level -> sequence.
 std::optional<Stmt> and_seq(LfConverter& conv, const LfNode& n) {
   std::vector<Stmt> body;
-  for (const auto& part : n.args) {
+  for (const auto& part : n.args()) {
     const auto s = conv.to_stmt(part);
     if (!s) return std::nullopt;
     body.push_back(*s);
@@ -173,11 +173,12 @@ std::optional<Stmt> and_seq(LfConverter& conv, const LfNode& n) {
 /// @Action("copy", target[, source]) -> read from the incoming packet,
 /// write the outgoing one.
 std::optional<Stmt> action_copy(LfConverter& conv, const LfNode& n) {
-  if (n.args.empty() || !n.args[0].is_string() || n.args[0].label != "copy") {
+  if (n.args().empty() || !n.args()[0].is_string() ||
+      n.args()[0].label() != "copy") {
     return std::nullopt;
   }
-  if (n.args.size() < 2) return std::nullopt;
-  const auto phrase = leaf_phrase(n.args[1]);
+  if (n.args().size() < 2) return std::nullopt;
+  const auto phrase = leaf_phrase(n.args()[1]);
   if (!phrase) return std::nullopt;
   const auto target = conv.context().resolve_field(*phrase);
   if (!target) {
@@ -190,8 +191,8 @@ std::optional<Stmt> action_copy(LfConverter& conv, const LfNode& n) {
 
 /// @Action("reverse", addresses) -> framework reverse_addresses().
 std::optional<Stmt> action_reverse(LfConverter&, const LfNode& n) {
-  if (n.args.empty() || !n.args[0].is_string() ||
-      n.args[0].label != "reverse") {
+  if (n.args().empty() || !n.args()[0].is_string() ||
+      n.args()[0].label() != "reverse") {
     return std::nullopt;
   }
   return Stmt::call("reverse_addresses");
@@ -199,8 +200,8 @@ std::optional<Stmt> action_reverse(LfConverter&, const LfNode& n) {
 
 /// @Action("recompute", checksum) -> framework recompute_checksum().
 std::optional<Stmt> action_recompute(LfConverter&, const LfNode& n) {
-  if (n.args.empty() || !n.args[0].is_string() ||
-      n.args[0].label != "recompute") {
+  if (n.args().empty() || !n.args()[0].is_string() ||
+      n.args()[0].label() != "recompute") {
     return std::nullopt;
   }
   return Stmt::call("recompute_checksum");
@@ -208,15 +209,15 @@ std::optional<Stmt> action_recompute(LfConverter&, const LfNode& n) {
 
 /// Generic @Action(fn, args...) -> framework call.
 std::optional<Stmt> action_call(LfConverter& conv, const LfNode& n) {
-  if (n.args.empty() || !n.args[0].is_string()) return std::nullopt;
-  const auto fn = conv.context().resolve_function(n.args[0].label);
+  if (n.args().empty() || !n.args()[0].is_string()) return std::nullopt;
+  const auto fn = conv.context().resolve_function(n.args()[0].label());
   if (!fn) {
-    conv.report("unknown framework function '" + n.args[0].label + "'");
+    conv.report("unknown framework function '" + n.args()[0].label() + "'");
     return std::nullopt;
   }
   std::vector<Expr> args;
-  for (std::size_t i = 1; i < n.args.size(); ++i) {
-    const auto e = conv.to_expr(n.args[i]);
+  for (std::size_t i = 1; i < n.args().size(); ++i) {
+    const auto e = conv.to_expr(n.args()[i]);
     if (!e) return std::nullopt;
     args.push_back(*e);
   }
@@ -233,17 +234,17 @@ std::optional<Stmt> compute_stmt(LfConverter&, const LfNode&) {
 /// and the receiver should set the identifier to be zero in the reply"
 /// was the buggy reading; the corrected spec scopes @May to the sender.
 std::optional<Stmt> may_stmt(LfConverter& conv, const LfNode& n) {
-  if (n.args.size() != 1) return std::nullopt;
+  if (n.args().size() != 1) return std::nullopt;
   if (conv.context().dynamic().role == "receiver") {
     return Stmt::comment("permitted for sender only: not generated here");
   }
-  return conv.to_stmt(n.args[0]);
+  return conv.to_stmt(n.args()[0]);
 }
 
 /// @Must(body): mandatory behavior; generated unconditionally.
 std::optional<Stmt> must_stmt(LfConverter& conv, const LfNode& n) {
-  if (n.args.size() != 1) return std::nullopt;
-  return conv.to_stmt(n.args[0]);
+  if (n.args().size() != 1) return std::nullopt;
+  return conv.to_stmt(n.args()[0]);
 }
 
 /// @AdvBefore(advice, main): the advice statement must execute before
@@ -251,14 +252,14 @@ std::optional<Stmt> must_stmt(LfConverter& conv, const LfNode& n) {
 /// checksum should be zero"). The converter emits advice first; the
 /// generator additionally hoists it before the checksum call.
 std::optional<Stmt> advbefore_stmt(LfConverter& conv, const LfNode& n) {
-  if (n.args.size() != 2) return std::nullopt;
-  return conv.to_stmt(n.args[1]);
+  if (n.args().size() != 2) return std::nullopt;
+  return conv.to_stmt(n.args()[1]);
 }
 
 /// @AdvComment(...): non-actionable text — kept as a comment.
 std::optional<Stmt> advcomment_stmt(LfConverter&, const LfNode& n) {
   std::string text = "non-actionable";
-  if (!n.args.empty() && n.args[0].is_string()) text = n.args[0].label;
+  if (!n.args().empty() && n.args()[0].is_string()) text = n.args()[0].label();
   return Stmt::comment(std::move(text));
 }
 
@@ -268,17 +269,17 @@ std::optional<Stmt> advcomment_stmt(LfConverter&, const LfNode& n) {
 /// that triggered the message — net unreachable vs port unreachable,
 /// echo vs echo reply).
 std::optional<Stmt> case_stmt(LfConverter& conv, const LfNode& n) {
-  if (n.args.size() != 2 || !n.args[0].is_number()) return std::nullopt;
+  if (n.args().size() != 2 || !n.args()[0].is_number()) return std::nullopt;
   const std::string name =
-      n.args[1].is_string() ? n.args[1].label : n.args[1].to_string();
+      n.args()[1].is_string() ? n.args()[1].label() : n.args()[1].to_string();
   const auto target = conv.context().resolve_field("");
   if (!target) {
-    return Stmt::comment("case " + std::to_string(n.args[0].number) + " = " +
-                         name);
+    return Stmt::comment(
+        "case " + std::to_string(n.args()[0].number()) + " = " + name);
   }
   Cond cond = Cond::compare(Expr::symbol("scenario"), CmpOp::kEq,
                             Expr::symbol(util::to_lower(name)));
-  Stmt assign = Stmt::assign(*target, Expr::constant(n.args[0].number));
+  Stmt assign = Stmt::assign(*target, Expr::constant(n.args()[0].number()));
   return Stmt::if_then(std::move(cond), {std::move(assign)});
 }
 
@@ -287,20 +288,20 @@ std::optional<Stmt> case_stmt(LfConverter& conv, const LfNode& n) {
 /// variant is being formed. The static framework supplies the current
 /// scenario, exactly as for @Case.
 std::optional<Stmt> when_stmt(LfConverter& conv, const LfNode& n) {
-  if (n.args.size() != 2 || !n.args[0].is_string()) return std::nullopt;
-  const auto body = conv.to_stmt(n.args[1]);
+  if (n.args().size() != 2 || !n.args()[0].is_string()) return std::nullopt;
+  const auto body = conv.to_stmt(n.args()[1]);
   if (!body) return std::nullopt;
   Cond cond = Cond::compare(Expr::symbol("scenario"), CmpOp::kEq,
-                            Expr::symbol(util::to_lower(n.args[0].label)));
+                            Expr::symbol(util::to_lower(n.args()[0].label())));
   return Stmt::if_then(std::move(cond), {*body});
 }
 
 /// @Send(message[, destination]) -> framework send.
 std::optional<Stmt> send_stmt(LfConverter& conv, const LfNode& n) {
   std::vector<Expr> args;
-  for (const auto& a : n.args) {
+  for (const auto& a : n.args()) {
     if (a.is_string()) {
-      args.push_back(Expr::symbol(a.label));
+      args.push_back(Expr::symbol(a.label()));
     } else {
       const auto e = conv.to_expr(a);
       if (!e) return std::nullopt;
@@ -321,30 +322,30 @@ std::optional<Stmt> discard_stmt(LfConverter&, const LfNode&) {
 
 std::optional<Expr> num_expr(LfConverter&, const LfNode& n) {
   if (!n.is_number()) return std::nullopt;
-  return Expr::constant(n.number);
+  return Expr::constant(n.number());
 }
 
 /// String leaf as a value: a field read (incoming packet), a symbolic
 /// state value (BFD "Up"), or a framework value function.
 std::optional<Expr> str_value_expr(LfConverter& conv, const LfNode& n) {
   if (!n.is_string()) return std::nullopt;
-  if (is_symbolic_value(n.label)) {
-    return Expr::symbol(util::to_lower(n.label));
+  if (is_symbolic_value(n.label())) {
+    return Expr::symbol(util::to_lower(n.label()));
   }
-  if (const auto field = conv.context().resolve_field(n.label)) {
+  if (const auto field = conv.context().resolve_field(n.label())) {
     return Expr::field_read(*field, PacketSel::kIncoming);
   }
-  if (const auto fn = conv.context().resolve_function(n.label)) {
+  if (const auto fn = conv.context().resolve_function(n.label())) {
     return Expr::call(*fn);
   }
   // "the values from the echo message" style references: a copy marker
   // that the assignment handler retargets to the assigned field.
-  const std::string lower = util::to_lower(n.label);
+  const std::string lower = util::to_lower(n.label());
   if (lower.find("message") != std::string::npos ||
       lower.find("request") != std::string::npos) {
     return Expr::call("copy_field");
   }
-  conv.report("cannot resolve value '" + n.label + "'");
+  conv.report("cannot resolve value '" + n.label() + "'");
   return std::nullopt;
 }
 
@@ -355,7 +356,7 @@ std::optional<Expr> str_value_expr(LfConverter& conv, const LfNode& n) {
 ///     datagram" -> original_datagram_excerpt()
 ///   * field path: "address of the gateway" -> gateway field read.
 std::optional<Expr> of_expr(LfConverter& conv, const LfNode& n) {
-  if (n.args.size() != 2) return std::nullopt;
+  if (n.args().size() != 2) return std::nullopt;
 
   const std::string flat = flatten_strings(n);
   if (is_excerpt_phrase(flat)) {
@@ -373,20 +374,20 @@ std::optional<Expr> of_expr(LfConverter& conv, const LfNode& n) {
     }
   }
 
-  const auto head = leaf_phrase(n.args[0]);
+  const auto head = leaf_phrase(n.args()[0]);
   if (head) {
     if (const auto fn = conv.context().resolve_function(*head)) {
       // Framework value function; the possessor becomes its argument
       // when it itself resolves ("one's complement sum of the ICMP
       // message"), and is absorbed otherwise ("the octet of the error").
-      if (const auto arg = conv.to_expr(n.args[1])) {
+      if (const auto arg = conv.to_expr(n.args()[1])) {
         return Expr::call(*fn, {*arg});
       }
       return Expr::call(*fn);
     }
     // "address of the source" -> the source address field.
-    if (n.args[1].is_string()) {
-      const std::string path = n.args[1].label + " " + *head;
+    if (n.args()[1].is_string()) {
+      const std::string path = n.args()[1].label() + " " + *head;
       if (const auto field = conv.context().resolve_field(path)) {
         return Expr::field_read(*field, PacketSel::kIncoming);
       }
@@ -409,12 +410,12 @@ std::optional<Expr> and_excerpt_expr(LfConverter&, const LfNode& n) {
 
 /// @Action / @Compute as a value: "the 16-bit one's complement of X".
 std::optional<Expr> action_expr(LfConverter& conv, const LfNode& n) {
-  if (n.args.empty() || !n.args[0].is_string()) return std::nullopt;
-  const auto fn = conv.context().resolve_function(n.args[0].label);
+  if (n.args().empty() || !n.args()[0].is_string()) return std::nullopt;
+  const auto fn = conv.context().resolve_function(n.args()[0].label());
   if (!fn) return std::nullopt;
   std::vector<Expr> args;
-  for (std::size_t i = 1; i < n.args.size(); ++i) {
-    const auto e = conv.to_expr(n.args[i]);
+  for (std::size_t i = 1; i < n.args().size(); ++i) {
+    const auto e = conv.to_expr(n.args()[i]);
     if (!e) return std::nullopt;
     args.push_back(*e);
   }
@@ -427,33 +428,33 @@ std::optional<Expr> action_expr(LfConverter& conv, const LfNode& n) {
 
 /// @Is(a, b) in condition position -> equality test.
 std::optional<Cond> is_cond(LfConverter& conv, const LfNode& n) {
-  if (n.args.size() != 2) return std::nullopt;
+  if (n.args().size() != 2) return std::nullopt;
   std::optional<Expr> lhs;
-  if (const auto phrase = leaf_phrase(n.args[0])) {
+  if (const auto phrase = leaf_phrase(n.args()[0])) {
     if (const auto field = conv.context().resolve_field(*phrase)) {
       lhs = Expr::field_read(*field, PacketSel::kIncoming);
     } else if (is_symbolic_value(*phrase)) {
       lhs = Expr::symbol(util::to_lower(*phrase));
     }
   }
-  if (!lhs) lhs = conv.to_expr(n.args[0]);
+  if (!lhs) lhs = conv.to_expr(n.args()[0]);
   if (!lhs) return std::nullopt;
-  const auto rhs = conv.to_expr(n.args[1]);
+  const auto rhs = conv.to_expr(n.args()[1]);
   if (!rhs) return std::nullopt;
   return Cond::compare(*lhs, CmpOp::kEq, *rhs);
 }
 
 /// @Nonzero(field) -> field != 0.
 std::optional<Cond> nonzero_cond(LfConverter& conv, const LfNode& n) {
-  if (n.args.size() != 1) return std::nullopt;
-  const auto e = conv.to_expr(n.args[0]);
+  if (n.args().size() != 1) return std::nullopt;
+  const auto e = conv.to_expr(n.args()[0]);
   if (!e) return std::nullopt;
   return Cond::compare(*e, CmpOp::kNe, Expr::constant(0));
 }
 
 std::optional<Cond> and_cond(LfConverter& conv, const LfNode& n) {
   std::vector<Cond> children;
-  for (const auto& part : n.args) {
+  for (const auto& part : n.args()) {
     const auto c = conv.to_cond(part);
     if (!c) return std::nullopt;
     children.push_back(*c);
@@ -463,7 +464,7 @@ std::optional<Cond> and_cond(LfConverter& conv, const LfNode& n) {
 
 std::optional<Cond> or_cond(LfConverter& conv, const LfNode& n) {
   std::vector<Cond> children;
-  for (const auto& part : n.args) {
+  for (const auto& part : n.args()) {
     const auto c = conv.to_cond(part);
     if (!c) return std::nullopt;
     children.push_back(*c);
@@ -476,9 +477,9 @@ std::optional<Cond> or_cond(LfConverter& conv, const LfNode& n) {
 // ---------------------------------------------------------------------------
 
 std::optional<Expr> in_expr(LfConverter& conv, const LfNode& n) {
-  if (n.args.size() != 2) return std::nullopt;
+  if (n.args().size() != 2) return std::nullopt;
   // "@In(a, b)": a located in b — resolve the head like @Of.
-  if (const auto phrase = leaf_phrase(n.args[0])) {
+  if (const auto phrase = leaf_phrase(n.args()[0])) {
     if (const auto field = conv.context().resolve_field(*phrase)) {
       return Expr::field_read(*field, PacketSel::kIncoming);
     }
@@ -488,24 +489,24 @@ std::optional<Expr> in_expr(LfConverter& conv, const LfNode& n) {
 }
 
 std::optional<Cond> not_cond(LfConverter& conv, const LfNode& n) {
-  if (n.args.size() != 1) return std::nullopt;
-  const auto inner = conv.to_cond(n.args[0]);
+  if (n.args().size() != 1) return std::nullopt;
+  const auto inner = conv.to_cond(n.args()[0]);
   if (!inner) return std::nullopt;
   return Cond::negate(*inner);
 }
 
 std::optional<Cond> greater_cond(LfConverter& conv, const LfNode& n) {
-  if (n.args.size() != 2) return std::nullopt;
-  const auto lhs = conv.to_expr(n.args[0]);
-  const auto rhs = conv.to_expr(n.args[1]);
+  if (n.args().size() != 2) return std::nullopt;
+  const auto lhs = conv.to_expr(n.args()[0]);
+  const auto rhs = conv.to_expr(n.args()[1]);
   if (!lhs || !rhs) return std::nullopt;
   return Cond::compare(*lhs, CmpOp::kGt, *rhs);
 }
 
 std::optional<Cond> less_cond(LfConverter& conv, const LfNode& n) {
-  if (n.args.size() != 2) return std::nullopt;
-  const auto lhs = conv.to_expr(n.args[0]);
-  const auto rhs = conv.to_expr(n.args[1]);
+  if (n.args().size() != 2) return std::nullopt;
+  const auto lhs = conv.to_expr(n.args()[0]);
+  const auto rhs = conv.to_expr(n.args()[1]);
   if (!lhs || !rhs) return std::nullopt;
   return Cond::compare(*lhs, CmpOp::kLt, *rhs);
 }
@@ -517,8 +518,8 @@ std::optional<Cond> less_cond(LfConverter& conv, const LfNode& n) {
 /// @Select(session[, key]) -> framework select_session.
 std::optional<Stmt> select_stmt(LfConverter& conv, const LfNode& n) {
   std::vector<Expr> args;
-  if (n.args.size() > 1) {
-    if (const auto key = conv.to_expr(n.args[1])) args.push_back(*key);
+  if (n.args().size() > 1) {
+    if (const auto key = conv.to_expr(n.args()[1])) args.push_back(*key);
   }
   return Stmt::call("select_session", std::move(args));
 }
@@ -531,42 +532,46 @@ std::optional<Stmt> cease_stmt(LfConverter&, const LfNode&) {
 /// bfd.* variable assignment with a symbolic state value:
 /// "bfd.SessionState is Up" -> state variable write.
 std::optional<Stmt> bfd_var_assign(LfConverter& conv, const LfNode& n) {
-  if (n.args.size() != 2 || !n.args[0].is_string()) return std::nullopt;
-  if (util::to_lower(n.args[0].label).find("bfd.") != 0) return std::nullopt;
-  const auto target = conv.context().resolve_field(n.args[0].label);
-  if (!target) {
-    conv.report("unknown BFD state variable '" + n.args[0].label + "'");
+  if (n.args().size() != 2 || !n.args()[0].is_string()) return std::nullopt;
+  if (util::to_lower(n.args()[0].label()).find("bfd.") != 0) {
     return std::nullopt;
   }
-  const auto value = conv.to_expr(n.args[1]);
+  const auto target = conv.context().resolve_field(n.args()[0].label());
+  if (!target) {
+    conv.report("unknown BFD state variable '" + n.args()[0].label() + "'");
+    return std::nullopt;
+  }
+  const auto value = conv.to_expr(n.args()[1]);
   if (!value) return std::nullopt;
   return Stmt::assign(*target, *value);
 }
 
 /// Symbolic BFD state values as expressions.
 std::optional<Expr> state_value_expr(LfConverter&, const LfNode& n) {
-  if (!n.is_string() || !is_symbolic_value(n.label)) return std::nullopt;
-  return Expr::symbol(util::to_lower(n.label));
+  if (!n.is_string() || !is_symbolic_value(n.label())) return std::nullopt;
+  return Expr::symbol(util::to_lower(n.label()));
 }
 
 /// @Action("timeout" / "transmit" ...) in state-management text.
 std::optional<Stmt> timer_stmt(LfConverter&, const LfNode& n) {
-  if (n.args.empty() || !n.args[0].is_string()) return std::nullopt;
-  const std::string name = util::to_lower(n.args[0].label);
+  if (n.args().empty() || !n.args()[0].is_string()) return std::nullopt;
+  const std::string name = util::to_lower(n.args()[0].label());
   if (name != "timeout" && name != "transmit") return std::nullopt;
   return Stmt::call(name == "timeout" ? "call_timeout" : "transmit_packet");
 }
 
 /// bfd.* variable reads in conditions.
 std::optional<Cond> bfd_var_cond(LfConverter& conv, const LfNode& n) {
-  if (!n.is_predicate(pred::kIs) || n.args.size() != 2 ||
-      !n.args[0].is_string()) {
+  if (!n.is_predicate(pred::kIs) || n.args().size() != 2 ||
+      !n.args()[0].is_string()) {
     return std::nullopt;
   }
-  if (util::to_lower(n.args[0].label).find("bfd.") != 0) return std::nullopt;
-  const auto field = conv.context().resolve_field(n.args[0].label);
+  if (util::to_lower(n.args()[0].label()).find("bfd.") != 0) {
+    return std::nullopt;
+  }
+  const auto field = conv.context().resolve_field(n.args()[0].label());
   if (!field) return std::nullopt;
-  const auto rhs = conv.to_expr(n.args[1]);
+  const auto rhs = conv.to_expr(n.args()[1]);
   if (!rhs) return std::nullopt;
   return Cond::compare(Expr::field_read(*field, PacketSel::kIncoming),
                        CmpOp::kEq, *rhs);
@@ -582,11 +587,11 @@ std::optional<Cond> select_cond(LfConverter&, const LfNode&) {
 /// @Nonzero over a BFD packet field ("the Your Discriminator field is
 /// nonzero").
 std::optional<Cond> bfd_nonzero_cond(LfConverter& conv, const LfNode& n) {
-  if (!n.is_predicate(pred::kNonzero) || n.args.size() != 1 ||
-      !n.args[0].is_string()) {
+  if (!n.is_predicate(pred::kNonzero) || n.args().size() != 1 ||
+      !n.args()[0].is_string()) {
     return std::nullopt;
   }
-  const auto field = conv.context().resolve_field(n.args[0].label);
+  const auto field = conv.context().resolve_field(n.args()[0].label());
   if (!field || field->layer != "bfd") return std::nullopt;
   return Cond::compare(Expr::field_read(*field, PacketSel::kIncoming),
                        CmpOp::kNe, Expr::constant(0));
@@ -651,9 +656,10 @@ constexpr HandlerRow<Cond> kCondRows[] = {
 template <typename T>
 std::optional<T> dispatch(std::span<const HandlerRow<T>> rows,
                           LfConverter& conv, const LfNode& node) {
-  const std::string_view key = node.is_string()   ? kStrLeaf
-                               : node.is_number() ? kNumLeaf
-                                                  : std::string_view(node.label);
+  const std::string_view key =
+      node.is_string()   ? kStrLeaf
+      : node.is_number() ? kNumLeaf
+                         : std::string_view(node.label());
   for (const auto& row : rows) {
     if (row.predicate != key) continue;
     if (auto out = row.fn(conv, node)) return out;

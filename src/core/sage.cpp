@@ -117,9 +117,11 @@ SentenceReport Sage::analyze_sentence(const rfc::SpecSentence& sentence,
   report.unknown_tokens = std::move(parsed.unknown_tokens);
   report.used_structural_context = parsed.used_structural_context;
 
+  // Forms share their children, so the candidates, the survivors and the
+  // final form below are root copies of the forms the parse cache holds.
   report.base_forms = parsed.candidates.size();
-  report.base_candidates = parsed.candidates;
   report.winnow = grammar_->winnower.winnow(parsed.candidates);
+  report.base_candidates = std::move(parsed.candidates);
 
   if (report.winnow.survivors.empty()) {
     report.status = SentenceStatus::kZeroForms;
@@ -192,15 +194,15 @@ ccg::CachedParse Sage::parse_with_context(
           while (!stack.empty()) {
             const lf::LfNode* n = stack.back();
             stack.pop_back();
-            if (n->is_string() && n->label == field_lower) return true;
-            for (const auto& a : n->args) stack.push_back(&a);
+            if (n->is_string() && n->label() == field_lower) return true;
+            for (const auto& a : n->args()) stack.push_back(&a);
           }
           return false;
         };
         std::vector<lf::LogicalForm> filtered;
         for (auto& form : retry.forms) {
-          if (form.is_predicate(lf::pred::kIf) && form.args.size() == 2 &&
-              mentions(form.args[0]) && !mentions(form.args[1])) {
+          if (form.is_predicate(lf::pred::kIf) && form.args().size() == 2 &&
+              mentions(form.args()[0]) && !mentions(form.args()[1])) {
             continue;
           }
           filtered.push_back(std::move(form));

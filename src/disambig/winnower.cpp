@@ -1,6 +1,7 @@
 #include "disambig/winnower.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 namespace sage::disambig {
@@ -10,71 +11,89 @@ using lf::LfNode;
 bool is_distributed_version(const LfNode& distributed, const LfNode& grouped) {
   // distributed: @Conj(P(a1..an), P(b1..bn)) with exactly one differing slot
   // grouped:     P(c1..cn) with the differing slot ck = @Conj(ak, bk).
-  if (distributed.kind != LfNode::Kind::kPredicate ||
-      grouped.kind != LfNode::Kind::kPredicate) {
+  if (distributed.kind() != LfNode::Kind::kPredicate ||
+      grouped.kind() != LfNode::Kind::kPredicate) {
     return false;
   }
-  const bool conj = distributed.label == lf::pred::kAnd ||
-                    distributed.label == lf::pred::kOr;
-  if (!conj || distributed.args.size() != 2) return false;
-  const LfNode& left = distributed.args[0];
-  const LfNode& right = distributed.args[1];
-  if (left.kind != LfNode::Kind::kPredicate ||
-      right.kind != LfNode::Kind::kPredicate) {
+  const bool conj = distributed.label() == lf::pred::kAnd ||
+                    distributed.label() == lf::pred::kOr;
+  if (!conj || distributed.args().size() != 2) return false;
+  const LfNode& left = distributed.args()[0];
+  const LfNode& right = distributed.args()[1];
+  if (left.kind() != LfNode::Kind::kPredicate ||
+      right.kind() != LfNode::Kind::kPredicate) {
     return false;
   }
-  if (left.label != right.label || left.label != grouped.label) return false;
-  if (left.args.size() != right.args.size() ||
-      left.args.size() != grouped.args.size()) {
+  if (left.label() != right.label() || left.label() != grouped.label()) {
+    return false;
+  }
+  if (left.args().size() != right.args().size() ||
+      left.args().size() != grouped.args().size()) {
     return false;
   }
 
   // Find the single differing argument slot.
   int differing = -1;
-  for (std::size_t i = 0; i < left.args.size(); ++i) {
-    if (!(left.args[i] == right.args[i])) {
+  for (std::size_t i = 0; i < left.args().size(); ++i) {
+    if (!(left.args()[i] == right.args()[i])) {
       if (differing != -1) return false;  // more than one slot differs
       differing = static_cast<int>(i);
     }
   }
   if (differing == -1) return false;  // identical conjuncts
 
-  for (std::size_t i = 0; i < grouped.args.size(); ++i) {
+  for (std::size_t i = 0; i < grouped.args().size(); ++i) {
     if (static_cast<int>(i) == differing) {
       const LfNode expected = LfNode::predicate(
-          distributed.label,
-          {left.args[i], right.args[i]});
-      if (!(grouped.args[i] == expected)) return false;
+          distributed.label(),
+          {left.args()[i], right.args()[i]});
+      if (!(grouped.args()[i] == expected)) return false;
     } else {
-      if (!(grouped.args[i] == left.args[i])) return false;
+      if (!(grouped.args()[i] == left.args()[i])) return false;
     }
   }
   return true;
 }
 
-LfNode undistribute(const LfNode& node) {
-  if (node.kind != LfNode::Kind::kPredicate) return node;
+namespace {
+
+/// `node` undistributed, or nullopt when it is already its own normal
+/// form: the caller then shares it, so only the nodes a fold changes (and
+/// their ancestors) are built anew.
+std::optional<LfNode> undistributed(const LfNode& node) {
+  if (node.kind() != LfNode::Kind::kPredicate) return std::nullopt;
   // Normalize children first.
-  LfNode out = node;
-  for (auto& a : out.args) a = undistribute(a);
+  const LfNode::Args& args = node.args();
+  std::vector<LfNode> children;
+  bool changed = false;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    std::optional<LfNode> child = undistributed(args[i]);
+    if (child && !changed) {
+      children.assign(args.begin(), args.begin() + i);
+      changed = true;
+    }
+    if (changed) children.push_back(child ? std::move(*child) : args[i]);
+  }
+  LfNode out =
+      changed ? LfNode::predicate(node.label(), std::move(children)) : node;
 
   // Fixpoint at this node: repeatedly fold @Conj(P(..a..), P(..b..)).
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    const bool conj = out.label == lf::pred::kAnd || out.label == lf::pred::kOr;
-    if (!conj || out.args.size() != 2) break;
-    const LfNode& left = out.args[0];
-    const LfNode& right = out.args[1];
-    if (left.kind != LfNode::Kind::kPredicate ||
-        right.kind != LfNode::Kind::kPredicate ||
-        left.label != right.label || left.args.size() != right.args.size()) {
+  while (true) {
+    const bool conj =
+        out.label() == lf::pred::kAnd || out.label() == lf::pred::kOr;
+    if (!conj || out.args().size() != 2) break;
+    const LfNode& left = out.args()[0];
+    const LfNode& right = out.args()[1];
+    if (left.kind() != LfNode::Kind::kPredicate ||
+        right.kind() != LfNode::Kind::kPredicate ||
+        left.label() != right.label() ||
+        left.args().size() != right.args().size()) {
       break;
     }
     int differing = -1;
     bool foldable = true;
-    for (std::size_t i = 0; i < left.args.size(); ++i) {
-      if (!(left.args[i] == right.args[i])) {
+    for (std::size_t i = 0; i < left.args().size(); ++i) {
+      if (!(left.args()[i] == right.args()[i])) {
         if (differing != -1) {
           foldable = false;
           break;
@@ -83,15 +102,22 @@ LfNode undistribute(const LfNode& node) {
       }
     }
     if (!foldable || differing == -1) break;
-    LfNode folded = left;
-    folded.args[static_cast<std::size_t>(differing)] =
-        undistribute(LfNode::predicate(
-            out.label, {left.args[static_cast<std::size_t>(differing)],
-                        right.args[static_cast<std::size_t>(differing)]}));
-    out = std::move(folded);
+    const auto d = static_cast<std::size_t>(differing);
+    std::vector<LfNode> slots(left.args().begin(), left.args().end());
+    slots[d] = undistribute(
+        LfNode::predicate(out.label(), {left.args()[d], right.args()[d]}));
+    out = LfNode::predicate(left.label(), std::move(slots));
     changed = true;
   }
+  if (!changed) return std::nullopt;
   return out;
+}
+
+}  // namespace
+
+LfNode undistribute(const LfNode& node) {
+  std::optional<LfNode> normal = undistributed(node);
+  return normal ? *std::move(normal) : node;
 }
 
 Winnower::Winnower(std::vector<Check> checks, lf::AlgebraicProperties properties)
@@ -119,12 +145,12 @@ Winnower::FirstFailures Winnower::first_failures(const LfNode& form) const {
   };
   for (const std::size_t i : at_root_) run(i, form);
   const auto walk = [this, &run](const auto& self, const LfNode& node) -> void {
-    if (node.kind == LfNode::Kind::kPredicate) {
-      if (const auto it = by_label_.find(node.label); it != by_label_.end()) {
+    if (node.kind() == LfNode::Kind::kPredicate) {
+      if (const auto it = by_label_.find(node.label()); it != by_label_.end()) {
         for (const std::size_t i : it->second) run(i, node);
       }
     }
-    for (const auto& a : node.args) self(self, a);
+    for (const auto& a : node.args()) self(self, a);
   };
   walk(walk, form);
   return first;
@@ -147,7 +173,7 @@ std::vector<LfNode> Winnower::apply_distributivity(
       if (m->is_predicate(lf::pred::kAnd) || m->is_predicate(lf::pred::kOr)) {
         ++n;
       }
-      for (const auto& a : m->args) stack.push_back(&a);
+      for (const auto& a : m->args()) stack.push_back(&a);
     }
     return n;
   };

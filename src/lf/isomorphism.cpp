@@ -6,40 +6,39 @@ namespace sage::lf {
 
 LfNode flatten_associative(const LfNode& root,
                            const AlgebraicProperties& props) {
-  if (root.kind != LfNode::Kind::kPredicate) return root;
+  if (root.kind() != LfNode::Kind::kPredicate) return root;
 
-  LfNode out;
-  out.kind = LfNode::Kind::kPredicate;
-  out.label = root.label;
-  const bool assoc = props.associative.count(root.label) != 0;
-  for (const auto& arg : root.args) {
+  const bool assoc = props.associative.count(root.label()) != 0;
+  std::vector<LfNode> args;
+  args.reserve(root.args().size());
+  for (const auto& arg : root.args()) {
     LfNode flat = flatten_associative(arg, props);
-    if (assoc && flat.is_predicate(root.label)) {
+    if (assoc && flat.is_predicate(root.label())) {
       // Splice the child's arguments into ours.
-      for (auto& g : flat.args) out.args.push_back(std::move(g));
+      args.insert(args.end(), flat.args().begin(), flat.args().end());
     } else {
-      out.args.push_back(std::move(flat));
+      args.push_back(std::move(flat));
     }
   }
-  return out;
+  return LfNode::predicate(root.label(), std::move(args));
 }
 
 namespace {
 
 std::string encode(const LfNode& node, const AlgebraicProperties& props) {
-  switch (node.kind) {
+  switch (node.kind()) {
     case LfNode::Kind::kNumber:
-      return "#" + std::to_string(node.number);
+      return "#" + std::to_string(node.number());
     case LfNode::Kind::kString:
-      return "$" + node.label;
+      return "$" + node.label();
     case LfNode::Kind::kPredicate: {
       std::vector<std::string> parts;
-      parts.reserve(node.args.size());
-      for (const auto& a : node.args) parts.push_back(encode(a, props));
-      if (props.commutative.count(node.label) != 0) {
+      parts.reserve(node.args().size());
+      for (const auto& a : node.args()) parts.push_back(encode(a, props));
+      if (props.commutative.count(node.label()) != 0) {
         std::sort(parts.begin(), parts.end());
       }
-      std::string out = "(" + node.label;
+      std::string out = "(" + node.label();
       for (const auto& p : parts) {
         out += ' ';
         out += p;

@@ -6,12 +6,22 @@
 // whose leaves are scalar arguments (field names, numbers). Multiple LFs
 // for one sentence represent ambiguity; the disambiguation stage winnows
 // them.
+//
+// An LF is immutable and shared. A predicate's children sit in one
+// refcounted block, so a copy of a form copies its root and bumps one
+// count; the parse cache, the sentence reports, the winnower's survivors
+// and code generation all hold the same children. The block is freed with
+// its last owner. Each node's structural hash is computed once, by the
+// factory that builds it, from its children's hashes.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <new>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace sage::lf {
@@ -45,45 +55,95 @@ inline constexpr std::string_view kGreater = "@Greater";
 inline constexpr std::string_view kLess = "@Less";
 }  // namespace pred
 
-/// One node of a logical form.
-struct LfNode {
+/// One node of a logical form. Built only by the factories and never
+/// changed after: to alter a form, build the changed nodes anew around
+/// the unchanged subtrees.
+class LfNode {
+ public:
   enum class Kind : std::uint8_t {
     kPredicate,  // label = predicate name, args = children
     kString,     // label = the string value (field name, function name, ...)
     kNumber,     // number = numeric literal
   };
 
-  Kind kind = Kind::kString;
-  std::string label;
-  long number = 0;
-  std::vector<LfNode> args;
+  /// A predicate's children: one immutable block holding the count and
+  /// the elements, shared by every copy and freed with its last owner.
+  /// The count is atomic, because serve workers share cached runs and
+  /// one ParseCache across threads.
+  class Args {
+   public:
+    Args() = default;
+    Args(const Args& other) noexcept : block_(other.block_) {
+      if (block_ != nullptr) {
+        block_->refs.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    Args(Args&& other) noexcept
+        : block_(std::exchange(other.block_, nullptr)) {}
+    Args& operator=(Args other) noexcept {
+      std::swap(block_, other.block_);
+      return *this;
+    }
+    ~Args() {
+      if (block_ != nullptr &&
+          block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        destroy(block_);
+      }
+    }
 
-  static LfNode predicate(std::string name, std::vector<LfNode> args = {}) {
-    LfNode n;
-    n.kind = Kind::kPredicate;
-    n.label = std::move(name);
-    n.args = std::move(args);
-    return n;
-  }
-  static LfNode str(std::string value) {
-    LfNode n;
-    n.kind = Kind::kString;
-    n.label = std::move(value);
-    return n;
-  }
-  static LfNode num(long value) {
-    LfNode n;
-    n.kind = Kind::kNumber;
-    n.number = value;
-    return n;
-  }
+    std::size_t size() const { return block_ == nullptr ? 0 : block_->count; }
+    bool empty() const { return block_ == nullptr; }
+    const LfNode* begin() const {
+      return block_ == nullptr
+                 ? nullptr
+                 : std::launder(reinterpret_cast<const LfNode*>(block_ + 1));
+    }
+    const LfNode* end() const { return begin() + size(); }
+    const LfNode& operator[](std::size_t i) const { return begin()[i]; }
+
+    /// True if both hold the same block, as a copy and its source do.
+    bool shares_block(const Args& other) const {
+      return block_ == other.block_;
+    }
+
+   private:
+    friend class LfNode;
+    /// The header; the elements follow it in the same allocation.
+    struct Block {
+      std::atomic<std::uint32_t> refs;
+      std::uint32_t count;
+    };
+
+    /// Moves `children` into one new block (no block when empty).
+    explicit Args(std::vector<LfNode>&& children);
+    static void destroy(Block* block) noexcept;
+
+    Block* block_ = nullptr;
+  };
+
+  /// An empty string leaf.
+  LfNode();
+
+  static LfNode predicate(std::string name, std::vector<LfNode> args = {});
+  static LfNode str(std::string value);
+  static LfNode num(long value);
+
+  Kind kind() const { return kind_; }
+  /// Predicate name or string value; empty for a number.
+  const std::string& label() const { return label_; }
+  long number() const { return number_; }
+  /// The children; empty unless a predicate has arguments.
+  const Args& args() const { return args_; }
+  /// Structural hash: equal trees hash equal. Computed by the factory.
+  std::uint64_t hash() const { return hash_; }
 
   bool is_predicate(std::string_view name) const {
-    return kind == Kind::kPredicate && label == name;
+    return kind_ == Kind::kPredicate && label_ == name;
   }
-  bool is_string() const { return kind == Kind::kString; }
-  bool is_number() const { return kind == Kind::kNumber; }
+  bool is_string() const { return kind_ == Kind::kString; }
+  bool is_number() const { return kind_ == Kind::kNumber; }
 
+  /// Structural equality; rejects on a hash mismatch before it walks.
   bool operator==(const LfNode& other) const;
 
   /// Number of nodes in the subtree (for statistics/benches).
@@ -98,6 +158,21 @@ struct LfNode {
   /// Append the to_string rendering to `out` — lets dedup loops reuse
   /// one buffer instead of materializing a string per candidate.
   void append_to(std::string& out) const;
+
+ private:
+  LfNode(Kind kind, std::string label, long number, Args args,
+         std::uint64_t hash)
+      : hash_(hash),
+        label_(std::move(label)),
+        number_(number),
+        args_(std::move(args)),
+        kind_(kind) {}
+
+  std::uint64_t hash_;
+  std::string label_;
+  long number_;
+  Args args_;
+  Kind kind_;
 };
 
 /// A complete logical form for one sentence.
@@ -110,7 +185,8 @@ std::optional<LogicalForm> parse_logical_form(std::string_view text);
 /// Collect the distinct predicate names used in a tree.
 std::vector<std::string> collect_predicates(const LfNode& root);
 
-/// Deterministic structural hash (identical trees hash equal).
-std::uint64_t structural_hash(const LfNode& root);
+/// Deterministic structural hash (identical trees hash equal): the
+/// node's cached hash.
+inline std::uint64_t structural_hash(const LfNode& root) { return root.hash(); }
 
 }  // namespace sage::lf

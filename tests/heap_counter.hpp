@@ -12,15 +12,16 @@ namespace {
 thread_local std::uint64_t t_heap_blocks = 0;
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Both directions out of line, so the compiler never sees malloc() or
+// free() meet the other side's pointer (GCC's -Wmismatched-new-delete
+// would flag every inlined pair).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) throw std::bad_alloc();
   ++t_heap_blocks;
   return p;
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-// Out of line, so the compiler never sees free() meet operator new's
-// pointer (GCC's -Wmismatched-new-delete would flag every inlined pair).
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);

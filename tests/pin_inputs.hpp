@@ -95,13 +95,13 @@ inline lf::LogicalForm random_node(util::SplitMix64& rng, int depth,
 inline lf::LogicalForm random_predicate(
     util::SplitMix64& rng, int depth,
     std::span<const std::string_view> leaves) {
-  auto node = lf::LfNode::predicate(
-      std::string(kAllLabels[rng.below(std::size(kAllLabels))]));
+  std::string label(kAllLabels[rng.below(std::size(kAllLabels))]);
   const std::uint64_t arity = rng.chance(80) ? 1 + rng.below(2) : 3 * rng.below(2);
+  std::vector<lf::LfNode> args;
   for (std::uint64_t i = 0; i < arity; ++i) {
-    node.args.push_back(random_node(rng, depth - 1, leaves));
+    args.push_back(random_node(rng, depth - 1, leaves));
   }
-  return node;
+  return lf::LfNode::predicate(std::move(label), std::move(args));
 }
 
 }  // namespace sage::pins

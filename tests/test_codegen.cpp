@@ -233,13 +233,13 @@ std::vector<PinRow> pin_rows() {
 std::string_view pin_key(const lf::LfNode& node) {
   if (node.is_string()) return kStrLeaf;
   if (node.is_number()) return kNumLeaf;
-  return node.label;
+  return node.label();
 }
 
 void collect_nodes(const lf::LfNode& node,
                    std::vector<const lf::LfNode*>& out) {
   out.push_back(&node);
-  for (const auto& a : node.args) collect_nodes(a, out);
+  for (const auto& a : node.args()) collect_nodes(a, out);
 }
 
 TEST(Handlers, EveryRowPinnedOnCorpusAndRandomForms) {

@@ -15,6 +15,7 @@
 #include "core/sage.hpp"
 #include "net/icmp.hpp"
 #include "corpus/rfc5880.hpp"
+#include "corpus/rfc792.hpp"
 #include "runtime/bfd_session.hpp"
 #include "runtime/generated_responder.hpp"
 #include "sim/inspector.hpp"
@@ -307,6 +308,81 @@ TEST(GeneratedBfd, NetworkTransportedHandshake) {
   // The control packets themselves are clean under the tcpdump model.
   sim::PacketInspector inspector;
   EXPECT_TRUE(inspector.all_clean(net.capture_to_pcap()));
+}
+
+// ---- interop on the original RFC 792 text --------------------------------
+
+/// A ping of the Appendix-A router running the handlers generated from
+/// `text`, with the network's capture as "<node> <bytes> <summary>" lines
+/// and the readings left of the echo-reply sentence.
+struct RouterPing {
+  sim::PingResult result;
+  std::vector<std::string> capture;
+  std::size_t echo_reply_readings = 0;
+};
+
+RouterPing ping_router(const std::string& text) {
+  core::Sage sage;
+  sage.annotate_non_actionable(corpus::icmp_non_actionable_annotations());
+  const core::ProtocolRun run = sage.process(text, "ICMP");
+  runtime::GeneratedIcmpResponder responder;
+  for (const auto& fn : run.functions) responder.add_function(fn);
+  sim::Network net = sim::make_appendix_a_network();
+  net.router()->set_responder(&responder);
+  RouterPing out;
+  for (const auto& report : run.reports) {
+    if (report.sentence.text.starts_with("To form an echo reply message")) {
+      out.echo_reply_readings = report.winnow.survivors.size();
+    }
+  }
+  out.result = sim::PingClient().ping(net, "client", net::IpAddr(10, 0, 1, 1));
+  const sim::PacketInspector inspector;
+  for (const auto& entry : net.capture()) {
+    out.capture.push_back(entry.node + " " +
+                          std::to_string(entry.packet.size()) + " " +
+                          inspector.inspect(entry.packet).summary);
+  }
+  return out;
+}
+
+TEST(OriginalTextInterop, EchoReplyWithoutAddressesNeverArrives) {
+  // The original text keeps six readings of "To form an echo reply
+  // message, the source and destination addresses are simply reversed,
+  // ...", so that sentence generates no code and
+  // icmp_echo_or_echo_reply_receiver never sets the reply's addresses.
+  // The router sends its echo reply to 0.0.0.0, cannot route it, and
+  // answers itself with a 56-byte destination unreachable, which is
+  // dropped: the ping only sees silence.
+  const RouterPing original = ping_router(corpus::rfc792_original());
+  EXPECT_EQ(original.echo_reply_readings, 6u);
+  EXPECT_FALSE(original.result.success);
+  EXPECT_TRUE(original.result.errors.empty());
+  EXPECT_EQ(original.result.detail,
+            std::vector<std::string>{"no reply received"});
+  EXPECT_TRUE(original.result.reply.empty());
+  EXPECT_EQ(original.capture,
+            (std::vector<std::string>{
+                "client 84 IP 10.0.1.100 > 10.0.1.1: ICMP echo request, id "
+                "10775, seq 1, length 64",
+                "r 84 IP 10.0.1.1 > 0.0.0.0: ICMP echo reply, id 10775, seq 1, "
+                "length 64",
+                "r 56 IP 10.0.1.1 > 10.0.1.1: ICMP destination unreachable",
+            }));
+
+  // The revised text rewrites the sentence ("In the echo reply message,
+  // the source and destination addresses are simply reversed and ..."),
+  // and the same ping passes.
+  const RouterPing revised = ping_router(corpus::rfc792_revised());
+  EXPECT_EQ(revised.echo_reply_readings, 0u);
+  EXPECT_TRUE(revised.result.success);
+  EXPECT_TRUE(revised.result.detail.empty());
+  EXPECT_EQ(revised.capture,
+            (std::vector<std::string>{
+                "client 84 IP 10.0.1.100 > 10.0.1.1: ICMP echo request, id "
+                "10775, seq 1, length 64",
+                "r 84 IP 10.0.1.1 > 10.0.1.100: ICMP echo reply, id 10775, seq "
+                "1, length 64",
+            }));
 }
 
 }  // namespace

@@ -1,10 +1,18 @@
-// Tests for logical forms: construction, printing, parsing, hashing, and
+// Tests for logical forms: construction, printing, parsing, hashing,
 // isomorphism modulo associativity (the substrate of §4.2's associativity
-// check).
+// check), and the shared-form contract: a copy of a form shares its
+// children, allocates nothing, and hashes and compares as the tree did.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
+#include <thread>
+
+#include "core/batch.hpp"
+#include "heap_counter.hpp"
 #include "lf/isomorphism.hpp"
 #include "lf/logical_form.hpp"
+#include "pin_inputs.hpp"
 
 namespace sage::lf {
 namespace {
@@ -25,11 +33,13 @@ TEST(LfNode, SizeAndDepth) {
   EXPECT_EQ(lf.depth(), 3u);
 }
 
+LfNode is_cs_one() {
+  return LfNode::predicate("@Is", {LfNode::str("checksum"), LfNode::num(1)});
+}
+
 TEST(LfNode, EqualityIsStructural) {
   EXPECT_EQ(is_cs_zero(), is_cs_zero());
-  auto other = is_cs_zero();
-  other.args[1] = LfNode::num(1);
-  EXPECT_FALSE(is_cs_zero() == other);
+  EXPECT_FALSE(is_cs_zero() == is_cs_one());
 }
 
 TEST(ParseLogicalForm, RoundTripsToString) {
@@ -73,9 +83,7 @@ TEST(StructuralHash, EqualTreesHashEqual) {
 }
 
 TEST(StructuralHash, DifferentTreesHashDifferent) {
-  auto other = is_cs_zero();
-  other.args[1] = LfNode::num(1);
-  EXPECT_NE(structural_hash(is_cs_zero()), structural_hash(other));
+  EXPECT_NE(structural_hash(is_cs_zero()), structural_hash(is_cs_one()));
 }
 
 // --- isomorphism / associativity (Figure 3 of the paper) -----------------
@@ -95,8 +103,8 @@ TEST(Isomorphism, FlattenProducesNaryNode) {
       "@Of(@Of(\"a\", \"b\"), \"c\")");
   ASSERT_TRUE(nested.has_value());
   const auto flat = flatten_associative(*nested, AlgebraicProperties{});
-  EXPECT_EQ(flat.args.size(), 3u);
-  EXPECT_EQ(flat.label, "@Of");
+  EXPECT_EQ(flat.args().size(), 3u);
+  EXPECT_EQ(flat.label(), "@Of");
 }
 
 TEST(Isomorphism, AndIsCommutative) {
@@ -160,6 +168,108 @@ TEST_P(AssocSweep, AllNestingsOfFourLeavesAreIsomorphic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllNestings, AssocSweep, ::testing::Range(0, 5));
+
+// --- the shared-form contract ---------------------------------------------
+
+/// Every base candidate of the six spec corpora, then 2,000 seeded random
+/// forms.
+const std::vector<LogicalForm>& pinned_forms() {
+  static const std::vector<LogicalForm> forms = [] {
+    std::vector<LogicalForm> out = pins::corpus_base_forms();
+    util::SplitMix64 rng(30);
+    for (int i = 0; i < 2000; ++i) {
+      out.push_back(pins::random_node(rng, 4, pins::kLeaves));
+    }
+    return out;
+  }();
+  return forms;
+}
+
+TEST(SharedForms, CopyingACorpusCandidateAllocatesNothingAndSharesItsChildren) {
+  const std::vector<LogicalForm> forms = pins::corpus_base_forms();
+  ASSERT_EQ(forms.size(), 420u);
+  for (const LogicalForm& form : forms) {
+    const std::uint64_t before = t_heap_blocks;
+    const LogicalForm copy = form;
+    EXPECT_EQ(t_heap_blocks - before, 0u) << form.to_string();
+    EXPECT_FALSE(copy.args().empty()) << form.to_string();
+    EXPECT_TRUE(copy.args().shares_block(form.args())) << form.to_string();
+    EXPECT_EQ(copy, form);
+  }
+}
+
+TEST(SharedForms, CachedHashesEqualTheTreeWalkRecordedBeforeSharing) {
+  // The digest structural_hash gave over these forms when it walked the
+  // tree, before nodes cached their hash.
+  pins::Fnv1a digest;
+  for (const LogicalForm& form : pinned_forms()) {
+    char line[24];
+    std::snprintf(line, sizeof line, "%016llx\n",
+                  static_cast<unsigned long long>(structural_hash(form)));
+    digest.add(line);
+  }
+  EXPECT_EQ(pinned_forms().size(), 2420u);
+  EXPECT_EQ(digest.h, 0x7859f321f0fa03c9ull);
+}
+
+TEST(SharedForms, EqualityAgreesWithRenderedTextOnPinnedForms) {
+  // `==` and to_string() equality agree on every pair of the pinned
+  // forms (23,215 equal pairs).
+  const std::vector<LogicalForm>& forms = pinned_forms();
+  std::vector<std::string> text;
+  for (const LogicalForm& form : forms) text.push_back(form.to_string());
+  std::size_t equal = 0;
+  std::size_t disagree = 0;
+  for (std::size_t i = 0; i < forms.size(); ++i) {
+    for (std::size_t j = i + 1; j < forms.size(); ++j) {
+      const bool same = forms[i] == forms[j];
+      equal += same ? 1 : 0;
+      disagree += same != (text[i] == text[j]) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(equal, 23215u);
+  EXPECT_EQ(disagree, 0u);
+}
+
+TEST(SharedForms, RenderedTextIsCoarserThanEquality) {
+  // A label may hold the renderer's own punctuation, so two different
+  // trees can render alike. Text-keyed dedups (the parse harvest,
+  // distributivity) keep that behaviour; `==` tells the trees apart.
+  const LfNode two =
+      LfNode::predicate("@And", {LfNode::str("a"), LfNode::str("b")});
+  const LfNode one = LfNode::predicate("@And", {LfNode::str("a\", \"b")});
+  EXPECT_EQ(two.to_string(), one.to_string());
+  EXPECT_FALSE(two == one);
+}
+
+TEST(SharedForms, ThreadsCopyCompareAndDropOneRunsForms) {
+  const auto& corpora = corpus::spec_corpora();
+  core::Sage sage;
+  sage.annotate_non_actionable(corpora[0].annotations);
+  const core::ProtocolRun run =
+      sage.process(corpora[0].text, corpora[0].protocol);
+  const std::string signature = core::protocol_run_signature(run);
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&run, &mismatches] {
+      for (int round = 0; round < 20; ++round) {
+        for (const core::SentenceReport& report : run.reports) {
+          std::vector<LogicalForm> copies = report.base_candidates;
+          copies.insert(copies.end(), report.winnow.survivors.begin(),
+                        report.winnow.survivors.end());
+          if (report.final_form) copies.push_back(*report.final_form);
+          for (std::size_t i = 0; i < report.base_candidates.size(); ++i) {
+            if (!(copies[i] == report.base_candidates[i])) ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(core::protocol_run_signature(run), signature);
+}
 
 }  // namespace
 }  // namespace sage::lf
