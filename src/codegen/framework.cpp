@@ -70,11 +70,6 @@ constexpr Function kFunctions[] = {
     {kBfd, "call_timeout", kEffect, kTimeout},
     {kBfd, "transmit_packet", kEffect, kTransmit},
     {kBfd, "send_message", kEffect, kTransmit},
-    // DHCP: the UDP checksum is filled at serialization.
-    {kDhcp, "compute_checksum", kEffect, kNop},
-    {kDhcp, "recompute_checksum", kEffect, kNop},
-    {kDhcp, "send_message", kEffect, kNop},
-    {kDhcp, "discard_packet", kEffect, kNop},
 };
 
 }  // namespace
@@ -84,12 +79,12 @@ std::span<const Function> functions() { return kFunctions; }
 Profile profile_of(std::string_view protocol) {
   static constexpr std::pair<std::string_view, Profile> kProfiles[] = {
       {"ICMP", kIcmp}, {"ICMP6", kIcmp6}, {"IGMP", kIgmp},
-      {"NTP", kNtp},   {"BFD", kBfd},     {"DHCP", kDhcp},
+      {"NTP", kNtp},   {"BFD", kBfd},
   };
   for (const auto& [name, profile] : kProfiles) {
     if (name == protocol) return profile;
   }
-  return kStateMachine;
+  return kNone;
 }
 
 const Function* find(Profile profile, std::string_view name, Kind kind) {

@@ -8,8 +8,9 @@
 // returns bytes or acts as an effect, and the op that implements it.
 // runtime::SchemaExecEnv runs the op's body for a call, vm::compile
 // specializes a call into the VM op its row's op names, and the lowering
-// and the C unit ask which calls are byte-valued. The state-machine
-// profile (TCP, BGP) has no rows: its env records every effect.
+// and the C unit ask which calls are byte-valued. Protocols the framework
+// serves nothing for (TCP, BGP, DHCP) run under kNone, which has no rows:
+// a framework call there fails like any name a profile does not serve.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +20,7 @@
 namespace sage::codegen::framework {
 
 enum class Profile : std::uint8_t {
-  kIcmp, kIcmp6, kIgmp, kNtp, kBfd, kDhcp, kStateMachine
+  kIcmp, kIcmp6, kIgmp, kNtp, kBfd, kNone
 };
 
 enum class Kind : std::uint8_t { kScalar, kBytes, kEffect };

@@ -96,11 +96,6 @@ SchemaResolutionStats schema_resolution_stats() {
           g_schema_unresolved.load(std::memory_order_relaxed)};
 }
 
-void reset_schema_resolution_stats() {
-  g_schema_resolved.store(0, std::memory_order_relaxed);
-  g_schema_unresolved.store(0, std::memory_order_relaxed);
-}
-
 std::string CodeGenerator::function_name(const std::string& protocol,
                                          const std::string& message,
                                          const std::string& role) {

@@ -56,7 +56,6 @@ struct SchemaResolutionStats {
 };
 
 SchemaResolutionStats schema_resolution_stats();
-void reset_schema_resolution_stats();
 
 class CodeGenerator {
  public:

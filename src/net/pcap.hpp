@@ -10,6 +10,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sage::net {
@@ -21,24 +22,27 @@ struct PcapRecord {
   std::vector<std::uint8_t> data;
 };
 
-/// Accumulates packets and renders the classic pcap byte stream
-/// (magic 0xa1b2c3d4, version 2.4, LINKTYPE_RAW = 101).
+/// Writes the classic pcap byte stream (magic 0xa1b2c3d4, version 2.4,
+/// LINKTYPE_RAW = 101) as it goes: the global header on construction,
+/// then one record header and the packet bytes per add_packet.
 class PcapWriter {
  public:
+  /// Reserves the exact size of a stream of `packets` packets holding
+  /// `data_bytes` bytes in all.
+  explicit PcapWriter(std::size_t packets = 0, std::size_t data_bytes = 0);
+
   void add_packet(std::span<const std::uint8_t> data, std::uint32_t ts_sec = 0,
                   std::uint32_t ts_usec = 0);
 
-  /// Serialize the whole capture to pcap bytes.
-  std::vector<std::uint8_t> to_bytes() const;
+  /// The pcap bytes written so far.
+  const std::vector<std::uint8_t>& to_bytes() const& { return out_; }
+  std::vector<std::uint8_t> to_bytes() && { return std::move(out_); }
 
   /// Write the capture to a file; returns false on I/O failure.
   bool write_file(const std::string& path) const;
 
-  std::size_t packet_count() const { return records_.size(); }
-  const std::vector<PcapRecord>& records() const { return records_; }
-
  private:
-  std::vector<PcapRecord> records_;
+  std::vector<std::uint8_t> out_;
 };
 
 /// Parse a pcap byte stream produced by PcapWriter (or any classic pcap

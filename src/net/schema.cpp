@@ -114,16 +114,6 @@ std::string field_kind_name(FieldKind kind) {
   return "?";
 }
 
-std::string field_loc_name(FieldLoc loc) {
-  switch (loc) {
-    case FieldLoc::kFixed: return "fixed";
-    case FieldLoc::kLengthPrefixed: return "length-prefixed";
-    case FieldLoc::kTlvOption: return "tlv-option";
-    case FieldLoc::kPseudoDerived: return "pseudo-derived";
-  }
-  return "?";
-}
-
 std::string read_status_name(ReadStatus status) {
   switch (status) {
     case ReadStatus::kOk: return "ok";
@@ -836,34 +826,6 @@ WireRead SchemaRegistry::read_wire(std::string_view layer_name,
   }
   const LayoutCursor cursor(*layer(layer_name), image);
   return read_wire(cursor, *spec);
-}
-
-bool SchemaRegistry::write_wire(const LayerSpec& layer, const FieldSpec& spec,
-                                std::span<std::uint8_t> image, long value) {
-  if (spec.kind != FieldKind::kScalar) return false;
-  if (loc_is_fixed(spec)) return write_bits(spec, image, value);
-  if (spec.loc != FieldLoc::kTlvOption) return false;
-  if (!layer.has_options || image.size() <= layer.options_offset) return false;
-  // Walk the mutable region with the same grammar the OptionsView scans;
-  // update the first matching option's value in place.
-  auto region = image.subspan(layer.options_offset);
-  std::size_t pos = 0;
-  while (pos < region.size()) {
-    const std::uint8_t code = region[pos];
-    if (code == layer.option_end) return false;
-    if (code == layer.option_pad) {
-      ++pos;
-      continue;
-    }
-    if (pos + 1 >= region.size()) return false;
-    const std::size_t len = region[pos + 1];
-    if (pos + 2 + len > region.size()) return false;
-    if (code == spec.tlv_type) {
-      return write_bits(spec, region.subspan(pos + 2, len), value);
-    }
-    pos += 2 + len;
-  }
-  return false;
 }
 
 std::string SchemaRegistry::dump() const {

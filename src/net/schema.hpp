@@ -68,8 +68,6 @@ enum class FieldLoc : std::uint8_t {
   kPseudoDerived,   // fixed-offset checksum computed over an IP pseudo-header
 };
 
-std::string field_loc_name(FieldLoc loc);
-
 /// Outcome of a wire read. kShortRead replaces the old silent behaviors
 /// (zero-fill in the exec envs, silently missing decode lines) for
 /// truncated packets: a field whose bit range extends past the image is
@@ -297,8 +295,8 @@ class SchemaRegistry {
   /// Generic bit-level scalar access over a serialized header image.
   /// Reads sign-extend when the spec says so; writes mask to bit_width.
   /// nullopt / false when the image is too short or the field is not a
-  /// fixed-offset kScalar — TLV-located fields go through read_wire /
-  /// write_wire, which resolve the options region.
+  /// fixed-offset kScalar — TLV-located fields go through read_wire,
+  /// which resolves the options region.
   static std::optional<long> read_scalar(const FieldSpec& spec,
                                          std::span<const std::uint8_t> image);
   static bool write_scalar(const FieldSpec& spec, std::span<std::uint8_t> image,
@@ -314,13 +312,6 @@ class SchemaRegistry {
   /// Same read against a pre-resolved layout — option-region bounds and
   /// the TLV scan are paid once per cursor, not once per field.
   static WireRead read_wire(const LayoutCursor& cursor, const FieldSpec& spec);
-
-  /// Layout-aware write into a full layer image: fixed fields delegate
-  /// to write_scalar; kTlvOption fields update the option value in place
-  /// when the option exists with enough room (a span cannot grow —
-  /// appending goes through OptionsView::append on the owning vector).
-  static bool write_wire(const LayerSpec& layer, const FieldSpec& spec,
-                         std::span<std::uint8_t> image, long value);
 
   /// Human-readable table of every layer/field/protocol
   /// (sage_debug --dump-schema).

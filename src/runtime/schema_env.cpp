@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "net/checksum.hpp"
+#include "net/udp.hpp"
 #include "util/arena.hpp"
 #include "util/bytes.hpp"
 #include "util/strings.hpp"
@@ -131,17 +132,15 @@ const SchemaExecEnv::ProtocolBinding& SchemaExecEnv::binding_for(
           pb.wire_layers.push_back(layer);
         }
         for (const auto& f : layer->fields) {
+          // No env stores TLV-located fields (DHCP's options): whatever
+          // they are typed as, they stay kNone.
+          if (f.loc == schema::FieldLoc::kTlvOption ||
+              f.loc == schema::FieldLoc::kLengthPrefixed) {
+            continue;
+          }
           auto& b = pb.by_id[static_cast<std::size_t>(f.id)];
           b.spec = &f;
           b.layer_slot = layer_slot;
-          // Location trumps kind for storage: TLV-located fields (DHCP
-          // option scalars and whole option values) live in the layer's
-          // options region, whatever they are typed as.
-          if (f.loc == schema::FieldLoc::kTlvOption ||
-              f.loc == schema::FieldLoc::kLengthPrefixed) {
-            b.kind = Binding::Kind::kWireOption;
-            continue;
-          }
           switch (f.kind) {
             case schema::FieldKind::kScalar:
               b.kind = Binding::Kind::kWire;
@@ -163,10 +162,6 @@ const SchemaExecEnv::ProtocolBinding& SchemaExecEnv::binding_for(
                   b.slot = static_cast<std::uint8_t>(slot);
                   break;
                 }
-              }
-              if (f.name == "host_group_address") {
-                b.kind = Binding::Kind::kHostGroup;
-                break;
               }
               b.kind = Binding::Kind::kState;
               b.slot = static_cast<std::uint8_t>(pb.state_slot_count++);
@@ -364,22 +359,14 @@ SchemaExecEnv SchemaExecEnv::icmp6(std::span<const std::uint8_t> raw_incoming,
   return env;
 }
 
-SchemaExecEnv SchemaExecEnv::dhcp(std::span<const std::uint8_t> message) {
-  SchemaExecEnv env(binding_for("DHCP"));
-  if (!message.empty()) {
-    auto& L = env.wire_[0];
-    L.has_in = true;
-    L.in_image.assign(message.begin(), message.end());
-    if (message.size() < L.spec->header_bytes) env.input_truncated_ = true;
-  }
-  return env;
-}
-
 SchemaExecEnv SchemaExecEnv::igmp(net::IpAddr own_address,
                                   net::IpAddr host_group) {
-  SchemaExecEnv env(binding_for("IGMP"));
+  static const ProtocolBinding& pb = binding_for("IGMP");
+  static const std::uint8_t group_slot =
+      binding(pb, {"igmp", "host_group_address"})->slot;
+  SchemaExecEnv env(pb);
   env.own_address_ = own_address;
-  env.host_group_ = host_group;
+  env.state_slots_[group_slot] = static_cast<long>(host_group.value());
   return env;
 }
 
@@ -416,10 +403,6 @@ SchemaExecEnv SchemaExecEnv::bfd(net::BfdSessionState* state,
     L.in_image.assign(bytes.begin(), bytes.end());
   }
   return env;
-}
-
-SchemaExecEnv SchemaExecEnv::state_machine(const std::string& protocol) {
-  return SchemaExecEnv(binding_for(protocol));
 }
 
 // -- field dispatch ---------------------------------------------------------
@@ -466,12 +449,8 @@ std::optional<long> SchemaExecEnv::read_field(const codegen::FieldRef& ref,
       return state_slots_[b->slot];
     case Binding::Kind::kBfdState:
       return read_bfd_state(b->slot);
-    case Binding::Kind::kHostGroup:
-      return static_cast<long>(host_group_.value());
     case Binding::Kind::kToken:
       return 0;
-    case Binding::Kind::kWireOption:
-      return read_wire_option(b->layer_slot, spec, sel);
     case Binding::Kind::kBytes:
     case Binding::Kind::kNone:
       return std::nullopt;
@@ -523,9 +502,6 @@ bool SchemaExecEnv::write_field(const codegen::FieldRef& ref, long value) {
       return true;
     case Binding::Kind::kBfdState:
       return write_bfd_state(b->slot, value);
-    case Binding::Kind::kWireOption:
-      return write_wire_option(b->layer_slot, spec, value);
-    case Binding::Kind::kHostGroup:
     case Binding::Kind::kToken:
     case Binding::Kind::kBytes:
     case Binding::Kind::kNone:
@@ -645,140 +621,17 @@ bool SchemaExecEnv::write_bfd_state(std::uint8_t slot, long value) {
   }
 }
 
-// -- TLV option storage (Binding::Kind::kWireOption) ------------------------
-
-namespace {
-
-/// Insert position for a fresh TLV in an out image: just before the end
-/// code when the region already carries one, else the image end. Out
-/// images only ever hold well-formed runs (the env wrote them), so a
-/// malformed tail just appends at the end.
-std::size_t option_insert_pos(const schema::LayerSpec& layer,
-                              std::span<const std::uint8_t> img) {
-  std::size_t pos = layer.options_offset;
-  if (img.size() < pos) return img.size();
-  while (pos < img.size()) {
-    const std::uint8_t code = img[pos];
-    if (code == layer.option_pad) {
-      ++pos;
-      continue;
-    }
-    if (code == layer.option_end) return pos;
-    if (pos + 1 >= img.size()) return img.size();
-    pos += 2 + img[pos + 1];
-  }
-  return img.size();
-}
-
-/// Remove every well-formed occurrence of option `type` from the image.
-void erase_option(const schema::LayerSpec& layer,
-                  std::pmr::vector<std::uint8_t>& img, std::uint8_t type) {
-  std::size_t pos = layer.options_offset;
-  while (pos < img.size()) {
-    const std::uint8_t code = img[pos];
-    if (code == layer.option_pad) {
-      ++pos;
-      continue;
-    }
-    if (code == layer.option_end) return;
-    if (pos + 1 >= img.size()) return;
-    const std::size_t len = 2 + img[pos + 1];
-    if (pos + len > img.size()) return;
-    if (code == type) {
-      img.erase(img.begin() + static_cast<std::ptrdiff_t>(pos),
-                img.begin() + static_cast<std::ptrdiff_t>(pos + len));
-      continue;
-    }
-    pos += len;
-  }
-}
-
-}  // namespace
-
-std::optional<long> SchemaExecEnv::read_wire_option(
-    std::uint8_t layer_slot, const schema::FieldSpec& spec,
-    codegen::PacketSel sel) const {
-  if (spec.kind != schema::FieldKind::kScalar) return std::nullopt;
-  const LayerImages& L = wire_[layer_slot];
-  const auto* img = L.image(sel);
-  if (img == nullptr) return std::nullopt;
-  const schema::LayoutCursor cursor(*L.spec, {img->data(), img->size()});
-  const auto r = schema::SchemaRegistry::read_wire(cursor, spec);
-  if (!r.ok()) return std::nullopt;
-  return r.value;
-}
-
-bool SchemaExecEnv::write_wire_option(std::uint8_t layer_slot,
-                                      const schema::FieldSpec& spec,
-                                      long value) {
-  if (spec.kind != schema::FieldKind::kScalar) return false;
-  LayerImages& L = wire_[layer_slot];
-  if (!L.has_out) return false;
-  // In-place update when the option is already present with enough room
-  // (write_wire's contract: a span cannot grow)...
-  if (schema::SchemaRegistry::write_wire(
-          *L.spec, spec, {L.out_image.data(), L.out_image.size()}, value)) {
-    return true;
-  }
-  // ...else append a fresh {code, length, value} before the end code.
-  const std::size_t len = (spec.bit_width + 7) / 8;
-  std::vector<std::uint8_t> tlv;
-  schema::OptionsView::append_scalar(tlv, spec.tlv_type, value, len);
-  const std::size_t pos =
-      option_insert_pos(*L.spec, {L.out_image.data(), L.out_image.size()});
-  L.out_image.insert(L.out_image.begin() + static_cast<std::ptrdiff_t>(pos),
-                     tlv.begin(), tlv.end());
-  return true;
-}
-
-std::optional<std::vector<std::uint8_t>> SchemaExecEnv::read_option_bytes(
-    std::uint8_t layer_slot, const schema::FieldSpec& spec,
-    codegen::PacketSel sel) const {
-  const LayerImages& L = wire_[layer_slot];
-  const auto* img = L.image(sel);
-  if (img == nullptr) return std::nullopt;
-  const schema::OptionsView view(*L.spec, {img->data(), img->size()});
-  const auto opt = view.find(spec.tlv_type);
-  if (!opt) return std::nullopt;
-  return std::vector<std::uint8_t>(opt->value.begin(), opt->value.end());
-}
-
-bool SchemaExecEnv::write_option_bytes(std::uint8_t layer_slot,
-                                       const schema::FieldSpec& spec,
-                                       std::span<const std::uint8_t> value) {
-  LayerImages& L = wire_[layer_slot];
-  if (!L.has_out) return false;
-  erase_option(*L.spec, L.out_image, spec.tlv_type);
-  std::vector<std::uint8_t> tlv;
-  schema::OptionsView::append(tlv, spec.tlv_type, value);
-  const std::size_t pos =
-      option_insert_pos(*L.spec, {L.out_image.data(), L.out_image.size()});
-  L.out_image.insert(L.out_image.begin() + static_cast<std::ptrdiff_t>(pos),
-                     tlv.begin(), tlv.end());
-  return true;
-}
-
 // -- bytes ------------------------------------------------------------------
 
 bool SchemaExecEnv::is_bytes_field(const codegen::FieldRef& ref) const {
   const Binding* b = binding(ref);
-  if (b == nullptr) return false;
-  if (b->kind == Binding::Kind::kBytes) return true;
-  // Whole-option-value fields (dhcp.parameter_request_list) are bytes
-  // typed but option located.
-  return b->kind == Binding::Kind::kWireOption && b->spec != nullptr &&
-         b->spec->kind == schema::FieldKind::kBytes;
+  return b != nullptr && b->kind == Binding::Kind::kBytes;
 }
 
 std::optional<std::vector<std::uint8_t>> SchemaExecEnv::read_bytes(
     const codegen::FieldRef& ref, codegen::PacketSel sel) {
   const Binding* b = binding(ref);
-  if (b == nullptr) return std::nullopt;
-  if (b->kind == Binding::Kind::kWireOption &&
-      b->spec->kind == schema::FieldKind::kBytes) {
-    return read_option_bytes(b->layer_slot, *b->spec, sel);
-  }
-  if (b->kind != Binding::Kind::kBytes) return std::nullopt;
+  if (b == nullptr || b->kind != Binding::Kind::kBytes) return std::nullopt;
   const LayerImages& L = wire_[b->layer_slot];
   const std::span<const std::uint8_t> payload =
       sel == codegen::PacketSel::kIncoming
@@ -790,21 +643,15 @@ std::optional<std::vector<std::uint8_t>> SchemaExecEnv::read_bytes(
 bool SchemaExecEnv::write_bytes(const codegen::FieldRef& ref,
                                 std::vector<std::uint8_t> value) {
   const Binding* b = binding(ref);
-  if (b == nullptr) return false;
-  if (b->kind == Binding::Kind::kWireOption &&
-      b->spec->kind == schema::FieldKind::kBytes) {
-    return write_option_bytes(b->layer_slot, *b->spec, value);
-  }
-  if (b->kind != Binding::Kind::kBytes) return false;
+  if (b == nullptr || b->kind != Binding::Kind::kBytes) return false;
   wire_[b->layer_slot].out_payload.assign(value.begin(), value.end());
   return true;
 }
 
 // -- framework functions (the per-protocol profiles) ------------------------
 
-std::vector<std::uint8_t> SchemaExecEnv::out_message_bytes(
-    std::size_t layer_slot) const {
-  const LayerImages& L = wire_[layer_slot];
+std::vector<std::uint8_t> SchemaExecEnv::out_message_bytes() const {
+  const LayerImages& L = wire_[0];
   std::vector<std::uint8_t> bytes(L.out_image.begin(), L.out_image.end());
   bytes.insert(bytes.end(), L.out_payload.begin(), L.out_payload.end());
   return bytes;
@@ -843,7 +690,7 @@ long SchemaExecEnv::framework_value(FrameworkOp op,
       // Over the outgoing message as currently constructed, including
       // whatever sits in the checksum field (stale-value semantics; see
       // finish_reply). ICMPv6 chains the RFC 4443 §2.3 pseudo-header in.
-      const auto bytes = out_message_bytes(0);
+      const auto bytes = out_message_bytes();
       const std::uint16_t pseudo =
           profile_ == Profile::kIcmp6
               ? net::pseudo_header_sum_v6(
@@ -888,10 +735,6 @@ std::span<const std::uint8_t> SchemaExecEnv::datagram_excerpt() const {
 
 bool SchemaExecEnv::call_effect(const std::string& fn,
                                 const std::vector<long>& /*args*/) {
-  if (profile_ == Profile::kStateMachine) {
-    effects_.push_back(fn);
-    return true;
-  }
   const auto* f = codegen::framework::find(profile_, fn, Kind::kEffect);
   if (f == nullptr) return false;
   framework_effect(f->op);
@@ -912,7 +755,7 @@ long SchemaExecEnv::resolve_symbol(const std::string& name) {
   return schema::symbol_value(pb_->schema, name);
 }
 
-// -- finalization and typed views -------------------------------------------
+// -- finalization -----------------------------------------------------------
 
 std::vector<std::uint8_t> SchemaExecEnv::finish_reply() {
   // One exact reservation: the IP header is serialized first, the
@@ -989,35 +832,6 @@ std::vector<std::uint8_t> SchemaExecEnv::finish(net::IpAddr destination) const {
   if (udp.dst_port == 0) udp.dst_port = net::kNtpPort;
   const auto udp_bytes = udp.serialize(own_address_, destination, ntp_bytes);
   return net::build_ipv4_packet(ip, udp_bytes);
-}
-
-net::IcmpMessage SchemaExecEnv::out_icmp() const {
-  return *net::IcmpMessage::parse(out_message_bytes(0));
-}
-
-net::IgmpMessage SchemaExecEnv::message() const {
-  return *net::IgmpMessage::parse(wire_[0].out_image);
-}
-
-net::NtpPacket SchemaExecEnv::packet() const {
-  for (const auto& L : wire_) {
-    if (L.spec->name == "ntp") return *net::NtpPacket::parse(L.out_image);
-  }
-  return net::NtpPacket{};
-}
-
-net::UdpHeader SchemaExecEnv::udp() const {
-  for (const auto& L : wire_) {
-    if (L.spec->name == "udp") {
-      net::UdpHeader u;
-      u.src_port = util::get_be16({L.out_image.data(), 2});
-      u.dst_port = util::get_be16({L.out_image.data() + 2, 2});
-      u.length = util::get_be16({L.out_image.data() + 4, 2});
-      u.checksum = util::get_be16({L.out_image.data() + 6, 2});
-      return u;
-    }
-  }
-  return net::UdpHeader{};
 }
 
 }  // namespace sage::runtime

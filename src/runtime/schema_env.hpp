@@ -33,13 +33,10 @@
 #include "codegen/framework.hpp"
 #include "codegen/ir.hpp"
 #include "net/bfd.hpp"
-#include "net/icmp.hpp"
-#include "net/igmp.hpp"
 #include "net/ipv4.hpp"
 #include "net/ipv6.hpp"
 #include "net/ntp.hpp"
 #include "net/schema.hpp"
-#include "net/udp.hpp"
 #include "util/symbols.hpp"
 
 namespace sage::runtime {
@@ -71,14 +68,9 @@ class SchemaExecEnv {
                              net::Ip6Addr own_address,
                              bool start_from_incoming = false);
 
-  /// DHCP environment: `message` (may be empty) is the incoming DHCP
-  /// message starting at the fixed BOOTP header; bytes past offset 240
-  /// are the TLV options region. The outgoing image starts as the
-  /// 240-byte fixed header with schema defaults; option writes grow it.
-  static SchemaExecEnv dhcp(std::span<const std::uint8_t> message = {});
-
   /// IGMP sender environment. `host_group` is the group a report
-  /// announces (the framework's "which group am I joining" service).
+  /// announces (the framework's "which group am I joining" service): the
+  /// read-only state slot igmp.host_group_address starts with it.
   static SchemaExecEnv igmp(net::IpAddr own_address, net::IpAddr host_group);
 
   /// NTP sender environment (no incoming packet: the timeout procedure).
@@ -95,11 +87,6 @@ class SchemaExecEnv {
   /// updates; `packet` (may be null) backs the wire-field reads.
   static SchemaExecEnv bfd(net::BfdSessionState* state,
                            const net::BfdControlPacket* packet);
-
-  /// Pure state-variable environment for the reach experiments (protocol
-  /// = "TCP" or "BGP"): every kState field of the protocol's layers is a
-  /// slot initialized to 0, and framework effects are recorded.
-  static SchemaExecEnv state_machine(const std::string& protocol);
 
   // -- per-run knobs (same surface the legacy envs had) --------------------
 
@@ -121,9 +108,6 @@ class SchemaExecEnv {
   bool timeout_called() const { return timeout_called_; }
   bool packet_transmitted() const { return packet_transmitted_; }
 
-  /// Effects recorded by the state_machine profile, in call order.
-  const std::vector<std::string>& effects() const { return effects_; }
-
   // -- finalization --------------------------------------------------------
 
   /// ICMP: serialize the reply packet into one exactly-sized buffer (IP
@@ -139,16 +123,9 @@ class SchemaExecEnv {
   /// (IGMP ttl=1; NTP port 123, ttl=64).
   std::vector<std::uint8_t> finish(net::IpAddr destination) const;
 
-  // -- typed views for tests and the simulator -----------------------------
+  // -- typed view for tests ------------------------------------------------
 
   const net::Ipv4Header& out_ip() const { return out_ip_; }
-  const net::Ipv6Header& out_ip6() const { return out_ip6_; }
-  net::IcmpMessage out_icmp() const;   // ICMP/ICMPv6: reply under construction
-  /// DHCP: the message under construction (fixed header + options).
-  std::vector<std::uint8_t> out_dhcp() const { return out_message_bytes(0); }
-  net::IgmpMessage message() const;    // IGMP: message under construction
-  net::NtpPacket packet() const;       // NTP: packet under construction
-  net::UdpHeader udp() const;          // NTP: UDP header as written
 
   // -- generated-code access (the tree interpreter, the VM's slow path) ----
   std::optional<long> read_field(const codegen::FieldRef& ref,
@@ -188,11 +165,10 @@ class SchemaExecEnv {
       kPayloadScalar,  // 32-bit big-endian at a payload byte offset
       kBytes,          // the payload itself
       kIp,             // IP pseudo-layer backed by Ipv4Header structs
-      kState,          // generic long slot (ntp.peer_timer, tcp.*, bgp.*)
+      kState,          // generic long slot (igmp.host_group_address,
+                       // ntp.peer_timer, tcp.*, bgp.*)
       kBfdState,       // RFC 5880 §6.8.1 variable in *bfd_state_
-      kHostGroup,      // IGMP host-group service (read-only)
       kToken,          // reads as 0 ("the ICMP message")
-      kWireOption,     // TLV-located field inside a layer's options region
     };
     Kind kind = Kind::kNone;
     const net::schema::FieldSpec* spec = nullptr;
@@ -217,7 +193,7 @@ class SchemaExecEnv {
   /// outgoing IP headers with the schema's serialization defaults.
   struct ProtocolBinding {
     const net::schema::ProtocolSchema* schema = nullptr;
-    Profile profile = Profile::kStateMachine;
+    Profile profile = Profile::kNone;
     std::vector<Binding> by_id;
     std::vector<const net::schema::LayerSpec*> wire_layers;
     std::vector<LayerTemplate> templates;  // parallel to wire_layers
@@ -280,7 +256,8 @@ class SchemaExecEnv {
   const Binding* binding(const codegen::FieldRef& ref) const {
     return binding(*pb_, ref);
   }
-  std::vector<std::uint8_t> out_message_bytes(std::size_t layer_slot) const;
+  /// The outgoing message: layer 0's out image, then its payload.
+  std::vector<std::uint8_t> out_message_bytes() const;
   /// ICMP/ICMPv6: the invoking-packet excerpt an error message quotes, as
   /// a view of the raw incoming packet (RFC 792: internet header + 64
   /// bits of data; RFC 4443 §3.1: as much as fits the minimum MTU).
@@ -300,22 +277,6 @@ class SchemaExecEnv {
                        std::span<const long> args) const;
   /// Inline, so the VM's kEffect* ops compile to the bare effect.
   void framework_effect(codegen::framework::Op op);
-
-  // TLV-located field access (Binding::Kind::kWireOption). Scalar reads
-  // resolve the layer's options region through a LayoutCursor; writes
-  // update the option value in place when present and append a fresh
-  // {code, length, value} before the end code otherwise.
-  std::optional<long> read_wire_option(std::uint8_t layer_slot,
-                                       const net::schema::FieldSpec& spec,
-                                       codegen::PacketSel sel) const;
-  bool write_wire_option(std::uint8_t layer_slot,
-                         const net::schema::FieldSpec& spec, long value);
-  std::optional<std::vector<std::uint8_t>> read_option_bytes(
-      std::uint8_t layer_slot, const net::schema::FieldSpec& spec,
-      codegen::PacketSel sel) const;
-  bool write_option_bytes(std::uint8_t layer_slot,
-                          const net::schema::FieldSpec& spec,
-                          std::span<const std::uint8_t> value);
 
   /// The thread-local arena backing every env's layer images on this
   /// thread (defined in schema_env.cpp).
@@ -353,7 +314,6 @@ class SchemaExecEnv {
   bool input_truncated_ = false;
 
   net::IpAddr own_address_;
-  net::IpAddr host_group_;
   net::BfdSessionState* bfd_state_ = nullptr;
 
   long scenario_value_ = util::symbol_value({});  // set_scenario's hash
@@ -366,7 +326,6 @@ class SchemaExecEnv {
   bool session_lookup_fails_ = false;
   bool timeout_called_ = false;
   bool packet_transmitted_ = false;
-  std::vector<std::string> effects_;
 };
 
 inline void SchemaExecEnv::framework_effect(codegen::framework::Op op) {

@@ -48,9 +48,6 @@ struct EnvAccess {
                               long value) {
     return env.write_bfd_state(slot, value);
   }
-  static long host_group(const SchemaExecEnv& env) {
-    return static_cast<long>(env.host_group_.value());
-  }
   static long scenario_value(const SchemaExecEnv& env) {
     return env.scenario_value_;
   }
@@ -69,20 +66,6 @@ struct EnvAccess {
   static std::span<const std::uint8_t> datagram_excerpt(
       const SchemaExecEnv& env) {
     return env.datagram_excerpt();
-  }
-
-  // TLV-located fields (Binding::Kind::kWireOption): kPushOption /
-  // kStoreOption route through the env's option machinery — the region
-  // scan is not worth inlining into the executor.
-  static std::optional<long> read_option(const SchemaExecEnv& env,
-                                         std::uint8_t layer_slot,
-                                         const net::schema::FieldSpec& spec,
-                                         codegen::PacketSel sel) {
-    return env.read_wire_option(layer_slot, spec, sel);
-  }
-  static bool write_option(SchemaExecEnv& env, std::uint8_t layer_slot,
-                           const net::schema::FieldSpec& spec, long value) {
-    return env.write_wire_option(layer_slot, spec, value);
   }
 };
 

@@ -154,11 +154,6 @@ inline void op_kPushBfdState(Frame& f) {
   ++f.ip;
 }
 
-inline void op_kPushHostGroup(Frame& f) {
-  f.stack[f.sp++] = EnvAccess::host_group(f.env);
-  ++f.ip;
-}
-
 inline void op_kPushZero(Frame& f) {
   f.stack[f.sp++] = 0;
   ++f.ip;
@@ -372,28 +367,6 @@ inline void op_kPushFramework(Frame& f) {
       f.poison ? 0
                : EnvAccess::framework_value(
                      f.env, static_cast<framework::Op>(in.b));
-  ++f.ip;
-}
-
-inline void op_kPushOption(Frame& f) {
-  ++f.slow;
-  const Insn& in = f.code[f.ip];
-  push_opt(f, EnvAccess::read_option(f.env, static_cast<std::uint8_t>(in.b),
-                                     *spec_of(in),
-                                     static_cast<codegen::PacketSel>(in.a)));
-  ++f.ip;
-}
-
-inline void op_kStoreOption(Frame& f) {
-  ++f.slow;
-  const Insn& in = f.code[f.ip];
-  long value;
-  if (store_value(f, value)) {
-    if (!EnvAccess::write_option(f.env, static_cast<std::uint8_t>(in.b),
-                                 *spec_of(in), value)) {
-      store_rejected(f);
-    }
-  }
   ++f.ip;
 }
 

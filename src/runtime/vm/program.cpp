@@ -41,18 +41,8 @@ Insn specialize_read(const EnvAccess::Binding* b, const codegen::LinInsn& in) {
       return {Op::kPushState, 0, b->slot};
     case Kind::kBfdState:
       return {Op::kPushBfdState, 0, b->slot};
-    case Kind::kHostGroup:
-      return {Op::kPushHostGroup};
     case Kind::kToken:
       return {Op::kPushZero};
-    case Kind::kWireOption:
-      // Scalar TLV options read through the env's layout machinery;
-      // whole-option-value (bytes-typed) fields have no scalar read.
-      if (b->spec->kind == schema::FieldKind::kScalar) {
-        return {Op::kPushOption, in.a, b->layer_slot, in.b,
-                bake_spec(b->spec)};
-      }
-      return {Op::kPushNull};
     case Kind::kBytes:  // scalar read of the payload -> unknown
     case Kind::kNone:
       return {Op::kPushNull};
@@ -97,12 +87,6 @@ Insn specialize_store(const EnvAccess::ProtocolBinding& pb,
       return {Op::kStoreState, 0, b->slot, in.b};
     case Kind::kBfdState:
       return {Op::kStoreBfdState, 0, b->slot, in.b};
-    case Kind::kWireOption:
-      if (b->spec->kind == schema::FieldKind::kScalar) {
-        return {Op::kStoreOption, 0, b->layer_slot, in.b, bake_spec(b->spec)};
-      }
-      return {Op::kStoreFail, 0, 0, in.b};
-    case Kind::kHostGroup:
     case Kind::kToken:
     case Kind::kBytes:
     case Kind::kNone:
@@ -311,10 +295,8 @@ std::string Program::disassemble() const {
         break;
       case Op::kPushWire:
       case Op::kPushPayload:
-      case Op::kPushOption:
       case Op::kStoreWire:
-      case Op::kStorePayload:
-      case Op::kStoreOption: {
+      case Op::kStorePayload: {
         const auto* spec = reinterpret_cast<const schema::FieldSpec*>(
             static_cast<std::uintptr_t>(in.imm));
         out += " " + spec->name;

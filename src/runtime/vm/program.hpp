@@ -36,7 +36,6 @@ namespace sage::runtime::vm {
   X(kPushIp)         /* a=sel, b=ip slot                                */ \
   X(kPushState)      /* b=state slot                                    */ \
   X(kPushBfdState)   /* b=bfd state slot                                */ \
-  X(kPushHostGroup)  /* push the IGMP host-group service value          */ \
   X(kPushZero)       /* readable token field: reads as 0                */ \
   X(kPushNull)       /* unknown/unreadable field: poison + push 0       */ \
   X(kPushScenario)   /* push the per-run scenario symbol value          */ \
@@ -55,10 +54,6 @@ namespace sage::runtime::vm {
   X(kStoreFail)      /* write always fails; c=ref [slow]                */ \
   X(kAssignBytes)    /* generic bytes assignment via env [slow]         */ \
   X(kCopyPayload)    /* b=src slot in_payload -> c=dst slot out_payload */ \
-  X(kPushOption)     /* TLV field read: a=sel, b=layer slot,            */ \
-                     /* imm=FieldSpec* [slow]                           */ \
-  X(kStoreOption)    /* TLV field write: b=layer slot, c=ref,           */ \
-                     /* imm=FieldSpec* [slow]                           */ \
   X(kCmpBranch)      /* fused cmp+branch: a=CmpOp, b=1 jump-on-true,    */ \
                      /* c=target; pops rhs,lhs                          */ \
   X(kGuardScenario)  /* fused scenario guard: cmp(scenario, imm) then   */ \

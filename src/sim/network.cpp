@@ -382,38 +382,17 @@ std::size_t Network::approximate_memory_bytes() const {
 }
 
 std::vector<std::uint8_t> Network::capture_to_pcap() const {
-  // Serialized in one pass with a single exact reservation — the packet
-  // bytes come straight out of the arena-backed capture views instead of
-  // being copied into intermediate PcapWriter records. The byte stream
-  // is identical to net::PcapWriter's (little-endian v2.4 header,
-  // LINKTYPE_RAW), which tests/test_sim_kernel.cpp pins via pcap hash
-  // goldens.
-  std::size_t total = 24;
-  for (const auto& entry : capture_) total += 16 + entry.packet.size();
-  std::vector<std::uint8_t> out;
-  out.reserve(total);
-  const auto le32 = [&out](std::uint32_t v) {
-    out.push_back(static_cast<std::uint8_t>(v & 0xff));
-    out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-    out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xff));
-    out.push_back(static_cast<std::uint8_t>((v >> 24) & 0xff));
-  };
-  le32(0xa1b2c3d4);          // magic, little-endian writer
-  le32(4u << 16 | 2u);       // version 2.4 (major LE16, minor LE16)
-  le32(0);                   // thiszone
-  le32(0);                   // sigfigs
-  le32(65535);               // snaplen
-  le32(101);                 // LINKTYPE_RAW
+  // One exact reservation; the packet bytes go straight from the
+  // arena-backed capture views into the stream.
+  std::size_t data_bytes = 0;
+  for (const auto& entry : capture_) data_bytes += entry.packet.size();
+  net::PcapWriter pcap(capture_.size(), data_bytes);
   std::uint32_t t = 0;
   for (const auto& entry : capture_) {
-    le32(t / 1000000);
-    le32(t % 1000000);
-    le32(static_cast<std::uint32_t>(entry.packet.size()));  // incl_len
-    le32(static_cast<std::uint32_t>(entry.packet.size()));  // orig_len
-    out.insert(out.end(), entry.packet.begin(), entry.packet.end());
+    pcap.add_packet(entry.packet, t / 1000000, t % 1000000);
     t += 1000;  // 1ms between transmissions keeps ordering visible
   }
-  return out;
+  return std::move(pcap).to_bytes();
 }
 
 // ---------------------------------------------------------------------------

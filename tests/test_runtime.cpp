@@ -2,11 +2,20 @@
 // SchemaExecEnv across its protocol profiles (ICMP, BFD, IGMP, NTP).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
+
 #include "codegen/ir.hpp"
+#include "core/sage.hpp"
+#include "corpus/spec_corpora.hpp"
 #include "net/icmp.hpp"
+#include "net/igmp.hpp"
 #include "net/ipv4.hpp"
+#include "net/udp.hpp"
 #include "runtime/interpreter.hpp"
 #include "runtime/schema_env.hpp"
+#include "runtime/vm/exec.hpp"
+#include "runtime/vm/program.hpp"
 #include "sim/ping.hpp"
 
 namespace sage::runtime {
@@ -24,6 +33,15 @@ std::vector<std::uint8_t> echo_request() {
                                             net::IpAddr(10, 0, 1, 1), {});
 }
 
+/// The ICMP message of the reply under construction, parsed back out of
+/// the packet finish_reply() builds.
+net::IcmpMessage reply_message(SchemaExecEnv& env) {
+  const auto packet = env.finish_reply();
+  const auto ip = net::Ipv4Header::parse(packet);
+  return *net::IcmpMessage::parse(
+      std::span<const std::uint8_t>(packet).subspan(ip->header_length()));
+}
+
 TEST(Interpreter, AssignAndReadScalar) {
   const auto request = echo_request();
   auto env = SchemaExecEnv::icmp(request, net::IpAddr(10, 0, 1, 1));
@@ -31,7 +49,7 @@ TEST(Interpreter, AssignAndReadScalar) {
   const auto result = interp.run(
       Stmt::assign({"icmp", "type"}, Expr::constant(0)), env);
   EXPECT_TRUE(result.ok);
-  EXPECT_EQ(env.out_icmp().type, net::IcmpType::kEchoReply);
+  EXPECT_EQ(reply_message(env).type, net::IcmpType::kEchoReply);
 }
 
 TEST(Interpreter, ConditionGatesBody) {
@@ -45,14 +63,14 @@ TEST(Interpreter, ConditionGatesBody) {
                     CmpOp::kEq, Expr::constant(8)),
       {Stmt::assign({"icmp", "code"}, Expr::constant(7))});
   interp.run(hit, env);
-  EXPECT_EQ(env.out_icmp().code, 7);
+  EXPECT_EQ(reply_message(env).code, 7);
 
   Stmt miss = Stmt::if_then(
       Cond::compare(Expr::field_read({"icmp", "type"}, PacketSel::kIncoming),
                     CmpOp::kEq, Expr::constant(99)),
       {Stmt::assign({"icmp", "code"}, Expr::constant(1))});
   interp.run(miss, env);
-  EXPECT_EQ(env.out_icmp().code, 7);  // unchanged
+  EXPECT_EQ(reply_message(env).code, 7);  // unchanged
 }
 
 TEST(Interpreter, UnknownFieldIsAnError) {
@@ -75,7 +93,7 @@ TEST(Interpreter, BytesAssignmentCopiesPayload) {
                    Expr::field_read({"icmp", "data"}, PacketSel::kIncoming)),
       env);
   EXPECT_TRUE(result.ok);
-  EXPECT_EQ(env.out_icmp().payload, sim::PingClient::make_payload(56));
+  EXPECT_EQ(reply_message(env).payload, sim::PingClient::make_payload(56));
 }
 
 TEST(IcmpEnv, TruncatedRequestReadsShortNotZero) {
@@ -151,9 +169,9 @@ TEST(IcmpEnv, TimestampFieldWritesLandInPayload) {
   auto env = SchemaExecEnv::icmp(request, net::IpAddr(10, 0, 1, 1));
   env.write_field({"icmp", "receive_timestamp"}, 1234);
   env.write_field({"icmp", "transmit_timestamp"}, 5678);
-  EXPECT_EQ(env.out_icmp().receive_timestamp(), 1234u);
-  EXPECT_EQ(env.out_icmp().transmit_timestamp(), 5678u);
-  EXPECT_EQ(env.out_icmp().payload.size(), 12u);
+  EXPECT_EQ(reply_message(env).receive_timestamp(), 1234u);
+  EXPECT_EQ(reply_message(env).transmit_timestamp(), 5678u);
+  EXPECT_EQ(reply_message(env).payload.size(), 12u);
 }
 
 TEST(IcmpEnv, EventParameterFunctions) {
@@ -228,12 +246,95 @@ TEST(IgmpEnv, BuildQueryPacket) {
       std::span<const std::uint8_t>(packet).subspan(ip->header_length())));
 }
 
-TEST(IgmpEnv, HostGroupAddressService) {
+/// What one IGMP sender run leaves behind: its result and the group
+/// address of the packet the env then finishes.
+struct IgmpOutcome {
+  ExecResult result;
+  net::IpAddr group_address;
+};
+
+/// Run `fn` on a fresh IGMP env for host group 224.1.2.3, on the VM or
+/// the tree interpreter.
+IgmpOutcome run_igmp_sender(const codegen::GeneratedFunction& fn, bool on_vm,
+                            std::string_view scenario = {}) {
   auto env = SchemaExecEnv::igmp(net::IpAddr(10, 0, 1, 100),
-                                  net::IpAddr(224, 1, 2, 3));
-  EXPECT_EQ(*env.read_field({"igmp", "host_group_address"},
-                            PacketSel::kIncoming),
-            static_cast<long>(net::IpAddr(224, 1, 2, 3).value()));
+                                 net::IpAddr(224, 1, 2, 3));
+  env.set_scenario(scenario);
+  IgmpOutcome out;
+  if (on_vm) {
+    const auto program = vm::compile(fn);
+    EXPECT_TRUE(program.has_value()) << fn.name;
+    if (program) out.result = vm::execute(*program, env);
+  } else {
+    out.result = Interpreter().run(fn.body, env);
+  }
+  const auto packet = env.finish(net::IpAddr(224, 0, 0, 1));
+  const auto ip = net::Ipv4Header::parse(packet);
+  out.group_address = net::IgmpMessage::parse(
+      std::span<const std::uint8_t>(packet).subspan(ip->header_length()))
+                          ->group_address;
+  return out;
+}
+
+codegen::GeneratedFunction igmp_function(std::vector<Stmt> body) {
+  codegen::GeneratedFunction fn;
+  fn.name = "igmp_host_group_probe";
+  fn.protocol = "IGMP";
+  fn.body = Stmt::seq(std::move(body));
+  return fn;
+}
+
+TEST(IgmpEnv, HostGroupAddressService) {
+  const net::IpAddr group(224, 1, 2, 3);
+  const FieldRef host_group{"igmp", "host_group_address"};
+  auto env = SchemaExecEnv::igmp(net::IpAddr(10, 0, 1, 100), group);
+  for (const auto sel : {PacketSel::kIncoming, PacketSel::kOutgoing}) {
+    EXPECT_EQ(*env.read_field(host_group, sel),
+              static_cast<long>(group.value()));
+  }
+  EXPECT_FALSE(env.write_field(host_group, 1));
+  EXPECT_EQ(*env.read_field(host_group, PacketSel::kIncoming),
+            static_cast<long>(group.value()));
+
+  for (const bool on_vm : {false, true}) {
+    SCOPED_TRACE(on_vm ? "vm" : "tree");
+    // Both selectors read the group, on both backends.
+    for (const auto sel : {PacketSel::kIncoming, PacketSel::kOutgoing}) {
+      const auto read = run_igmp_sender(
+          igmp_function({Stmt::assign({"igmp", "group_address"},
+                                      Expr::field_read(host_group, sel))}),
+          on_vm);
+      EXPECT_TRUE(read.result.ok);
+      EXPECT_EQ(read.group_address, group);
+    }
+    // Both refuse a write, with the same error.
+    const auto write = run_igmp_sender(
+        igmp_function({Stmt::assign(host_group, Expr::constant(1))}), on_vm);
+    EXPECT_FALSE(write.result.ok);
+    EXPECT_EQ(write.result.errors,
+              std::vector<std::string>{
+                  "cannot write field igmp.host_group_address"});
+  }
+
+  // The generated sender announces the env's group in a report.
+  const auto& corpora = corpus::spec_corpora();
+  const auto igmp = std::find_if(corpora.begin(), corpora.end(),
+                                 [](const auto& c) { return c.name == "igmp"; });
+  ASSERT_NE(igmp, corpora.end());
+  core::Sage sage;
+  sage.annotate_non_actionable(igmp->annotations);
+  const auto run = sage.process(igmp->text, igmp->protocol);
+  const auto sender =
+      std::find_if(run.functions.begin(), run.functions.end(),
+                   [](const auto& fn) { return fn.role == "sender"; });
+  ASSERT_NE(sender, run.functions.end());
+  for (const bool on_vm : {false, true}) {
+    SCOPED_TRACE(on_vm ? "vm" : "tree");
+    const auto report =
+        run_igmp_sender(*sender, on_vm, "host membership report message");
+    EXPECT_TRUE(report.result.ok);
+    EXPECT_EQ(report.group_address, group);
+  }
 }
 
 TEST(NtpEnv, BuildsNtpInUdpInIp) {

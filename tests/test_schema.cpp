@@ -2,7 +2,7 @@
 // round-trip properties, width/offset consistency against the real
 // serializers, the shared FNV-1a symbol hash, and the SchemaExecEnv
 // behaviors the registry newly makes possible (honored PacketSel on
-// NTP, generic state-machine profiles, schema-driven packet decode).
+// NTP, schema-driven packet decode).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -333,23 +333,6 @@ TEST(SchemaEnv, NtpHonorsPacketSelector) {
   EXPECT_EQ(*env.read_field({"ntp", "transmit_timestamp"},
                             PacketSel::kIncoming),
             0x11111111L);
-}
-
-// ---- generic state-machine profile (TCP probe) -----------------------------
-
-TEST(SchemaEnv, TcpStateMachineProfile) {
-  auto env = runtime::SchemaExecEnv::state_machine("TCP");
-  using codegen::PacketSel;
-  EXPECT_EQ(*env.read_field({"tcp", "syn_bit"}, PacketSel::kIncoming), 0);
-  ASSERT_TRUE(env.write_field({"tcp", "syn_bit"}, 1));
-  ASSERT_TRUE(env.write_field({"tcp", "connection_state"}, 2));
-  EXPECT_EQ(*env.read_field({"tcp", "syn_bit"}, PacketSel::kIncoming), 1);
-  EXPECT_EQ(*env.read_field({"tcp", "connection_state"},
-                            PacketSel::kOutgoing),
-            2);
-  EXPECT_TRUE(env.call_effect("send", {}));
-  ASSERT_EQ(env.effects().size(), 1u);
-  EXPECT_EQ(env.effects()[0], "send");
 }
 
 // ---- schema-driven decode (inspector / tools) ------------------------------

@@ -1,7 +1,6 @@
 // Property battery for the schema v2 layout-program API: the TLV codec
-// (OptionsView encode/decode), the LayoutCursor, TLV-located wire
-// reads/writes, and the region-field load/store ops on both execution
-// backends.
+// (OptionsView encode/decode), the LayoutCursor and TLV-located wire
+// reads.
 //
 // The central property is round-trip identity: any option list encoded
 // through OptionsView::append, walked back through an OptionsView, and
@@ -10,16 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "codegen/generator.hpp"
 #include "net/schema.hpp"
-#include "runtime/interpreter.hpp"
-#include "runtime/schema_env.hpp"
-#include "runtime/vm/exec.hpp"
-#include "runtime/vm/program.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -191,40 +184,16 @@ TEST(LayoutCursor, ResolvesRegionOnceAndHandlesShortImages) {
   EXPECT_EQ(via_name.status, via_cursor.status);
   EXPECT_EQ(via_name.value, via_cursor.value);
 
+  // Absent option reads report kMissingOption, never a zero value.
+  const auto missing = reg.read_wire("dhcp", "server_identifier", image);
+  EXPECT_EQ(missing.status, ReadStatus::kMissingOption);
+
   // An image that ends before the options region: empty, clean view.
   const std::vector<std::uint8_t> stub(16, 0);
   const LayoutCursor short_cursor(*dhcp, stub);
   EXPECT_TRUE(short_cursor.options_region().empty());
   EXPECT_TRUE(short_cursor.options().ok());
   EXPECT_EQ(short_cursor.options().count(), 0u);
-}
-
-TEST(WireWrite, TlvFieldUpdatesInPlaceAndRefusesAbsentOptions) {
-  const auto& reg = SchemaRegistry::instance();
-  const auto* dhcp = reg.layer("dhcp");
-  const auto* lease = reg.field("dhcp", "lease_time");
-  const auto* server = reg.field("dhcp", "server_identifier");
-  ASSERT_TRUE(dhcp && lease && server);
-
-  std::vector<std::uint8_t> image(dhcp->options_offset, 0);
-  OptionsView::append_scalar(image, 51, 600, 4);
-  OptionsView::append_end(image, dhcp->option_end);
-  const auto size_before = image.size();
-
-  EXPECT_TRUE(SchemaRegistry::write_wire(*dhcp, *lease, image, 7200));
-  EXPECT_EQ(image.size(), size_before) << "in-place update must not grow";
-  const auto read = reg.read_wire("dhcp", "lease_time", image);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read.value, 7200);
-
-  // Absent option: the static writer reports failure rather than
-  // appending (append-on-write is the exec env's policy, not the
-  // codec's).
-  EXPECT_FALSE(SchemaRegistry::write_wire(*dhcp, *server, image, 42));
-
-  // Absent option reads report kMissingOption, never a zero value.
-  const auto missing = reg.read_wire("dhcp", "server_identifier", image);
-  EXPECT_EQ(missing.status, ReadStatus::kMissingOption);
 }
 
 TEST(DecodeLayer, MarksTlvOptionsAndMalformations) {
@@ -284,103 +253,6 @@ TEST(DumpSchema, PinsIcmp6AndDhcpLayoutPrograms) {
   for (const char* line : expected) {
     EXPECT_NE(dump.find(line), std::string::npos) << "missing: " << line;
   }
-}
-
-// ---- cross-backend parity for region-field load/store ops -----------------
-
-codegen::GeneratedFunction wrap(std::vector<codegen::Stmt> body) {
-  codegen::GeneratedFunction fn;
-  fn.name = "schema_v2_region_fn";
-  fn.protocol = "DHCP";
-  fn.body = codegen::Stmt::seq(std::move(body));
-  return fn;
-}
-
-/// Run `body` on the tree interpreter and the threaded-code VM against
-/// identically-constructed DHCP envs; demand the same result, errors,
-/// outgoing message bytes, and post-run field reads.
-void expect_region_parity(std::vector<codegen::Stmt> body,
-                          std::span<const std::uint8_t> incoming = {}) {
-  const auto fn = wrap(std::move(body));
-  const auto program = runtime::vm::compile(fn);
-  ASSERT_TRUE(program.has_value());
-
-  auto env_tree = runtime::SchemaExecEnv::dhcp(incoming);
-  auto env_vm = runtime::SchemaExecEnv::dhcp(incoming);
-
-  const runtime::ExecResult tree =
-      runtime::Interpreter().run(fn.body, env_tree);
-  const runtime::ExecResult vm = runtime::vm::execute(*program, env_vm);
-
-  EXPECT_EQ(tree.ok, vm.ok);
-  EXPECT_EQ(tree.errors, vm.errors);
-  EXPECT_EQ(env_tree.out_dhcp(), env_vm.out_dhcp());
-  for (const char* name : {"message_type", "lease_time", "server_identifier",
-                           "requested_ip", "xid", "op"}) {
-    const codegen::FieldRef ref{"dhcp", name};
-    EXPECT_EQ(env_tree.read_field(ref, codegen::PacketSel::kOutgoing),
-              env_vm.read_field(ref, codegen::PacketSel::kOutgoing))
-        << name;
-  }
-}
-
-TEST(RegionOpsParity, StoreThenLoadTlvFields) {
-  using codegen::Expr;
-  using codegen::Stmt;
-  expect_region_parity({
-      Stmt::assign({"dhcp", "message_type"}, Expr::constant(2)),
-      Stmt::assign({"dhcp", "lease_time"}, Expr::constant(86400)),
-      Stmt::assign({"dhcp", "server_identifier"}, Expr::constant(0x0a000101)),
-      // Rewrite an option already present: in-place, not append.
-      Stmt::assign({"dhcp", "lease_time"}, Expr::constant(7200)),
-      // Fixed-offset fields keep working next to region fields.
-      Stmt::assign({"dhcp", "op"}, Expr::constant(2)),
-      Stmt::assign({"dhcp", "xid"}, Expr::constant(0x11223344)),
-  });
-}
-
-TEST(RegionOpsParity, LoadFromIncomingOptions) {
-  using codegen::CmpOp;
-  using codegen::Cond;
-  using codegen::Expr;
-  using codegen::PacketSel;
-  using codegen::Stmt;
-  const auto& reg = SchemaRegistry::instance();
-  const auto* dhcp = reg.layer("dhcp");
-  ASSERT_NE(dhcp, nullptr);
-  std::vector<std::uint8_t> incoming(dhcp->options_offset, 0);
-  incoming[0] = 1;
-  util::put_be32({incoming.data() + 236, 4}, 0x63825363u);
-  OptionsView::append_scalar(incoming, 53, 3, 1);  // DHCPREQUEST
-  OptionsView::append_scalar(incoming, 50, 0x0a000164, 4);
-  OptionsView::append_end(incoming, dhcp->option_end);
-
-  expect_region_parity(
-      {
-          Stmt::if_then(
-              Cond::compare(Expr::field_read({"dhcp", "message_type"},
-                                             PacketSel::kIncoming),
-                            CmpOp::kEq, Expr::constant(3)),
-              {Stmt::assign({"dhcp", "message_type"}, Expr::constant(5)),
-               Stmt::assign({"dhcp", "requested_ip"},
-                            Expr::field_read({"dhcp", "requested_ip"},
-                                             PacketSel::kIncoming))}),
-      },
-      incoming);
-}
-
-TEST(RegionOpsParity, MissingOptionReadsPoisonBothBackends) {
-  using codegen::Expr;
-  using codegen::PacketSel;
-  using codegen::Stmt;
-  // Reading a TLV option that is absent from the incoming message must
-  // produce identical poison/error behavior on both backends — never a
-  // fabricated zero on one side only.
-  expect_region_parity({
-      Stmt::assign({"dhcp", "lease_time"},
-                   Expr::field_read({"dhcp", "renewal_time"},
-                                    PacketSel::kIncoming)),
-  });
 }
 
 }  // namespace

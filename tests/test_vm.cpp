@@ -13,15 +13,19 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <set>
 
 #include "codegen/framework.hpp"
 #include "codegen/lowering.hpp"
 #include "core/generated_icmp.hpp"
+#include "core/sage.hpp"
+#include "corpus/spec_corpora.hpp"
 #include "net/bfd.hpp"
 #include "net/icmp.hpp"
 #include "net/ipv4.hpp"
 #include "net/ipv6.hpp"
+#include "pin_inputs.hpp"
 #include "runtime/interpreter.hpp"
 #include "runtime/schema_env.hpp"
 #include "runtime/vm/exec.hpp"
@@ -106,14 +110,6 @@ const std::vector<EnvCase>& env_cases() {
          return SchemaExecEnv::bfd(state, &bfd_packet);
        },
        {"bfd", "local_diag"}, {"icmp", "data"}, nullptr},
-      {"DHCP", [](net::BfdSessionState*) { return SchemaExecEnv::dhcp(); },
-       {"dhcp", "op"}, {"dhcp", "parameter_request_list"},
-       [](SchemaExecEnv& env) { return env.out_dhcp(); }},
-      {"TCP",
-       [](net::BfdSessionState*) {
-         return SchemaExecEnv::state_machine("TCP");
-       },
-       {"tcp", "connection_state"}, {"icmp", "data"}, nullptr},
   };
   return cases;
 }
@@ -129,8 +125,8 @@ codegen::GeneratedFunction wrap(std::vector<Stmt> body,
 
 /// Run `body` on both backends against identically-constructed envs of
 /// `env_case` and demand full observable agreement: result flag, error
-/// text in order, the finished packet, BFD state, recorded effects and
-/// the framework's flags.
+/// text in order, the finished packet, BFD state and the framework's
+/// flags.
 void expect_parity(std::vector<Stmt> body, const EnvCase& env_case,
                    const std::string& scenario = "") {
   const auto fn = wrap(std::move(body), env_case.protocol);
@@ -155,7 +151,6 @@ void expect_parity(std::vector<Stmt> body, const EnvCase& env_case,
     EXPECT_EQ(env_case.finish(env_tree), env_case.finish(env_vm));
   }
   EXPECT_EQ(state_tree, state_vm);
-  EXPECT_EQ(env_tree.effects(), env_vm.effects());
   EXPECT_EQ(env_tree.timeout_called(), env_vm.timeout_called());
   EXPECT_EQ(env_tree.packet_transmitted(), env_vm.packet_transmitted());
   EXPECT_EQ(env_tree.session_selected(), env_vm.session_selected());
@@ -311,25 +306,40 @@ TEST(VmFrameworkParity, EveryFunctionInEveryPositionOnEveryProfile) {
 // ---- 3. Compilation + executor mechanics ----------------------------------
 
 TEST(VmProgram, EveryGeneratedIcmpFunctionCompiles) {
-  for (const auto& fn : core::canonical_icmp_run().functions) {
-    const auto linear = codegen::compile_to_program(fn);
-    EXPECT_LE(linear.max_stack, vm::kMaxStack) << fn.name;
-    EXPECT_FALSE(linear.code.empty()) << fn.name;
+  // Every function of the six spec corpora, ICMP's among them. The
+  // digest of a corpus's listings, in generation order, pins the ops its
+  // programs compile to.
+  const std::map<std::string, std::uint64_t> kListingDigests = {
+      {"icmp", 0x7675d8cd01f7fbedull},  {"icmp-orig", 0x1ab4bc33366d0846ull},
+      {"igmp", 0x1d35b951ef2efc8cull},  {"ntp", 0x7e1155eb2aa7470full},
+      {"bfd", 0x9732eb54b6125a1eull},   {"icmp6", 0x4988486c4de1e7c2ull},
+  };
+  for (const auto& c : corpus::spec_corpora()) {
+    core::Sage sage;
+    sage.annotate_non_actionable(c.annotations);
+    pins::Fnv1a listings;
+    for (const auto& fn : sage.process(c.text, c.protocol).functions) {
+      const auto linear = codegen::compile_to_program(fn);
+      EXPECT_LE(linear.max_stack, vm::kMaxStack) << fn.name;
+      EXPECT_FALSE(linear.code.empty()) << fn.name;
 
-    const auto program = vm::compile(linear);
-    ASSERT_TRUE(program.has_value()) << fn.name;
-    EXPECT_EQ(program->function_name(), fn.name);
-    EXPECT_EQ(program->protocol(), fn.protocol);
-    // Superinstruction fusion only ever shrinks the listing.
-    EXPECT_LE(program->code().size(), linear.code.size());
-    EXPECT_GT(program->code().size(), 0u) << fn.name;
-    EXPECT_GT(program->program_bytes(), 0u) << fn.name;
-    EXPECT_GT(program->arena_bytes(), 0u) << fn.name;
-    EXPECT_NE(program->binding_key(), nullptr) << fn.name;
+      const auto program = vm::compile(linear);
+      ASSERT_TRUE(program.has_value()) << fn.name;
+      EXPECT_EQ(program->function_name(), fn.name);
+      EXPECT_EQ(program->protocol(), fn.protocol);
+      // Superinstruction fusion only ever shrinks the listing.
+      EXPECT_LE(program->code().size(), linear.code.size());
+      EXPECT_GT(program->code().size(), 0u) << fn.name;
+      EXPECT_GT(program->program_bytes(), 0u) << fn.name;
+      EXPECT_GT(program->arena_bytes(), 0u) << fn.name;
+      EXPECT_NE(program->binding_key(), nullptr) << fn.name;
 
-    const auto listing = program->disassemble();
-    EXPECT_NE(listing.find(vm::op_name(vm::Op::kHalt)), std::string::npos)
-        << fn.name;
+      const auto listing = program->disassemble();
+      EXPECT_NE(listing.find(vm::op_name(vm::Op::kHalt)), std::string::npos)
+          << fn.name;
+      listings.add(listing);
+    }
+    EXPECT_EQ(listings.h, kListingDigests.at(c.name)) << c.name;
   }
 }
 
@@ -368,7 +378,11 @@ TEST(VmProgram, MovedProgramStillExecutes) {
   const auto request = echo_request();
   auto env = SchemaExecEnv::icmp(request, net::IpAddr(10, 0, 1, 1));
   EXPECT_TRUE(vm::execute(moved, env).ok);
-  EXPECT_EQ(env.out_icmp().type, net::IcmpType::kEchoReply);
+  const auto reply = env.finish_reply();
+  const auto ip = net::Ipv4Header::parse(reply);
+  ASSERT_TRUE(ip.has_value());
+  EXPECT_EQ(reply[ip->header_length()],
+            static_cast<std::uint8_t>(net::IcmpType::kEchoReply));
 }
 
 TEST(VmProgram, OpNamesCoverTheWholeTable) {
