@@ -27,6 +27,7 @@
 #include "serve/frame.hpp"
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
+#include "util/digest.hpp"
 
 using namespace sage;
 
@@ -48,9 +49,9 @@ std::vector<serve::Frame> batch() {
 }
 
 std::uint64_t fold_digests(const std::vector<serve::Frame>& responses) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = util::kFnvOffset;
   for (const auto& response : responses) {
-    h = serve::fnv1a_str(serve::hex64(serve::result_digest(response)), h);
+    h = util::fnv1a_str(serve::hex64(serve::result_digest(response)), h);
   }
   return h;
 }

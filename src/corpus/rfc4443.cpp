@@ -1,7 +1,5 @@
 #include "corpus/rfc4443.hpp"
 
-#include "util/strings.hpp"
-
 namespace sage::corpus {
 
 const std::string& rfc4443_original() {
@@ -324,39 +322,7 @@ const std::vector<Rewrite>& rfc4443_rewrites() {
 }
 
 std::string rfc4443_revised() {
-  // Whitespace-flexible word-sequence splice, identical to the RFC 792
-  // implementation: originals in the raw text are hard-wrapped, so each
-  // rewrite matches its word sequence across any whitespace runs.
-  std::string text = rfc4443_original();
-  for (const auto& rewrite : rfc4443_rewrites()) {
-    const auto words = util::split(rewrite.original, " ");
-    std::size_t search_from = 0;
-    while (true) {
-      const std::size_t start = text.find(words.front(), search_from);
-      if (start == std::string::npos) break;
-      std::size_t pos = start + words.front().size();
-      bool matched = true;
-      for (std::size_t w = 1; w < words.size(); ++w) {
-        std::size_t ws = pos;
-        while (ws < text.size() &&
-               (text[ws] == ' ' || text[ws] == '\n' || text[ws] == '\t')) {
-          ++ws;
-        }
-        if (ws == pos || text.compare(ws, words[w].size(), words[w]) != 0) {
-          matched = false;
-          break;
-        }
-        pos = ws + words[w].size();
-      }
-      if (matched) {
-        text = text.substr(0, start) + rewrite.replacement + text.substr(pos);
-        search_from = start + rewrite.replacement.size();
-      } else {
-        search_from = start + 1;
-      }
-    }
-  }
-  return text;
+  return apply_rewrites(rfc4443_original(), rfc4443_rewrites());
 }
 
 const std::vector<std::string>& icmp6_non_actionable_annotations() {

@@ -497,21 +497,10 @@ const std::vector<Rewrite>& rfc792_rewrites() {
   return kRewrites;
 }
 
-std::string rfc792_revised() {
-  // Apply each rewrite to the raw text. Originals in the text are
-  // hard-wrapped, so matching happens on whitespace-normalized copies of
-  // each description block; to keep this simple and robust we normalize
-  // the entire document to single spaces within paragraphs first... but
-  // the pre-processor re-joins wrapped lines anyway, so it is sufficient
-  // to do sentence-level replacement on the joined form: re-wrap is not
-  // needed. We therefore splice on the raw text using a whitespace-
-  // insensitive search.
-  std::string text = rfc792_original();
-  for (const auto& rewrite : rfc792_rewrites()) {
-    // Build a whitespace-flexible needle: match the original sentence
-    // with any run of whitespace where it has spaces.
+std::string apply_rewrites(std::string text,
+                           const std::vector<Rewrite>& rewrites) {
+  for (const auto& rewrite : rewrites) {
     const auto words = util::split(rewrite.original, " ");
-    // Scan the text for the word sequence.
     std::size_t search_from = 0;
     while (true) {
       const std::size_t start = text.find(words.front(), search_from);
@@ -540,6 +529,10 @@ std::string rfc792_revised() {
     }
   }
   return text;
+}
+
+std::string rfc792_revised() {
+  return apply_rewrites(rfc792_original(), rfc792_rewrites());
 }
 
 const std::vector<std::string>& icmp_non_actionable_annotations() {

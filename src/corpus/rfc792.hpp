@@ -33,6 +33,12 @@ struct Rewrite {
   RewriteCategory category;
 };
 
+/// `text` with every rewrite's original replaced by its replacement. The
+/// originals are hard-wrapped in the raw corpora, so an original matches
+/// its word sequence across any run of spaces, tabs and newlines.
+std::string apply_rewrites(std::string text,
+                           const std::vector<Rewrite>& rewrites);
+
 /// The reconstructed original specification text.
 const std::string& rfc792_original();
 

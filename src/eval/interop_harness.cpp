@@ -1,6 +1,5 @@
 #include "eval/interop_harness.hpp"
 
-#include "sim/inspector.hpp"
 #include "sim/network.hpp"
 
 namespace sage::eval {
@@ -10,10 +9,6 @@ sim::PingResult ping_against(sim::IcmpResponder* responder) {
   net.router()->set_responder(responder);
   sim::PingClient ping;
   return ping.ping(net, "client", net::IpAddr(10, 0, 1, 1));
-}
-
-std::vector<std::string> decode_packet(std::span<const std::uint8_t> packet) {
-  return sim::PacketInspector().decode(packet);
 }
 
 CohortReport run_student_experiment(const std::vector<Student>& cohort) {

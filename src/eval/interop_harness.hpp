@@ -4,7 +4,6 @@
 #pragma once
 
 #include <map>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -44,12 +43,5 @@ CohortReport run_student_experiment(const std::vector<Student>& cohort);
 /// Run the ping interop test against a single responder (used by the
 /// Table 3 bench and the under-specification demonstration).
 sim::PingResult ping_against(sim::IcmpResponder* responder);
-
-/// Schema-driven decode of a raw captured packet: "layer.field = value"
-/// lines through the packet-schema registry (net/schema.hpp). Shared by
-/// serve's interop jobs (decoding a ping's reply) and the fuzz harness's
-/// semantic-equality oracle, so a divergence report and an interop
-/// diagnosis read identically.
-std::vector<std::string> decode_packet(std::span<const std::uint8_t> packet);
 
 }  // namespace sage::eval

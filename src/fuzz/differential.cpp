@@ -7,7 +7,6 @@
 #include <string_view>
 
 #include "core/generated_icmp.hpp"
-#include "eval/interop_harness.hpp"
 #include "net/bfd.hpp"
 #include "net/icmp.hpp"
 #include "net/igmp.hpp"
@@ -16,10 +15,12 @@
 #include "net/ntp.hpp"
 #include "net/udp.hpp"
 #include "runtime/schema_env.hpp"
+#include "sim/inspector.hpp"
 #include "sim/network.hpp"
 #include "sim/reference_responder.hpp"
 #include "sim/reference_responder6.hpp"
 #include "util/bytes.hpp"
+#include "util/digest.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sage::fuzz {
@@ -31,33 +32,13 @@ using net::schema::FieldSpec;
 using net::schema::LayerSpec;
 using net::schema::SchemaRegistry;
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 constexpr std::uint64_t kFaultSalt = 0x9e3779b97f4a7c15ULL;
 
-std::uint64_t fnv_bytes(std::uint64_t h, std::span<const std::uint8_t> data) {
-  for (const auto b : data) {
-    h ^= b;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
+/// One text field of a digest: its bytes, then 0xff, so {"ab","c"} and
+/// {"a","bc"} hash apart.
 std::uint64_t fnv_text(std::uint64_t h, std::string_view text) {
-  for (const char c : text) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= kFnvPrime;
-  }
-  // Separator so {"ab","c"} and {"a","bc"} hash apart.
-  h ^= 0xff;
-  h *= kFnvPrime;
-  return h;
-}
-
-std::string hex64(std::uint64_t v) {
-  std::ostringstream out;
-  out << std::hex << std::setw(16) << std::setfill('0') << v;
-  return out.str();
+  static constexpr std::uint8_t kSeparator[] = {0xff};
+  return util::fnv1a(kSeparator, util::fnv1a_str(text, h));
 }
 
 std::string fmt_value(const std::optional<long>& v) {
@@ -67,10 +48,7 @@ std::string fmt_value(const std::optional<long>& v) {
 std::optional<long> be32_at(std::span<const std::uint8_t> data,
                             std::size_t offset) {
   if (data.size() < offset + 4) return std::nullopt;
-  return static_cast<long>((std::uint32_t{data[offset]} << 24) |
-                           (std::uint32_t{data[offset + 1]} << 16) |
-                           (std::uint32_t{data[offset + 2]} << 8) |
-                           std::uint32_t{data[offset + 3]});
+  return static_cast<long>(util::get_be32(data.subspan(offset, 4)));
 }
 
 /// Canonicalize a struct-derived value the way read_scalar encodes the
@@ -106,56 +84,65 @@ std::string structural_mismatch(const FuzzPacket& pkt) {
       }
     }
   }
-  const auto first = eval::decode_packet(pkt.bytes);
-  const auto second = eval::decode_packet(pkt.bytes);
-  if (first != second) return "inspector decode is not deterministic";
+  const sim::PacketInspector inspector;
+  if (inspector.decode(pkt.bytes) != inspector.decode(pkt.bytes)) {
+    return "inspector decode is not deterministic";
+  }
   return "";
 }
 
-/// ICMP oracle: the table-driven exec env (what generated code reads)
-/// must agree with raw schema wire reads on the incoming message. This
-/// is what pins the short-read semantics — a truncated header must read
-/// as <none> on both sides, never as a fabricated zero.
+/// The env-vs-wire oracle: exec-env reads of `layer`'s readable wire
+/// fields against raw schema reads of the same bytes, the scalars in
+/// `image` and, given a `payload` view, the payload scalars (the ICMP
+/// timestamps) in it. A mismatch is the env misreading what generated
+/// code reads; a truncated header must read as <none> on both sides,
+/// never as a fabricated zero.
+std::string env_wire_mismatch(
+    runtime::SchemaExecEnv& env, const LayerSpec& layer,
+    std::span<const std::uint8_t> image,
+    std::optional<std::span<const std::uint8_t>> payload = std::nullopt) {
+  for (const auto& f : layer.fields) {
+    if (!f.readable) continue;
+    std::optional<long> expected;
+    if (f.kind == FieldKind::kScalar) {
+      expected = SchemaRegistry::read_scalar(f, image);
+    } else if (f.kind == FieldKind::kPayloadScalar && payload) {
+      expected = be32_at(*payload, f.payload_offset);
+    } else {
+      continue;
+    }
+    const codegen::FieldRef ref{layer.name, f.name, f.id};
+    const auto got = env.read_field(ref, codegen::PacketSel::kIncoming);
+    if (got != expected) {
+      return "env-vs-wire " + layer.name + "." + f.name + " env=" +
+             fmt_value(got) + " wire=" + fmt_value(expected);
+    }
+  }
+  return "";
+}
+
+/// The env-vs-wire oracle on an ICMP request, as the receiver's env
+/// (reply-by-mutation) reads it: the strict short-read semantics apply
+/// there, while error-sender envs deliberately blank unparseable
+/// payloads.
 std::string icmp_env_wire_mismatch(const FuzzPacket& pkt) {
   const auto ip = net::Ipv4Header::parse(pkt.bytes);
   if (!ip || ip->protocol != static_cast<std::uint8_t>(net::IpProto::kIcmp)) {
     return "";
   }
-  // Receiver view (reply-by-mutation): the strict short-read semantics
-  // apply. Error-sender envs deliberately blank unparseable payloads.
   auto env = runtime::SchemaExecEnv::icmp(pkt.bytes, net::IpAddr(10, 0, 1, 1),
                                           /*start_from_incoming=*/true);
   if (!env.valid()) return "";
-
-  const std::span<const std::uint8_t> icmp_wire =
+  const auto icmp_wire =
       std::span<const std::uint8_t>(pkt.bytes).subspan(ip->header_length());
-  const auto* layer = SchemaRegistry::instance().layer("icmp");
+  const auto& layer = *SchemaRegistry::instance().layer("icmp");
   const auto image = icmp_wire.first(
-      std::min<std::size_t>(icmp_wire.size(), layer->header_bytes));
-  const std::span<const std::uint8_t> payload =
-      icmp_wire.size() > layer->header_bytes
-          ? icmp_wire.subspan(layer->header_bytes)
-          : std::span<const std::uint8_t>{};
-
-  for (const auto& f : layer->fields) {
-    if (!f.readable) continue;
-    std::optional<long> expected;
-    if (f.kind == FieldKind::kScalar) {
-      expected = SchemaRegistry::read_scalar(f, image);
-    } else if (f.kind == FieldKind::kPayloadScalar) {
-      if (icmp_wire.size() < layer->header_bytes) continue;  // no payload view
-      expected = be32_at(payload, f.payload_offset);
-    } else {
-      continue;
-    }
-    codegen::FieldRef ref{"icmp", f.name, f.id};
-    const auto got = env.read_field(ref, codegen::PacketSel::kIncoming);
-    if (got != expected) {
-      return "env-vs-wire icmp." + f.name + " env=" + fmt_value(got) +
-             " wire=" + fmt_value(expected);
-    }
+      std::min<std::size_t>(icmp_wire.size(), layer.header_bytes));
+  std::optional<std::span<const std::uint8_t>> payload;  // none: cut header
+  if (icmp_wire.size() >= layer.header_bytes) {
+    payload = icmp_wire.subspan(layer.header_bytes);
   }
-  return "";
+  return env_wire_mismatch(env, layer, image, payload);
 }
 
 /// One (field name, expected value) row of the struct-parser oracle.
@@ -166,7 +153,7 @@ struct ExpectedField {
 
 std::string compare_expected(const LayerSpec& layer,
                              std::span<const std::uint8_t> image,
-                             const std::vector<ExpectedField>& expected) {
+                             std::span<const ExpectedField> expected) {
   const auto& reg = SchemaRegistry::instance();
   for (const auto& e : expected) {
     const auto* spec = reg.field(layer.name, e.name);
@@ -178,23 +165,6 @@ std::string compare_expected(const LayerSpec& layer,
              " schema=" +
              (read.ok() ? std::to_string(read.value)
                         : net::schema::read_status_name(read.status));
-    }
-  }
-  return "";
-}
-
-/// Compare exec-env reads of `layer`'s readable wire scalars against raw
-/// schema reads of `image` (the env's own canonical serialization).
-std::string compare_env_wire(runtime::SchemaExecEnv& env, const LayerSpec& layer,
-                             std::span<const std::uint8_t> image) {
-  for (const auto& f : layer.fields) {
-    if (f.kind != FieldKind::kScalar || !f.readable) continue;
-    codegen::FieldRef ref{layer.name, f.name, f.id};
-    const auto got = env.read_field(ref, codegen::PacketSel::kIncoming);
-    const auto expected = SchemaRegistry::read_scalar(f, image);
-    if (got != expected) {
-      return "env-vs-wire " + layer.name + "." + f.name + " env=" +
-             fmt_value(got) + " wire=" + fmt_value(expected);
     }
   }
   return "";
@@ -215,7 +185,7 @@ std::string parser_mismatch(const FuzzPacket& pkt, bool* parsed) {
     if (!p) return "";
     *parsed = true;
     const auto canonical = p->serialize();
-    const std::vector<ExpectedField> expected = {
+    const ExpectedField expected[] = {
         {"version", p->version},
         {"diag", static_cast<long>(p->diag)},
         {"state", static_cast<long>(p->state)},
@@ -235,14 +205,14 @@ std::string parser_mismatch(const FuzzPacket& pkt, bool* parsed) {
     }
     net::BfdSessionState state;
     auto env = runtime::SchemaExecEnv::bfd(&state, &*p);
-    return compare_env_wire(env, *layer, canonical);
+    return env_wire_mismatch(env, *layer, canonical);
   }
 
   if (pkt.protocol == "icmp6") {
     const auto ip6 = net::Ipv6Header::parse(bytes);
     if (!ip6) return "";
     *parsed = true;
-    const std::vector<ExpectedField> expected = {
+    const ExpectedField expected[] = {
         {"version", ip6->version},
         {"traffic_class", ip6->traffic_class},
         {"flow_label", static_cast<long>(ip6->flow_label)},
@@ -264,8 +234,11 @@ std::string parser_mismatch(const FuzzPacket& pkt, bool* parsed) {
     // view walks to the identical option sequence. A violation means the
     // TLV decoder and encoder disagree about the grammar.
     const net::schema::OptionsView view(*layer, bytes);
-    std::vector<std::uint8_t> rebuilt(bytes.begin(),
-                                      bytes.begin() + layer->options_offset);
+    // The re-encoded prefix is never longer than the region it came
+    // from, plus the end code.
+    std::vector<std::uint8_t> rebuilt;
+    rebuilt.reserve(bytes.size() + 1);
+    rebuilt.assign(bytes.begin(), bytes.begin() + layer->options_offset);
     for (const auto& opt : view) {
       net::schema::OptionsView::append(rebuilt, opt.type, opt.value);
     }
@@ -300,7 +273,7 @@ std::string parser_mismatch(const FuzzPacket& pkt, bool* parsed) {
     const auto icmp = net::IcmpMessage::parse(payload);
     if (!icmp) return "";
     *parsed = true;
-    const std::vector<ExpectedField> expected = {
+    const ExpectedField expected[] = {
         {"type", static_cast<long>(icmp->type)},
         {"code", icmp->code},
         {"checksum", icmp->checksum},
@@ -317,7 +290,7 @@ std::string parser_mismatch(const FuzzPacket& pkt, bool* parsed) {
     const auto igmp = net::IgmpMessage::parse(payload);
     if (!igmp) return "";
     *parsed = true;
-    const std::vector<ExpectedField> expected = {
+    const ExpectedField expected[] = {
         {"version", igmp->version},
         {"type", static_cast<long>(igmp->type)},
         {"unused", igmp->unused},
@@ -330,7 +303,7 @@ std::string parser_mismatch(const FuzzPacket& pkt, bool* parsed) {
   if (pkt.protocol == "udp" || pkt.protocol == "ntp") {
     const auto udp = net::UdpHeader::parse(payload);
     if (!udp) return "";
-    const std::vector<ExpectedField> udp_expected = {
+    const ExpectedField udp_expected[] = {
         {"src_port", udp->src_port},
         {"dst_port", udp->dst_port},
         {"length", udp->length},
@@ -349,7 +322,7 @@ std::string parser_mismatch(const FuzzPacket& pkt, bool* parsed) {
     const auto ntp = net::NtpPacket::parse(ntp_bytes);
     if (!ntp) return "";
     *parsed = true;
-    const std::vector<ExpectedField> expected = {
+    const ExpectedField expected[] = {
         {"leap_indicator", ntp->leap_indicator},
         {"version", ntp->version},
         {"mode", static_cast<long>(ntp->mode)},
@@ -374,19 +347,47 @@ std::string parser_mismatch(const FuzzPacket& pkt, bool* parsed) {
     }
     auto env = runtime::SchemaExecEnv::ntp(net::IpAddr(10, 0, 1, 100),
                                            /*clock_seconds=*/1000, *ntp);
-    return compare_env_wire(env, *layer, canonical);
+    return env_wire_mismatch(env, *layer, canonical);
   }
 
   return "";
 }
 
-/// Run one side of the ICMP differential: a fresh Appendix-A network with
-/// `responder` on the router and both servers, the scenario knobs from the
-/// packet, and a fault wrapper seeded with `fault_rng`. Both sides get
-/// the same rng by value, so the injected weather is byte-identical.
-std::vector<sim::OwnedCaptureEntry> run_icmp_side(
-    sim::IcmpResponder* responder, const FuzzPacket& pkt,
-    const FaultPlan& faults, Rng fault_rng) {
+/// The text of the exception in flight, `who` first: the one crash rule
+/// makes every throw a kCrash verdict with this detail.
+std::string thrown(const char* who) {
+  std::string what = "a non-standard exception";
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    what = e.what();
+  } catch (...) {
+  }
+  return std::string(who) + " threw: " + what;
+}
+
+/// One side of a case: `drive` fills its observations, and whatever it
+/// throws becomes the side's crash instead of leaving the case.
+template <typename Drive>
+Side observe(const char* who, Drive&& drive) {
+  Side side;
+  try {
+    drive(side.observations);
+  } catch (...) {
+    side.crash = thrown(who);
+  }
+  return side;
+}
+
+/// An ICMP side: a fresh Appendix-A network with `responder` on the
+/// router and both servers, the scenario knobs from the packet, and a
+/// fault wrapper seeded with `fault_rng`. Both sides get the same rng by
+/// value, so the injected weather is byte-identical. The capture's views
+/// alias the network's arena, which dies with this frame, so the
+/// observations copy them out.
+void run_network(sim::IcmpResponder* responder, const FuzzPacket& pkt,
+                 const FaultPlan& faults, Rng fault_rng,
+                 std::vector<Observation>& out) {
   sim::Network net = sim::make_appendix_a_network();
   net.router()->set_responder(responder);
   net.find_host("server1")->set_responder(responder);
@@ -398,47 +399,111 @@ std::vector<sim::OwnedCaptureEntry> run_icmp_side(
   FaultyNetwork wire(net, faults, fault_rng);
   wire.send("client", pkt.bytes, pkt.via_router);
   wire.flush();
-  // The capture views alias `net`'s arena, which dies with this frame —
-  // deep-copy them out before the network goes away.
-  return sim::own_capture(net.capture());
+  out.reserve(net.capture().size());
+  for (const auto& entry : net.capture()) {
+    out.push_back({entry.node, entry.packet.to_vector()});
+  }
 }
 
-std::uint64_t hash_captures(const std::vector<sim::OwnedCaptureEntry>& a,
-                            const std::vector<sim::OwnedCaptureEntry>& b) {
-  std::uint64_t h = kFnvOffset;
-  for (const auto* side : {&a, &b}) {
-    for (const auto& entry : *side) {
-      h = fnv_text(h, entry.node);
-      h = fnv_bytes(h, entry.packet);
+/// An ICMPv6 side. There is no Appendix-A IPv6 network, so every RFC 4443
+/// event fires at the responder directly with the fuzzed packet as the
+/// trigger. Event codes derive from the packet bytes, keeping the whole
+/// case a pure function of the input.
+void fire_events(sim::Icmp6Responder& responder, const FuzzPacket& pkt,
+                 std::vector<Observation>& out) {
+  const net::Ip6Addr own =
+      net::Ip6Addr::from_groups(0x2001, 0xdb8, 0, 0, 0, 0, 0, 2);
+  const std::uint8_t tail = pkt.bytes.empty() ? 0 : pkt.bytes.back();
+  // The echo event only fires for a request a host's dispatch would hand
+  // to the echo path: ICMPv6 next header with at least a full message
+  // header. (A truncated request must draw silence from the reference;
+  // the generated side would start from a partial image — the gate keeps
+  // the comparison on inputs both sides define behavior for.)
+  bool echo_event = false;
+  if (const auto ip6 = net::Ipv6Header::parse(pkt.bytes);
+      ip6 && ip6->next_header == net::kIpProtoIcmp6) {
+    echo_event = pkt.bytes.size() >= net::Ipv6Header::kHeaderBytes + 8;
+  }
+  const sim::Responder6Context ctx{own, pkt.bytes};
+  out.reserve(5);
+  if (echo_event) out.push_back({"echo", responder.on_echo_request(ctx)});
+  out.push_back({"dest-unreachable",
+                 responder.on_destination_unreachable(ctx, tail % 5)});
+  out.push_back({"packet-too-big", responder.on_packet_too_big(ctx)});
+  out.push_back({"time-exceeded", responder.on_time_exceeded(ctx, tail % 2)});
+  out.push_back({"parameter-problem",
+                 responder.on_parameter_problem(
+                     ctx, tail % 3, static_cast<std::uint8_t>(tail ^ 0x5a))});
+}
+
+/// The capture hash, in the three formats the regression corpus and the
+/// pinned logs depend on. A twin case hashes each side's labels and
+/// bytes, then "|"; an ICMPv6 side also marks each event's reply "+" or
+/// silence "-". A layer case hashes its decode lines, then the packet.
+std::uint64_t observation_hash(const FuzzPacket& packet, const Side& generated,
+                               const Side& reference, bool twin) {
+  std::uint64_t h = util::kFnvPinnedSeed;
+  if (!twin) {
+    for (const auto& o : generated.observations) h = fnv_text(h, o.label);
+    return util::fnv1a(packet.bytes, h);
+  }
+  const bool marks = packet.protocol == "icmp6";
+  for (const Side* side : {&generated, &reference}) {
+    for (const auto& o : side->observations) {
+      h = fnv_text(h, o.label);
+      if (o.bytes) h = util::fnv1a(*o.bytes, h);
+      if (marks) h = fnv_text(h, o.bytes ? "+" : "-");
     }
     h = fnv_text(h, "|");
   }
   return h;
 }
 
-std::string describe_capture_diff(
-    const std::vector<sim::OwnedCaptureEntry>& gen,
-    const std::vector<sim::OwnedCaptureEntry>& ref) {
+/// The byte comparison: where the sides first differ, as deterministic
+/// text, or "" when they agree entry for entry.
+std::string first_difference(const Side& generated, const Side& reference) {
+  const auto& gen = generated.observations;
+  const auto& ref = reference.observations;
   if (gen.size() != ref.size()) {
-    return "capture length generated=" + std::to_string(gen.size()) +
+    return "observation count generated=" + std::to_string(gen.size()) +
            " reference=" + std::to_string(ref.size());
   }
   for (std::size_t i = 0; i < gen.size(); ++i) {
-    if (gen[i].node != ref[i].node) {
-      return "entry " + std::to_string(i) + " node generated=" + gen[i].node +
-             " reference=" + ref[i].node;
+    const auto& a = gen[i];
+    const auto& b = ref[i];
+    const std::string entry = "entry " + std::to_string(i);
+    if (a.label != b.label) {
+      return entry + " generated=" + a.label + " reference=" + b.label;
     }
-    if (gen[i].packet != ref[i].packet) {
-      const auto& a = gen[i].packet;
-      const auto& b = ref[i].packet;
-      std::size_t pos = 0;
-      while (pos < std::min(a.size(), b.size()) && a[pos] == b[pos]) ++pos;
-      return "entry " + std::to_string(i) + " bytes differ at offset " +
-             std::to_string(pos) + " (generated len " + std::to_string(a.size()) +
-             ", reference len " + std::to_string(b.size()) + ")";
+    if (a.bytes.has_value() != b.bytes.has_value()) {
+      return entry + " (" + a.label + ") generated=" +
+             (a.bytes ? "reply" : "silent") +
+             " reference=" + (b.bytes ? "reply" : "silent");
+    }
+    if (a.bytes && *a.bytes != *b.bytes) {
+      const auto at = std::mismatch(a.bytes->begin(), a.bytes->end(),
+                                    b.bytes->begin(), b.bytes->end());
+      return entry + " (" + a.label + ") bytes differ at offset " +
+             std::to_string(at.first - a.bytes->begin()) +
+             " (generated len " + std::to_string(a.bytes->size()) +
+             ", reference len " + std::to_string(b.bytes->size()) + ")";
     }
   }
   return "";
+}
+
+/// ICMP's semantic agreement: the same traffic shape, and every packet
+/// decodes identically through the shared inspector.
+bool decodes_alike(const Side& generated, const Side& reference) {
+  const sim::PacketInspector inspector;
+  const auto alike = [&](const Observation& a, const Observation& b) {
+    return a.label == b.label && a.bytes && b.bytes &&
+           inspector.decode(*a.bytes) == inspector.decode(*b.bytes);
+  };
+  return std::equal(generated.observations.begin(),
+                    generated.observations.end(),
+                    reference.observations.begin(),
+                    reference.observations.end(), alike);
 }
 
 /// The minimizer's target shape: the smallest well-formed packet of each
@@ -521,236 +586,92 @@ const char* verdict_name(Verdict verdict) {
   return "?";
 }
 
+CaseResult judge(const FuzzPacket& packet, const Side& generated,
+                 const Side& reference) {
+  CaseResult result;
+  result.packet = packet;
+  if (!generated.crash.empty() || !reference.crash.empty()) {
+    result.verdict = Verdict::kCrash;
+    const bool both = !generated.crash.empty() && !reference.crash.empty();
+    result.detail = generated.crash + (both ? "; " : "") + reference.crash;
+    return result;
+  }
+  // ICMP and ICMPv6 have two implementations; a layer protocol has only
+  // its decoder.
+  const bool icmp = packet.protocol == "icmp";
+  const bool twin = icmp || packet.protocol == "icmp6";
+  try {
+    result.capture_hash = observation_hash(packet, generated, reference, twin);
+    // The oracles run even when the sides agree: the exec env misreading
+    // a field is a divergence whether or not it changed traffic.
+    bool parsed = false;
+    std::string mismatch = icmp ? icmp_env_wire_mismatch(packet) : "";
+    if (mismatch.empty()) mismatch = structural_mismatch(packet);
+    if (mismatch.empty()) mismatch = parser_mismatch(packet, &parsed);
+    if (!mismatch.empty()) {
+      result.verdict = Verdict::kDivergent;
+      result.detail = std::move(mismatch);
+      return result;
+    }
+    if (!twin) {
+      result.verdict = parsed ? Verdict::kAgreeBytes : Verdict::kAgreeSilent;
+      return result;
+    }
+    result.detail = first_difference(generated, reference);
+    if (result.detail.empty()) {
+      const auto& obs = generated.observations;
+      const bool replied =
+          std::any_of(obs.begin(), obs.end(), [](const Observation& o) {
+            return o.bytes && o.label != "client";
+          });
+      result.verdict = replied ? Verdict::kAgreeBytes : Verdict::kAgreeSilent;
+    } else {
+      result.verdict = icmp && decodes_alike(generated, reference)
+                           ? Verdict::kAgreeSemantic
+                           : Verdict::kDivergent;
+    }
+  } catch (...) {
+    result.verdict = Verdict::kCrash;
+    result.detail = thrown("oracle");
+  }
+  return result;
+}
+
 DifferentialFuzzer::DifferentialFuzzer(FuzzOptions options)
     : options_(std::move(options)) {}
 
 CaseResult DifferentialFuzzer::run_case(const FuzzPacket& packet,
                                         Rng fault_rng) const {
-  if (packet.protocol == "icmp") return run_icmp_case(packet, fault_rng);
-  if (packet.protocol == "icmp6") return run_icmp6_case(packet);
-  return run_layer_case(packet);
-}
-
-CaseResult DifferentialFuzzer::run_icmp_case(const FuzzPacket& packet,
-                                             Rng fault_rng) const {
-  CaseResult result;
-  result.packet = packet;
-
-  std::string crash_detail;
-  std::optional<std::vector<sim::OwnedCaptureEntry>> cap_gen;
-  std::optional<std::vector<sim::OwnedCaptureEntry>> cap_ref;
-  try {
-    auto generated = core::canonical_icmp_responder(options_.backend);
-    cap_gen = run_icmp_side(&generated, packet, options_.faults, fault_rng);
-  } catch (const std::exception& e) {
-    crash_detail = std::string("generated responder threw: ") + e.what();
+  const auto backend = options_.backend;
+  Side generated;
+  Side reference;
+  if (packet.protocol == "icmp") {
+    generated = observe("generated responder", [&](auto& out) {
+      auto responder = core::canonical_icmp_responder(backend);
+      run_network(&responder, packet, options_.faults, fault_rng, out);
+    });
+    reference = observe("reference responder", [&](auto& out) {
+      sim::ReferenceIcmpResponder responder;
+      run_network(&responder, packet, options_.faults, fault_rng, out);
+    });
+  } else if (packet.protocol == "icmp6") {
+    generated = observe("generated responder", [&](auto& out) {
+      auto responder = core::canonical_icmp6_responder(backend);
+      fire_events(responder, packet, out);
+    });
+    reference = observe("reference responder", [&](auto& out) {
+      sim::ReferenceIcmp6Responder responder;
+      fire_events(responder, packet, out);
+    });
+  } else {
+    // A layer protocol's one side: the inspector's decode of the packet.
+    generated = observe("decoder", [&](auto& out) {
+      auto lines = sim::PacketInspector().decode(packet.bytes);
+      out.reserve(lines.size());
+      for (auto& line : lines) out.push_back({std::move(line), std::nullopt});
+    });
   }
-  try {
-    sim::ReferenceIcmpResponder reference;
-    cap_ref = run_icmp_side(&reference, packet, options_.faults, fault_rng);
-  } catch (const std::exception& e) {
-    if (!crash_detail.empty()) crash_detail += "; ";
-    crash_detail += std::string("reference responder threw: ") + e.what();
-  }
-  if (!cap_gen || !cap_ref) {
-    result.verdict = Verdict::kCrash;
-    result.detail = crash_detail;
-    return result;
-  }
-  result.capture_hash = hash_captures(*cap_gen, *cap_ref);
-
-  // Structural oracles run even when the networks agree: the exec env
-  // misreading a field is a divergence whether or not it changed traffic.
-  if (auto d = icmp_env_wire_mismatch(packet); !d.empty()) {
-    result.verdict = Verdict::kDivergent;
-    result.detail = d;
-    return result;
-  }
-  if (auto d = structural_mismatch(packet); !d.empty()) {
-    result.verdict = Verdict::kDivergent;
-    result.detail = d;
-    return result;
-  }
-  bool parsed = false;
-  if (auto d = parser_mismatch(packet, &parsed); !d.empty()) {
-    result.verdict = Verdict::kDivergent;
-    result.detail = d;
-    return result;
-  }
-
-  const auto diff = describe_capture_diff(*cap_gen, *cap_ref);
-  if (diff.empty()) {
-    const bool replied = std::any_of(
-        cap_gen->begin(), cap_gen->end(),
-        [](const sim::OwnedCaptureEntry& e) { return e.node != "client"; });
-    result.verdict = replied ? Verdict::kAgreeBytes : Verdict::kAgreeSilent;
-    return result;
-  }
-
-  // Bytes differ. Accept semantic equality: same traffic shape and every
-  // packet decodes identically through the shared inspector.
-  if (cap_gen->size() == cap_ref->size()) {
-    bool semantic = true;
-    for (std::size_t i = 0; i < cap_gen->size() && semantic; ++i) {
-      semantic = (*cap_gen)[i].node == (*cap_ref)[i].node &&
-                 eval::decode_packet((*cap_gen)[i].packet) ==
-                     eval::decode_packet((*cap_ref)[i].packet);
-    }
-    if (semantic) {
-      result.verdict = Verdict::kAgreeSemantic;
-      result.detail = diff;
-      return result;
-    }
-  }
-
-  result.verdict = Verdict::kDivergent;
-  result.detail = diff;
-  return result;
-}
-
-CaseResult DifferentialFuzzer::run_icmp6_case(const FuzzPacket& packet) const {
-  CaseResult result;
-  result.packet = packet;
-
-  // There is no Appendix-A IPv6 network, so the twin responders are
-  // driven directly: every RFC 4443 event fires at both implementations
-  // with the fuzzed packet as the trigger. Event codes derive from the
-  // packet bytes, keeping the whole case a pure function of the input.
-  const net::Ip6Addr own =
-      net::Ip6Addr::from_groups(0x2001, 0xdb8, 0, 0, 0, 0, 0, 2);
-  const std::uint8_t tail = packet.bytes.empty() ? 0 : packet.bytes.back();
-  const std::uint8_t unreachable_code = tail % 5;
-  const std::uint8_t exceeded_code = tail % 2;
-  const std::uint8_t problem_code = tail % 3;
-  const std::uint8_t pointer = static_cast<std::uint8_t>(tail ^ 0x5a);
-
-  // The echo event only fires for a request a host's dispatch would hand
-  // to the echo path: ICMPv6 next header with at least a full message
-  // header. (A truncated request must draw silence from the reference;
-  // the generated side would start from a partial image — the gate keeps
-  // the comparison on inputs both sides define behavior for.)
-  bool echo_event = false;
-  if (const auto ip6 = net::Ipv6Header::parse(packet.bytes);
-      ip6 && ip6->next_header == net::kIpProtoIcmp6) {
-    echo_event = packet.bytes.size() >= net::Ipv6Header::kHeaderBytes + 8;
-  }
-
-  const sim::Responder6Context ctx{own, packet.bytes};
-  using Reply = std::optional<std::vector<std::uint8_t>>;
-  std::vector<std::pair<const char*, Reply>> gen_replies;
-  std::vector<std::pair<const char*, Reply>> ref_replies;
-  const auto drive = [&](sim::Icmp6Responder& r,
-                         std::vector<std::pair<const char*, Reply>>& out) {
-    if (echo_event) out.emplace_back("echo", r.on_echo_request(ctx));
-    out.emplace_back("dest-unreachable",
-                     r.on_destination_unreachable(ctx, unreachable_code));
-    out.emplace_back("packet-too-big", r.on_packet_too_big(ctx));
-    out.emplace_back("time-exceeded", r.on_time_exceeded(ctx, exceeded_code));
-    out.emplace_back("parameter-problem",
-                     r.on_parameter_problem(ctx, problem_code, pointer));
-  };
-
-  std::string crash_detail;
-  try {
-    auto generated = core::canonical_icmp6_responder(options_.backend);
-    drive(generated, gen_replies);
-  } catch (const std::exception& e) {
-    crash_detail = std::string("generated responder threw: ") + e.what();
-  }
-  try {
-    sim::ReferenceIcmp6Responder reference;
-    drive(reference, ref_replies);
-  } catch (const std::exception& e) {
-    if (!crash_detail.empty()) crash_detail += "; ";
-    crash_detail += std::string("reference responder threw: ") + e.what();
-  }
-  if (!crash_detail.empty()) {
-    result.verdict = Verdict::kCrash;
-    result.detail = crash_detail;
-    return result;
-  }
-
-  std::uint64_t h = kFnvOffset;
-  for (const auto* side : {&gen_replies, &ref_replies}) {
-    for (const auto& [name, reply] : *side) {
-      h = fnv_text(h, name);
-      if (reply) h = fnv_bytes(h, *reply);
-      h = fnv_text(h, reply ? "+" : "-");
-    }
-    h = fnv_text(h, "|");
-  }
-  result.capture_hash = h;
-
-  if (auto d = structural_mismatch(packet); !d.empty()) {
-    result.verdict = Verdict::kDivergent;
-    result.detail = d;
-    return result;
-  }
-  bool parsed = false;
-  if (auto d = parser_mismatch(packet, &parsed); !d.empty()) {
-    result.verdict = Verdict::kDivergent;
-    result.detail = d;
-    return result;
-  }
-
-  for (std::size_t i = 0; i < gen_replies.size(); ++i) {
-    const auto& [name, a] = gen_replies[i];
-    const auto& b = ref_replies[i].second;
-    if (a.has_value() != b.has_value()) {
-      result.verdict = Verdict::kDivergent;
-      result.detail = std::string(name) + " generated=" +
-                      (a ? "reply" : "silent") + " reference=" +
-                      (b ? "reply" : "silent");
-      return result;
-    }
-    if (a && *a != *b) {
-      std::size_t pos = 0;
-      while (pos < std::min(a->size(), b->size()) && (*a)[pos] == (*b)[pos]) {
-        ++pos;
-      }
-      result.verdict = Verdict::kDivergent;
-      result.detail = std::string(name) + " bytes differ at offset " +
-                      std::to_string(pos) + " (generated len " +
-                      std::to_string(a->size()) + ", reference len " +
-                      std::to_string(b->size()) + ")";
-      return result;
-    }
-  }
-
-  const bool replied =
-      std::any_of(gen_replies.begin(), gen_replies.end(),
-                  [](const auto& e) { return e.second.has_value(); });
-  result.verdict = replied ? Verdict::kAgreeBytes : Verdict::kAgreeSilent;
-  return result;
-}
-
-CaseResult DifferentialFuzzer::run_layer_case(const FuzzPacket& packet) const {
-  CaseResult result;
-  result.packet = packet;
-  try {
-    const auto lines = eval::decode_packet(packet.bytes);
-    std::uint64_t h = kFnvOffset;
-    for (const auto& line : lines) h = fnv_text(h, line);
-    h = fnv_bytes(h, packet.bytes);
-    result.capture_hash = h;
-
-    if (auto d = structural_mismatch(packet); !d.empty()) {
-      result.verdict = Verdict::kDivergent;
-      result.detail = d;
-      return result;
-    }
-    bool parsed = false;
-    if (auto d = parser_mismatch(packet, &parsed); !d.empty()) {
-      result.verdict = Verdict::kDivergent;
-      result.detail = d;
-      return result;
-    }
-    result.verdict = parsed ? Verdict::kAgreeBytes : Verdict::kAgreeSilent;
-  } catch (const std::exception& e) {
-    result.verdict = Verdict::kCrash;
-    result.detail = std::string("threw: ") + e.what();
-  }
-  return result;
+  return judge(packet, generated, reference);
 }
 
 void DifferentialFuzzer::minimize_case(CaseResult& result,
@@ -818,7 +739,7 @@ std::string DifferentialFuzzer::log_line(std::size_t index,
       << " mutation=" << mutation_kind_name(result.packet.mutation)
       << " len=" << result.packet.bytes.size()
       << " verdict=" << verdict_name(result.verdict)
-      << " hash=" << hex64(result.capture_hash);
+      << " hash=" << util::hex64(result.capture_hash);
   if (!result.detail.empty()) out << " detail=" << result.detail;
   return out.str();
 }
@@ -857,7 +778,7 @@ FuzzReport DifferentialFuzzer::run() const {
 
   // Serial assembly: the log is index-ordered regardless of which worker
   // ran which iteration.
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = util::kFnvPinnedSeed;
   for (std::size_t i = 0; i < n; ++i) {
     const auto& r = results[i];
     switch (r.verdict) {
@@ -883,8 +804,8 @@ std::string FuzzReport::summary() const {
       << " iters=" << options.iterations << " faults=" << options.faults.to_string()
       << ": " << agree_bytes << " byte-equal, " << agree_semantic
       << " semantic, " << agree_silent << " silent, " << divergent
-      << " divergent, " << crashes << " crashes (log hash 0x" << hex64(log_hash)
-      << ")";
+      << " divergent, " << crashes << " crashes (log hash 0x"
+      << util::hex64(log_hash) << ")";
   return out.str();
 }
 

@@ -1,25 +1,19 @@
 // Differential conformance checking: generated code vs reference.
 //
-// For ICMP the oracle is the paper's own evaluation setup doubled: two
-// Appendix-A networks, one whose router/hosts run the generated
-// interpreter responder and one running sim::ReferenceIcmpResponder, fed
-// byte-identical (fault-processed) traffic. The capture logs must then
-// agree byte-for-byte, or at least decode identically through the
-// tcpdump model (PacketInspector) — anything else is a divergence worth
-// a regression-corpus entry. A second oracle compares SchemaExecEnv
-// field reads against raw schema wire reads, which is what pins the
-// short-read fix (truncated packets must not read as zeros).
+// Every case runs one pipeline: drive the implementations, then judge()
+// turns what they did into a verdict. For ICMP the implementations are
+// the paper's own evaluation setup doubled: two Appendix-A networks, one
+// running the generated responder and one sim::ReferenceIcmpResponder,
+// fed byte-identical (fault-processed) traffic; each side is a capture.
+// ICMPv6 has no network: every RFC 4443 event fires at both responders
+// with the fuzzed packet as the trigger. The other protocols
+// (igmp/ntp/bfd/udp/dhcp) have no second responder: their one side is
+// the packet inspector's decode.
 //
-// ICMPv6 gets the same twin-responder treatment without the network in
-// between: every event RFC 4443 defines is fired at both the generated
-// and the hand-written responder with the fuzzed packet as trigger, and
-// every reply must agree byte-for-byte.
-//
-// For the other protocols (igmp/ntp/bfd/udp/dhcp) there is no second
-// responder to diff against, so the oracles are structural: the net/
-// struct parsers vs schema wire reads, read→write→read round trips, the
-// exec envs vs the wire, inspector stability, and — for layers with an
-// options region — TLV round-trip identity on the well-formed prefix.
+// The judge applies one crash rule, one oracle chain (for ICMP the exec
+// env vs the wire, which pins the short-read fix; read→write→read round
+// trips and inspector stability; the net/ struct parsers and DHCP's TLV
+// round trip vs schema reads) and one byte comparison of the sides.
 //
 // Everything is deterministic in (seed, protocol, iterations, faults):
 // the verdict log is byte-identical across 1/2/8 worker threads, which
@@ -27,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,15 +36,31 @@ enum class Verdict : std::uint8_t {
   kAgreeSemantic,  // bytes differ, PacketInspector decodes identically
   kAgreeSilent,    // both sides silent / input unparseable everywhere
   kDivergent,      // observable disagreement
-  kCrash,          // an implementation threw
+  kCrash,          // an implementation or an oracle threw
 };
 
 const char* verdict_name(Verdict verdict);
 
+/// One thing an implementation did on a case. An ICMP side's entries are
+/// its Appendix-A capture: the node that sent each packet, and the
+/// packet. An ICMPv6 side's are the RFC 4443 events fired at the
+/// responder: the event, and its reply, or no bytes for silence. A layer
+/// case's one side is the decoder's lines, with no bytes.
+struct Observation {
+  std::string label;
+  std::optional<std::vector<std::uint8_t>> bytes;
+};
+
+/// What one implementation did on one case, in order, or what it threw.
+struct Side {
+  std::vector<Observation> observations;
+  std::string crash;  // non-empty: the implementation threw
+};
+
 struct CaseResult {
   Verdict verdict = Verdict::kAgreeSilent;
   FuzzPacket packet;
-  std::uint64_t capture_hash = 0;  // FNV-1a over both sides' observations
+  std::uint64_t capture_hash = 0;  // FNV-1a over the sides' observations
   std::string detail;              // first mismatch, deterministic text
   std::vector<std::uint8_t> minimized;  // failures only, when enabled
 };
@@ -84,6 +95,18 @@ struct FuzzReport {
   std::string summary() const;
 };
 
+/// The verdict step of every case, given `packet` and what each side did
+/// with it (a layer case's decoder is `generated`; `reference` is empty).
+/// A crashed side, or a throw in an oracle, is kCrash. The oracle chain's
+/// first mismatch is kDivergent. A layer case then agrees, on bytes when
+/// its parser accepted the packet, else silently. Equal twin sides agree,
+/// on bytes when the generated side sent anything but the client's own
+/// traffic, else silently; unequal ones make their first difference the
+/// detail of kDivergent, or of kAgreeSemantic for ICMP packets that
+/// decode alike.
+CaseResult judge(const FuzzPacket& packet, const Side& generated,
+                 const Side& reference);
+
 class DifferentialFuzzer {
  public:
   explicit DifferentialFuzzer(FuzzOptions options);
@@ -94,17 +117,15 @@ class DifferentialFuzzer {
   /// independent output.
   FuzzReport run() const;
 
-  /// Check a single packet (corpus replay, minimization probes).
-  /// `fault_rng` seeds the fault decisions for both networks.
+  /// Check a single packet (corpus replay, minimization probes): drive
+  /// the implementations, then judge() them. `fault_rng` seeds the fault
+  /// decisions for both networks. Nothing thrown leaves it.
   CaseResult run_case(const FuzzPacket& packet, Rng fault_rng) const;
 
   /// Format the deterministic verdict-log line for one case.
   static std::string log_line(std::size_t index, const CaseResult& result);
 
  private:
-  CaseResult run_icmp_case(const FuzzPacket& packet, Rng fault_rng) const;
-  CaseResult run_icmp6_case(const FuzzPacket& packet) const;
-  CaseResult run_layer_case(const FuzzPacket& packet) const;
   void minimize_case(CaseResult& result, Rng fault_rng) const;
 
   FuzzOptions options_;

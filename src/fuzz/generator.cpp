@@ -72,25 +72,15 @@ struct TlvAt {
   std::size_t len = 0;
 };
 
-/// Walk the well-formed prefix of the options region (grammar per the
-/// layer: pad skipped, end stops, truncation stops). Mutations splice at
-/// these boundaries so they perturb the TLV *grammar*, not random bytes.
+/// The options OptionsView walks in the well-formed prefix of `layer`'s
+/// region, `layer` starting at byte 0. Mutations splice at these
+/// boundaries so they perturb the TLV *grammar*, not random bytes.
 std::vector<TlvAt> tlv_positions(const std::vector<std::uint8_t>& bytes,
-                                 std::size_t options_offset,
-                                 std::uint8_t pad_code, std::uint8_t end_code) {
+                                 const schema::LayerSpec& layer) {
   std::vector<TlvAt> out;
-  std::size_t i = options_offset;
-  while (i < bytes.size()) {
-    const std::uint8_t type = bytes[i];
-    if (type == pad_code) {
-      ++i;
-      continue;
-    }
-    if (type == end_code || i + 1 >= bytes.size()) break;
-    const std::size_t value_len = bytes[i + 1];
-    if (i + 2 + value_len > bytes.size()) break;
-    out.push_back({i, 2 + value_len});
-    i += 2 + value_len;
+  for (const auto& opt : schema::OptionsView(layer, bytes)) {
+    const auto at = static_cast<std::size_t>(opt.value.data() - bytes.data());
+    out.push_back({at - 2, 2 + opt.value.size()});  // from the type byte
   }
   return out;
 }
@@ -459,9 +449,7 @@ void PacketGenerator::mutate(FuzzPacket& pkt, Rng& rng) const {
     case MutationKind::kTlvDuplicate:
     case MutationKind::kTlvLengthLie: {
       if (!has_tlv_region) return;
-      const auto options = tlv_positions(pkt.bytes, tlv_layer->options_offset,
-                                         tlv_layer->option_pad,
-                                         tlv_layer->option_end);
+      const auto options = tlv_positions(pkt.bytes, *tlv_layer);
       if (pkt.mutation == MutationKind::kTlvInsert) {
         // Splice a fresh option at a random option boundary (including
         // the region start and the end of the well-formed prefix).

@@ -1,5 +1,7 @@
 #include "net/schema.hpp"
 
+#include <algorithm>
+
 #include "util/bytes.hpp"
 #include "util/strings.hpp"
 #include "util/symbols.hpp"
@@ -138,28 +140,12 @@ std::string tlv_status_name(TlvStatus status) {
 OptionsView::OptionsView(std::span<const std::uint8_t> region,
                          std::uint8_t pad_code, std::uint8_t end_code)
     : region_(region), pad_(pad_code), end_(end_code) {
-  // One classification pass. Iteration re-walks lazily (no allocation);
-  // both stop at the same first malformation, so what begin()/end()
-  // yields is exactly the well-formed prefix status() vouches for.
-  std::size_t pos = 0;
-  while (pos < region_.size()) {
-    const std::uint8_t code = region_[pos];
-    if (code == end_) return;
-    if (code == pad_) {
-      ++pos;
-      continue;
-    }
-    if (pos + 1 >= region_.size()) {
-      status_ = TlvStatus::kTruncated;
-      return;
-    }
-    const std::size_t len = region_[pos + 1];
-    if (pos + 2 + len > region_.size()) {
-      status_ = TlvStatus::kLengthLie;
-      return;
-    }
-    pos += 2 + len;
-  }
+  // The classification pass is an iteration, so status() and begin()/end()
+  // stop at the same first malformation: what iteration yields is exactly
+  // the well-formed prefix status() vouches for.
+  iterator it = begin();
+  while (it != end()) ++it;
+  status_ = it.stop_;
 }
 
 OptionsView::OptionsView(const LayerSpec& layer,
@@ -170,27 +156,30 @@ OptionsView::OptionsView(const LayerSpec& layer,
                   layer.option_pad, layer.option_end) {}
 
 void OptionsView::iterator::advance_to(std::size_t pos) {
-  if (view_ == nullptr) {
-    pos_ = std::size_t(-1);
-    return;
-  }
+  pos_ = std::size_t(-1);
+  if (view_ == nullptr) return;
   const auto region = view_->region_;
   while (pos < region.size()) {
     const std::uint8_t code = region[pos];
-    if (code == view_->end_) break;
+    if (code == view_->end_) return;
     if (code == view_->pad_) {
       ++pos;
       continue;
     }
-    if (pos + 1 >= region.size()) break;  // truncated: stop cleanly
+    if (pos + 1 >= region.size()) {
+      stop_ = TlvStatus::kTruncated;  // a code byte without its length
+      return;
+    }
     const std::size_t len = region[pos + 1];
-    if (pos + 2 + len > region.size()) break;  // length lie: stop cleanly
+    if (pos + 2 + len > region.size()) {
+      stop_ = TlvStatus::kLengthLie;
+      return;
+    }
     pos_ = pos;
     next_ = pos + 2 + len;
     current_ = {code, region.subspan(pos + 2, len)};
     return;
   }
-  pos_ = std::size_t(-1);
 }
 
 std::optional<TlvOption> OptionsView::find(std::uint8_t type) const {
@@ -231,17 +220,6 @@ void OptionsView::append_end(std::vector<std::uint8_t>& out,
                              std::uint8_t end_code) {
   out.push_back(end_code);
 }
-
-// ---- LayoutCursor ----------------------------------------------------------
-
-LayoutCursor::LayoutCursor(const LayerSpec& layer,
-                           std::span<const std::uint8_t> image)
-    : layer_(&layer),
-      image_(image),
-      options_(layer.has_options && image.size() > layer.options_offset
-                   ? image.subspan(layer.options_offset)
-                   : std::span<const std::uint8_t>{}),
-      view_(options_, layer.option_pad, layer.option_end) {}
 
 // ---- registry catalog ------------------------------------------------------
 
@@ -622,6 +600,12 @@ SchemaRegistry::SchemaRegistry() {
 }
 
 void SchemaRegistry::add_layer(LayerSpec layer) {
+  for (const auto& f : layer.fields) {
+    if (f.kind == FieldKind::kPayloadScalar) {
+      layer.payload_scalar_bytes = std::max<std::size_t>(
+          layer.payload_scalar_bytes, f.payload_offset + 4);
+    }
+  }
   layers_.push_back(std::move(layer));
 }
 
@@ -789,28 +773,6 @@ bool SchemaRegistry::write_scalar(const FieldSpec& spec,
   return write_bits(spec, image, value);
 }
 
-WireRead SchemaRegistry::read_wire(const LayoutCursor& cursor,
-                                   const FieldSpec& spec) {
-  if (spec.kind != FieldKind::kScalar) return {ReadStatus::kUnknownField, 0};
-  if (loc_is_fixed(spec)) {
-    const auto value = read_bits(spec, cursor.image());
-    if (!value) return {ReadStatus::kShortRead, 0};
-    return {ReadStatus::kOk, *value};
-  }
-  if (spec.loc != FieldLoc::kTlvOption) return {ReadStatus::kUnknownField, 0};
-  const auto& view = cursor.options();
-  const auto opt = view.find(spec.tlv_type);
-  if (!opt) {
-    // A malformed region cannot prove absence: report it as short, the
-    // same pinned status truncated fixed fields get.
-    if (!view.ok()) return {ReadStatus::kShortRead, 0};
-    return {ReadStatus::kMissingOption, 0};
-  }
-  const auto value = read_bits(spec, opt->value);
-  if (!value) return {ReadStatus::kShortRead, 0};
-  return {ReadStatus::kOk, *value};
-}
-
 WireRead SchemaRegistry::read_wire(std::string_view layer_name,
                                    std::string_view field_name,
                                    std::span<const std::uint8_t> image) const {
@@ -818,14 +780,23 @@ WireRead SchemaRegistry::read_wire(std::string_view layer_name,
   if (spec == nullptr || spec->kind != FieldKind::kScalar) {
     return {ReadStatus::kUnknownField, 0};
   }
-  if (loc_is_fixed(*spec)) {
-    // Fixed-offset fast path: no cursor, no options scan.
-    const auto value = read_bits(*spec, image);
-    if (!value) return {ReadStatus::kShortRead, 0};
-    return {ReadStatus::kOk, *value};
+  std::span<const std::uint8_t> bytes = image;
+  if (spec->loc == FieldLoc::kTlvOption) {
+    const OptionsView options(*layer(layer_name), image);
+    const auto opt = options.find(spec->tlv_type);
+    // A malformed region cannot prove absence: report it as short, the
+    // same pinned status truncated fixed fields get.
+    if (!opt) {
+      return {options.ok() ? ReadStatus::kMissingOption
+                           : ReadStatus::kShortRead, 0};
+    }
+    bytes = opt->value;
+  } else if (!loc_is_fixed(*spec)) {
+    return {ReadStatus::kUnknownField, 0};
   }
-  const LayoutCursor cursor(*layer(layer_name), image);
-  return read_wire(cursor, *spec);
+  const auto value = read_bits(*spec, bytes);
+  if (!value) return {ReadStatus::kShortRead, 0};
+  return {ReadStatus::kOk, *value};
 }
 
 std::string SchemaRegistry::dump() const {
@@ -913,10 +884,8 @@ std::vector<std::string> SchemaRegistry::decode_layer(
                   (v ? std::to_string(*v) : std::string("<short read>")));
   }
   if (!l->has_options) return out;
-  // One cursor for the whole options pass: the region bounds and the
-  // well-formedness scan are resolved exactly once.
-  const LayoutCursor cursor(*l, image);
-  for (const auto& opt : cursor.options()) {
+  const OptionsView options(*l, image);
+  for (const auto& opt : options) {
     const FieldSpec* known = nullptr;
     for (const auto& f : l->fields) {
       if (f.loc != FieldLoc::kFixed && f.tlv_type == opt.type &&
@@ -934,9 +903,9 @@ std::vector<std::string> SchemaRegistry::decode_layer(
                     std::to_string(opt.value.size()) + " bytes>");
     }
   }
-  if (!cursor.options().ok()) {
+  if (!options.ok()) {
     out.push_back(l->name + ".options = <" +
-                  (cursor.options().status() == TlvStatus::kTruncated
+                  (options.status() == TlvStatus::kTruncated
                        ? std::string("truncated option")
                        : std::string("option length lie")) +
                   ">");

@@ -34,9 +34,9 @@
 // (DHCP options), addressed by option code instead of a fixed offset;
 // kPseudoDerived marks a fixed-offset checksum whose value covers an
 // IP pseudo-header (udp.checksum, icmp6.checksum) so serializers know
-// which pseudo-header sum to chain in. LayoutCursor resolves a layer's
-// region bounds once per image, and OptionsView iterates the TLVs as
-// spans without copying (lifetime contract: docs/MEMORY.md).
+// which pseudo-header sum to chain in. OptionsView resolves a layer's
+// region bounds once per image and iterates the TLVs as spans without
+// copying (lifetime contract: docs/MEMORY.md).
 #pragma once
 
 #include <cstdint>
@@ -129,6 +129,11 @@ struct LayerSpec {
   std::uint8_t option_pad = 0;
   std::uint8_t option_end = 255;
   std::vector<FieldSpec> fields;
+  /// Byte extent of the payload-scalar block (the ICMP timestamps: three
+  /// 32-bit stamps, 12 bytes); 0 for a layer without payload scalars.
+  /// The registry derives it from `fields`, and writers size the block
+  /// as a unit.
+  std::size_t payload_scalar_bytes = 0;
   /// Substrings that mark a dynamically-named field as payload-backed
   /// bytes ("internet_header...", "...datagram..."): such names resolve
   /// to this layer's kBytes field.
@@ -182,10 +187,11 @@ enum class TlvStatus : std::uint8_t {
 
 std::string tlv_status_name(TlvStatus status);
 
-/// Zero-copy iteration over a TLV options region. Construction scans the
-/// region once to classify it (status()); iteration yields the options
-/// up to the first malformation or the end code. Works directly on
-/// arena-backed capture spans — nothing is copied.
+/// Zero-copy iteration over a TLV options region. Construction walks the
+/// region once with the iterator's own step to classify it (status());
+/// iteration yields the options up to the first malformation or the end
+/// code. Works directly on arena-backed capture spans — nothing is
+/// copied.
 class OptionsView {
  public:
   OptionsView(std::span<const std::uint8_t> region, std::uint8_t pad_code,
@@ -214,12 +220,14 @@ class OptionsView {
     bool operator!=(const iterator& o) const { return pos_ != o.pos_; }
 
    private:
+    friend class OptionsView;
     void advance_to(std::size_t pos);
 
     const OptionsView* view_ = nullptr;
     std::size_t pos_ = std::size_t(-1);  // -1 = end
     std::size_t next_ = std::size_t(-1);
     TlvOption current_;
+    TlvStatus stop_ = TlvStatus::kOk;  // why the walk ended, once at end
   };
 
   iterator begin() const { return iterator(this, 0); }
@@ -245,28 +253,6 @@ class OptionsView {
   std::uint8_t pad_ = 0;
   std::uint8_t end_ = 255;
   TlvStatus status_ = TlvStatus::kOk;
-};
-
-/// Resolved layout of one layer image: the fixed-header prefix and the
-/// TLV options region, computed once so repeated field reads (decode
-/// loops, option-heavy handlers) don't re-derive bounds. Fixed-offset
-/// reads never need a cursor — the plain read_wire path is unchanged.
-class LayoutCursor {
- public:
-  LayoutCursor(const LayerSpec& layer, std::span<const std::uint8_t> image);
-
-  const LayerSpec& layer() const { return *layer_; }
-  std::span<const std::uint8_t> image() const { return image_; }
-  /// The options region (empty for layers without one or images that end
-  /// before options_offset).
-  std::span<const std::uint8_t> options_region() const { return options_; }
-  const OptionsView& options() const { return view_; }
-
- private:
-  const LayerSpec* layer_;
-  std::span<const std::uint8_t> image_;
-  std::span<const std::uint8_t> options_;
-  OptionsView view_;
 };
 
 class SchemaRegistry {
@@ -308,10 +294,6 @@ class SchemaRegistry {
   /// field whose option code is absent yields kMissingOption.
   WireRead read_wire(std::string_view layer, std::string_view field,
                      std::span<const std::uint8_t> image) const;
-
-  /// Same read against a pre-resolved layout — option-region bounds and
-  /// the TLV scan are paid once per cursor, not once per field.
-  static WireRead read_wire(const LayoutCursor& cursor, const FieldSpec& spec);
 
   /// Human-readable table of every layer/field/protocol
   /// (sage_debug --dump-schema).

@@ -484,12 +484,7 @@ bool SchemaExecEnv::write_field(const codegen::FieldRef& ref, long value) {
       if (!L.has_out) return false;
       // The payload-scalar block (the three ICMP timestamps) is sized as
       // a unit, matching the message format.
-      std::size_t block = 0;
-      for (const auto& f : L.spec->fields) {
-        if (f.kind == schema::FieldKind::kPayloadScalar) {
-          block = std::max<std::size_t>(block, f.payload_offset + 4);
-        }
-      }
+      const std::size_t block = L.spec->payload_scalar_bytes;
       if (L.out_payload.size() < block) L.out_payload.resize(block, 0);
       util::put_be32({L.out_payload.data() + spec.payload_offset, 4},
                      static_cast<std::uint32_t>(value));

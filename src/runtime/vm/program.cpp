@@ -66,19 +66,13 @@ Insn specialize_store(const EnvAccess::ProtocolBinding& pb,
       return {Op::kStoreWire,
               static_cast<std::uint8_t>(b->write_fills_rest_word ? 1 : 0),
               b->layer_slot, in.b, bake_spec(b->spec)};
-    case Kind::kPayloadScalar: {
+    case Kind::kPayloadScalar:
       // The payload-scalar block is sized as a unit (the three ICMP
-      // timestamps); precompute the block extent the tree interpreter
-      // derives per write.
-      std::size_t block = 0;
-      for (const auto& f : pb.wire_layers[b->layer_slot]->fields) {
-        if (f.kind == schema::FieldKind::kPayloadScalar) {
-          block = std::max<std::size_t>(block, f.payload_offset + 4);
-        }
-      }
+      // timestamps).
       return {Op::kStorePayload, b->layer_slot,
-              static_cast<std::uint16_t>(block), in.b, bake_spec(b->spec)};
-    }
+              static_cast<std::uint16_t>(
+                  pb.wire_layers[b->layer_slot]->payload_scalar_bytes),
+              in.b, bake_spec(b->spec)};
     case Kind::kIp:
       // write_ip serves slots 0..3; total_length (slot 4) rejects.
       if (b->slot > 3) return {Op::kStoreFail, 0, 0, in.b};

@@ -1,9 +1,9 @@
 #include "serve/frame.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "net/schema.hpp"
+#include "util/digest.hpp"
 
 namespace sage::serve {
 
@@ -175,32 +175,12 @@ DecodeStatus decode_frame(std::span<const std::uint8_t> image, Frame* out) {
   return DecodeStatus::kOk;
 }
 
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes, std::uint64_t h) {
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_str(std::string_view text, std::uint64_t h) {
-  return fnv1a(
-      {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()}, h);
-}
-
 std::uint64_t result_digest(const Frame& frame) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
   const std::uint8_t meta[2] = {static_cast<std::uint8_t>(frame.kind),
                                 static_cast<std::uint8_t>(frame.status)};
-  h = fnv1a(meta, h);
-  return fnv1a_str(frame.payload, h);
+  return util::fnv1a_str(frame.payload, util::fnv1a(meta));
 }
 
-std::string hex64(std::uint64_t value) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(value));
-  return buf;
-}
+std::string hex64(std::uint64_t value) { return "0x" + util::hex64(value); }
 
 }  // namespace sage::serve

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace sage::serve {
@@ -102,20 +101,14 @@ DecodeStatus decode_frame(std::span<const std::uint8_t> image, Frame* out);
 DecodeStatus decode_header(std::span<const std::uint8_t> header, Frame* out,
                            std::size_t* payload_length);
 
-/// FNV-1a 64 over `bytes`, continuing from `h` — the digest primitive
-/// shared by result digests, signature hashes, and the soak driver.
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
-                    std::uint64_t h = 0xcbf29ce484222325ULL);
-std::uint64_t fnv1a_str(std::string_view text,
-                        std::uint64_t h = 0xcbf29ce484222325ULL);
-
 /// Deterministic identity of a response: FNV over (kind, status,
 /// payload). Deliberately excludes job_id (batch/connection dependent),
 /// flags, and time_micros (scheduling dependent) — two runs of the same
 /// job must digest identically at any --jobs and client count.
 std::uint64_t result_digest(const Frame& frame);
 
-/// "0x" + 16 lowercase hex digits (the repo's digest rendering).
+/// "0x" + util::hex64(value): how serve payloads and reports print a
+/// digest.
 std::string hex64(std::uint64_t value);
 
 }  // namespace sage::serve

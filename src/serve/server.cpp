@@ -15,6 +15,8 @@
 #include "eval/interop_harness.hpp"
 #include "fuzz/differential.hpp"
 #include "fuzz/generator.hpp"
+#include "sim/inspector.hpp"
+#include "util/digest.hpp"
 
 namespace sage::serve {
 
@@ -139,7 +141,7 @@ std::shared_ptr<Server::Pipeline> Server::build_pipeline(
   // serially on the worker that picked it up.
   pipeline->run = sage.process(spec.text, spec.protocol);
   pipeline->signature_hash =
-      fnv1a_str(core::protocol_run_signature(pipeline->run));
+      util::fnv1a_str(core::protocol_run_signature(pipeline->run));
   if (spec.protocol == "ICMP") {
     // The per-session compile: every generated handler is lowered to a
     // vm::Program exactly once, at registration.
@@ -220,7 +222,7 @@ Frame Server::run_pipeline_job(const Frame& request) {
       payload << "corpus=" << corpus << " functions=" << run.functions.size()
               << " signature=" << hex64(pipeline->signature_hash) << "\n";
       for (const auto& fn : run.functions) {
-        payload << fn.name << " source=" << hex64(fnv1a_str(fn.c_source))
+        payload << fn.name << " source=" << hex64(util::fnv1a_str(fn.c_source))
                 << "\n";
       }
       break;
@@ -241,7 +243,7 @@ Frame Server::run_pipeline_job(const Frame& request) {
       }
       payload << "\n";
       if (!ping.reply.empty()) {
-        for (const auto& line : eval::decode_packet(ping.reply)) {
+        for (const auto& line : sim::PacketInspector().decode(ping.reply)) {
           payload << line << "\n";
         }
       }

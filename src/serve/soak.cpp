@@ -10,6 +10,7 @@
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
+#include "util/digest.hpp"
 #include "util/rng.hpp"
 
 namespace sage::serve {
@@ -130,8 +131,8 @@ SoakReport run_serve_soak(const SoakOptions& options) {
   }
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    report.digest = fnv1a_str(hex64(digests[i]),
-                              i == 0 ? 0xcbf29ce484222325ULL : report.digest);
+    report.digest = util::fnv1a_str(
+        hex64(digests[i]), i == 0 ? util::kFnvOffset : report.digest);
     if (ok[i]) {
       ++report.jobs_ok;
     } else {

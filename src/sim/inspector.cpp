@@ -1,6 +1,5 @@
 #include "sim/inspector.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 
@@ -18,28 +17,6 @@
 namespace sage::sim {
 
 namespace {
-
-/// Expected on-wire size of a layer's fixed header, per the registry.
-std::size_t schema_header_bytes(std::string_view layer, std::size_t fallback) {
-  const auto* spec = net::schema::SchemaRegistry::instance().layer(layer);
-  return spec != nullptr ? spec->header_bytes : fallback;
-}
-
-/// Expected total size of a layer whose payload is a fixed scalar block
-/// (the ICMP timestamp message: 8-byte header + three 32-bit stamps).
-std::size_t schema_scalar_block_bytes(std::string_view layer,
-                                      std::size_t fallback) {
-  const auto* spec = net::schema::SchemaRegistry::instance().layer(layer);
-  if (spec == nullptr) return fallback;
-  std::size_t total = spec->header_bytes;
-  for (const auto& f : spec->fields) {
-    if (f.kind == net::schema::FieldKind::kPayloadScalar) {
-      total = std::max(total,
-                       spec->header_bytes + f.payload_offset + std::size_t{4});
-    }
-  }
-  return total;
-}
 
 void check_icmp(const net::Ipv4Header& ip,
                 std::span<const std::uint8_t> payload, InspectionResult& r) {
@@ -96,7 +73,10 @@ void check_icmp(const net::Ipv4Header& ip,
     case net::IcmpType::kTimestampReply: {
       // Header + three 32-bit timestamps, sized from the schema registry
       // (8 + 3*4 = 20 bytes total).
-      const std::size_t expect = schema_scalar_block_bytes("icmp", 20);
+      const auto& icmp_layer =
+          *net::schema::SchemaRegistry::instance().layer("icmp");
+      const std::size_t expect =
+          icmp_layer.header_bytes + icmp_layer.payload_scalar_bytes;
       if (payload.size() != expect) {
         r.warnings.push_back(
             "timestamp message length " + std::to_string(payload.size()) +
@@ -106,7 +86,8 @@ void check_icmp(const net::Ipv4Header& ip,
     }
     case net::IcmpType::kInformationRequest:
     case net::IcmpType::kInformationReply: {
-      const std::size_t expect = schema_header_bytes("icmp", 8);
+      const std::size_t expect =
+          net::schema::SchemaRegistry::instance().layer("icmp")->header_bytes;
       if (payload.size() != expect) {
         r.warnings.push_back("information message length " +
                              std::to_string(payload.size()) + " (expected " +

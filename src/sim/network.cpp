@@ -15,20 +15,12 @@ namespace {
 constexpr int kHopBudget = 16;
 
 /// Byte size of the ICMP payload-scalar block (the three 32-bit
-/// timestamps) as the schema declares it.
+/// timestamps) as the schema declares it. Read once: the request gate
+/// runs per packet.
 std::size_t icmp_timestamp_block_bytes() {
-  static const std::size_t block = [] {
-    std::size_t bytes = 0;
-    const auto* layer = net::schema::SchemaRegistry::instance().layer("icmp");
-    if (layer != nullptr) {
-      for (const auto& f : layer->fields) {
-        if (f.kind == net::schema::FieldKind::kPayloadScalar) {
-          bytes = std::max<std::size_t>(bytes, f.payload_offset + 4);
-        }
-      }
-    }
-    return bytes;
-  }();
+  static const std::size_t block =
+      net::schema::SchemaRegistry::instance().layer("icmp")
+          ->payload_scalar_bytes;
   return block;
 }
 }
@@ -580,8 +572,6 @@ void Network::ev_route(Router& r, net::WireImage packet, int hop_budget,
     }
     return;
   }
-
-  if (!r.behavior_.icmp_errors_enabled) resp = nullptr;
 
   // Appendix A, Parameter Problem: unsupported type-of-service. The
   // pointer (1) is the byte offset of the TOS field in the IP header.

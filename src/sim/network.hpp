@@ -130,9 +130,6 @@ struct RouterBehavior {
   /// Appendix A, Source Quench: "one outbound buffer is full"; packets that
   /// would be forwarded out this interface index are discarded with quench.
   std::optional<std::size_t> full_outbound_interface;
-  /// When false the router silently drops instead of emitting ICMP errors
-  /// (used to test that no spurious traffic appears).
-  bool icmp_errors_enabled = true;
 };
 
 /// The router under test. Its ICMP behaviour comes entirely from the

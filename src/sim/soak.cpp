@@ -1,13 +1,13 @@
 #include "sim/soak.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "net/bfd.hpp"
 #include "net/igmp.hpp"
 #include "net/udp.hpp"
 #include "sim/ping.hpp"
 #include "sim/traceroute.hpp"
+#include "util/digest.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -15,40 +15,19 @@ namespace sage::sim {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv_bytes(std::uint64_t h, const std::uint8_t* data,
-                        std::size_t size) {
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 /// Digest of one session's capture log: (node, packet bytes) only.
 /// Timestamps and queue sequence numbers are deliberately excluded — they
 /// carry replica history (the clock runs across sessions), which would
 /// make the digest depend on how sessions were chunked over workers.
 std::uint64_t digest_capture(const std::vector<CaptureEntry>& capture) {
-  std::uint64_t h = kFnvOffset;
+  static constexpr std::uint8_t kNodeEnd[] = {0xff};
+  static constexpr std::uint8_t kPacketEnd[] = {0xfe};
+  std::uint64_t h = util::kFnvPinnedSeed;
   for (const auto& entry : capture) {
-    h = fnv_bytes(h, reinterpret_cast<const std::uint8_t*>(entry.node.data()),
-                  entry.node.size());
-    h ^= 0xff;
-    h *= kFnvPrime;
-    h = fnv_bytes(h, entry.packet.data(), entry.packet.size());
-    h ^= 0xfe;
-    h *= kFnvPrime;
+    h = util::fnv1a(kNodeEnd, util::fnv1a_str(entry.node, h));
+    h = util::fnv1a(kPacketEnd, util::fnv1a(entry.packet, h));
   }
   return h;
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
 }
 
 /// A raw IPv4 datagram carrying one serialized protocol message.
@@ -198,7 +177,8 @@ std::string SoakReport::summary() const {
          " sessions=" + std::to_string(sessions) +
          " jobs=" + std::to_string(options.jobs) +
          " events=" + std::to_string(events) +
-         " tx=" + std::to_string(transmissions) + " digest=" + hex64(digest) +
+         " tx=" + std::to_string(transmissions) +
+         " digest=" + util::hex64(digest) +
          " peak_mem_kb=" + std::to_string(peak_memory_bytes / 1024);
 }
 
@@ -234,7 +214,7 @@ SoakReport run_soak(const SoakOptions& options) {
       digests[s] = digest_capture(topo.net.capture());
       lines[s] = "s" + std::to_string(s) + " " + what +
                  " tx=" + std::to_string(transmissions[s]) +
-                 " digest=" + hex64(digests[s]);
+                 " digest=" + util::hex64(digests[s]);
       chunk_peak[c] =
           std::max(chunk_peak[c], topo.net.approximate_memory_bytes());
     }
@@ -254,12 +234,11 @@ SoakReport run_soak(const SoakOptions& options) {
     report.events += events[s];
     report.transmissions += transmissions[s];
   }
-  std::uint64_t combined = kFnvOffset;
+  std::uint64_t combined = util::kFnvPinnedSeed;
   for (const std::uint64_t d : digests) {
-    for (int i = 0; i < 8; ++i) {
-      combined ^= (d >> (i * 8)) & 0xff;
-      combined *= kFnvPrime;
-    }
+    std::uint8_t little_endian[8];
+    for (int i = 0; i < 8; ++i) little_endian[i] = (d >> (i * 8)) & 0xff;
+    combined = util::fnv1a(little_endian, combined);
   }
   report.digest = combined;
   for (const std::size_t peak : chunk_peak) {

@@ -2,9 +2,9 @@
 // generator / fault injector / whole differential campaigns (the verdict
 // log must be byte-identical across 1, 2, and 8 worker threads — the
 // `concurrency` label runs this file under TSan), schema round trips
-// over every registry layer, the corpus file format, and a divergence
-// self-test proving the capture oracle actually fires on a known-bad
-// responder.
+// over every registry layer, the corpus file format, and self-tests of
+// the judge: a known-bad responder is divergent, and each verdict fires
+// on sides built for it.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -13,6 +13,7 @@
 #include "eval/students.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/differential.hpp"
+#include "net/ipv6.hpp"
 #include "net/schema.hpp"
 #include "sim/network.hpp"
 #include "sim/ping.hpp"
@@ -251,31 +252,112 @@ TEST(SchemaRoundTrip, TruncatedImageDecodesAsShortReadNotZero) {
 
 // ---- divergence self-test -------------------------------------------------
 
-TEST(DifferentialOracle, KnownBadResponderProducesDivergentCaptures) {
-  // Feed one echo request to two Appendix-A networks under identical
-  // (fault-free) weather: reference responder on one, a Table-2 faulty
-  // student on the other. The captures must differ — if they did not,
-  // the fuzzer's byte-compare oracle would be vacuous.
-  const auto request = sim::PingClient::make_echo_request(
+/// One echo request from the Appendix-A client, as an ICMP case.
+FuzzPacket echo_case() {
+  FuzzPacket packet;
+  packet.protocol = "icmp";
+  packet.scenario = "echo";
+  packet.bytes = sim::PingClient::make_echo_request(
       net::IpAddr(10, 0, 1, 100), net::IpAddr(10, 0, 1, 1), {});
-  const auto run_with = [&](sim::IcmpResponder* responder) {
-    sim::Network net = sim::make_appendix_a_network();
-    net.router()->set_responder(responder);
-    FaultyNetwork wire(net, FaultPlan{}, Rng(1));
-    wire.send("client", request);
-    wire.flush();
-    return sim::own_capture(net.capture());
-  };
+  return packet;
+}
+
+/// One ICMP side as the fuzzer builds it: the capture of an Appendix-A
+/// network whose router runs `responder`, under fault-free weather.
+Side capture_side(sim::IcmpResponder* responder, const FuzzPacket& packet) {
+  sim::Network net = sim::make_appendix_a_network();
+  net.router()->set_responder(responder);
+  FaultyNetwork wire(net, FaultPlan{}, Rng(1));
+  wire.send("client", packet.bytes);
+  wire.flush();
+  Side side;
+  for (const auto& entry : net.capture()) {
+    side.observations.push_back({entry.node, entry.packet.to_vector()});
+  }
+  return side;
+}
+
+TEST(DifferentialOracle, KnownBadResponderProducesDivergentCaptures) {
+  // The reference responder against a Table-2 faulty student: the judge
+  // must call the case divergent and say where the captures part. If it
+  // did not, the fuzzer's byte comparison would be vacuous.
+  const FuzzPacket packet = echo_case();
   sim::ReferenceIcmpResponder reference;
   eval::FaultyIcmpResponder faulty({eval::Fault::kTruncatedReply});
-  const auto ref_cap = run_with(&reference);
-  const auto bad_cap = run_with(&faulty);
-  ASSERT_FALSE(ref_cap.empty());
-  bool differs = ref_cap.size() != bad_cap.size();
-  for (std::size_t i = 0; !differs && i < ref_cap.size(); ++i) {
-    differs = ref_cap[i].packet != bad_cap[i].packet;
-  }
-  EXPECT_TRUE(differs);
+  const Side ref = capture_side(&reference, packet);
+  const Side bad = capture_side(&faulty, packet);
+  ASSERT_FALSE(ref.observations.empty());
+  const CaseResult result = judge(packet, bad, ref);
+  EXPECT_EQ(result.verdict, Verdict::kDivergent) << result.detail;
+  EXPECT_NE(result.detail.find("entry 1 (r) bytes differ at offset"),
+            std::string::npos)
+      << result.detail;
+}
+
+TEST(DifferentialJudge, IdenticalSidesAgreeOnBytes) {
+  const FuzzPacket packet = echo_case();
+  sim::ReferenceIcmpResponder reference;
+  const Side ref = capture_side(&reference, packet);
+  const CaseResult result = judge(packet, ref, ref);
+  EXPECT_EQ(result.verdict, Verdict::kAgreeBytes) << result.detail;
+  EXPECT_TRUE(result.detail.empty()) << result.detail;
+  EXPECT_NE(result.capture_hash, 0u);
+}
+
+TEST(DifferentialJudge, ByteAppendedPastTotalLengthAgreesSemantically) {
+  // Bytes past the IP total length are not part of the datagram, so the
+  // inspector decodes both replies alike: the bytes differ, the meaning
+  // does not.
+  const FuzzPacket packet = echo_case();
+  sim::ReferenceIcmpResponder reference;
+  const Side ref = capture_side(&reference, packet);
+  Side padded = ref;
+  ASSERT_EQ(padded.observations.size(), 2u);
+  ASSERT_EQ(padded.observations[1].label, "r");  // the router
+  auto& reply = *padded.observations[1].bytes;
+  const std::size_t length = reply.size();
+  reply.push_back(0xab);
+  const CaseResult result = judge(packet, padded, ref);
+  EXPECT_EQ(result.verdict, Verdict::kAgreeSemantic) << result.detail;
+  EXPECT_EQ(result.detail,
+            "entry 1 (r) bytes differ at offset " +
+                std::to_string(length) + " (generated len " +
+                std::to_string(length + 1) + ", reference len " +
+                std::to_string(length) + ")");
+}
+
+TEST(DifferentialJudge, Icmp6ReplyAgainstSilenceIsDivergent) {
+  net::Ipv6Header ip6;
+  ip6.next_header = net::kIpProtoIcmp6;
+  ip6.src = net::Ip6Addr::from_groups(0x2001, 0xdb8, 0, 0, 0, 0, 0, 1);
+  ip6.dst = net::Ip6Addr::from_groups(0x2001, 0xdb8, 0, 0, 0, 0, 0, 2);
+  std::vector<std::uint8_t> echo(8, 0);
+  echo[0] = 128;  // echo request
+  FuzzPacket packet;
+  packet.protocol = "icmp6";
+  packet.bytes = net::build_ipv6_packet(ip6, echo);
+  Side replies;
+  replies.observations = {{"echo", std::vector<std::uint8_t>{0x60, 0, 0, 0}},
+                          {"packet-too-big", std::nullopt}};
+  Side silent = replies;
+  silent.observations[0].bytes.reset();
+  const CaseResult agree = judge(packet, replies, replies);
+  EXPECT_EQ(agree.verdict, Verdict::kAgreeBytes) << agree.detail;
+  const CaseResult result = judge(packet, replies, silent);
+  EXPECT_EQ(result.verdict, Verdict::kDivergent);
+  EXPECT_EQ(result.detail, "entry 0 (echo) generated=reply reference=silent");
+  EXPECT_EQ(judge(packet, silent, silent).verdict, Verdict::kAgreeSilent);
+}
+
+TEST(DifferentialJudge, ACrashedSideIsACrashWhateverTheOtherDid) {
+  const FuzzPacket packet = echo_case();
+  sim::ReferenceIcmpResponder reference;
+  const Side ref = capture_side(&reference, packet);
+  Side crashed;
+  crashed.crash = "generated responder threw: boom";
+  const CaseResult result = judge(packet, crashed, ref);
+  EXPECT_EQ(result.verdict, Verdict::kCrash);
+  EXPECT_EQ(result.detail, "generated responder threw: boom");
 }
 
 TEST(DifferentialFuzzer, RunCaseIsDeterministic) {

@@ -1,6 +1,6 @@
 // Property battery for the schema v2 layout-program API: the TLV codec
-// (OptionsView encode/decode), the LayoutCursor and TLV-located wire
-// reads.
+// (OptionsView encode/decode), a layer image's options region and
+// TLV-located wire reads.
 //
 // The central property is round-trip identity: any option list encoded
 // through OptionsView::append, walked back through an OptionsView, and
@@ -155,7 +155,7 @@ TEST(OptionsView, ClassifiesEveryMalformation) {
   (void)make;
 }
 
-TEST(LayoutCursor, ResolvesRegionOnceAndHandlesShortImages) {
+TEST(OptionsView, ResolvesTheLayerRegionAndHandlesShortImages) {
   const auto& reg = SchemaRegistry::instance();
   const auto* dhcp = reg.layer("dhcp");
   ASSERT_NE(dhcp, nullptr);
@@ -166,23 +166,21 @@ TEST(LayoutCursor, ResolvesRegionOnceAndHandlesShortImages) {
   OptionsView::append_scalar(image, 51, 86400, 4);
   OptionsView::append_end(image, dhcp->option_end);
 
-  const LayoutCursor cursor(*dhcp, image);
-  EXPECT_EQ(cursor.options_region().size(), image.size() - dhcp->options_offset);
-  EXPECT_TRUE(cursor.options().ok());
-  EXPECT_EQ(cursor.options().count(), 2u);
-  const auto lease = cursor.options().find(51);
+  const OptionsView options(*dhcp, image);
+  EXPECT_TRUE(options.ok());
+  EXPECT_EQ(options.count(), 2u);
+  // The region starts at options_offset: the first value follows its
+  // code and length bytes there.
+  EXPECT_EQ(options.begin()->value.data(),
+            image.data() + dhcp->options_offset + 2);
+  const auto lease = options.find(51);
   ASSERT_TRUE(lease.has_value());
   EXPECT_EQ(lease->value.size(), 4u);
 
-  // Cursor-based reads agree with the plain read_wire path.
-  const auto* field = reg.field("dhcp", "lease_time");
-  ASSERT_NE(field, nullptr);
-  const auto via_cursor = SchemaRegistry::read_wire(cursor, *field);
-  const auto via_name = reg.read_wire("dhcp", "lease_time", image);
-  ASSERT_TRUE(via_cursor.ok());
-  EXPECT_EQ(via_cursor.value, 86400);
-  EXPECT_EQ(via_name.status, via_cursor.status);
-  EXPECT_EQ(via_name.value, via_cursor.value);
+  // The by-name read finds the same option.
+  const auto lease_time = reg.read_wire("dhcp", "lease_time", image);
+  ASSERT_TRUE(lease_time.ok());
+  EXPECT_EQ(lease_time.value, 86400);
 
   // Absent option reads report kMissingOption, never a zero value.
   const auto missing = reg.read_wire("dhcp", "server_identifier", image);
@@ -190,10 +188,10 @@ TEST(LayoutCursor, ResolvesRegionOnceAndHandlesShortImages) {
 
   // An image that ends before the options region: empty, clean view.
   const std::vector<std::uint8_t> stub(16, 0);
-  const LayoutCursor short_cursor(*dhcp, stub);
-  EXPECT_TRUE(short_cursor.options_region().empty());
-  EXPECT_TRUE(short_cursor.options().ok());
-  EXPECT_EQ(short_cursor.options().count(), 0u);
+  const OptionsView short_options(*dhcp, stub);
+  EXPECT_TRUE(short_options.begin() == short_options.end());
+  EXPECT_TRUE(short_options.ok());
+  EXPECT_EQ(short_options.count(), 0u);
 }
 
 TEST(DecodeLayer, MarksTlvOptionsAndMalformations) {

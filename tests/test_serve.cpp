@@ -28,6 +28,7 @@
 #include "serve/stats.hpp"
 #include "serve/transport.hpp"
 #include "sim/network.hpp"
+#include "util/digest.hpp"
 #include "util/rng.hpp"
 
 namespace sage::serve {
@@ -219,7 +220,7 @@ TEST_F(ServeLoopbackTest, ParseJobMatchesDirectSageSignature) {
   const core::ProtocolRun direct =
       sage.process(corpus::rfc792_revised(), "ICMP");
   const std::string expected =
-      hex64(fnv1a_str(core::protocol_run_signature(direct)));
+      hex64(util::fnv1a_str(core::protocol_run_signature(direct)));
   EXPECT_NE(response.payload.find("signature=" + expected), std::string::npos)
       << response.payload;
   EXPECT_NE(response.payload.find("functions=" +
