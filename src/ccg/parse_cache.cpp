@@ -31,9 +31,6 @@ ParseCache::ParseCache(std::size_t capacity, std::size_t shards) {
 
 std::uint64_t ParseCache::options_fingerprint(const ParserOptions& options) {
   std::uint64_t h = 14695981039346656037ull;  // FNV offset basis
-  h = fnv1a(h, options.enable_composition ? 1 : 0);
-  h = fnv1a(h, options.enable_type_raising ? 1 : 0);
-  h = fnv1a(h, options.enable_coordination ? 1 : 0);
   h = fnv1a(h, options.record_derivations ? 1 : 0);
   h = fnv1a(h, options.max_edges_per_cell);
   h = fnv1a(h, options.max_tokens);

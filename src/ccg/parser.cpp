@@ -490,7 +490,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
       result.unknown_tokens.push_back(tok.text);
     }
 
-    unary_rules(i, 1, options_.enable_type_raising);
+    unary_rules(i, 1, true);
   }
 
   // --- binary combination ------------------------------------------------
@@ -517,30 +517,28 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
                   [] { return "backward application"; }, l.id, r.id);
       }
     }
-    if (options_.enable_composition) {
-      // Forward composition: X/Y  Y/Z  =>  X/Z
-      if (!lc.is_primitive() && !rc.is_primitive() &&
-          lc.slash() == Category::Slash::kForward &&
-          rc.slash() == Category::Slash::kForward &&
-          lc.arg() == rc.result()) {
-        if (const Sem sem = compose(l, r)) {
-          chart.add(start, span,
-                    Category::complex(lc.result(), Category::Slash::kForward,
-                                      rc.arg()),
-                    sem, [] { return "forward composition"; }, l.id, r.id);
-        }
+    // Forward composition: X/Y  Y/Z  =>  X/Z
+    if (!lc.is_primitive() && !rc.is_primitive() &&
+        lc.slash() == Category::Slash::kForward &&
+        rc.slash() == Category::Slash::kForward &&
+        lc.arg() == rc.result()) {
+      if (const Sem sem = compose(l, r)) {
+        chart.add(start, span,
+                  Category::complex(lc.result(), Category::Slash::kForward,
+                                    rc.arg()),
+                  sem, [] { return "forward composition"; }, l.id, r.id);
       }
-      // Backward composition: Y\Z  X\Y  =>  X\Z
-      if (!lc.is_primitive() && !rc.is_primitive() &&
-          lc.slash() == Category::Slash::kBackward &&
-          rc.slash() == Category::Slash::kBackward &&
-          rc.arg() == lc.result()) {
-        if (const Sem sem = compose(r, l)) {
-          chart.add(start, span,
-                    Category::complex(rc.result(), Category::Slash::kBackward,
-                                      lc.arg()),
-                    sem, [] { return "backward composition"; }, l.id, r.id);
-        }
+    }
+    // Backward composition: Y\Z  X\Y  =>  X\Z
+    if (!lc.is_primitive() && !rc.is_primitive() &&
+        lc.slash() == Category::Slash::kBackward &&
+        rc.slash() == Category::Slash::kBackward &&
+        rc.arg() == lc.result()) {
+      if (const Sem sem = compose(r, l)) {
+        chart.add(start, span,
+                  Category::complex(rc.result(), Category::Slash::kBackward,
+                                    lc.arg()),
+                  sem, [] { return "backward composition"; }, l.id, r.id);
       }
     }
     // Noun compounding: N N => N ("echo reply" + "message" =>
@@ -570,8 +568,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
     // Coordination (binarized): CONJ X => X\X with the
     // generalized Φ semantics. The CONJ edge's semantics is the
     // bare conjunction predicate (@And / @Or).
-    if (options_.enable_coordination && l.cat == conj_cat &&
-        l.sem->kind == Term::Kind::kPred) {
+    if (l.cat == conj_cat && l.sem->kind == Term::Kind::kPred) {
       int arity = 0;
       for (const Category* c = r.cat; !c->is_primitive();
            c = c->result()) {
@@ -619,8 +616,8 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
         shapes.clear();
         cand.clear();
         for (const Edge& l : left.edges) {
-          const bool conj = options_.enable_coordination && l.cat == conj_cat &&
-                            l.sem->kind == Term::Kind::kPred;
+          const bool conj =
+              l.cat == conj_cat && l.sem->kind == Term::Kind::kPred;
           const bool n_str = l.cat == n_cat && l.sem->kind == Term::Kind::kStr;
           const std::uint64_t key =
               (std::uint64_t{l.cat->id()} << 2) | (conj << 1) | n_str;
@@ -641,12 +638,10 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
               if (!lc.is_primitive() &&
                   lc.slash() == Category::Slash::kForward) {
                 probe(right.by_cat, lc.arg()->id());  // forward application
-                if (options_.enable_composition) {
-                  probe(right.fwd_by_result, lc.arg()->id());  // fwd comp
-                }
+                probe(right.fwd_by_result, lc.arg()->id());  // fwd comp
               }
               probe(right.bwd_by_arg, lc.id());  // backward application
-              if (options_.enable_composition && !lc.is_primitive() &&
+              if (!lc.is_primitive() &&
                   lc.slash() == Category::Slash::kBackward) {
                 probe(right.bwd_by_arg, lc.result()->id());  // bwd comp
               }
@@ -663,7 +658,7 @@ ParseResult CcgParser::parse(const std::vector<nlp::Token>& tokens) const {
         }
       }
 
-      unary_rules(start, span, options_.enable_type_raising && span < n);
+      unary_rules(start, span, span < n);
     }
   }
 

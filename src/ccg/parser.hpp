@@ -37,9 +37,6 @@
 namespace sage::ccg {
 
 struct ParserOptions {
-  bool enable_composition = true;
-  bool enable_type_raising = true;
-  bool enable_coordination = true;
   /// Record full derivation trees for sentence-level parses (the
   /// Appendix B / Figure 7 output). Off by default: derivations cost
   /// memory and only the explainability surfaces need them.

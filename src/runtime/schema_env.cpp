@@ -43,8 +43,8 @@ SchemaExecEnv::EnvArenaScope::~EnvArenaScope() { --g_env_depth; }
 
 namespace {
 
-/// RFC 5880 §6.8.1 variables in slot order; must match
-/// read_bfd_state/write_bfd_state below.
+/// RFC 5880 §6.8.1 variables in slot order; must match the BFD cases of
+/// read_struct/write_struct below.
 constexpr const char* kBfdStateOrder[] = {
     "session_state",           "remote_session_state",
     "local_discr",             "remote_discr",
@@ -55,13 +55,12 @@ constexpr const char* kBfdStateOrder[] = {
 };
 
 /// Struct-backed IP pseudo-layer in slot order; must match
-/// read_ip/write_ip below.
+/// read_struct/write_struct below.
 constexpr const char* kIpSlotOrder[] = {"src", "dst", "ttl", "tos",
                                         "total_length"};
 
 /// Struct-backed IPv6 pseudo-layer in slot order; must match
-/// read_ip6/write_ip6 below. The writable fields sit in slots 0..3 —
-/// the VM's kStoreIp specialization serves exactly that range.
+/// read_ip6/write_ip6 below.
 constexpr const char* kIp6SlotOrder[] = {
     "src",     "dst",        "hop_limit",      "traffic_class",
     "version", "flow_label", "payload_length", "next_header"};
@@ -108,9 +107,9 @@ const SchemaExecEnv::ProtocolBinding& SchemaExecEnv::binding_for(
         if (layer->name == "ip" || layer->name == "ip6") {
           // Struct-backed pseudo-layers: only the fields the framework
           // serves are bound; the rest stay kNone (unknown at runtime).
-          // Both versions share Binding::Kind::kIp — read_ip/write_ip
-          // dispatch on the env's profile, and a protocol only ever
-          // binds one of the two layers.
+          // Both versions share Binding::Kind::kStruct with BFD's session
+          // — read_struct/write_struct dispatch on the env's profile, and
+          // a protocol only ever binds one of the three structs.
           const bool v6 = layer->name == "ip6";
           const char* const* order = v6 ? kIp6SlotOrder : kIpSlotOrder;
           const std::size_t order_n =
@@ -119,7 +118,7 @@ const SchemaExecEnv::ProtocolBinding& SchemaExecEnv::binding_for(
             const int slot = index_in(order, order_n, f.name);
             if (slot < 0) continue;
             auto& b = pb.by_id[static_cast<std::size_t>(f.id)];
-            b.kind = Binding::Kind::kIp;
+            b.kind = Binding::Kind::kStruct;
             b.spec = &f;
             b.slot = static_cast<std::uint8_t>(slot);
           }
@@ -158,7 +157,7 @@ const SchemaExecEnv::ProtocolBinding& SchemaExecEnv::binding_for(
                 const int slot = index_in(
                     kBfdStateOrder, std::size(kBfdStateOrder), f.name);
                 if (slot >= 0) {
-                  b.kind = Binding::Kind::kBfdState;
+                  b.kind = Binding::Kind::kStruct;
                   b.slot = static_cast<std::uint8_t>(slot);
                   break;
                 }
@@ -249,56 +248,19 @@ SchemaExecEnv SchemaExecEnv::icmp(std::span<const std::uint8_t> raw_incoming,
   env.own_address_ = own_address;
   env.clock_ = 36000000;  // deterministic OS clock (ms since midnight UT)
 
-  auto& icmp_layer = env.wire_[0];
-  icmp_layer.has_in = true;
-
   const auto ip = net::Ipv4Header::parse(raw_incoming);
   if (!ip) {
     env.valid_ = false;
-    icmp_layer.in_image.assign(icmp_layer.spec->header_bytes, 0);
+    env.take_icmp_message({}, false, false);
     return env;
   }
   env.in_ip_ = *ip;
-  bool in_has_icmp = false;
-  const bool trigger_is_icmp =
-      ip->protocol == static_cast<std::uint8_t>(net::IpProto::kIcmp);
-  if (start_from_incoming && trigger_is_icmp) {
-    const auto icmp_bytes = raw_incoming.subspan(ip->header_length());
-    if (icmp_bytes.size() >= 8) {
-      icmp_layer.in_image.assign(icmp_bytes.begin(), icmp_bytes.begin() + 8);
-      icmp_layer.in_payload = icmp_bytes.subspan(8);
-      in_has_icmp = true;
-    } else {
-      // Truncated ICMP message on a receiver path (reply-by-mutation):
-      // keep only the bytes that exist. Reads whose bit range falls past
-      // the end report a short read (nullopt) instead of fabricating
-      // zeros from a full-size blank image, so no reply is built from
-      // invented field values.
-      icmp_layer.in_image.assign(icmp_bytes.begin(), icmp_bytes.end());
-      env.input_truncated_ = true;
-    }
-  } else {
-    // Error-sender flows (any trigger) and non-ICMP receivers: RFC 792's
-    // field prose ("if code = 0, ...") describes the error message under
-    // construction, not the offending datagram, so the message view is a
-    // blank image. The offending datagram stays reachable through the ip
-    // layer and the header+64-bits excerpt (raw_incoming_).
-    icmp_layer.in_image.assign(icmp_layer.spec->header_bytes, 0);
-    if (trigger_is_icmp &&
-        raw_incoming.subspan(ip->header_length()).size() < 8) {
-      env.input_truncated_ = true;
-    }
-  }
+  env.take_icmp_message(
+      raw_incoming.subspan(ip->header_length()),
+      ip->protocol == static_cast<std::uint8_t>(net::IpProto::kIcmp),
+      start_from_incoming);
   env.out_ip_ = pb.ip_template;
   env.out_ip_.src = own_address;
-  if (start_from_incoming && in_has_icmp) {
-    // Reply-by-mutation (RFC 792): the outgoing message starts as a byte
-    // copy of the request — the request's checksum included, stale on
-    // purpose.
-    icmp_layer.out_image = icmp_layer.in_image;
-    icmp_layer.out_payload.assign(icmp_layer.in_payload.begin(),
-                                  icmp_layer.in_payload.end());
-  }
   return env;
 }
 
@@ -311,52 +273,53 @@ SchemaExecEnv SchemaExecEnv::icmp6(std::span<const std::uint8_t> raw_incoming,
   env.own6_ = own_address;
   env.clock_ = 36000000;  // deterministic OS clock (ms since midnight UT)
 
-  auto& layer = env.wire_[0];
-  layer.has_in = true;
-
   const auto ip6 = net::Ipv6Header::parse(raw_incoming);
   if (!ip6) {
     env.valid_ = false;
-    layer.in_image.assign(layer.spec->header_bytes, 0);
+    env.take_icmp_message({}, false, false);
     return env;
   }
   env.in_ip6_ = *ip6;
-  bool in_has_icmp6 = false;
-  const bool trigger_is_icmp6 = ip6->next_header == net::kIpProtoIcmp6;
-  const auto icmp6_bytes = raw_incoming.subspan(net::Ipv6Header::kHeaderBytes);
-  if (start_from_incoming && trigger_is_icmp6) {
-    if (icmp6_bytes.size() >= 8) {
-      layer.in_image.assign(icmp6_bytes.begin(), icmp6_bytes.begin() + 8);
-      layer.in_payload = icmp6_bytes.subspan(8);
-      in_has_icmp6 = true;
-    } else {
-      // Truncated ICMPv6 message on a receiver path: keep only the bytes
-      // that exist, so short reads surface instead of invented zeros
-      // (same contract as the v4 factory).
-      layer.in_image.assign(icmp6_bytes.begin(), icmp6_bytes.end());
-      env.input_truncated_ = true;
-    }
-  } else {
-    // Error-sender flows and non-ICMPv6 triggers: the message view is
-    // the error message under construction, so it starts blank; the
-    // offending packet stays reachable through the ip6 layer and the
-    // invoking-packet excerpt (raw_incoming_).
-    layer.in_image.assign(layer.spec->header_bytes, 0);
-    if (trigger_is_icmp6 && icmp6_bytes.size() < 8) {
-      env.input_truncated_ = true;
-    }
-  }
+  env.take_icmp_message(raw_incoming.subspan(net::Ipv6Header::kHeaderBytes),
+                        ip6->next_header == net::kIpProtoIcmp6,
+                        start_from_incoming);
   // ip6 serialization defaults land on the struct-backed header — the
   // analogue of the image layers' templates.
   env.out_ip6_ = pb.ip6_template;
   env.out_ip6_.src = own_address;
-  if (start_from_incoming && in_has_icmp6) {
-    // Reply-by-mutation: the outgoing message starts as a byte copy of
-    // the request, stale checksum included (RFC 792 idiom carried over).
+  return env;
+}
+
+void SchemaExecEnv::take_icmp_message(std::span<const std::uint8_t> message,
+                                      bool is_icmp, bool start_from_incoming) {
+  auto& layer = wire_[0];
+  layer.has_in = true;
+  if (start_from_incoming && is_icmp && message.size() >= 8) {
+    layer.in_image.assign(message.begin(), message.begin() + 8);
+    layer.in_payload = message.subspan(8);
+    // Reply-by-mutation (RFC 792): the outgoing message starts as a byte
+    // copy of the request — the request's checksum included, stale on
+    // purpose.
     layer.out_image = layer.in_image;
     layer.out_payload.assign(layer.in_payload.begin(), layer.in_payload.end());
+    return;
   }
-  return env;
+  input_truncated_ = is_icmp && message.size() < 8;
+  if (start_from_incoming && input_truncated_) {
+    // Truncated message on a receiver path (reply-by-mutation): keep only
+    // the bytes that exist. Reads whose bit range falls past the end
+    // report a short read (nullopt) instead of fabricating zeros from a
+    // full-size blank image, so no reply is built from invented values.
+    layer.in_image.assign(message.begin(), message.end());
+  } else {
+    // Undecodable packets, error-sender flows (any trigger) and receivers
+    // of another protocol: RFC 792's field prose ("if code = 0, ...")
+    // describes the error message under construction, not the offending
+    // datagram, so the message view is a blank image. The offending
+    // datagram stays reachable through the ip/ip6 layer and the
+    // invoking-packet excerpt (raw_incoming_).
+    layer.in_image.assign(layer.spec->header_bytes, 0);
+  }
 }
 
 SchemaExecEnv SchemaExecEnv::igmp(net::IpAddr own_address,
@@ -443,12 +406,10 @@ std::optional<long> SchemaExecEnv::read_field(const codegen::FieldRef& ref,
       return static_cast<long>(
           util::get_be32({pl.data() + spec.payload_offset, 4}));
     }
-    case Binding::Kind::kIp:
-      return read_ip(b->slot, sel);
+    case Binding::Kind::kStruct:
+      return read_struct(b->slot, sel);
     case Binding::Kind::kState:
       return state_slots_[b->slot];
-    case Binding::Kind::kBfdState:
-      return read_bfd_state(b->slot);
     case Binding::Kind::kToken:
       return 0;
     case Binding::Kind::kBytes:
@@ -490,13 +451,11 @@ bool SchemaExecEnv::write_field(const codegen::FieldRef& ref, long value) {
                      static_cast<std::uint32_t>(value));
       return true;
     }
-    case Binding::Kind::kIp:
-      return write_ip(b->slot, value);
+    case Binding::Kind::kStruct:
+      return write_struct(b->slot, value);
     case Binding::Kind::kState:
       state_slots_[b->slot] = value;
       return true;
-    case Binding::Kind::kBfdState:
-      return write_bfd_state(b->slot, value);
     case Binding::Kind::kToken:
     case Binding::Kind::kBytes:
     case Binding::Kind::kNone:
@@ -505,11 +464,29 @@ bool SchemaExecEnv::write_field(const codegen::FieldRef& ref, long value) {
   return false;
 }
 
-std::optional<long> SchemaExecEnv::read_ip(std::uint8_t slot,
-                                           codegen::PacketSel sel) const {
-  // Kind::kIp covers both struct-backed pseudo-layers; the profile says
-  // which one this env actually carries (a protocol binds only one).
+std::optional<long> SchemaExecEnv::read_struct(std::uint8_t slot,
+                                               codegen::PacketSel sel) const {
+  // Kind::kStruct covers every struct-backed field; the profile says which
+  // struct this env carries (a protocol binds fields of only one).
   if (profile_ == Profile::kIcmp6) return read_ip6(slot, sel);
+  if (profile_ == Profile::kBfd) {
+    const auto& s = *bfd_state_;
+    switch (slot) {
+      case 0: return static_cast<long>(s.session_state);
+      case 1: return static_cast<long>(s.remote_session_state);
+      case 2: return static_cast<long>(s.local_discr);
+      case 3: return static_cast<long>(s.remote_discr);
+      case 4: return static_cast<long>(s.local_diag);
+      case 5: return static_cast<long>(s.desired_min_tx_interval);
+      case 6: return static_cast<long>(s.required_min_rx_interval);
+      case 7: return static_cast<long>(s.remote_min_rx_interval);
+      case 8: return s.demand_mode ? 1 : 0;
+      case 9: return s.remote_demand_mode ? 1 : 0;
+      case 10: return s.detect_mult;
+      case 11: return s.auth_type;
+      default: return std::nullopt;
+    }
+  }
   const net::Ipv4Header& ip =
       sel == codegen::PacketSel::kIncoming ? in_ip_ : out_ip_;
   switch (slot) {
@@ -522,8 +499,26 @@ std::optional<long> SchemaExecEnv::read_ip(std::uint8_t slot,
   }
 }
 
-bool SchemaExecEnv::write_ip(std::uint8_t slot, long value) {
+bool SchemaExecEnv::write_struct(std::uint8_t slot, long value) {
   if (profile_ == Profile::kIcmp6) return write_ip6(slot, value);
+  if (profile_ == Profile::kBfd) {
+    auto& s = *bfd_state_;
+    switch (slot) {
+      case 0: s.session_state = static_cast<net::BfdState>(value); return true;
+      case 1: s.remote_session_state = static_cast<net::BfdState>(value); return true;
+      case 2: s.local_discr = static_cast<std::uint32_t>(value); return true;
+      case 3: s.remote_discr = static_cast<std::uint32_t>(value); return true;
+      case 4: s.local_diag = static_cast<net::BfdDiag>(value); return true;
+      case 5: s.desired_min_tx_interval = static_cast<std::uint32_t>(value); return true;
+      case 6: s.required_min_rx_interval = static_cast<std::uint32_t>(value); return true;
+      case 7: s.remote_min_rx_interval = static_cast<std::uint32_t>(value); return true;
+      case 8: s.demand_mode = value != 0; return true;
+      case 9: s.remote_demand_mode = value != 0; return true;
+      case 10: s.detect_mult = static_cast<std::uint8_t>(value); return true;
+      case 11: s.auth_type = static_cast<std::uint8_t>(value); return true;
+      default: return false;
+    }
+  }
   switch (slot) {
     case 0: out_ip_.src = net::IpAddr(static_cast<std::uint32_t>(value)); return true;
     case 1: out_ip_.dst = net::IpAddr(static_cast<std::uint32_t>(value)); return true;
@@ -574,44 +569,6 @@ bool SchemaExecEnv::write_ip6(std::uint8_t slot, long value) {
     }
     case 2: out_ip6_.hop_limit = static_cast<std::uint8_t>(value); return true;
     case 3: out_ip6_.traffic_class = static_cast<std::uint8_t>(value); return true;
-    default: return false;
-  }
-}
-
-std::optional<long> SchemaExecEnv::read_bfd_state(std::uint8_t slot) const {
-  const auto& s = *bfd_state_;
-  switch (slot) {
-    case 0: return static_cast<long>(s.session_state);
-    case 1: return static_cast<long>(s.remote_session_state);
-    case 2: return static_cast<long>(s.local_discr);
-    case 3: return static_cast<long>(s.remote_discr);
-    case 4: return static_cast<long>(s.local_diag);
-    case 5: return static_cast<long>(s.desired_min_tx_interval);
-    case 6: return static_cast<long>(s.required_min_rx_interval);
-    case 7: return static_cast<long>(s.remote_min_rx_interval);
-    case 8: return s.demand_mode ? 1 : 0;
-    case 9: return s.remote_demand_mode ? 1 : 0;
-    case 10: return s.detect_mult;
-    case 11: return s.auth_type;
-    default: return std::nullopt;
-  }
-}
-
-bool SchemaExecEnv::write_bfd_state(std::uint8_t slot, long value) {
-  auto& s = *bfd_state_;
-  switch (slot) {
-    case 0: s.session_state = static_cast<net::BfdState>(value); return true;
-    case 1: s.remote_session_state = static_cast<net::BfdState>(value); return true;
-    case 2: s.local_discr = static_cast<std::uint32_t>(value); return true;
-    case 3: s.remote_discr = static_cast<std::uint32_t>(value); return true;
-    case 4: s.local_diag = static_cast<net::BfdDiag>(value); return true;
-    case 5: s.desired_min_tx_interval = static_cast<std::uint32_t>(value); return true;
-    case 6: s.required_min_rx_interval = static_cast<std::uint32_t>(value); return true;
-    case 7: s.remote_min_rx_interval = static_cast<std::uint32_t>(value); return true;
-    case 8: s.demand_mode = value != 0; return true;
-    case 9: s.remote_demand_mode = value != 0; return true;
-    case 10: s.detect_mult = static_cast<std::uint8_t>(value); return true;
-    case 11: s.auth_type = static_cast<std::uint8_t>(value); return true;
     default: return false;
   }
 }

@@ -164,16 +164,16 @@ class SchemaExecEnv {
       kWire,           // bit range in a layer's header image
       kPayloadScalar,  // 32-bit big-endian at a payload byte offset
       kBytes,          // the payload itself
-      kIp,             // IP pseudo-layer backed by Ipv4Header structs
+      kStruct,         // a field of a struct the env holds: the IPv4 or
+                       // IPv6 header, or the RFC 5880 §6.8.1 session
       kState,          // generic long slot (igmp.host_group_address,
                        // ntp.peer_timer, tcp.*, bgp.*)
-      kBfdState,       // RFC 5880 §6.8.1 variable in *bfd_state_
       kToken,          // reads as 0 ("the ICMP message")
     };
     Kind kind = Kind::kNone;
     const net::schema::FieldSpec* spec = nullptr;
     std::uint8_t layer_slot = 0;  // kWire/kPayloadScalar/kBytes: wire_ index
-    std::uint8_t slot = 0;        // kState/kBfdState/kIp: accessor index
+    std::uint8_t slot = 0;        // kState/kStruct: accessor index
     /// icmp.pointer: a write fills the whole 32-bit rest word with
     /// value << 24 (RFC 792's "pointer + unused"), zeroing the rest.
     bool write_fills_rest_word = false;
@@ -263,19 +263,26 @@ class SchemaExecEnv {
   /// bits of data; RFC 4443 §3.1: as much as fits the minimum MTU).
   std::span<const std::uint8_t> datagram_excerpt() const;
 
-  std::optional<long> read_ip(std::uint8_t slot, codegen::PacketSel sel) const;
-  bool write_ip(std::uint8_t slot, long value);
+  /// The ICMP and ICMPv6 factories' incoming-message view: `message` is
+  /// what follows the IP header, `is_icmp` whether that header names the
+  /// factory's ICMP version as the next protocol.
+  void take_icmp_message(std::span<const std::uint8_t> message, bool is_icmp,
+                         bool start_from_incoming);
+
+  /// A Kind::kStruct field of the one struct this env's profile carries:
+  /// the IPv4 header, the IPv6 header or the BFD session.
+  std::optional<long> read_struct(std::uint8_t slot,
+                                  codegen::PacketSel sel) const;
+  bool write_struct(std::uint8_t slot, long value);
   std::optional<long> read_ip6(std::uint8_t slot, codegen::PacketSel sel) const;
   bool write_ip6(std::uint8_t slot, long value);
   const net::Ip6Addr* resolve_addr6(long handle) const;
-  std::optional<long> read_bfd_state(std::uint8_t slot) const;
-  bool write_bfd_state(std::uint8_t slot, long value);
 
   /// The bodies of the framework table's scalar and effect ops, shared
   /// by call_scalar / call_effect and the VM's specialized ops.
   long framework_value(codegen::framework::Op op,
                        std::span<const long> args) const;
-  /// Inline, so the VM's kEffect* ops compile to the bare effect.
+  /// Inline, so the VM's kEffect op runs it without a call.
   void framework_effect(codegen::framework::Op op);
 
   /// The thread-local arena backing every env's layer images on this

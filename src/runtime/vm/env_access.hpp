@@ -33,20 +33,13 @@ struct EnvAccess {
   static std::vector<long>& state(SchemaExecEnv& env) {
     return env.state_slots_;
   }
-  static std::optional<long> read_ip(const SchemaExecEnv& env,
-                                     std::uint8_t slot, codegen::PacketSel sel) {
-    return env.read_ip(slot, sel);
+  static std::optional<long> read_struct(const SchemaExecEnv& env,
+                                         std::uint8_t slot,
+                                         codegen::PacketSel sel) {
+    return env.read_struct(slot, sel);
   }
-  static bool write_ip(SchemaExecEnv& env, std::uint8_t slot, long value) {
-    return env.write_ip(slot, value);
-  }
-  static std::optional<long> read_bfd_state(const SchemaExecEnv& env,
-                                            std::uint8_t slot) {
-    return env.read_bfd_state(slot);
-  }
-  static bool write_bfd_state(SchemaExecEnv& env, std::uint8_t slot,
-                              long value) {
-    return env.write_bfd_state(slot, value);
+  static bool write_struct(SchemaExecEnv& env, std::uint8_t slot, long value) {
+    return env.write_struct(slot, value);
   }
   static long scenario_value(const SchemaExecEnv& env) {
     return env.scenario_value_;
@@ -54,10 +47,11 @@ struct EnvAccess {
 
   // The framework table's op bodies (codegen/framework.hpp), the same
   // ones SchemaExecEnv::call_scalar and call_effect run: kPushFramework
-  // reads a value op, the kEffect* ops run an effect op.
+  // reads a value op, kEffect runs an effect op.
   static long framework_value(const SchemaExecEnv& env,
-                              codegen::framework::Op op) {
-    return env.framework_value(op, {});
+                              codegen::framework::Op op,
+                              std::span<const long> args) {
+    return env.framework_value(op, args);
   }
   static void framework_effect(SchemaExecEnv& env,
                                codegen::framework::Op op) {

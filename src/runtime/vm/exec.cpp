@@ -136,10 +136,10 @@ inline void op_kPushPayload(Frame& f) {
   ++f.ip;
 }
 
-inline void op_kPushIp(Frame& f) {
+inline void op_kPushStruct(Frame& f) {
   const Insn& in = f.code[f.ip];
-  push_opt(f, EnvAccess::read_ip(f.env, static_cast<std::uint8_t>(in.b),
-                                 static_cast<codegen::PacketSel>(in.a)));
+  push_opt(f, EnvAccess::read_struct(f.env, static_cast<std::uint8_t>(in.b),
+                                     static_cast<codegen::PacketSel>(in.a)));
   ++f.ip;
 }
 
@@ -148,18 +148,9 @@ inline void op_kPushState(Frame& f) {
   ++f.ip;
 }
 
-inline void op_kPushBfdState(Frame& f) {
-  push_opt(f, EnvAccess::read_bfd_state(
-                  f.env, static_cast<std::uint8_t>(f.code[f.ip].b)));
-  ++f.ip;
-}
-
-inline void op_kPushZero(Frame& f) {
-  f.stack[f.sp++] = 0;
-  ++f.ip;
-}
-
 inline void op_kPushNull(Frame& f) {
+  // The arguments of a call to a name the profile does not serve.
+  f.sp -= f.code[f.ip].a;
   f.poison = true;
   f.stack[f.sp++] = 0;
   ++f.ip;
@@ -207,36 +198,6 @@ inline void op_kJumpIfTrue(Frame& f) {
   f.ip = f.stack[--f.sp] != 0 ? in.c : f.ip + 1;
 }
 
-inline void op_kCallScalar(Frame& f) {
-  ++f.slow;
-  const Insn& in = f.code[f.ip];
-  f.sp -= in.a;
-  if (f.poison) {
-    // An argument failed: the tree never reaches the framework call.
-    // Poison stays raised for the expression's consumer.
-    f.stack[f.sp++] = 0;
-  } else {
-    const std::vector<long> args(f.stack + f.sp, f.stack + f.sp + in.a);
-    push_opt(f, f.env.call_scalar(f.prog.names()[in.b], args));
-  }
-  ++f.ip;
-}
-
-inline void op_kCallEffect(Frame& f) {
-  ++f.slow;
-  const Insn& in = f.code[f.ip];
-  f.sp -= in.a;
-  bool ok = false;
-  if (f.poison) {
-    f.poison = false;
-  } else {
-    const std::vector<long> args(f.stack + f.sp, f.stack + f.sp + in.a);
-    ok = f.env.call_effect(f.prog.names()[in.b], args);
-  }
-  if (!ok) fail(f, "framework call failed: " + f.prog.names()[in.b]);
-  ++f.ip;
-}
-
 /// A wire store once its value is known. `fills_rest` is RFC 792's
 /// pointer, whose write owns the whole rest word.
 inline void store_wire(Frame& f, std::size_t slot, bool fills_rest,
@@ -279,13 +240,13 @@ inline void op_kStorePayload(Frame& f) {
   ++f.ip;
 }
 
-inline void op_kStoreIp(Frame& f) {
+inline void op_kStoreStruct(Frame& f) {
   const Insn& in = f.code[f.ip];
   long value;
-  if (store_value(f, value)) {
-    if (!EnvAccess::write_ip(f.env, static_cast<std::uint8_t>(in.b), value)) {
-      store_rejected(f);
-    }
+  if (store_value(f, value) &&
+      !EnvAccess::write_struct(f.env, static_cast<std::uint8_t>(in.b),
+                               value)) {
+    store_rejected(f);
   }
   ++f.ip;
 }
@@ -294,18 +255,6 @@ inline void op_kStoreState(Frame& f) {
   const Insn& in = f.code[f.ip];
   long value;
   if (store_value(f, value)) f.state[in.b] = value;
-  ++f.ip;
-}
-
-inline void op_kStoreBfdState(Frame& f) {
-  const Insn& in = f.code[f.ip];
-  long value;
-  if (store_value(f, value)) {
-    if (!EnvAccess::write_bfd_state(f.env, static_cast<std::uint8_t>(in.b),
-                                    value)) {
-      store_rejected(f);
-    }
-  }
   ++f.ip;
 }
 
@@ -359,14 +308,30 @@ inline void op_kCopyExcerpt(Frame& f) {
 
 inline void op_kPushFramework(Frame& f) {
   const Insn& in = f.code[f.ip];
-  // Arguments are evaluated and ignored, as call_scalar ignores them. A
-  // failed argument means the tree never reaches the framework call:
-  // poison stays raised for the expression's consumer (op_kCallScalar).
+  // A failed argument means the tree never reaches the framework call:
+  // poison stays raised for the expression's consumer.
   f.sp -= in.a;
-  f.stack[f.sp++] =
+  const long value =
       f.poison ? 0
                : EnvAccess::framework_value(
-                     f.env, static_cast<framework::Op>(in.b));
+                     f.env, static_cast<framework::Op>(in.b),
+                     {f.stack + f.sp, in.a});
+  f.stack[f.sp++] = value;
+  ++f.ip;
+}
+
+inline void op_kEffect(Frame& f) {
+  const Insn& in = f.code[f.ip];
+  // Arguments are evaluated and ignored, as call_effect ignores them. A
+  // failed argument skips the call, as a name the profile does not serve
+  // fails it, with the tree's error string.
+  f.sp -= in.a;
+  if (f.poison || in.b == kUnserved) {
+    f.poison = false;
+    fail(f, "framework call failed: " + f.prog.names()[in.c]);
+  } else {
+    EnvAccess::framework_effect(f.env, static_cast<framework::Op>(in.b));
+  }
   ++f.ip;
 }
 
@@ -404,54 +369,16 @@ inline void op_kStoreWireConst(Frame& f) {
   ++f.ip;
 }
 
-/// Shared prologue of the specialized 0-arg effects: replays
-/// op_kCallEffect's poison consumption (argument evaluation failed ->
-/// the framework call never runs, same error string).
-inline bool effect_entry(Frame& f) {
-  if (f.poison) {
-    f.poison = false;
-    fail(f, "framework call failed: " + f.prog.names()[f.code[f.ip].b]);
-    return false;
-  }
-  return true;
-}
-
-inline void op_kEffectChecksum(Frame& f) {
-  if (effect_entry(f)) {
-    EnvAccess::framework_effect(f.env, framework::Op::kChecksumFlag);
-  }
-  ++f.ip;
-}
-
-inline void op_kEffectReverse(Frame& f) {
-  if (effect_entry(f)) {
-    EnvAccess::framework_effect(f.env, framework::Op::kReverseAddresses);
-  }
-  ++f.ip;
-}
-
-inline void op_kEffectTimeout(Frame& f) {
-  if (effect_entry(f)) {
-    EnvAccess::framework_effect(f.env, framework::Op::kTimeout);
-  }
-  ++f.ip;
-}
-
-inline void op_kEffectNop(Frame& f) {
-  effect_entry(f);
-  ++f.ip;
-}
-
-inline void op_kCopyIp(Frame& f) {
+inline void op_kCopyStruct(Frame& f) {
   const Insn& in = f.code[f.ip];
   const auto value =
-      EnvAccess::read_ip(f.env, static_cast<std::uint8_t>(in.b >> 8),
-                         static_cast<codegen::PacketSel>(in.a));
+      EnvAccess::read_struct(f.env, static_cast<std::uint8_t>(in.b >> 8),
+                             static_cast<codegen::PacketSel>(in.a));
   if (f.poison || !value) {
     f.poison = false;
     fail(f, "expression failed for assignment to " +
                 f.prog.refs()[in.c].ref.to_string());
-  } else if (!EnvAccess::write_ip(
+  } else if (!EnvAccess::write_struct(
                  f.env, static_cast<std::uint8_t>(in.b & 0xff), *value)) {
     store_rejected(f);
   }

@@ -35,14 +35,12 @@ Insn specialize_read(const EnvAccess::Binding* b, const codegen::LinInsn& in) {
       return {Op::kPushWire, in.a, b->layer_slot, in.b, bake_spec(b->spec)};
     case Kind::kPayloadScalar:
       return {Op::kPushPayload, in.a, b->layer_slot, in.b, bake_spec(b->spec)};
-    case Kind::kIp:
-      return {Op::kPushIp, in.a, b->slot};
+    case Kind::kStruct:
+      return {Op::kPushStruct, in.a, b->slot};
     case Kind::kState:
       return {Op::kPushState, 0, b->slot};
-    case Kind::kBfdState:
-      return {Op::kPushBfdState, 0, b->slot};
-    case Kind::kToken:
-      return {Op::kPushZero};
+    case Kind::kToken:  // reads as 0
+      return {Op::kPushConst};
     case Kind::kBytes:  // scalar read of the payload -> unknown
     case Kind::kNone:
       return {Op::kPushNull};
@@ -73,14 +71,12 @@ Insn specialize_store(const EnvAccess::ProtocolBinding& pb,
               static_cast<std::uint16_t>(
                   pb.wire_layers[b->layer_slot]->payload_scalar_bytes),
               in.b, bake_spec(b->spec)};
-    case Kind::kIp:
-      // write_ip serves slots 0..3; total_length (slot 4) rejects.
-      if (b->slot > 3) return {Op::kStoreFail, 0, 0, in.b};
-      return {Op::kStoreIp, 0, b->slot, in.b};
+    case Kind::kStruct:
+      // Every struct field the schema marks writable has a slot the
+      // env's write_struct serves.
+      return {Op::kStoreStruct, 0, b->slot, in.b};
     case Kind::kState:
       return {Op::kStoreState, 0, b->slot, in.b};
-    case Kind::kBfdState:
-      return {Op::kStoreBfdState, 0, b->slot, in.b};
     case Kind::kToken:
     case Kind::kBytes:
     case Kind::kNone:
@@ -121,42 +117,30 @@ Insn specialize_bytes(const EnvAccess::ProtocolBinding& pb,
   return {Op::kAssignBytes, in.a, in.b, in.c};
 }
 
-/// Specialize a scalar framework call whose op reads one env value into
-/// kPushFramework. The checksum ops serialize the outgoing message and,
-/// like names the profile does not serve, keep the generic slow-path op.
+/// Specialize a scalar framework call: a row the profile serves becomes
+/// kPushFramework, which hands the popped arguments to the row's op body
+/// (the checksum rows read one); any other name reads as unknown, and
+/// kPushNull pops its arguments.
 Insn specialize_call(const EnvAccess::ProtocolBinding& pb,
                      const codegen::LinearProgram& linear,
                      const codegen::LinInsn& in) {
   const auto* f = framework::find(pb.profile, linear.names[in.b],
                                   framework::Kind::kScalar);
-  if (f == nullptr || f->op == framework::Op::kChecksumSum ||
-      f->op == framework::Op::kChecksum) {
-    return {Op::kCallScalar, in.a, in.b};
-  }
+  if (f == nullptr) return {Op::kPushNull, in.a};
   return {Op::kPushFramework, in.a, static_cast<std::uint16_t>(f->op), in.b};
 }
 
-/// Specialize a 0-arg framework effect whose op has a dedicated VM op
-/// (the deferred-checksum flag, the address swap, the timeout, the
-/// accepted-and-ignored sends). The binding-key guard makes this sound:
-/// any env the program can run against shares the table, hence the
-/// profile. BFD's session effects keep the generic op.
+/// Specialize an effect call, with any argument count, into kEffect
+/// keyed by its row's op; a name the profile does not serve takes
+/// kEffect's failure path. The binding-key guard makes this sound: any
+/// env the program can run against shares the table, hence the profile.
 Insn specialize_effect(const EnvAccess::ProtocolBinding& pb,
                        const codegen::LinearProgram& linear,
                        const codegen::LinInsn& in) {
-  const Insn generic{Op::kCallEffect, in.a, in.b};
-  const auto* f = in.a == 0 ? framework::find(pb.profile, linear.names[in.b],
-                                              framework::Kind::kEffect)
-                            : nullptr;
-  if (f == nullptr) return generic;
-  switch (f->op) {
-    case framework::Op::kChecksumFlag: return {Op::kEffectChecksum, 0, in.b};
-    case framework::Op::kReverseAddresses:
-      return {Op::kEffectReverse, 0, in.b};
-    case framework::Op::kTimeout: return {Op::kEffectTimeout, 0, in.b};
-    case framework::Op::kNop: return {Op::kEffectNop, 0, in.b};
-    default: return generic;
-  }
+  const auto* f = framework::find(pb.profile, linear.names[in.b],
+                                  framework::Kind::kEffect);
+  return {Op::kEffect, in.a,
+          f != nullptr ? static_cast<std::uint16_t>(f->op) : kUnserved, in.b};
 }
 
 inline bool is_branch(Op op) {
@@ -170,7 +154,7 @@ inline bool is_branch(Op op) {
 ///   kCmp, kJumpIf*                          -> kCmpBranch
 ///   kPushScenario, kPushConst, kCmp, branch -> kGuardScenario
 ///   kPushConst, kStoreWire (byte-sized)     -> kStoreWireConst
-///   kPushIp, kStoreIp                       -> kCopyIp
+///   kPushStruct, kStoreStruct               -> kCopyStruct
 ///
 /// Each fused op replays its sequence exactly (poison consumption, error
 /// strings, branch polarity); a window is only fused when no jump lands
@@ -220,9 +204,9 @@ std::vector<Insn> fuse(const std::vector<Insn>& spec) {
                      spec[i + 1].c, spec[i + 1].imm});
       map[i + 1] = map[i];
       i += 2;
-    } else if (i + 1 < spec.size() && spec[i].op == Op::kPushIp &&
-               spec[i + 1].op == Op::kStoreIp && interior_free(i, i + 2)) {
-      out.push_back({Op::kCopyIp, spec[i].a,
+    } else if (i + 1 < spec.size() && spec[i].op == Op::kPushStruct &&
+               spec[i + 1].op == Op::kStoreStruct && interior_free(i, i + 2)) {
+      out.push_back({Op::kCopyStruct, spec[i].a,
                      static_cast<std::uint16_t>((spec[i].b << 8) |
                                                 spec[i + 1].b),
                      spec[i + 1].c});
@@ -284,7 +268,7 @@ std::string Program::disassemble() const {
       case Op::kGuardScenario:
         out += " " + std::to_string(in.imm) + " -> " + std::to_string(in.c);
         break;
-      case Op::kCopyIp:
+      case Op::kCopyStruct:
         out += " " + refs_[in.c].ref.to_string();
         break;
       case Op::kPushWire:
@@ -296,17 +280,8 @@ std::string Program::disassemble() const {
         out += " " + spec->name;
         break;
       }
-      case Op::kCallScalar:
-      case Op::kCallEffect:
-        out += " " + names_[in.b] + "/" + std::to_string(in.a);
-        break;
-      case Op::kEffectChecksum:
-      case Op::kEffectReverse:
-      case Op::kEffectTimeout:
-      case Op::kEffectNop:
-        out += " " + names_[in.b];
-        break;
       case Op::kPushFramework:
+      case Op::kEffect:
         out += " " + names_[in.c] + "/" + std::to_string(in.a);
         break;
       case Op::kStoreWireConst: {
@@ -317,9 +292,8 @@ std::string Program::disassemble() const {
       }
       case Op::kStoreFail:
       case Op::kStoreNoop:
-      case Op::kStoreIp:
+      case Op::kStoreStruct:
       case Op::kStoreState:
-      case Op::kStoreBfdState:
         out += " " + refs_[in.c].ref.to_string();
         break;
       default:

@@ -25,31 +25,27 @@ namespace sage::runtime::vm {
 // and the dispatcher's label table (exec.cpp) in exactly the same order —
 // the computed-goto label table is indexed by raw op value.
 //
-// Fast-path ops touch env storage directly (images, slots, structs);
-// slow-path ops (counted in ExecStats::slow_path_entries) go through the
-// env's framework-function / bytes machinery.
+// Fast-path ops touch env storage directly (images, slots, structs) or
+// run a framework-table op body; slow-path ops (counted in
+// ExecStats::slow_path_entries) go through the env's generic bytes
+// machinery or fail a write.
 #define SAGE_VM_OP_LIST(X) \
   X(kHalt)           /* end of program                                  */ \
   X(kPushConst)      /* push imm                                        */ \
   X(kPushWire)       /* a=sel, b=layer slot, imm=FieldSpec*             */ \
   X(kPushPayload)    /* a=sel, b=layer slot, imm=FieldSpec*             */ \
-  X(kPushIp)         /* a=sel, b=ip slot                                */ \
+  X(kPushStruct)     /* a=sel, b=struct slot                            */ \
   X(kPushState)      /* b=state slot                                    */ \
-  X(kPushBfdState)   /* b=bfd state slot                                */ \
-  X(kPushZero)       /* readable token field: reads as 0                */ \
-  X(kPushNull)       /* unknown/unreadable field: poison + push 0       */ \
+  X(kPushNull)       /* a=nargs: pop them, poison + push 0              */ \
   X(kPushScenario)   /* push the per-run scenario symbol value          */ \
   X(kCmp)            /* a=CmpOp; pops rhs,lhs, pushes 0/1               */ \
   X(kJump)           /* ip = c                                          */ \
   X(kJumpIfFalse)    /* pop; if 0 -> ip = c                             */ \
   X(kJumpIfTrue)     /* pop; if nonzero -> ip = c                       */ \
-  X(kCallScalar)     /* a=nargs, b=name idx [slow]                      */ \
-  X(kCallEffect)     /* a=nargs, b=name idx [slow]                      */ \
   X(kStoreWire)      /* a=1: fills rest word; b=slot, c=ref, imm=spec   */ \
   X(kStorePayload)   /* a=layer slot, b=block bytes, c=ref, imm=spec    */ \
-  X(kStoreIp)        /* b=ip slot, c=ref                                */ \
+  X(kStoreStruct)    /* b=struct slot, c=ref                            */ \
   X(kStoreState)     /* b=state slot, c=ref                             */ \
-  X(kStoreBfdState)  /* b=bfd state slot, c=ref                         */ \
   X(kStoreNoop)      /* write accepted and discarded; c=ref             */ \
   X(kStoreFail)      /* write always fails; c=ref [slow]                */ \
   X(kAssignBytes)    /* generic bytes assignment via env [slow]         */ \
@@ -58,19 +54,16 @@ namespace sage::runtime::vm {
                      /* c=target; pops rhs,lhs                          */ \
   X(kGuardScenario)  /* fused scenario guard: cmp(scenario, imm) then   */ \
                      /* branch; a=CmpOp, b=jump-on-true, c=target       */ \
-  X(kCopyIp)         /* fused ip-to-ip assignment: a=sel,               */ \
+  X(kCopyStruct)     /* fused struct-to-struct assignment: a=sel,       */ \
                      /* b=(src slot<<8)|dst slot, c=ref of target       */ \
   X(kStoreWireConst) /* fused const store: a=fills-rest flag,           */ \
                      /* b=(slot<<8)|value, c=ref, imm=FieldSpec*        */ \
-  X(kEffectChecksum) /* specialized 0-arg effect: flag deferred         */ \
-                     /* checksum; b=name idx (for the error string)     */ \
-  X(kEffectReverse)  /* specialized reverse_addresses; b=name idx       */ \
-  X(kEffectTimeout)  /* specialized call_timeout; b=name idx            */ \
-  X(kEffectNop)      /* specialized always-true effect; b=name idx      */ \
   X(kCopyExcerpt)    /* invoking-packet excerpt -> c=dst slot           */ \
                      /* out_payload, straight from the raw packet       */ \
-  X(kPushFramework)  /* a=nargs, b=framework::Op, c=name idx: push a   */ \
-                     /* framework value (clock, error octet, ...)       */
+  X(kPushFramework)  /* a=nargs, b=framework::Op, c=name idx: pop the   */ \
+                     /* arguments, push the framework value             */ \
+  X(kEffect)         /* a=nargs, b=framework::Op or kUnserved, c=name   */ \
+                     /* idx: pop the arguments, run the effect          */
 
 enum class Op : std::uint8_t {
 #define SAGE_VM_ENUMERATOR(name) name,
@@ -80,6 +73,10 @@ enum class Op : std::uint8_t {
 };
 
 inline constexpr std::size_t kNumOps = static_cast<std::size_t>(Op::kCount);
+
+/// kEffect's `b` for a name the program's profile does not serve: the
+/// call fails with the tree's "framework call failed: <name>".
+inline constexpr std::uint16_t kUnserved = 0xffff;
 
 const char* op_name(Op op);
 

@@ -245,17 +245,6 @@ TEST_F(ParserTest, EmptyAndOversizedInputs) {
   EXPECT_TRUE(small.parse(prepare("the checksum is zero")).forms.empty());
 }
 
-TEST_F(ParserTest, DisablingTypeRaisingRemovesDistributedReading) {
-  ParserOptions opts;
-  opts.enable_type_raising = false;
-  CcgParser parser(&lex_, opts);
-  const auto result =
-      parser.parse(prepare("the source and the destination is zero"));
-  for (const auto& f : result.forms) {
-    EXPECT_EQ(f.to_string().find("@And(@Is"), std::string::npos);
-  }
-}
-
 // The type-raised NPs coordinate over S/(S\NP), a function category, so
 // the distributed reading's coordination draws two fresh binders (x1
 // and y). A second parse answers every combination from the memo and

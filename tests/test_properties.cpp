@@ -166,21 +166,6 @@ TEST(Property, SmallerCellCapNeverAddsForms) {
   }
 }
 
-TEST(Property, DisablingCoordinationRemovesConjunctions) {
-  core::Sage sage;
-  const nlp::NounPhraseChunker chunker(&sage.dictionary());
-  const auto tokens =
-      chunker.chunk(nlp::tokenize("the source and the destination is zero"));
-  ccg::ParserOptions options;
-  options.enable_coordination = false;
-  const ccg::CcgParser parser(&sage.lexicon(), options);
-  for (const auto& form : parser.parse(tokens).forms) {
-    for (const auto& pred : lf::collect_predicates(form)) {
-      EXPECT_NE(pred, "@And") << form.to_string();
-    }
-  }
-}
-
 // ---- parse cache: memoization must be invisible -----------------------------------
 
 /// Random sentences drawn from the lexicon's own vocabulary: these are
@@ -281,13 +266,10 @@ TEST(Property, DifferingParserOptionsNeverAliasCacheKeys) {
 
   // Every single-knob mutation of the default options must produce a
   // distinct key for the same token sequence.
-  std::vector<ccg::ParserOptions> variants(7);
-  variants[1].enable_composition = false;
-  variants[2].enable_type_raising = false;
-  variants[3].enable_coordination = false;
-  variants[4].record_derivations = true;
-  variants[5].max_edges_per_cell = 95;
-  variants[6].max_tokens = 47;
+  std::vector<ccg::ParserOptions> variants(4);
+  variants[1].record_derivations = true;
+  variants[2].max_edges_per_cell = 95;
+  variants[3].max_tokens = 47;
 
   std::vector<std::string> keys;
   for (const auto& options : variants) {

@@ -12,6 +12,7 @@
 //      guard, op counters, ExecStats, and program introspection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <set>
@@ -310,9 +311,9 @@ TEST(VmProgram, EveryGeneratedIcmpFunctionCompiles) {
   // digest of a corpus's listings, in generation order, pins the ops its
   // programs compile to.
   const std::map<std::string, std::uint64_t> kListingDigests = {
-      {"icmp", 0x7675d8cd01f7fbedull},  {"icmp-orig", 0x1ab4bc33366d0846ull},
-      {"igmp", 0x1d35b951ef2efc8cull},  {"ntp", 0x7e1155eb2aa7470full},
-      {"bfd", 0x9732eb54b6125a1eull},   {"icmp6", 0x4988486c4de1e7c2ull},
+      {"icmp", 0x963356983a2ba4e4ull},  {"icmp-orig", 0x3ecc143aa41b4f48ull},
+      {"igmp", 0x3eac2021c9b264a2ull},  {"ntp", 0xd16606558a10509full},
+      {"bfd", 0xf974d771d0bc8636ull},   {"icmp6", 0xd5c1a842372f4ca3ull},
   };
   for (const auto& c : corpus::spec_corpora()) {
     core::Sage sage;
@@ -344,9 +345,10 @@ TEST(VmProgram, EveryGeneratedIcmpFunctionCompiles) {
 }
 
 TEST(VmProgram, PeepholeFusionEngagesOnGeneratedHandlers) {
-  // The echo receiver is all hot idioms: scenario guards, const stores,
-  // the ip copy, and trivial effects must all collapse into
-  // superinstructions, shrinking the listing well below the linear form.
+  // The echo receiver is all hot idioms: scenario guards, const stores
+  // and the ip copy must all collapse into superinstructions, shrinking
+  // the listing well below the linear form, and its effects run through
+  // the one framework effect op.
   for (const auto& fn : core::canonical_icmp_run().functions) {
     if (fn.name.find("echo") == std::string::npos || fn.role != "receiver") {
       continue;
@@ -360,13 +362,62 @@ TEST(VmProgram, PeepholeFusionEngagesOnGeneratedHandlers) {
               std::string::npos);
     EXPECT_NE(listing.find(vm::op_name(vm::Op::kStoreWireConst)),
               std::string::npos);
-    EXPECT_NE(listing.find(vm::op_name(vm::Op::kCopyIp)), std::string::npos);
-    EXPECT_NE(listing.find(vm::op_name(vm::Op::kEffectChecksum)),
+    EXPECT_NE(listing.find(vm::op_name(vm::Op::kCopyStruct)),
               std::string::npos);
-    // Nothing left to string-dispatch: the generic effect op is gone.
-    EXPECT_EQ(listing.find(vm::op_name(vm::Op::kCallEffect)),
+    EXPECT_NE(listing.find(std::string(vm::op_name(vm::Op::kEffect)) +
+                           " compute_checksum/0"),
               std::string::npos);
   }
+}
+
+TEST(VmProgram, BfdHandlerLeavesTheSlowPath) {
+  // BFD's session effects compile to kEffect and its session fields to
+  // the struct-field ops, so the generated handler takes no slow-path op
+  // with every effect it calls running.
+  const auto& corpora = corpus::spec_corpora();
+  const auto bfd = std::ranges::find(corpora, std::string("bfd"),
+                                     &corpus::SpecCorpus::name);
+  ASSERT_NE(bfd, corpora.end());
+  core::Sage sage;
+  const auto run = sage.process(bfd->text, bfd->protocol);
+  ASSERT_EQ(run.functions.size(), 1u);
+  const auto program = vm::compile(run.functions.front());
+  ASSERT_TRUE(program.has_value());
+  const auto listing = program->disassemble();
+  EXPECT_NE(listing.find(std::string(vm::op_name(vm::Op::kEffect)) +
+                         " select_session/0"),
+            std::string::npos);
+  EXPECT_NE(listing.find(vm::op_name(vm::Op::kStoreStruct)),
+            std::string::npos);
+
+  // detect_mult 0 discards, a Your Discriminator selects the session, a
+  // zero echo interval ceases transmission and the poll bit answers.
+  net::BfdControlPacket packet;
+  packet.detect_mult = 0;
+  packet.my_discriminator = 7;
+  packet.your_discriminator = 9;
+  packet.poll = true;
+  net::BfdSessionState state;
+  codegen::reset_exec_stats();
+  auto env = SchemaExecEnv::bfd(&state, &packet);
+  EXPECT_TRUE(vm::execute(*program, env).ok);
+  EXPECT_TRUE(env.session_selected());
+  EXPECT_TRUE(env.packet_transmitted());
+  EXPECT_TRUE(state.packet_discarded);
+  EXPECT_FALSE(state.periodic_transmission_enabled);
+  EXPECT_EQ(state.remote_discr, 7u);
+  EXPECT_GT(codegen::exec_stats().ops_executed, 0u);
+  EXPECT_EQ(codegen::exec_stats().slow_path_entries, 0u);
+
+  // The corpus copies no session field into another; such a copy fuses
+  // into kCopyStruct, as the IP header's do.
+  const auto copy = vm::compile(
+      wrap({Stmt::assign({"bfd", "remote_discr"},
+                         Expr::field_read({"bfd", "local_discr"}))},
+           "BFD"));
+  ASSERT_TRUE(copy.has_value());
+  EXPECT_EQ(copy->code().size(), 2u);
+  EXPECT_EQ(copy->code()[0].op, vm::Op::kCopyStruct);
 }
 
 TEST(VmProgram, MovedProgramStillExecutes) {
@@ -436,12 +487,12 @@ TEST(VmExec, OpCountersCountOnlyWhenEnabled) {
 }
 
 TEST(VmExec, ExecStatsTrackBothBackends) {
-  // reverse_addresses specializes to a flat-path op; the scalar call
-  // keeps one genuinely slow entry in the program.
+  // reverse_addresses specializes to a flat-path op; the write to the
+  // read-only total length keeps one genuinely slow entry in the program.
   const auto fn = wrap(
       {Stmt::assign({"icmp", "type"}, Expr::constant(0)),
        Stmt::call("reverse_addresses"),
-       Stmt::assign({"icmp", "checksum"}, Expr::call("ones_complement_sum"))});
+       Stmt::assign({"ip", "total_length"}, Expr::constant(0))});
   const auto request = echo_request();
 
   codegen::reset_exec_stats();
@@ -457,8 +508,8 @@ TEST(VmExec, ExecStatsTrackBothBackends) {
     vm::execute(*program, env);
   }
   const auto after_vm = codegen::exec_stats();
-  EXPECT_GE(after_vm.ops_executed, 3u);  // store, effect, call, store, halt
-  EXPECT_GE(after_vm.slow_path_entries, 1u);  // the scalar call
+  EXPECT_GE(after_vm.ops_executed, 3u);  // store, effect, push, store, halt
+  EXPECT_GE(after_vm.slow_path_entries, 1u);  // the rejected write
   EXPECT_EQ(after_vm.tree_stmts_executed, 0u);
 
   {
